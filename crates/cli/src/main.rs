@@ -292,6 +292,12 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let mut fsync = FsyncPolicy::Always;
     let mut listen: Option<String> = None;
     let mut net = NetConfig::default();
+    if shard_worker {
+        // The only peer is the router, whose one persistent link per worker
+        // idles whenever the deployment does; closing it would get a healthy
+        // worker marked down.
+        net.idle_timeout_ms = 0;
+    }
     let mut duration_secs = 0u64;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
@@ -836,22 +842,43 @@ fn cmd_route(args: &[String]) -> Result<(), AnyErr> {
     println!("listening on {}", front.local_addr());
 
     let deadline = (duration_secs > 0).then(|| Instant::now() + Duration::from_secs(duration_secs));
+    let poll = Duration::from_millis(100);
+    // Re-dial pacing while a worker stays down (its socket refuses, or it
+    // cannot converge): doubles per failed round, reset once all are live.
+    let (mut backoff, mut redial_at) = (poll, Instant::now());
     while !sig::requested() && deadline.is_none_or(|d| Instant::now() < d) {
-        std::thread::sleep(Duration::from_millis(100));
+        // Sampled a poll interval ahead of the exit checks: a dying process
+        // closes its sockets a moment before it can be reaped, and must take
+        // the respawn path below, not the re-dial.
+        let redial = router.live_workers() < workers && Instant::now() >= redial_at;
+        std::thread::sleep(poll);
         for (k, child) in children.iter_mut().enumerate() {
             let exited = matches!(child.try_wait(), Ok(Some(_)));
-            if !exited {
+            if exited {
+                println!("worker {k} exited; respawning in {respawn_delay_ms} ms");
+                std::thread::sleep(Duration::from_millis(respawn_delay_ms));
+                *child = spawn_shard_worker(&graph_path, &dir, k, workers, fsync)?;
+            } else if !redial {
                 continue;
             }
-            println!("worker {k} exited; respawning in {respawn_delay_ms} ms");
-            std::thread::sleep(Duration::from_millis(respawn_delay_ms));
-            *child = spawn_shard_worker(&graph_path, &dir, k, workers, fsync)?;
-            // Blocks until the respawned worker finishes WAL recovery and
-            // binds, then ring-replays it to the cluster generation.
+            // After a respawn this blocks until the worker finishes WAL
+            // recovery and binds, then ring-replays it to the cluster
+            // generation. A worker marked down while its process runs only
+            // lost its link and is re-dialled; one that is live is a no-op.
+            let live_before = router.live_workers();
             match router.reattach(k) {
-                Ok(()) => println!("worker {k} reattached at generation {}", router.generation()),
+                Ok(()) if exited || router.live_workers() > live_before => {
+                    println!("worker {k} reattached at generation {}", router.generation())
+                }
+                Ok(()) => {}
                 Err(e) => println!("worker {k} reattach failed: {e}"),
             }
+        }
+        if router.live_workers() == workers {
+            backoff = poll;
+        } else if redial {
+            redial_at = Instant::now() + backoff;
+            backoff = (backoff * 2).min(Duration::from_secs(5));
         }
     }
     if sig::requested() {

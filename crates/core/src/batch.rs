@@ -42,7 +42,6 @@ impl Stl {
                 stats += pareto::increase(self, g, &inc, eng);
             }
         }
-        self.refresh_spine();
         stats
     }
 }

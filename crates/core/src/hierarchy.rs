@@ -365,9 +365,7 @@ impl Hierarchy {
     }
 
     /// Size of the root separator's cut — the label-prefix window shared by
-    /// **every** root path, and therefore the natural width for the
-    /// bit-parallel spine rows (`crate::spine::adaptive_lanes`). Zero for an
-    /// empty hierarchy.
+    /// **every** root path. Zero for an empty hierarchy.
     pub fn root_cut_len(&self) -> usize {
         if self.num_nodes() == 0 {
             0

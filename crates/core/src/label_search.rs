@@ -56,7 +56,6 @@ pub fn decrease(
 
     seed_decrease(hier, labels, updates, None, eng);
     run_decrease_searches(hier, labels, g, eng, &mut stats);
-    stl.refresh_spine();
     stats
 }
 
@@ -159,7 +158,6 @@ pub fn increase(
     let aff_per_r = std::mem::take(&mut eng.aff_per_r);
     run_repairs(hier, labels, g, &aff_per_r, eng, &mut stats);
     eng.aff_per_r = aff_per_r; // return buffers for reuse
-    stl.refresh_spine();
     stats
 }
 

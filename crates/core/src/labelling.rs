@@ -14,12 +14,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, DisjointWriter, DEFAULT_CHUNK_ENTRIES};
+use stl_graph::cow::{ChunkedStore, CowStats, DisjointWriter, DEFAULT_CHUNK_ENTRIES};
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 use stl_pathfinding::TimestampedArray;
 
 use crate::hierarchy::Hierarchy;
-use crate::spine::{adaptive_lanes, SpineIndex};
 use crate::types::StlConfig;
 
 /// Per-vertex location of a label in the chunked arena. One aligned 16-byte
@@ -161,21 +160,6 @@ impl Labels {
     #[inline]
     pub fn is_flat(&self) -> bool {
         self.store.is_flat()
-    }
-
-    /// Drain the ids of chunks written since the last drain (the input for
-    /// per-epoch spine refresh).
-    pub(crate) fn take_written_chunks(&mut self) -> Vec<u32> {
-        self.store.take_written_chunks()
-    }
-
-    /// The vertices whose labels live in chunk `c` (chunk boundaries are
-    /// vertex-aligned, so this is a contiguous range; zero-length labels on
-    /// the boundary are immaterial — they have no entries to refresh).
-    pub(crate) fn vertex_range_of_chunk(&self, c: u32) -> std::ops::Range<VertexId> {
-        let lo = self.locs.partition_point(|l| l.chunk < c);
-        let hi = self.locs.partition_point(|l| l.chunk <= c);
-        lo as VertexId..hi as VertexId
     }
 
     /// Number of vertices with a label span (possibly empty).
@@ -347,69 +331,6 @@ impl LabelAccess for ShardLabels<'_> {
     }
 }
 
-/// SoA deep-label arena: the v2 flat read path's second half.
-///
-/// On a compacted index the first `spine_lanes` entries of every label are
-/// already packed in the spine rows; this arena re-lays the *remaining*
-/// ("deep") entries `lanes..len(v)` of every vertex contiguously, with each
-/// vertex's deep span starting on a 64-byte boundary
-/// ([`AlignedBuf::concat_aligned`] with a 16-entry stride). A deep query
-/// then reads two cache-hot spine rows plus two aligned deep spans — the
-/// unrolled AVX2 min-plus never pays the `+lanes` prefix-offset shuffle the
-/// old full-prefix scan did.
-///
-/// The arena is a derived structure: [`Stl::compact`] (re)builds it, any
-/// label write invalidates it together with the store's flat arena, and the
-/// query layer only consults it while [`Labels::flat`] is `Some`.
-#[derive(Debug)]
-pub struct DeepArena {
-    /// Spine width the split was taken at (label entries `0..lanes` are in
-    /// the spine rows, not here).
-    lanes: u32,
-    /// Per-vertex start entry in `buf`; every start is a multiple of 16
-    /// entries, i.e. 64-byte aligned.
-    starts: Box<[u64]>,
-    buf: AlignedBuf<Dist>,
-}
-
-impl DeepArena {
-    /// Strip `labels` at `lanes` and lay the deep remainders out aligned.
-    fn build(labels: &Labels, lanes: usize) -> Self {
-        let spans = (0..labels.num_vertices() as VertexId).map(|v| {
-            let ls = labels.slice(v);
-            &ls[ls.len().min(lanes)..]
-        });
-        let (buf, starts) = AlignedBuf::concat_aligned(spans, 16, INF);
-        Self { lanes: lanes as u32, starts: starts.into_boxed_slice(), buf }
-    }
-
-    /// The first `m` deep entries of `v` — label entries
-    /// `lanes..lanes + m` — as one 64-byte-aligned slice.
-    #[inline(always)]
-    pub(crate) fn prefix(&self, v: VertexId, m: usize) -> &[Dist] {
-        let s = self.starts[v as usize] as usize;
-        &self.buf.as_slice()[s..s + m]
-    }
-
-    /// Address of `v`'s deep span (for software prefetch; never
-    /// dereferenced here).
-    #[inline(always)]
-    pub(crate) fn base_ptr(&self, v: VertexId) -> *const Dist {
-        self.buf.as_slice()[self.starts[v as usize] as usize..].as_ptr()
-    }
-
-    /// The spine width this split was taken at.
-    #[inline(always)]
-    pub(crate) fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-
-    /// Approximate resident bytes (aligned arena + start table).
-    pub fn memory_bytes(&self) -> usize {
-        self.buf.len() * std::mem::size_of::<Dist>() + self.starts.len() * 8
-    }
-}
-
 /// A complete Stable Tree Labelling index: hierarchy + labels.
 ///
 /// The hierarchy is weight-independent ("structural stability", Remark 1)
@@ -420,28 +341,9 @@ impl DeepArena {
 pub struct Stl {
     pub(crate) hier: Arc<Hierarchy>,
     pub(crate) labels: Labels,
-    /// Packed per-vertex top-cut distances + reachability masks, kept in
-    /// lock-step with `labels` by [`Stl::refresh_spine`] at the end of
-    /// every batch application.
-    pub(crate) spine: SpineIndex,
-    /// SoA deep-label arena ([`DeepArena`]): built by [`Stl::compact`],
-    /// dropped on the first epoch label write, shared across snapshot
-    /// clones. Consulted only while the label arena is flat, so a stale
-    /// arena can never serve a query.
-    pub(crate) deep: Option<Arc<DeepArena>>,
 }
 
 impl Stl {
-    /// The single construction funnel: every way of making an `Stl` ends
-    /// here, so the spine filter is always built from (and consistent with)
-    /// the final labels. The labels' written-chunk window is drained first —
-    /// construction writes are not "epoch" writes.
-    fn assemble_parts(hier: Arc<Hierarchy>, mut labels: Labels) -> Self {
-        labels.take_written_chunks();
-        let spine = SpineIndex::build(&labels, adaptive_lanes(hier.root_cut_len()));
-        Stl { hier, labels, spine, deep: None }
-    }
-
     /// Build the index for `g` (hierarchy + labels).
     pub fn build(g: &CsrGraph, cfg: &StlConfig) -> Self {
         let hier = Hierarchy::build(g, cfg);
@@ -456,7 +358,7 @@ impl Stl {
     /// passed to the update algorithms).
     pub fn from_parts(hier: Hierarchy, labels: Labels) -> Self {
         assert_eq!(labels.num_entries(), hier.total_label_entries());
-        Self::assemble_parts(Arc::new(hier), labels)
+        Stl { hier: Arc::new(hier), labels }
     }
 
     /// Build labels on a pre-built hierarchy (used by rebuild paths and the
@@ -497,7 +399,7 @@ impl Stl {
                 }
             }
         }
-        Self::assemble_parts(Arc::new(hier), labels)
+        Stl { hier: Arc::new(hier), labels }
     }
 
     /// Parallel label construction over `threads` worker threads.
@@ -583,7 +485,7 @@ impl Stl {
                 });
             }
         });
-        Self::assemble_parts(Arc::new(hier), labels)
+        Stl { hier: Arc::new(hier), labels }
     }
 
     /// The underlying stable tree hierarchy.
@@ -598,89 +500,23 @@ impl Stl {
         &self.labels
     }
 
-    /// The bit-parallel spine filter (packed top-cut distances).
-    #[inline]
-    pub fn spine(&self) -> &SpineIndex {
-        &self.spine
-    }
-
-    /// Re-pack the spine rows of every vertex whose label chunk was written
-    /// since the last refresh. Called at the end of every batch application
-    /// (serial and sharded), which is the only place epoch label writes
-    /// happen, so queries between batches always see a consistent spine.
-    pub(crate) fn refresh_spine(&mut self) {
-        let written = self.labels.take_written_chunks();
-        if written.is_empty() {
-            return;
-        }
-        // Label writes already invalidated the store's flat arena; drop the
-        // SoA deep split derived from it (rebuilt at the next compaction).
-        self.deep = None;
-        for c in written {
-            let range = self.labels.vertex_range_of_chunk(c);
-            self.spine.refresh(&self.labels, range);
-        }
-    }
-
-    /// Re-flatten the label arena and the spine stores into contiguous
-    /// 64-byte-aligned allocations (offline counterpart of the server's
-    /// quiescence-triggered compaction) and derive the SoA [`DeepArena`]
-    /// from the fresh layout; returns total bytes moved. Queries on the
-    /// compacted index take the direct-offset read path — spine strip plus
-    /// aligned deep spans — until the next label write.
+    /// Re-flatten the label arena into one contiguous 64-byte-aligned
+    /// allocation (offline counterpart of the server's quiescence-triggered
+    /// compaction); returns bytes moved. Queries on the compacted index read
+    /// labels by direct offset until the next label write.
     pub fn compact(&mut self) -> u64 {
-        let moved = self.labels.compact() + self.spine.compact();
-        self.rebuild_deep();
-        moved
+        self.labels.compact()
     }
 
-    /// (Re)derive the deep arena for the current spine width, or drop it if
-    /// the label arena is not flat (oversized arenas refuse to compact).
-    fn rebuild_deep(&mut self) {
-        self.deep = self
-            .labels
-            .is_flat()
-            .then(|| Arc::new(DeepArena::build(&self.labels, self.spine.lanes())));
-    }
-
-    /// Rebuild the spine filter at a forced width (8, 16, or 32 lanes) and,
-    /// on a compacted index, re-derive the [`DeepArena`] split to match.
-    /// Construction picks the width adaptively from the root cut
-    /// ([`crate::spine::adaptive_lanes`]); this knob exists for the lane
-    /// sweeps in the `query` bench and the lane-width property tests, and
-    /// for operators pinning a width after measurement.
-    pub fn set_spine_lanes(&mut self, lanes: usize) {
-        self.spine = SpineIndex::build(&self.labels, lanes);
-        if self.labels.is_flat() {
-            self.spine.compact();
-        }
-        self.rebuild_deep();
-    }
-
-    /// Drop the [`DeepArena`] (if any): deep queries on a flat index fall
-    /// back to full-prefix scans over the label arena — the pre-v2 flat
-    /// read path. Ablation knob for the `query` bench; [`Stl::compact`]
-    /// rebuilds the arena.
-    pub fn clear_deep_arena(&mut self) {
-        self.deep = None;
-    }
-
-    /// The SoA deep-label arena, present while the index is compacted.
-    #[inline]
-    pub fn deep_arena(&self) -> Option<&DeepArena> {
-        self.deep.as_deref()
-    }
-
-    /// Whether the whole read path (label arena + spine stores) is flat.
+    /// Whether the label arena is flat (compacted, not written since).
     pub fn is_flat(&self) -> bool {
-        self.labels.is_flat() && self.spine.is_flat()
+        self.labels.is_flat()
     }
 
-    /// Total COW chunk count of the read path (label chunks + spine chunks)
-    /// — the denominator matching the promotions counted by
-    /// [`Stl::take_cow_stats`].
+    /// COW chunk count of the label arena — the denominator matching the
+    /// promotions counted by [`Stl::take_cow_stats`].
     pub fn num_chunks(&self) -> usize {
-        self.labels.num_chunks() + self.spine.num_chunks()
+        self.labels.num_chunks()
     }
 
     /// Number of vertices indexed.
@@ -689,32 +525,48 @@ impl Stl {
         self.hier.num_vertices()
     }
 
-    /// Drain the copy-on-write counters of the label arena *and* the spine
-    /// stores — one publish window's worth of chunk promotions (see
-    /// `stl_graph::cow`).
+    /// Drain the copy-on-write counters of the label arena — one publish
+    /// window's worth of chunk promotions (see `stl_graph::cow`).
     pub fn take_cow_stats(&mut self) -> CowStats {
-        self.labels.take_cow_stats() + self.spine.take_cow_stats()
+        self.labels.take_cow_stats()
     }
 
     /// Current window's copy-on-write counters without draining them.
     pub fn cow_stats(&self) -> CowStats {
-        self.labels.cow_stats() + self.spine.cow_stats()
+        self.labels.cow_stats()
     }
 
     /// A physically independent copy: hierarchy reallocated, every label
-    /// and spine chunk reallocated — what the pre-COW publish path paid per
-    /// epoch.
+    /// chunk reallocated — what the pre-COW publish path paid per epoch.
     pub fn deep_clone(&self) -> Self {
-        let mut clone = Stl {
-            hier: Arc::new((*self.hier).clone()),
-            labels: self.labels.deep_clone(),
-            spine: self.spine.deep_clone(),
-            deep: None,
-        };
-        if self.deep.is_some() {
-            clone.rebuild_deep();
-        }
-        clone
+        Stl { hier: Arc::new((*self.hier).clone()), labels: self.labels.deep_clone() }
+    }
+}
+
+#[doc(hidden)] // compat; sole reader benchmark/src/world.rs; delete with the next `[benchmark]` issue
+pub struct SpineIndex;
+#[doc(hidden)] // compat; sole reader benchmark/src/world.rs; delete with the next `[benchmark]` issue
+pub enum DeepArena {}
+impl SpineIndex {
+    pub fn lanes(&self) -> usize {
+        0
+    }
+    pub fn memory_bytes(&self) -> usize {
+        0
+    }
+}
+impl DeepArena {
+    pub fn memory_bytes(&self) -> usize {
+        match *self {}
+    }
+}
+#[doc(hidden)] // compat; sole reader benchmark/src/world.rs
+impl Stl {
+    pub fn spine(&self) -> &SpineIndex {
+        &SpineIndex
+    }
+    pub fn deep_arena(&self) -> Option<&DeepArena> {
+        None
     }
 }
 

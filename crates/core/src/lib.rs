@@ -16,9 +16,8 @@
 //! * [`shard`] — tree-sharded **parallel** batch repair: label maintenance
 //!   fanned out across worker threads by owning stable tree, with provably
 //!   disjoint write sets.
-//! * [`spine`] — bit-parallel spine filter: packed per-vertex top-cut
-//!   distances answering (or lower-bounding) the common-prefix scan before
-//!   the label arena is touched.
+//! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
+//!   min-plus kernel, over the chunked or the flat label layout.
 //! * [`directed`] — the §8 extension to directed road networks.
 //! * [`structural`] — §8 edge/vertex insertion & deletion.
 //! * [`index`] — the [`DynamicDistanceIndex`] serving trait `stl_server`
@@ -51,7 +50,6 @@ pub mod pareto;
 pub mod persist;
 pub mod query;
 pub mod shard;
-pub mod spine;
 pub mod stats;
 pub mod structural;
 pub mod types;
@@ -60,10 +58,9 @@ pub mod verify;
 pub use engine::{EnginePool, UpdateEngine};
 pub use hierarchy::{Hierarchy, RawNode, SHARD_DEPTH, SPINE_SHARD};
 pub use index::DynamicDistanceIndex;
-pub use labelling::{DeepArena, Labels, LabelsWriter, ShardLabels, Stl};
+pub use labelling::{Labels, LabelsWriter, ShardLabels, Stl};
 pub use query::{min_plus, min_plus_scalar, QueryProfile};
 pub use shard::{ShardReport, ShardSet, ShardWriteLog};
-pub use spine::{adaptive_lanes, SpineIndex, SPINE_LANES};
 pub use stats::IndexStats;
 pub use types::{Maintenance, StlConfig, UpdateStats};
 

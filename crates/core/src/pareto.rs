@@ -80,7 +80,6 @@ pub fn decrease(
             &mut stats,
         );
     }
-    stl.refresh_spine();
     stats
 }
 
@@ -196,7 +195,6 @@ pub fn increase(
         // Phase 3: repair (Algorithm 5).
         repair_inc(hier, labels, g, eng, &mut stats);
     }
-    stl.refresh_spine();
     stats
 }
 

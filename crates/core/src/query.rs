@@ -8,49 +8,41 @@
 //! The comparable prefix length `K` is found in O(1) from bitstrings and the
 //! per-node cumulative cut counts; the scan then reads two contiguous label
 //! prefixes — the cache-friendly layout the paper credits for its query
-//! speed. This module layers four accelerations on that scan (the "v2" read
-//! path — memory-level parallelism first, instruction count second):
+//! speed. A query is therefore one body ([`Stl::query`]):
 //!
-//! 1. **Software prefetch** (`prefetch_read`): at query entry, before the
-//!    `common_anc_count` arithmetic resolves, both vertices' spine rows,
-//!    masks, and (on a flat index) label/deep-span bases are hinted toward
-//!    L1 — the loads overlap the LCA computation instead of stalling behind
-//!    its branch. x86_64 `PREFETCHT0`; a no-op elsewhere.
-//! 2. **Spine filter** (`crate::spine`): when the whole common prefix fits
-//!    in the adaptive row width ([`crate::spine::SpineIndex::lanes`] —
-//!    8/16/32 sized from the actual root cut), the query is answered from
-//!    two packed rows and a mask AND without touching the label arena.
-//! 3. **SoA deep split + flat direct-offset reads**: on a compacted index
-//!    ([`Stl::compact`], or the server's quiescence trigger) a deep prefix
-//!    becomes spine rows (entries `0..lanes`, cache-hot, mask-gated) plus
-//!    two 64-byte-aligned spans of the [`crate::labelling::DeepArena`] —
-//!    no prefix-offset shuffle, unrolled full-width vector iterations.
-//! 4. **Vectorized min-plus** ([`min_plus`]): 2 × 8 `u32` lanes per
-//!    unrolled step with a horizontal min at the end — AVX2 intrinsics
-//!    when the CPU has them (detected once, cached by `std`), an
-//!    autovectorizable lane loop otherwise. `INF` saturation is lane-wise:
-//!    `INF == u32::MAX`, and `x + min(y, !x)` is an exact unsigned
-//!    saturating add, so unreachable entries stay unreachable per lane.
+//! 1. `s == t` → 0;
+//! 2. on a flat (compacted) index, hint both label bases toward L1
+//!    (`prefetch_read`: x86_64 `PREFETCHT0`, a no-op elsewhere) so the loads
+//!    overlap the LCA arithmetic — a flat address is pure arithmetic, whereas
+//!    resolving a chunked slice *is* the pointer chase a hint would hide;
+//! 3. `K = common_anc_count(s, t)`; `K == 0` → `INF`;
+//! 4. [`min_plus`] over the two `K`-entry prefixes, read from the flat arena
+//!    ([`crate::Labels::flat`], the layout [`Stl::compact`] produces) or from
+//!    the chunked copy-on-write store a label write leaves behind.
+//!
+//! [`min_plus`] runs 2 × 8 `u32` lanes per unrolled step with a horizontal
+//! min at the end — AVX2 intrinsics when the CPU has them (detected once,
+//! cached by `std`), an autovectorizable lane loop (`min_plus_portable`)
+//! otherwise. `INF` saturation is lane-wise: `INF == u32::MAX`, and
+//! `x + min(y, !x)` is an exact unsigned saturating add, so unreachable
+//! entries stay unreachable per lane.
 //!
 //! The plain scalar loop survives as [`min_plus_scalar`] /
-//! [`Stl::query_reference`]: every debug-build query checks the fast path
-//! against it, and the `query` bench uses it as the before-this-PR baseline.
-//! All public entry points — [`Stl::query`], [`Stl::query_profiled`],
-//! [`Stl::query_no_prefetch`] — instantiate one generic body
-//! (`query_impl`), so the profiled and unprofiled paths cannot drift.
+//! [`Stl::query_reference`] — the one oracle: every debug-build answer of
+//! every path in this module is asserted against it, and the `query` bench
+//! uses it as its chunked-scalar baseline.
 
 use stl_graph::{Dist, VertexId, INF};
 
-use crate::labelling::{DeepArena, Stl};
-use crate::spine::SpineFlat;
+use crate::labelling::Stl;
 
 /// Width of the autovectorized min-plus accumulator: 8 × `u32` matches one
 /// 256-bit vector register and divides the 64-byte chunk alignment.
 const LANES: usize = 8;
 
-/// Targets per [`Stl::one_to_many`] tile: `256 × (row + mask + a few label
-/// lines)` keeps a whole tile's working set comfortably inside L2 while the
-/// next tile's lines stream in behind the prefetch window.
+/// Targets per [`Stl::one_to_many`] tile: `256 × a few label lines` keeps a
+/// whole tile's working set comfortably inside L2 while the next tile's
+/// lines stream in behind the prefetch window.
 const TILE: usize = 256;
 
 /// Below this many targets the tiled one-to-many path (sort + scatter)
@@ -67,7 +59,7 @@ const TILE_PREFETCH_AHEAD: usize = 4;
 /// to pass. Compiles to `PREFETCHT0` on x86_64 and to nothing elsewhere,
 /// mirroring the AVX2-vs-portable dispatch of [`min_plus`].
 #[inline(always)]
-pub(crate) fn prefetch_read<T>(p: *const T) {
+fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: PREFETCHT0 is architecturally a hint — no memory access, no
     // fault, regardless of the pointer's validity; SSE is part of the
@@ -79,16 +71,15 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// [`prefetch_read`] over a span of `n` elements: one hint per 64-byte line,
-/// capped at 8 lines so a pathologically long label can't flood the load
-/// ports. The pointer is never dereferenced — see [`prefetch_read`].
+/// [`prefetch_read`] over a whole label: one hint per 64-byte line, capped
+/// at 8 lines so a pathologically long label can't flood the load ports.
 #[inline(always)]
-pub(crate) fn prefetch_span(p: *const Dist, n: usize) {
+fn prefetch_label(label: &[Dist]) {
     const LINE: usize = 64 / std::mem::size_of::<Dist>();
     const MAX_LINES: usize = 8;
-    let lines = n.div_ceil(LINE).min(MAX_LINES);
+    let lines = label.len().div_ceil(LINE).min(MAX_LINES);
     for l in 0..lines {
-        prefetch_read(p.wrapping_add(l * LINE));
+        prefetch_read(label.as_ptr().wrapping_add(l * LINE));
     }
 }
 
@@ -136,10 +127,9 @@ fn min_plus_portable(a: &[Dist], b: &[Dist]) -> Dist {
 
 /// AVX2 min-plus: two independent 8-lane accumulators per unrolled step (a
 /// 16-entry body), then an 8-lane cleanup block and a scalar tail. The
-/// two-deep unroll keeps both load ports busy on the 64-byte-aligned deep
-/// spans the SoA split produces — one 16-entry iteration consumes exactly
-/// one cache line per operand. The saturating add is `x + min(y, !x)` — if
-/// `y ≤ !x` the sum is exact, otherwise it clamps to
+/// two-deep unroll keeps both load ports busy — one 16-entry iteration
+/// consumes one cache line's worth of each operand. The saturating add is
+/// `x + min(y, !x)` — if `y ≤ !x` the sum is exact, otherwise it clamps to
 /// `x + !x = u32::MAX = INF` — using only instructions AVX2 actually has
 /// (there is no native unsigned 32-bit saturating add).
 #[cfg(target_arch = "x86_64")]
@@ -181,62 +171,6 @@ unsafe fn min_plus_avx2(a: &[Dist], b: &[Dist]) -> Dist {
     best
 }
 
-/// `min(min_plus(a1, b1), min_plus(a2, b2))` in one kernel invocation: one
-/// feature dispatch, shared vector accumulators, and a single horizontal
-/// reduction at the end. The deep-split query path is exactly this shape —
-/// a fixed-width spine-row head plus an aligned deep-span tail — and fusing
-/// the two scans shaves the second reduction off every deep query.
-#[inline]
-pub fn min_plus2(a1: &[Dist], b1: &[Dist], a2: &[Dist], b2: &[Dist]) -> Dist {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just confirmed at runtime.
-        return unsafe { min_plus2_avx2(a1, b1, a2, b2) };
-    }
-    min_plus_portable(a1, b1).min(min_plus_portable(a2, b2))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn min_plus2_avx2(a1: &[Dist], b1: &[Dist], a2: &[Dist], b2: &[Dist]) -> Dist {
-    use std::arch::x86_64::*;
-    let ones = _mm256_set1_epi32(-1);
-    let mut acc0 = ones;
-    let mut acc1 = ones;
-    let mut best = INF;
-    for (a, b) in [(a1, b1), (a2, b2)] {
-        let n2 = a.len() / (2 * LANES) * (2 * LANES);
-        let mut i = 0;
-        while i < n2 {
-            let x0 = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let y0 = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let x1 = _mm256_loadu_si256(a.as_ptr().add(i + LANES) as *const __m256i);
-            let y1 = _mm256_loadu_si256(b.as_ptr().add(i + LANES) as *const __m256i);
-            let s0 = _mm256_add_epi32(x0, _mm256_min_epu32(y0, _mm256_xor_si256(x0, ones)));
-            let s1 = _mm256_add_epi32(x1, _mm256_min_epu32(y1, _mm256_xor_si256(x1, ones)));
-            acc0 = _mm256_min_epu32(acc0, s0);
-            acc1 = _mm256_min_epu32(acc1, s1);
-            i += 2 * LANES;
-        }
-        let n = a.len() / LANES * LANES;
-        if i < n {
-            let x = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let y = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let sum = _mm256_add_epi32(x, _mm256_min_epu32(y, _mm256_xor_si256(x, ones)));
-            acc0 = _mm256_min_epu32(acc0, sum);
-            i += LANES;
-        }
-        for j in i..a.len() {
-            best = best.min(a[j].saturating_add(b[j]));
-        }
-    }
-    let acc = _mm256_min_epu32(acc0, acc1);
-    let m = _mm_min_epu32(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
-    let m = _mm_min_epu32(m, _mm_shuffle_epi32(m, 0b01_00_11_10));
-    let m = _mm_min_epu32(m, _mm_shuffle_epi32(m, 0b00_00_00_01));
-    best.min(_mm_cvtsi128_si32(m) as u32)
-}
-
 /// The straight scalar min-plus loop — the oracle the vectorized kernel is
 /// debug-asserted against, and the pre-optimization baseline of the `query`
 /// bench.
@@ -253,90 +187,20 @@ pub fn min_plus_scalar(a: &[Dist], b: &[Dist]) -> Dist {
     best
 }
 
-/// Min-plus over two packed spine rows, restricted to the first `k` lanes
-/// (the common ancestor prefix). Branchless within each 8-lane block and
-/// lane-count-dependent overall: the loop runs `⌈k/8⌉` blocks, so a `k ≤ 8`
-/// query on an 8-lane spine touches exactly one block — never a fixed
-/// [`crate::spine::SPINE_LANES`]-wide body. Lanes at or past `k` are
-/// selected to `INF`. Rows must be at least `⌈k/8⌉ × 8` entries, which the
-/// 8/16/32-lane row strides always are for `k ≤ lanes`.
-#[inline]
-fn spine_min_plus(rs: &[Dist], rt: &[Dist], k: usize) -> Dist {
-    debug_assert!(k <= rs.len() && k <= rt.len() && rs.len().is_multiple_of(LANES));
-    let mut acc = [INF; LANES];
-    let mut i = 0;
-    while i < k {
-        let x: &[Dist; LANES] = rs[i..i + LANES].try_into().unwrap();
-        let y: &[Dist; LANES] = rt[i..i + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            let sum = x[l].saturating_add(y[l]);
-            let live = if i + l < k { sum } else { INF };
-            acc[l] = if live < acc[l] { live } else { acc[l] };
-        }
-        i += LANES;
-    }
-    let mut best = INF;
-    for &v in &acc {
-        best = best.min(v);
-    }
-    best
-}
-
-/// A deep prefix (`k > lanes`) on a compacted index: scan entries
-/// `0..lanes` from the packed spine rows and entries `lanes..k` from the
-/// two 64-byte-aligned deep spans. `k > lanes` implies both labels extend
-/// past the spine, so every row lane is a common-prefix entry and the head
-/// is a plain full-width [`min_plus`] — no lane selection, and no mask
-/// gate either: deep labels have no `INF` row padding to skip, and the
-/// saturating kernel already neutralizes unreachable entries, so the two
-/// mask loads would be pure overhead here.
-#[inline(always)]
-fn query_deep_split(
-    sf: &SpineFlat<'_>,
-    deep: &DeepArena,
-    s: VertexId,
-    t: VertexId,
-    k: usize,
-) -> Dist {
-    let m = k - deep.lanes();
-    min_plus2(sf.row(s), sf.row(t), deep.prefix(s, m), deep.prefix(t, m))
-}
-
-/// Per-query counters of the accelerated read path, filled by
-/// [`Stl::query_profiled`]. The `query` bench publishes these so a CI run
-/// shows *which* lane answered: spine rows, flat arena, or chunk table.
+/// Per-query counters of the read path, filled by [`Stl::query_profiled`]:
+/// which of the two label layouts served each connected query.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueryProfile {
     /// Queries issued (including `s == t` and disconnected pairs).
     pub queries: u64,
-    /// Queries whose whole common prefix fit in the spine rows — the label
-    /// arena was never touched.
-    pub spine_answered: u64,
-    /// Subset of `spine_answered` where the mask AND was already empty, so
-    /// the answer was `INF` without a single distance add.
-    pub spine_mask_rejects: u64,
-    /// Label prefixes read through the flat direct-offset path (spine strip
-    /// + deep arena, or the full-prefix arena when no deep split exists).
+    /// Label prefixes read from the flat arena by direct offset.
     pub flat_slices: u64,
     /// Label prefixes read through the chunk table.
     pub chunked_slices: u64,
-}
-
-/// Read-path accounting hooks for the unified query body. The production
-/// path instantiates the no-op impl ([`NoProfile`]) — every hook inlines to
-/// nothing — while [`Stl::query_profiled`] instantiates the counting impl
-/// on [`QueryProfile`]. One body, zero drift between the two.
-trait ReadProfiler {
-    #[inline(always)]
-    fn on_query(&mut self) {}
-    #[inline(always)]
-    fn on_spine_answered(&mut self) {}
-    #[inline(always)]
-    fn on_mask_reject(&mut self) {}
-    #[inline(always)]
-    fn on_flat_slices(&mut self) {}
-    #[inline(always)]
-    fn on_chunked_slices(&mut self) {}
+    #[doc(hidden)] // reader benchmark/src/workloads.rs; delete with the next `[benchmark]` issue
+    pub spine_answered: u64,
+    #[doc(hidden)] // reader benchmark/src/workloads.rs; delete with the next `[benchmark]` issue
+    pub spine_mask_rejects: u64,
 }
 
 /// Everything source-side of a one-to-many scan, resolved once by
@@ -345,158 +209,63 @@ struct SourceState<'a> {
     s: VertexId,
     /// `s`'s full label slice.
     ls: &'a [Dist],
-    /// `s`'s packed spine row and reachability mask.
-    rs: &'a [Dist],
-    ms: u64,
     /// The flat label arena, when compacted.
     arena: Option<&'a [Dist]>,
-    /// The SoA deep split, when compacted.
-    deep: Option<&'a DeepArena>,
-    /// The zero-indirection spine view, when compacted.
-    sf: Option<SpineFlat<'a>>,
-}
-
-/// The zero-cost profiler of the production query path.
-struct NoProfile;
-
-impl ReadProfiler for NoProfile {}
-
-impl ReadProfiler for QueryProfile {
-    #[inline(always)]
-    fn on_query(&mut self) {
-        self.queries += 1;
-    }
-    #[inline(always)]
-    fn on_spine_answered(&mut self) {
-        self.spine_answered += 1;
-    }
-    #[inline(always)]
-    fn on_mask_reject(&mut self) {
-        self.spine_mask_rejects += 1;
-    }
-    #[inline(always)]
-    fn on_flat_slices(&mut self) {
-        self.flat_slices += 2;
-    }
-    #[inline(always)]
-    fn on_chunked_slices(&mut self) {
-        self.chunked_slices += 2;
-    }
 }
 
 impl Stl {
     /// Shortest-path distance between `s` and `t`; `INF` if disconnected.
+    /// The one query body — see the module docs.
     #[inline]
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
-        let d = self.query_impl::<true, _>(s, t, &mut NoProfile);
-        debug_assert_eq!(
-            d,
-            self.query_reference(s, t),
-            "spine+vectorized path must match the scalar oracle for ({s},{t})"
-        );
-        d
-    }
-
-    /// [`Stl::query`] without the software-prefetch hints — identical
-    /// answers through the identical body. The measurement baseline for the
-    /// `query` bench's prefetch on/off group; not useful otherwise.
-    #[inline]
-    pub fn query_no_prefetch(&self, s: VertexId, t: VertexId) -> Dist {
-        let d = self.query_impl::<false, _>(s, t, &mut NoProfile);
-        debug_assert_eq!(d, self.query_reference(s, t), "no-prefetch path oracle ({s},{t})");
-        d
-    }
-
-    /// [`Stl::query`] with read-path accounting into `prof` (see
-    /// [`QueryProfile`]). Same answers through the same generic body; a few
-    /// extra counter increments.
-    pub fn query_profiled(&self, s: VertexId, t: VertexId, prof: &mut QueryProfile) -> Dist {
-        let d = self.query_impl::<true, _>(s, t, prof);
-        debug_assert_eq!(d, self.query_reference(s, t), "profiled path oracle ({s},{t})");
-        d
-    }
-
-    /// The one query body behind [`Stl::query`], [`Stl::query_profiled`],
-    /// and [`Stl::query_no_prefetch`]: prefetch (when `PREFETCH`), O(1)
-    /// prefix length, then spine rows / spine + deep arena / flat arena /
-    /// chunk table — whichever is the cheapest path that covers the prefix.
-    #[inline(always)]
-    fn query_impl<const PREFETCH: bool, P: ReadProfiler>(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        prof: &mut P,
-    ) -> Dist {
-        prof.on_query();
         if s == t {
             return 0;
         }
         let arena = self.labels.flat();
-        let deep = if arena.is_some() { self.deep.as_deref() } else { None };
-        let sf = self.spine.flat_view();
-        if PREFETCH {
-            // Issue the loads every connected outcome will need *before*
-            // the common_anc_count bitstring arithmetic resolves: the two
-            // rows + masks (short prefixes) and the two deep-span or
-            // label-prefix bases (deep prefixes) stream toward L1 while the
-            // LCA is still being computed, instead of stalling behind its
-            // result. Only flat arenas are hinted: their addresses are pure
-            // arithmetic, whereas resolving a chunked slice *is* the
-            // pointer chase a hint would try to hide.
-            if let Some(sf) = &sf {
-                sf.prefetch(s);
-                sf.prefetch(t);
-            }
-            if let Some(d) = deep {
-                prefetch_read(d.base_ptr(s));
-                prefetch_read(d.base_ptr(t));
-            } else if let Some(a) = arena {
-                prefetch_read(self.labels.slice_flat(a, s).as_ptr());
-                prefetch_read(self.labels.slice_flat(a, t).as_ptr());
-            }
+        if let Some(a) = arena {
+            // Issued before the common_anc_count bitstring arithmetic
+            // resolves, so the label lines stream toward L1 while the LCA
+            // is still being computed instead of stalling behind its result.
+            prefetch_read(self.labels.slice_flat(a, s).as_ptr());
+            prefetch_read(self.labels.slice_flat(a, t).as_ptr());
         }
         let k = self.hier.common_anc_count(s, t) as usize;
         if k == 0 {
             return INF;
         }
-        let lanes = self.spine.lanes();
-        if k <= lanes {
-            prof.on_spine_answered();
-            let (ms, mt) = match &sf {
-                Some(sf) => (sf.mask(s), sf.mask(t)),
-                None => (self.spine.mask(s), self.spine.mask(t)),
-            };
-            // lanes ≤ SPINE_LANES = 32 < 64, so the shift never overflows.
-            let lane_mask = (1u64 << k) - 1;
-            if ms & mt & lane_mask == 0 {
-                prof.on_mask_reject();
-                return INF;
-            }
-            return match &sf {
-                Some(sf) => spine_min_plus(sf.row(s), sf.row(t), k),
-                None => spine_min_plus(self.spine.row(s), self.spine.row(t), k),
-            };
-        }
-        if let (Some(d), Some(sf)) = (deep, &sf) {
-            prof.on_flat_slices();
-            return query_deep_split(sf, d, s, t, k);
-        }
-        let (ls, lt) = match arena {
-            Some(a) => {
-                prof.on_flat_slices();
-                (self.labels.slice_flat(a, s), self.labels.slice_flat(a, t))
-            }
-            None => {
-                prof.on_chunked_slices();
-                (self.labels.slice(s), self.labels.slice(t))
-            }
-        };
-        min_plus(&ls[..k], &lt[..k])
+        let d = min_plus(&self.label(arena, s)[..k], &self.label(arena, t)[..k]);
+        debug_assert_eq!(d, self.query_reference(s, t), "query oracle ({s},{t})");
+        d
     }
 
-    /// Scalar, chunk-table, no-spine reference query — the oracle every
-    /// debug-build [`Stl::query`] is checked against, and the baseline the
-    /// `query` bench measures the fast path's speedup over.
+    /// `v`'s full label: by direct offset out of `arena` (this index's
+    /// [`crate::Labels::flat`]) when compacted, through the chunk table
+    /// otherwise.
+    #[inline(always)]
+    fn label<'a>(&'a self, arena: Option<&'a [Dist]>, v: VertexId) -> &'a [Dist] {
+        match arena {
+            Some(a) => self.labels.slice_flat(a, v),
+            None => self.labels.slice(v),
+        }
+    }
+
+    /// [`Stl::query`] with read-path accounting into `prof` (see
+    /// [`QueryProfile`]): which layout served the two label prefixes.
+    pub fn query_profiled(&self, s: VertexId, t: VertexId, prof: &mut QueryProfile) -> Dist {
+        prof.queries += 1;
+        if self.query_width(s, t) > 0 {
+            if self.labels.is_flat() {
+                prof.flat_slices += 2;
+            } else {
+                prof.chunked_slices += 2;
+            }
+        }
+        self.query(s, t)
+    }
+
+    /// Scalar, chunk-table reference query — the oracle every debug-build
+    /// answer is checked against, and the baseline the `query` bench
+    /// measures the fast path's speedup over.
     pub fn query_reference(&self, s: VertexId, t: VertexId) -> Dist {
         if s == t {
             return 0;
@@ -533,17 +302,16 @@ impl Stl {
     /// one distance per target — in `targets` order — reusing its capacity.
     /// Sustained callers (tile renderers, repeated k-NN rounds, the TCP
     /// `ONE_TO_MANY` handler) keep one buffer alive instead of allocating
-    /// per call. The source side — label slice, spine row and mask,
-    /// flat-arena and deep-span resolution — is derived once, not per
-    /// target.
+    /// per call. The source side — label slice and flat-arena resolution —
+    /// is derived once, not per target.
     ///
     /// Large target sets are processed in `TILE`-sized tiles sorted by
     /// owning stable tree ([`crate::Hierarchy::tree_of`]): consecutive
-    /// targets then share label chunks and spine-row cache lines, and the
-    /// scan prefetches a few targets ahead, so the walk streams instead of
-    /// hopping randomly through the arena. Results are scattered back to
-    /// `targets` order — output is bit-identical to the plain loop
-    /// ([`Stl::one_to_many_loop_into`]).
+    /// targets then share label chunks, and the scan prefetches a few
+    /// targets ahead, so the walk streams instead of hopping randomly
+    /// through the arena. Results are scattered back to `targets` order —
+    /// output is bit-identical to the plain per-target loop, which also
+    /// serves sets too small to be worth tiling.
     pub fn one_to_many_into(&self, s: VertexId, targets: &[VertexId], out: &mut Vec<Dist>) {
         if targets.len() < TILE_MIN_TARGETS {
             return self.one_to_many_loop_into(s, targets, out);
@@ -581,7 +349,6 @@ impl Stl {
         // covers the tile and each target finishes it with a single
         // `label_len` load.
         let tree_s = self.hier.tree_of(s);
-        let lanes = self.spine.lanes() as u32;
         let mut cur_shard = u32::MAX;
         let mut hoisted = false;
         let mut limit = 0u32;
@@ -590,20 +357,12 @@ impl Stl {
         for tile in order.chunks(TILE) {
             for (j, &e) in tile.iter().enumerate() {
                 if let Some(&ne) = tile.get(j + TILE_PREFETCH_AHEAD) {
-                    let next = (ne >> 32) as VertexId;
-                    if let Some(sf) = &src.sf {
-                        sf.prefetch(next);
-                    }
-                    // The next target's whole label span, not just its first
-                    // line: spans are several cache lines and the id-gaps
+                    // The next target's whole label, not just its first
+                    // line: labels are several cache lines and the id-gaps
                     // between consecutive targets defeat the hardware
-                    // streamer. The `label_len` lookup bounding the burst is
-                    // a hot-array load, far cheaper than a wasted line hint.
-                    let span = self.hier.label_len(next).saturating_sub(lanes) as usize;
-                    if let Some(d) = src.deep {
-                        prefetch_span(d.base_ptr(next), span);
-                    } else if let Some(a) = src.arena {
-                        prefetch_span(self.labels.slice_flat(a, next).as_ptr(), span + 16);
+                    // streamer.
+                    if let Some(a) = src.arena {
+                        prefetch_label(self.labels.slice_flat(a, (ne >> 32) as VertexId));
                     }
                 }
                 let t = (e >> 32) as VertexId;
@@ -642,9 +401,14 @@ impl Stl {
 
     /// The straight per-target loop behind small [`Stl::one_to_many_into`]
     /// calls: source state hoisted, targets visited in input order, no
-    /// tiling, no lookahead. Public as the tiled path's bit-identity oracle
-    /// and the `query` bench's tiled-vs-loop baseline.
-    pub fn one_to_many_loop_into(&self, s: VertexId, targets: &[VertexId], out: &mut Vec<Dist>) {
+    /// tiling, no lookahead. Also the tiled path's bit-identity oracle in
+    /// this crate's tests.
+    pub(crate) fn one_to_many_loop_into(
+        &self,
+        s: VertexId,
+        targets: &[VertexId],
+        out: &mut Vec<Dist>,
+    ) {
         out.clear();
         out.reserve(targets.len());
         let src = self.hoist_source(s);
@@ -655,22 +419,11 @@ impl Stl {
         }
     }
 
-    /// Resolve everything source-side of a one-to-many scan once: `s`'s
-    /// full label, its spine row and mask, and the flat arena / deep split
-    /// / flat spine view when the index is compacted.
+    /// Resolve everything source-side of a one-to-many scan once: the flat
+    /// arena, when the index is compacted, and `s`'s full label.
     fn hoist_source(&self, s: VertexId) -> SourceState<'_> {
         let arena = self.labels.flat();
-        let deep = if arena.is_some() { self.deep.as_deref() } else { None };
-        let sf = self.spine.flat_view();
-        let ls = match arena {
-            Some(a) => self.labels.slice_flat(a, s),
-            None => self.labels.slice(s),
-        };
-        let (rs, ms) = match &sf {
-            Some(sf) => (sf.row(s), sf.mask(s)),
-            None => (self.spine.row(s), self.spine.mask(s)),
-        };
-        SourceState { s, ls, rs, ms, arena, deep, sf }
+        SourceState { s, ls: self.label(arena, s), arena }
     }
 
     /// One target of a one-to-many scan against a hoisted [`SourceState`].
@@ -693,29 +446,7 @@ impl Stl {
     /// and `s != t`.
     #[inline]
     fn query_hoisted_k(&self, src: &SourceState<'_>, t: VertexId, k: usize) -> Dist {
-        let s = src.s;
-        let lanes = self.spine.lanes();
-        if k <= lanes {
-            let (mt, rt) = match &src.sf {
-                Some(sf) => (sf.mask(t), sf.row(t)),
-                None => (self.spine.mask(t), self.spine.row(t)),
-            };
-            let lane_mask = (1u64 << k) - 1;
-            if src.ms & mt & lane_mask == 0 {
-                return INF;
-            }
-            return spine_min_plus(src.rs, rt, k);
-        }
-        if let (Some(d), Some(sf)) = (src.deep, &src.sf) {
-            // No mask gate — see `query_deep_split`.
-            let m = k - lanes;
-            return min_plus2(src.rs, sf.row(t), d.prefix(s, m), d.prefix(t, m));
-        }
-        let lt = match src.arena {
-            Some(a) => self.labels.slice_flat(a, t),
-            None => self.labels.slice(t),
-        };
-        min_plus(&src.ls[..k], &lt[..k])
+        min_plus(&src.ls[..k], &self.label(src.arena, t)[..k])
     }
 
     /// The `k` nearest of `pois` from `s` by network distance, ascending;
@@ -738,10 +469,12 @@ impl Stl {
 
 #[cfg(test)]
 mod tests {
-    use super::{min_plus, min_plus_scalar, QueryProfile};
+    #[cfg(target_arch = "x86_64")]
+    use super::min_plus_avx2;
+    use super::{min_plus, min_plus_portable, min_plus_scalar, QueryProfile};
     use crate::labelling::Stl;
     use crate::types::{Maintenance, StlConfig};
-    use crate::UpdateEngine;
+    use crate::EnginePool;
     use stl_graph::builder::from_edges;
     use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId, INF};
     use stl_pathfinding::dijkstra;
@@ -790,27 +523,46 @@ mod tests {
         }
     }
 
+    /// Every kernel, called directly — on an AVX2 host [`min_plus`] sends
+    /// every `len ≥ 8` input to `min_plus_avx2`, so the portable 8-lane
+    /// body (the only kernel elsewhere) would otherwise never run in CI.
     #[test]
-    fn min_plus_kernel_matches_scalar() {
-        // Lengths straddling the (unrolled) lane widths, values straddling
-        // saturation.
-        let pats = |n: usize, salt: u32| -> Vec<Dist> {
-            (0..n)
-                .map(|i| match (i as u32 + salt) % 7 {
-                    0 => INF,
-                    1 => INF - 3,
-                    x => x * 1000 + salt,
-                })
-                .collect()
-        };
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64, 100] {
-            let a = pats(n, 1);
-            let b = pats(n, 5);
-            assert_eq!(min_plus(&a, &b), min_plus_scalar(&a, &b), "len={n}");
+    fn all_min_plus_kernels_agree() {
+        let patterns: [fn(usize) -> Dist; 4] = [
+            |_| INF,
+            |i| INF - i as Dist,
+            |i| match i % 7 {
+                0 => INF,
+                1 => INF - 3,
+                x => x as Dist * 1000 + i as Dist,
+            },
+            |i| (i as Dist).wrapping_mul(2_654_435_761) >> 3,
+        ];
+        for n in 0..=67usize {
+            for (pa, fa) in patterns.iter().enumerate() {
+                for (pb, fb) in patterns.iter().enumerate() {
+                    let a: Vec<Dist> = (0..n).map(fa).collect();
+                    // Reversed so saturating and exact lanes pair up in
+                    // every position of the 16-, 8- and 1-wide bodies.
+                    let b: Vec<Dist> = (0..n).rev().map(fb).collect();
+                    let want = min_plus_scalar(&a, &b);
+                    let ctx = format!("len={n} patterns=({pa},{pb})");
+                    assert_eq!(min_plus_portable(&a, &b), want, "portable {ctx}");
+                    assert_eq!(min_plus(&a, &b), want, "dispatch {ctx}");
+                    #[cfg(target_arch = "x86_64")]
+                    if std::is_x86_feature_detected!("avx2") {
+                        // SAFETY: AVX2 support was just confirmed at runtime.
+                        assert_eq!(unsafe { min_plus_avx2(&a, &b) }, want, "avx2 {ctx}");
+                    }
+                    if pa < 2 && pb < 2 && n > 0 {
+                        // INF ⊕ anything and (INF − i) ⊕ (INF − j) with
+                        // i + j < INF both saturate: never a wrapped sum.
+                        assert_eq!(want, INF, "saturation stays unreachable, {ctx}");
+                    }
+                }
+            }
         }
         assert_eq!(min_plus(&[], &[]), INF);
-        assert_eq!(min_plus(&[INF; 40], &[INF; 40]), INF, "all-INF stays INF");
-        assert_eq!(min_plus(&[INF - 1; 9], &[5; 9]), INF, "saturation stays unreachable");
     }
 
     #[test]
@@ -885,93 +637,78 @@ mod tests {
 
     #[test]
     fn all_pairs_exact_after_compaction() {
-        // The flat direct-offset read path (spine strip + SoA deep arena)
-        // must answer exactly like the chunked one — small leaves force
-        // prefixes past the spine width so the deep arena is really read.
+        // The flat direct-offset read path must answer exactly like the
+        // chunked one.
         let g = grid(7);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
         assert!(stl.compact() > 0);
         assert!(stl.is_flat());
-        assert!(stl.deep_arena().is_some(), "compaction must derive the deep split");
         assert_all_pairs_exact(&g, &stl);
     }
 
+    /// The two label layouts × how each is reached: built (chunked) →
+    /// compacted (flat) → written by a sharded batch (chunked again, the
+    /// flat arena invalidated) → re-compacted (flat). In every state every
+    /// answer path equals Dijkstra on the current weights, and the profile
+    /// names exactly the layout in force.
     #[test]
-    fn flat_without_deep_arena_still_exact() {
-        // The fallback branch: a compacted index whose deep split was
-        // dropped answers from full flat prefixes (the pre-v2 path).
-        let g = grid(7);
-        let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
-        stl.compact();
-        stl.clear_deep_arena();
-        assert!(stl.is_flat() && stl.deep_arena().is_none());
-        assert_all_pairs_exact(&g, &stl);
-    }
-
-    #[test]
-    fn no_prefetch_path_identical() {
-        let g = grid(6);
-        let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
-        stl.compact();
-        for s in 0..36u32 {
-            for t in 0..36u32 {
-                assert_eq!(stl.query(s, t), stl.query_no_prefetch(s, t), "({s},{t})");
-            }
-        }
-    }
-
-    /// Property: every lane width {8, 16, 32} × {chunked, flat} × every
-    /// update epoch answers bit-identically to the scalar chunk-table
-    /// oracle. Sweeps the adaptive-spine space the production index picks
-    /// one point from, across COW-fragmented and compacted layouts.
-    #[test]
-    fn lane_width_sweep_matches_reference_across_epochs() {
-        let side = 6u32;
+    fn every_answer_path_exact_in_every_layout_state() {
+        let side = 10u32;
         let edges = grid_edges(side);
         let mut g = from_edges((side * side) as usize, edges.clone());
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
-        let mut eng = UpdateEngine::new(g.num_vertices());
+        let mut pool = EnginePool::new();
         let n = g.num_vertices() as VertexId;
         let mut rng = XorShift(0x5eed_1234_5678_9abc);
-        for epoch in 0..4u32 {
-            if epoch > 0 {
-                // A batch of random weight changes on existing edges.
-                let batch: Vec<EdgeUpdate> = (0..8)
-                    .map(|_| {
-                        let (a, b, _) = edges[rng.below(edges.len() as u64) as usize];
-                        EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
-                    })
-                    .collect();
-                stl.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
-            }
-            for lanes in [8usize, 16, 32] {
-                let mut swept = stl.clone();
-                swept.set_spine_lanes(lanes);
-                assert_eq!(swept.spine().lanes(), lanes);
-                // Chunked (pre-compaction) epoch.
-                for s in 0..n {
-                    for t in 0..n {
-                        assert_eq!(
-                            swept.query(s, t),
-                            swept.query_reference(s, t),
-                            "epoch {epoch} lanes {lanes} chunked ({s},{t})"
-                        );
-                    }
+        let few: Vec<VertexId> = (0..5).map(|_| rng.below(n as u64) as VertexId).collect();
+        let many: Vec<VertexId> = (0..300).map(|_| rng.below(n as u64) as VertexId).collect();
+        for state in ["built", "compacted", "written", "recompacted"] {
+            match state {
+                "built" => {}
+                "written" => {
+                    let batch: Vec<EdgeUpdate> = (0..12)
+                        .map(|_| {
+                            let (a, b, _) = edges[rng.below(edges.len() as u64) as usize];
+                            EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
+                        })
+                        .collect();
+                    stl.apply_batch_sharded(
+                        &mut g,
+                        &batch,
+                        Maintenance::ParetoSearch,
+                        &mut pool,
+                        2,
+                    );
                 }
-                // Flat (post-compaction) epoch: spine strip + deep arena.
-                swept.compact();
-                assert!(swept.is_flat());
-                assert_eq!(swept.deep_arena().is_some(), swept.labels().flat().is_some());
-                for s in 0..n {
-                    for t in 0..n {
-                        assert_eq!(
-                            swept.query(s, t),
-                            swept.query_reference(s, t),
-                            "epoch {epoch} lanes {lanes} flat ({s},{t})"
-                        );
-                    }
-                }
+                _ => assert!(stl.compact() > 0, "{state}: compaction moved nothing"),
             }
+            let flat = state.ends_with("compacted");
+            assert_eq!(stl.is_flat(), flat, "{state}");
+            let mut prof = QueryProfile::default();
+            let mut out = Vec::new();
+            for s in 0..n {
+                let oracle = dijkstra::single_source(&g, s);
+                for t in 0..n {
+                    assert_eq!(stl.query(s, t), oracle[t as usize], "{state} query({s},{t})");
+                    let d = stl.query_profiled(s, t, &mut prof);
+                    assert_eq!(d, oracle[t as usize], "{state} query_profiled({s},{t})");
+                }
+                for targets in [&few, &many] {
+                    stl.one_to_many_into(s, targets, &mut out);
+                    let want: Vec<Dist> = targets.iter().map(|&t| oracle[t as usize]).collect();
+                    assert_eq!(out, want, "{state} one_to_many_into({s}, {} targets)", want.len());
+                }
+                let mut want: Vec<(Dist, VertexId)> =
+                    many.iter().map(|&p| (oracle[p as usize], p)).collect();
+                want.sort_unstable();
+                want.truncate(7);
+                assert_eq!(stl.k_nearest(s, &many, 7), want, "{state} k_nearest({s})");
+            }
+            // The grid is connected: every s != t pair reads two prefixes.
+            let slices = 2 * u64::from(n) * u64::from(n - 1);
+            let (want_flat, want_chunked) = if flat { (slices, 0) } else { (0, slices) };
+            assert_eq!(prof.flat_slices, want_flat, "{state}");
+            assert_eq!(prof.chunked_slices, want_chunked, "{state}");
         }
     }
 
@@ -987,10 +724,9 @@ mod tests {
             }
         }
         assert_eq!(prof.queries, u64::from(n) * u64::from(n));
-        assert!(prof.spine_answered > 0, "some prefixes fit in the spine");
         assert_eq!(prof.flat_slices, 0, "index not compacted yet");
         let chunked = prof.chunked_slices;
-        assert!(chunked > 0, "leaf_size 1 must push some prefixes past the spine");
+        assert!(chunked > 0, "connected pairs read label prefixes");
 
         stl.compact();
         let mut flat_prof = QueryProfile::default();
@@ -999,7 +735,7 @@ mod tests {
                 stl.query_profiled(s, t, &mut flat_prof);
             }
         }
-        assert_eq!(flat_prof.flat_slices, chunked, "same deep queries, now flat");
+        assert_eq!(flat_prof.flat_slices, chunked, "same queries, now flat");
         assert_eq!(flat_prof.chunked_slices, 0);
     }
 

@@ -276,16 +276,14 @@ impl Stl {
         owned: Option<&ShardSet>,
         log: bool,
     ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        let out = match algo {
+        match algo {
             Maintenance::ParetoSearch => {
                 pareto_sharded(self, g, updates, pool, threads, owned, log)
             }
             Maintenance::LabelSearch => {
                 label_search_sharded(self, g, updates, pool, threads, owned, log)
             }
-        };
-        self.refresh_spine();
-        out
+        }
     }
 }
 

@@ -37,7 +37,7 @@
 //! per-vertex offset table.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::types::Weight;
@@ -110,36 +110,6 @@ impl<T: Pod> AlignedBuf<T> {
         let mut buf = Self::zeroed(len);
         buf.as_mut_slice().fill(value);
         buf
-    }
-
-    /// Concatenate `spans` into one aligned buffer, padding so every span
-    /// *starts* on a multiple of `align` entries (pick `align` so that
-    /// `align × size_of::<T>()` is a cache-line multiple and every span base
-    /// is 64-byte aligned). Gaps are filled with `pad`. Returns the buffer
-    /// and each span's start entry — the SoA compaction primitive behind
-    /// `stl_core`'s deep-label arena.
-    pub fn concat_aligned<'s>(
-        spans: impl Iterator<Item = &'s [T]> + Clone,
-        align: usize,
-        pad: T,
-    ) -> (Self, Vec<u64>) {
-        assert!(align.is_power_of_two(), "span alignment must be a power of two");
-        let mut starts = Vec::new();
-        let mut cursor = 0u64;
-        for s in spans.clone() {
-            cursor = cursor.next_multiple_of(align as u64);
-            starts.push(cursor);
-            cursor += s.len() as u64;
-        }
-        // Pad the tail too, so a vectorized reader that rounds a span's
-        // length up to the next `align` boundary stays in bounds.
-        let total = cursor.next_multiple_of(align as u64) as usize;
-        let mut buf = Self::filled(total, pad);
-        let flat = buf.as_mut_slice();
-        for (s, &start) in spans.zip(&starts) {
-            flat[start as usize..start as usize + s.len()].copy_from_slice(s);
-        }
-        (buf, starts)
     }
 
     /// Number of `T` entries.
@@ -343,43 +313,6 @@ impl DirtyTracker {
     }
 }
 
-/// Chunk-granular *written* set — which chunks received any write (in-place
-/// or promoting) since the last [`TouchedChunks::take`].
-///
-/// Distinct from [`DirtyTracker`], which records only physical COW copies:
-/// a second write to an already-private chunk copies nothing but still
-/// changes values. Derived structures rebuilt per epoch from the touched
-/// set (the spine filter in `stl_core`) need the latter, so every write
-/// point marks here unconditionally.
-#[derive(Debug, Default, Clone)]
-pub struct TouchedChunks {
-    bits: Vec<u64>,
-    ids: Vec<u32>,
-}
-
-impl TouchedChunks {
-    fn new(num_chunks: usize) -> Self {
-        Self { bits: vec![0; num_chunks.div_ceil(64)], ids: Vec::new() }
-    }
-
-    #[inline]
-    fn mark(&mut self, chunk: usize) {
-        let (w, b) = (chunk / 64, 1u64 << (chunk % 64));
-        if self.bits[w] & b == 0 {
-            self.bits[w] |= b;
-            self.ids.push(chunk as u32);
-        }
-    }
-
-    /// Drain the set: the written chunk ids, in first-write order.
-    pub fn take(&mut self) -> Vec<u32> {
-        for &c in &self.ids {
-            self.bits[c as usize / 64] &= !(1 << (c as usize % 64));
-        }
-        std::mem::take(&mut self.ids)
-    }
-}
-
 /// Make `chunk` uniquely owned (copying it if any snapshot still shares its
 /// buffer, or if it is a view into a flat arena) and return its mutable
 /// payload. Copies are recorded in `dirty` under index `c`.
@@ -437,12 +370,11 @@ pub struct ChunkedStore<T: Pod> {
     /// by the first subsequent write).
     flat: Option<Arc<AlignedBuf<T>>>,
     dirty: DirtyTracker,
-    written: TouchedChunks,
 }
 
 impl<T: Pod> Clone for ChunkedStore<T> {
     /// O(#chunks): shares every chunk with the original. The clone starts
-    /// with clean dirty and written windows of its own.
+    /// with a clean dirty window of its own.
     fn clone(&self) -> Self {
         Self {
             chunk_of: Arc::clone(&self.chunk_of),
@@ -450,7 +382,6 @@ impl<T: Pod> Clone for ChunkedStore<T> {
             chunks: self.chunks.clone(),
             flat: self.flat.clone(),
             dirty: DirtyTracker::new(self.chunks.len()),
-            written: TouchedChunks::new(self.chunks.len()),
         }
     }
 }
@@ -458,14 +389,12 @@ impl<T: Pod> Clone for ChunkedStore<T> {
 impl<T: Pod> ChunkedStore<T> {
     fn assemble(chunk_of: Vec<u32>, chunk_starts: Vec<u64>, chunks: Vec<Chunk<T>>) -> Self {
         let dirty = DirtyTracker::new(chunks.len());
-        let written = TouchedChunks::new(chunks.len());
         Self {
             chunk_of: chunk_of.into(),
             chunk_starts: chunk_starts.into(),
             chunks,
             flat: None,
             dirty,
-            written,
         }
     }
 
@@ -516,7 +445,6 @@ impl<T: Pod> ChunkedStore<T> {
         let c = self.chunk_of[owner] as usize;
         let j = (idx - self.chunk_starts[c]) as usize;
         self.flat = None;
-        self.written.mark(c);
         cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j] = value;
     }
 
@@ -543,7 +471,6 @@ impl<T: Pod> ChunkedStore<T> {
     #[inline]
     pub fn set_in_chunk(&mut self, c: usize, j: usize, value: T) {
         self.flat = None;
-        self.written.mark(c);
         cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j] = value;
     }
 
@@ -565,13 +492,9 @@ impl<T: Pod> ChunkedStore<T> {
 
     /// Raw per-chunk base pointers for parallel builders that write disjoint
     /// slots without synchronisation. Panics if any chunk is shared — only
-    /// freshly constructed stores qualify. Every chunk is conservatively
-    /// marked written.
+    /// freshly constructed stores qualify.
     pub fn unique_chunk_ptrs(&mut self) -> Vec<*mut T> {
         self.flat = None;
-        for c in 0..self.chunks.len() {
-            self.written.mark(c);
-        }
         self.chunks
             .iter_mut()
             .map(|c| {
@@ -607,12 +530,6 @@ impl<T: Pod> ChunkedStore<T> {
     /// Current window's counters without draining.
     pub fn cow_stats(&self) -> CowStats {
         self.dirty.stats()
-    }
-
-    /// Drain the chunk ids written (in place or by promotion) since the
-    /// last drain — the input for rebuilding per-epoch derived structures.
-    pub fn take_written_chunks(&mut self) -> Vec<u32> {
-        self.written.take()
     }
 
     /// Re-flatten the store into one contiguous 64-byte-aligned arena.
@@ -671,7 +588,6 @@ impl<T: Pod> ChunkedStore<T> {
             chunks: self.chunks.iter().map(|c| Chunk::owned(c.as_slice())).collect(),
             flat: None,
             dirty: DirtyTracker::new(self.chunks.len()),
-            written: TouchedChunks::new(self.chunks.len()),
         }
     }
 
@@ -696,7 +612,10 @@ impl<T: Pod> ChunkedStore<T> {
             let unique = chunk.is_whole() && Arc::get_mut(&mut chunk.buf).is_some();
             if unique {
                 // Uniquely owned: workers write in place, exactly like
-                // `cow_chunk` would.
+                // `cow_chunk` would. Never the case while flat — the arena
+                // co-owns every chunk's buffer — which is what lets the
+                // phase's drop clear `flat` on promotions alone.
+                debug_assert!(self.flat.is_none(), "flat store with a uniquely owned chunk");
                 state.push(AtomicU8::new(CHUNK_PRIVATE));
                 let payload = Arc::get_mut(&mut chunk.buf).expect("chunk is unique").as_mut_slice();
                 ptrs.push(AtomicPtr::new(payload.as_mut_ptr()));
@@ -708,13 +627,11 @@ impl<T: Pod> ChunkedStore<T> {
                 ptrs.push(AtomicPtr::new(chunk.as_slice().as_ptr().cast_mut()));
             }
         }
-        let touched = (0..nc.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         DisjointWriter {
             store: self,
             state: state.into_boxed_slice(),
             ptrs: ptrs.into_boxed_slice(),
             lens: lens.into_boxed_slice(),
-            touched,
             promoted: Mutex::new(Vec::new()),
         }
     }
@@ -746,9 +663,8 @@ const CHUNK_PROMOTING: u8 = 2; // one worker is copying it right now
 ///   serial path;
 /// * **deferred installation** — promoted chunks are swapped into the store
 ///   and recorded in its [`DirtyTracker`] when the phase ends (on drop), so
-///   `take_cow_stats` accounting is indistinguishable from serial repair.
-///   Written chunks (promoted or in-place) also land in the store's
-///   [`TouchedChunks`] window, and any write invalidates a flat arena.
+///   `take_cow_stats` accounting is indistinguishable from serial repair,
+///   and any write invalidates a flat arena.
 ///
 /// Readers racing a promotion of their chunk may observe the old or the new
 /// payload; both hold identical values for every entry outside the
@@ -762,9 +678,6 @@ pub struct DisjointWriter<'a, T: Pod> {
     state: Box<[AtomicU8]>,
     ptrs: Box<[AtomicPtr<T>]>,
     lens: Box<[u32]>,
-    /// Chunk-granular written bitmap, merged into the store's
-    /// [`TouchedChunks`] on drop.
-    touched: Box<[AtomicU64]>,
     /// Freshly promoted chunks, kept alive here until installed on drop.
     promoted: Mutex<Vec<(u32, Arc<AlignedBuf<T>>)>>,
 }
@@ -792,10 +705,6 @@ impl<T: Pod> DisjointWriter<'_, T> {
     #[inline]
     pub unsafe fn set_in_chunk(&self, c: usize, j: usize, value: T) {
         debug_assert!(j < self.lens[c] as usize, "entry {j} out of chunk {c}");
-        let (w, b) = (c / 64, 1u64 << (c % 64));
-        if self.touched[w].load(Ordering::Relaxed) & b == 0 {
-            self.touched[w].fetch_or(b, Ordering::Relaxed);
-        }
         if self.state[c].load(Ordering::Acquire) != CHUNK_PRIVATE {
             self.promote(c);
         }
@@ -845,29 +754,21 @@ impl<T: Pod> DisjointWriter<'_, T> {
 }
 
 impl<T: Pod> Drop for DisjointWriter<'_, T> {
-    /// End of phase: install promoted chunks into the store, account them
-    /// in the dirty window (mirroring serial `cow_chunk` writes), and merge
-    /// the written bitmap into the store's touched-chunk window.
+    /// End of phase: install promoted chunks into the store and account them
+    /// in the dirty window (mirroring serial `cow_chunk` writes).
     fn drop(&mut self) {
         let promoted = std::mem::take(&mut *self.promoted.lock().expect("promotion list poisoned"));
+        if !promoted.is_empty() {
+            // While the store is flat its arena holds a second reference to
+            // every chunk's buffer, so every chunk enters the phase shared
+            // and a phase that wrote anything promoted something.
+            self.store.flat = None;
+        }
         for (c, fresh) in promoted {
             let c = c as usize;
             let len = self.store.chunks[c].len;
             self.store.dirty.mark(c, len * std::mem::size_of::<T>());
             self.store.chunks[c] = Chunk { buf: fresh, off: 0, len };
-        }
-        let mut any = false;
-        for (w, word) in self.touched.iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.store.written.mark(c);
-                any = true;
-            }
-        }
-        if any {
-            self.store.flat = None;
         }
     }
 }
@@ -942,29 +843,6 @@ mod tests {
         let copy = AlignedBuf::copy_of(&[7u32, 8, 9]);
         assert_eq!(copy.as_slice(), &[7, 8, 9]);
         assert_eq!(copy.as_slice().as_ptr() as usize % 64, 0);
-    }
-
-    #[test]
-    fn concat_aligned_pads_and_places_spans() {
-        let spans: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![], vec![4; 16], vec![5, 6]];
-        let (buf, starts) = AlignedBuf::concat_aligned(spans.iter().map(|s| s.as_slice()), 16, 99);
-        assert_eq!(starts, vec![0, 16, 16, 32]);
-        assert_eq!(buf.len() % 16, 0, "tail padded to alignment");
-        assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0);
-        for (s, &start) in spans.iter().zip(&starts) {
-            let got = &buf.as_slice()[start as usize..start as usize + s.len()];
-            assert_eq!(got, s.as_slice());
-            // Entry alignment: a 16-entry-aligned start of u32 data is
-            // 64-byte aligned in memory.
-            assert_eq!(start % 16, 0);
-        }
-        // Everything between spans is pad.
-        assert_eq!(&buf.as_slice()[3..16], &[99u32; 13]);
-        assert_eq!(&buf.as_slice()[34..48], &[99u32; 14]);
-
-        let (empty, starts) = AlignedBuf::<u32>::concat_aligned(std::iter::empty(), 16, 0);
-        assert_eq!(empty.len(), 0);
-        assert!(starts.is_empty());
     }
 
     #[test]
@@ -1137,23 +1015,6 @@ mod tests {
         assert!(a.is_flat());
         assert_eq!(a.flat_slice().unwrap()[0], 5);
         assert_eq!(a.cow_stats().compactions, 2);
-    }
-
-    #[test]
-    fn written_chunks_tracked_across_write_paths() {
-        let mut a = store(4);
-        assert!(a.take_written_chunks().is_empty());
-        a.set(0, 1, 9); // chunk 0, in place (unique)
-        a.set(0, 0, 8); // same chunk, marked once
-        a.set(3, 7, 7); // chunk 1
-        assert_eq!(a.take_written_chunks(), vec![0, 1]);
-        assert!(a.take_written_chunks().is_empty(), "drained");
-        {
-            let w = a.disjoint_writer();
-            // SAFETY: single thread.
-            unsafe { w.set_in_chunk(1, 0, 70) };
-        }
-        assert_eq!(a.take_written_chunks(), vec![1]);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper's batch experiments (§7) quantify the trade-off this module
 //! makes user-facing: larger batches amortise label repair (one search pass,
-//! one publish, one spine refresh for many updates) at the cost of update
-//! visibility latency. The [`AdaptiveBatcher`] sits between any number of
+//! one publish for many updates) at the cost of update visibility latency. The [`AdaptiveBatcher`] sits between any number of
 //! producers — the TCP transport's reader pool, or in-process callers — and
 //! [`StlServer::submit`]: it accumulates incoming update requests until
 //! either a **latency budget** ([`BatcherConfig::latency_ms`]) or a **size

@@ -425,8 +425,18 @@ impl Router {
     /// up), replay the catch-up ring over whatever generation it recovered
     /// to, and verify it landed exactly on the cluster generation before
     /// marking it live. Queries route to it again only after this returns
-    /// `Ok`.
+    /// `Ok`. A worker that is still marked live and answers on its current
+    /// link is left alone, so a supervisor may call this for every worker
+    /// whenever any of them is down.
     pub fn reattach(&self, idx: usize) -> io::Result<()> {
+        // The probe goes through `with_worker`: a stale link (the process
+        // was replaced before any request noticed) is marked down here and
+        // falls through to the re-dial.
+        if self.workers[idx].live.load(Ordering::Relaxed)
+            && self.with_worker(idx, |c| c.stats()).is_ok()
+        {
+            return Ok(());
+        }
         let endpoint = self.workers[idx].endpoint.clone();
         let timeout = Duration::from_millis(self.cfg.connect_timeout_ms);
         let mut client = NetClient::connect_retry(&endpoint, timeout)?;
@@ -686,12 +696,19 @@ mod tests {
     /// One worker process-equivalent: a full NetServer whose ServerConfig
     /// owns worker `k`'s shard slice.
     fn spawn_worker(g: &CsrGraph, hier: &Hierarchy, k: usize, n: usize, listen: &str) -> NetServer {
+        worker_transport(worker_server(g, hier, k, n), listen)
+    }
+
+    fn worker_server(g: &CsrGraph, hier: &Hierarchy, k: usize, n: usize) -> Arc<StlServer> {
         let stl = Stl::build(g, &StlConfig::default());
         let cfg = ServerConfig {
             owned_shards: Some(ShardSet::for_worker(hier, k, n)),
             ..ServerConfig::default()
         };
-        let server = Arc::new(StlServer::start(g.clone(), stl, cfg));
+        Arc::new(StlServer::start(g.clone(), stl, cfg))
+    }
+
+    fn worker_transport(server: Arc<StlServer>, listen: &str) -> NetServer {
         let net_cfg = NetConfig {
             batcher: BatcherConfig { latency_ms: 0, ..Default::default() },
             ..Default::default()
@@ -828,6 +845,62 @@ mod tests {
         let live_g = g_after(&g, &router);
         assert_eq!(router.query(ds, dt).unwrap(), oracle(&live_g, ds, dt));
         nets.push(net);
+        drop(nets);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The idle-deployment failure: a worker whose *process is fine* drops
+    /// the router's link (an idle timeout, a transport restart). The next
+    /// request touching it marks it down; `reattach` on the same, still
+    /// running worker must bring it back with nothing to replay.
+    #[test]
+    fn lost_link_to_a_running_worker_reattaches_without_catchup() {
+        let g = generate(&RoadNetConfig::sized(150, 5));
+        let hier = Hierarchy::build(&g, &StlConfig::default());
+        let dir = std::env::temp_dir().join(format!("stl-router-link-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let listen = |k: usize| format!("unix:{}", dir.join(format!("w{k}.sock")).display());
+        let servers: Vec<Arc<StlServer>> = (0..2).map(|k| worker_server(&g, &hier, k, 2)).collect();
+        let mut nets: Vec<NetServer> =
+            (0..2).map(|k| worker_transport(Arc::clone(&servers[k]), &listen(k))).collect();
+        let endpoints: Vec<Endpoint> = nets.iter().map(|n| n.local_addr()).collect();
+        let router = Router::connect(g.clone(), &endpoints, RouterConfig::default()).unwrap();
+        let (a, b, w) = g.edges().next().unwrap();
+        assert!(router.update(vec![EdgeUpdate::new(a, b, w * 2)]).unwrap().applied);
+
+        // Worker 1 keeps its StlServer (generation 1, labels, dedup window);
+        // only its transport goes away and comes back on the same endpoint.
+        nets.remove(1).shutdown();
+        nets.push(worker_transport(Arc::clone(&servers[1]), &listen(1)));
+
+        // A query only worker 1 may answer finds the dead link: an I/O error
+        // that marks the worker down, then explicit fail-fast.
+        let n = g.num_vertices() as VertexId;
+        let (s, t) = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .find(|&(s, t)| {
+                let ts = hier.tree_of(s);
+                s != t && ts == hier.tree_of(t) && ShardSet::owner_of(ts, 2) == Some(1)
+            })
+            .expect("some tree owned by worker 1");
+        assert!(router.query(s, t).is_err(), "the old link is gone");
+        assert_eq!(router.live_workers(), 1);
+        let err = router.query(s, t).unwrap_err();
+        assert!(err.to_string().contains("dead worker 1"), "got: {err}");
+
+        // The supervisor re-dials every running worker; a live one is a no-op.
+        router.reattach(0).expect("worker 0 is live");
+        assert_eq!(router.live_workers(), 1);
+        router.reattach(1).expect("worker 1 never stopped; only the link did");
+        assert_eq!(router.live_workers(), 2);
+        let out = router.update(vec![EdgeUpdate::new(a, b, w * 3)]).unwrap();
+        assert!(out.applied, "{}", out.reason);
+        assert_eq!((out.generation, router.generation()), (2, 2));
+        for (k, server) in servers.iter().enumerate() {
+            assert_eq!(server.generation(), 2, "worker {k} must have acknowledged the batch");
+        }
+        assert_eq!(router.local_stats().respawn_catchups, 0, "nothing was missed, nothing replays");
+        assert_eq!(router.query(s, t).unwrap(), oracle(&g_after(&g, &router), s, t));
         drop(nets);
         let _ = std::fs::remove_dir_all(&dir);
     }

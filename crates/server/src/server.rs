@@ -123,9 +123,9 @@ pub struct ServerConfig {
     /// Quiescence window for epoch compaction: after this many
     /// *consecutive* epochs whose dirty-chunk ratio stayed at or below
     /// [`ServerConfig::compact_dirty_ratio`], the writer re-flattens the
-    /// label arena, spine stores, and CSR weights into contiguous aligned
-    /// allocations, switching readers onto the branch-free direct-offset
-    /// query path from the next published snapshot on. On a durable server
+    /// label arena and CSR weights into contiguous aligned allocations,
+    /// switching readers onto direct-offset label reads from the next
+    /// published snapshot on. On a durable server
     /// the same trigger also writes a checkpoint and resets the WAL — the
     /// quiet moment when copying the world is cheapest. `0` disables the
     /// trigger entirely. The default (12 epochs) is deliberately
@@ -881,8 +881,8 @@ fn writer_loop<I: DynamicDistanceIndex>(
         stats.chunks_copied_last.store(cow.chunks_copied, Ordering::Relaxed);
         // Quiescence trigger: when the dirty-chunk rate has stayed below
         // the threshold for enough consecutive epochs, re-flatten labels +
-        // spine + CSR weights so the snapshot published below serves the
-        // direct-offset query path — and, on a durable server, checkpoint
+        // CSR weights so the snapshot published below serves direct-offset
+        // label reads — and, on a durable server, checkpoint
         // after the publish (traffic is quiet, copying is cheapest).
         let mut checkpoint_due = false;
         if cfg.compact_after_quiet_epochs > 0 {

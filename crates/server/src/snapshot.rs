@@ -49,8 +49,7 @@ impl<I: DynamicDistanceIndex> Snapshot<I> {
     }
 
     /// Whether this epoch serves the flat direct-offset read path: label
-    /// arena, spine stores, and CSR weights all compacted and unwritten
-    /// since. Snapshots cloned from a compacted writer stay flat forever —
+    /// arena and CSR weights both compacted and unwritten since. Snapshots cloned from a compacted writer stay flat forever —
     /// later writes promote chunks in the *writer's* stores only.
     #[inline]
     pub fn is_flat(&self) -> bool {

@@ -45,8 +45,8 @@ pub struct ServerStats {
     /// Stable trees skipped by batch pre-grouping before any search
     /// started, summed over all batches.
     pub trees_skipped_total: u64,
-    /// Quiescence-triggered epoch compactions (label arena + spine + CSR
-    /// weights re-flattened into contiguous aligned allocations).
+    /// Quiescence-triggered epoch compactions (label arena + CSR weights
+    /// re-flattened into contiguous aligned allocations).
     pub compactions_total: u64,
     /// Total bytes those compactions moved.
     pub bytes_flattened_total: u64,
