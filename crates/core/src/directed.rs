@@ -20,7 +20,7 @@ use stl_graph::{dist_add, DiGraph, Dist, VertexId, INF};
 use stl_pathfinding::TimestampedArray;
 
 use crate::hierarchy::Hierarchy;
-use crate::labelling::Labels;
+use crate::labelling::{LabelArena, Labels};
 use crate::types::StlConfig;
 
 /// STL index for a directed road network.
@@ -39,8 +39,8 @@ impl DirectedStl {
         let structure = dg.undirected_structure();
         let hier = Hierarchy::build(&structure, cfg);
         let n = dg.num_vertices();
-        let mut up = Labels::new_inf(&hier);
-        let mut down = Labels::new_inf(&hier);
+        let mut up = LabelArena::new(&hier);
+        let mut down = LabelArena::new(&hier);
         let mut dist: TimestampedArray<Dist> = TimestampedArray::new(n, INF);
         let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
         for node in 0..hier.num_nodes() as u32 {
@@ -52,7 +52,7 @@ impl DirectedStl {
                 restricted_search(dg, &hier, r, tr, false, &mut dist, &mut heap, &mut up);
             }
         }
-        DirectedStl { hier, up, down }
+        DirectedStl { hier, up: up.into_labels(), down: down.into_labels() }
     }
 
     /// Directed distance `d(s → t)`; `INF` when unreachable.
@@ -97,7 +97,7 @@ fn restricted_search(
     forward: bool,
     dist: &mut TimestampedArray<Dist>,
     heap: &mut BinaryHeap<Reverse<(Dist, VertexId)>>,
-    out: &mut Labels,
+    out: &mut LabelArena,
 ) {
     dist.reset();
     heap.clear();

@@ -72,8 +72,8 @@ pub trait DynamicDistanceIndex: Clone + Send + Sync + Sized + 'static {
     /// returns the bytes moved. Called by the writer's quiescence trigger.
     fn compact(&mut self) -> u64;
 
-    /// Whether the index currently serves its flat (compacted, unwritten
-    /// since) fast path.
+    /// Whether the index currently serves its flat (built, loaded or
+    /// compacted, and unwritten since) fast path.
     fn is_flat(&self) -> bool;
 
     /// Chunk count of the index's backing stores — the denominator of the

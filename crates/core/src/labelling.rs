@@ -5,16 +5,21 @@
 //! is the distance **within the subgraph `G[Desc(w)]`**, not in `G`. This
 //! restriction is what limits how many labels an edge update can touch.
 //!
-//! Storage is a chunked arena with per-vertex offsets: chunk boundaries are
-//! vertex-aligned, so the entries a query compares are still consecutive in
-//! memory (§4's caching argument) while each ~16 KiB chunk sits behind an
-//! `Arc` for copy-on-write epoch publishing (see `stl_graph::cow`).
+//! Storage is one 64-byte-aligned arena with per-vertex offsets, filled in
+//! place by the builder ([`LabelArena`]) and wrapped without a copy as
+//! vertex-aligned ~16 KiB chunk views: the entries a query compares are
+//! consecutive in memory (§4's caching argument), and each chunk sits
+//! behind an `Arc` for copy-on-write epoch publishing (see
+//! `stl_graph::cow`). An index is therefore **born flat**; a label write
+//! promotes its chunk out of the arena, and compaction only re-flattens
+//! after such writes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stl_graph::cow::{ChunkedStore, CowStats, DisjointWriter, DEFAULT_CHUNK_ENTRIES};
+use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, DisjointWriter, DEFAULT_CHUNK_ENTRIES};
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 use stl_pathfinding::TimestampedArray;
 
@@ -36,10 +41,53 @@ struct VertexLoc {
     /// Label length (`τ(v) + 1`).
     len: u32,
     /// Global index of entry `L(v)[0]` — the direct offset into a flat
-    /// (compacted) arena, filling what used to be the record's padding.
-    /// Saturated at `u32::MAX` for arenas beyond 2³²−1 entries, which
-    /// [`Labels::compact`] therefore refuses to flatten.
+    /// arena, filling what used to be the record's padding. Saturated at
+    /// `u32::MAX` for arenas beyond 2³²−1 entries, which are therefore
+    /// never flat (see [`Labels::from_arena`] and [`Labels::compact`]).
     glo: u32,
+}
+
+/// A label arena being filled: `Σ (τ(v)+1)` entries, all `INF` until
+/// written, addressed as `L(v)[i]` by global offset in one 64-byte-aligned
+/// buffer. Every label builder (STL, its directed extension, the HC2L
+/// baseline) fills one of these; [`LabelArena::into_labels`] wraps the
+/// buffer in place as a born-flat [`Labels`].
+#[derive(Debug)]
+pub struct LabelArena {
+    offsets: Vec<u64>,
+    dists: AlignedBuf<Dist>,
+}
+
+impl LabelArena {
+    /// An all-`INF` arena sized for `hier`'s labels.
+    pub fn new(hier: &Hierarchy) -> Self {
+        let n = hier.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0u64;
+        for v in 0..n as VertexId {
+            offsets.push(acc);
+            acc += hier.anc_count(v) as u64;
+        }
+        offsets.push(acc);
+        Self { dists: AlignedBuf::filled(acc as usize, INF), offsets }
+    }
+
+    /// `L(v)[i]`.
+    #[inline(always)]
+    pub fn get(&self, v: VertexId, i: u32) -> Dist {
+        self.dists.as_slice()[(self.offsets[v as usize] + i as u64) as usize]
+    }
+
+    /// Overwrite `L(v)[i]`.
+    #[inline(always)]
+    pub fn set(&mut self, v: VertexId, i: u32, d: Dist) {
+        self.dists.as_mut_slice()[(self.offsets[v as usize] + i as u64) as usize] = d;
+    }
+
+    /// The filled arena as the index's label storage, without a copy.
+    pub fn into_labels(self) -> Labels {
+        Labels::from_arena(self.offsets, self.dists, DEFAULT_CHUNK_ENTRIES)
+    }
 }
 
 /// Label storage: `L(v)[i]` for `i ∈ 0..=τ(v)`.
@@ -61,33 +109,13 @@ pub struct Labels {
 }
 
 impl Labels {
-    /// Allocate `Σ (τ(v)+1)` entries, all `INF`.
-    pub fn new_inf(hier: &Hierarchy) -> Self {
-        let n = hier.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        for v in 0..n as VertexId {
-            offsets.push(acc);
-            acc += hier.anc_count(v) as u64;
-        }
-        offsets.push(acc);
-        let store = ChunkedStore::filled(&offsets, INF, DEFAULT_CHUNK_ENTRIES);
-        Self::assemble(offsets, store)
-    }
-
-    /// Assemble from a flat arena (persisted indexes, external builders).
-    pub fn from_flat(offsets: Vec<u64>, dists: Vec<Dist>) -> Self {
-        Self::from_flat_with_chunk_target(offsets, dists, DEFAULT_CHUNK_ENTRIES)
-    }
-
-    /// [`Labels::from_flat`] with an explicit chunk-size target (tests use
-    /// tiny chunks to exercise sharing boundaries precisely).
-    pub fn from_flat_with_chunk_target(offsets: Vec<u64>, dists: Vec<Dist>, target: u64) -> Self {
-        let store = ChunkedStore::from_flat(&offsets, &dists, target);
-        Self::assemble(offsets, store)
-    }
-
-    fn assemble(offsets: Vec<u64>, store: ChunkedStore<Dist>) -> Self {
+    /// The one wrap point of a filled arena (`offsets[v]..offsets[v+1]` =
+    /// vertex `v`'s label): chunk views of `target` entries into `dists`,
+    /// flat unless the arena has more than `u32::MAX` entries — the
+    /// per-vertex direct offsets are 32-bit.
+    pub(crate) fn from_arena(offsets: Vec<u64>, dists: AlignedBuf<Dist>, target: u64) -> Self {
+        let flat = dists.len() as u64 <= u32::MAX as u64;
+        let store = ChunkedStore::from_arena(&offsets, dists, target, flat);
         let (chunk_of, chunk_starts) = store.layout();
         let locs: Vec<VertexLoc> = (0..offsets.len() - 1)
             .map(|v| {
@@ -128,9 +156,9 @@ impl Labels {
         &self.store.chunk(loc.chunk as usize)[loc.lo as usize..(loc.lo + loc.len) as usize]
     }
 
-    /// The flat arena, if the store is compacted and unwritten since. Pass
-    /// the returned slice to [`Labels::slice_flat`] to read labels with one
-    /// direct offset instead of the chunk-table load.
+    /// The flat arena, if the store is unwritten since it was built, loaded
+    /// or compacted. Pass the returned slice to [`Labels::slice_flat`] to
+    /// read labels with one direct offset instead of the chunk-table load.
     #[inline(always)]
     pub fn flat(&self) -> Option<&[Dist]> {
         self.store.flat_slice()
@@ -138,17 +166,17 @@ impl Labels {
 
     /// The full label of `v` read out of a flat `arena` previously obtained
     /// from [`Labels::flat`] on this same `Labels` value — branch-free
-    /// direct-offset addressing for compacted snapshots.
+    /// direct-offset addressing for flat snapshots.
     #[inline(always)]
     pub fn slice_flat<'a>(&self, arena: &'a [Dist], v: VertexId) -> &'a [Dist] {
         let loc = self.locs[v as usize];
         &arena[loc.glo as usize..loc.glo as usize + loc.len as usize]
     }
 
-    /// Re-flatten the arena into one contiguous 64-byte-aligned allocation
-    /// (see [`ChunkedStore::compact`]); returns bytes moved. Arenas with
-    /// more than `u32::MAX` entries stay chunked — the per-vertex direct
-    /// offsets are 32-bit.
+    /// Re-flatten a written arena into one contiguous 64-byte-aligned
+    /// allocation (see [`ChunkedStore::compact`]); returns bytes moved, 0
+    /// for an unwritten (born-flat) arena. Arenas with more than `u32::MAX`
+    /// entries stay chunked — the per-vertex direct offsets are 32-bit.
     pub fn compact(&mut self) -> u64 {
         if self.num_entries() > u32::MAX as u64 {
             return 0;
@@ -156,7 +184,8 @@ impl Labels {
         self.store.compact()
     }
 
-    /// Whether the arena is currently flat (compacted, not written since).
+    /// Whether the arena is currently flat (unwritten since it was built,
+    /// loaded or compacted).
     #[inline]
     pub fn is_flat(&self) -> bool {
         self.store.is_flat()
@@ -362,130 +391,87 @@ impl Stl {
     }
 
     /// Build labels on a pre-built hierarchy (used by rebuild paths and the
-    /// β-ablation which shares hierarchies).
+    /// β-ablation which shares hierarchies): the construction kernel of
+    /// [`Stl::build_with_hierarchy_parallel`] on one thread.
     pub fn build_with_hierarchy(g: &CsrGraph, hier: Hierarchy) -> Self {
-        let n = g.num_vertices();
-        assert_eq!(n, hier.num_vertices());
-        let mut labels = Labels::new_inf(&hier);
-        let mut dist: TimestampedArray<Dist> = TimestampedArray::new(n, INF);
-        let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-        // One τ-restricted Dijkstra per cut vertex r, in τ order. The search
-        // stays inside G[Desc(r)] because a neighbour n of a vertex in
-        // Desc(r) lies in Desc(r) iff τ(n) > τ(r) (edge endpoints are
-        // ⪯-comparable, Lemma 5.3, and Anc(v) is a chain).
-        for node in 0..hier.num_nodes() as u32 {
-            for &r in hier.cut(node) {
-                let tr = hier.tau(r);
-                dist.reset();
-                heap.clear();
-                dist.set(r as usize, 0);
-                heap.push(Reverse((0, r)));
-                while let Some(Reverse((d, v))) = heap.pop() {
-                    if d > dist.get(v as usize) {
-                        continue;
-                    }
-                    labels.set(v, tr, d);
-                    let (ts, ws) = g.neighbor_slices(v);
-                    for (&nb, &w) in ts.iter().zip(ws) {
-                        if w == INF || hier.tau(nb) <= tr {
-                            continue;
-                        }
-                        let nd = dist_add(d, w);
-                        if nd < dist.get(nb as usize) {
-                            dist.set(nb as usize, nd);
-                            heap.push(Reverse((nd, nb)));
-                        }
-                    }
-                }
-            }
-        }
-        Stl { hier: Arc::new(hier), labels }
+        Self::build_with_hierarchy_parallel(g, hier, 1)
     }
 
-    /// Parallel label construction over `threads` worker threads.
-    ///
-    /// Cut vertices are distributed over a work queue; each worker runs the
-    /// same τ-restricted Dijkstra with private scratch state and writes its
-    /// results straight into the shared label arena.
-    ///
-    /// # Safety argument
-    /// Writes for cut vertex `r` target exactly the slots
-    /// `offset(v) + τ(r)` for `v ∈ Desc(r)`. For two distinct cut vertices:
-    /// if they are ⪯-comparable their τ values differ (τ is injective along
-    /// a chain); if incomparable their descendant sets are disjoint. Either
-    /// way the slot sets are disjoint, so unsynchronised writes never race.
+    /// Parallel label construction over `threads` worker threads (see
+    /// [`Stl::build_with_hierarchy_parallel`]).
     pub fn build_parallel(g: &CsrGraph, cfg: &StlConfig, threads: usize) -> Self {
         let hier = Hierarchy::build(g, cfg);
         Self::build_with_hierarchy_parallel(g, hier, threads)
     }
 
-    /// Parallel variant of [`Stl::build_with_hierarchy`]; see
-    /// [`Stl::build_parallel`] for the data-race-freedom argument.
+    /// Build labels on a pre-built hierarchy over `threads` workers, in
+    /// place in the born-flat serving arena.
+    ///
+    /// One τ-restricted Dijkstra per cut vertex `r` fills `L(v)[τ(r)]` for
+    /// `v ∈ Desc(r)`. The search stays inside `G[Desc(r)]` because a
+    /// neighbour `n` of a vertex in `Desc(r)` lies in `Desc(r)` iff
+    /// `τ(n) > τ(r)` (edge endpoints are ⪯-comparable, Lemma 5.3, and
+    /// `Anc(v)` is a chain).
+    ///
+    /// Workers take **units** of ≤ 16 consecutive cut vertices
+    /// `r_0, …, r_{k−1}` of one tree node, whose label indices are
+    /// `τ(r_0), …, τ(r_0)+k−1`. A unit's searches write a per-worker
+    /// vertex-major tile (row `slot[v]`, column `j` for `r_j`), and the
+    /// unit ends with one contiguous copy of `min(k, τ(v)−τ(r_0)+1)`
+    /// entries per settled `v` into the arena — a cache line instead of `k`
+    /// scattered 4-byte writes.
+    ///
+    /// # Why unsynchronised arena writes are sound
+    /// Cut vertex `r` owns exactly the slots `(v, τ(r))`, `v ∈ Desc(r)`.
+    /// For two distinct cut vertices: if they are ⪯-comparable their τ
+    /// values differ (τ is injective along a chain); if incomparable their
+    /// descendant sets are disjoint. A unit's copy-back writes exactly the
+    /// union of its cut vertices' slots — a vertex settled by any of the
+    /// unit's searches lies in `Desc(r_0)`, hence in `Desc(r_j)` for every
+    /// `τ(r_j) ≤ τ(v)` — so the slot sets of distinct units are disjoint.
     pub fn build_with_hierarchy_parallel(g: &CsrGraph, hier: Hierarchy, threads: usize) -> Self {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let threads = threads.max(1);
         let n = g.num_vertices();
         assert_eq!(n, hier.num_vertices());
-        let mut labels = Labels::new_inf(&hier);
-        let order: Vec<VertexId> =
-            (0..hier.num_nodes() as u32).flat_map(|node| hier.cut(node).iter().copied()).collect();
-        // Shared mutable per-chunk base pointers; slot disjointness proven
-        // above, and freshly built chunks are uniquely owned.
-        struct SendPtrs(Vec<*mut Dist>);
-        unsafe impl Send for SendPtrs {}
-        unsafe impl Sync for SendPtrs {}
-        let arena = SendPtrs(labels.store.unique_chunk_ptrs());
-        let offsets = &labels.offsets;
-        let (chunk_of, chunk_starts) = labels.store.layout();
-        let counter = AtomicUsize::new(0);
-        let hier_ref = &hier;
-        let order = &order;
+        let mut arena = LabelArena::new(&hier);
+        let units: Vec<&[VertexId]> = (0..hier.num_nodes() as u32)
+            .flat_map(|node| hier.cut(node).chunks(UNIT_CUTS))
+            .collect();
+        /// The arena base, shared by the workers; see the soundness
+        /// argument above.
+        struct ArenaBase(*mut Dist);
+        // SAFETY: workers write disjoint entries through the pointer (see
+        // `build_with_hierarchy_parallel`), and the arena outlives the scope.
+        unsafe impl Sync for ArenaBase {}
+        let base = ArenaBase(arena.dists.as_mut_slice().as_mut_ptr());
+        let (base, offsets, hier_ref, next) = (&base, &arena.offsets, &hier, AtomicUsize::new(0));
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let arena = &arena;
-                let counter = &counter;
-                scope.spawn(move || {
-                    let mut dist: TimestampedArray<Dist> = TimestampedArray::new(n, INF);
-                    let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-                    loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= order.len() {
-                            break;
-                        }
-                        let r = order[i];
-                        let tr = hier_ref.tau(r);
-                        dist.reset();
-                        heap.clear();
-                        dist.set(r as usize, 0);
-                        heap.push(Reverse((0, r)));
-                        while let Some(Reverse((d, v))) = heap.pop() {
-                            if d > dist.get(v as usize) {
-                                continue;
-                            }
-                            // SAFETY: slot sets are disjoint across workers
-                            // (see function docs).
+            for _ in 0..threads.max(1) {
+                scope.spawn(|| {
+                    let mut tile = UnitTile::new(n);
+                    while let Some(&unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        tile.search(g, hier_ref, unit);
+                        let t0 = hier_ref.tau(unit[0]);
+                        for (s, &v) in tile.settled.iter().enumerate() {
+                            let m = unit.len().min((hier_ref.tau(v) - t0) as usize + 1);
+                            let row = &tile.rows[s * UNIT_CUTS..s * UNIT_CUTS + m];
+                            let at = (offsets[v as usize] + t0 as u64) as usize;
+                            assert!(
+                                at + m <= offsets[v as usize + 1] as usize,
+                                "unit overruns L({v})"
+                            );
+                            // SAFETY: `at..at + m` lies in `v`'s label (just
+                            // checked; the offsets end at the arena's length)
+                            // and belongs to this unit alone (see above).
                             unsafe {
-                                let c = chunk_of[v as usize] as usize;
-                                let j = offsets[v as usize] + tr as u64 - chunk_starts[c];
-                                *arena.0[c].add(j as usize) = d;
-                            }
-                            let (ts, ws) = g.neighbor_slices(v);
-                            for (&nb, &w) in ts.iter().zip(ws) {
-                                if w == INF || hier_ref.tau(nb) <= tr {
-                                    continue;
-                                }
-                                let nd = dist_add(d, w);
-                                if nd < dist.get(nb as usize) {
-                                    dist.set(nb as usize, nd);
-                                    heap.push(Reverse((nd, nb)));
-                                }
-                            }
+                                std::ptr::copy_nonoverlapping(row.as_ptr(), base.0.add(at), m)
+                            };
                         }
+                        tile.clear();
                     }
                 });
             }
         });
-        Stl { hier: Arc::new(hier), labels }
+        Stl { hier: Arc::new(hier), labels: arena.into_labels() }
     }
 
     /// The underlying stable tree hierarchy.
@@ -500,15 +486,17 @@ impl Stl {
         &self.labels
     }
 
-    /// Re-flatten the label arena into one contiguous 64-byte-aligned
+    /// Re-flatten a written label arena into one contiguous 64-byte-aligned
     /// allocation (offline counterpart of the server's quiescence-triggered
-    /// compaction); returns bytes moved. Queries on the compacted index read
+    /// compaction); returns bytes moved, 0 for an index unwritten since it
+    /// was built or loaded, which is born flat. Queries on a flat index read
     /// labels by direct offset until the next label write.
     pub fn compact(&mut self) -> u64 {
         self.labels.compact()
     }
 
-    /// Whether the label arena is flat (compacted, not written since).
+    /// Whether the label arena is flat (built, loaded or compacted, and not
+    /// written since).
     pub fn is_flat(&self) -> bool {
         self.labels.is_flat()
     }
@@ -540,6 +528,84 @@ impl Stl {
     /// chunk reallocated — what the pre-COW publish path paid per epoch.
     pub fn deep_clone(&self) -> Self {
         Stl { hier: Arc::new((*self.hier).clone()), labels: self.labels.deep_clone() }
+    }
+}
+
+/// Cut vertices per construction unit: with `u32` entries, the copy-back of
+/// one settled vertex is one cache line (8 measured the same).
+const UNIT_CUTS: usize = 16;
+
+/// `UnitTile::slot` of a vertex no search of the current unit has settled.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One construction worker's scratch: Dijkstra state plus the vertex-major
+/// tile a unit's searches write before the copy-back into the arena.
+struct UnitTile {
+    dist: TimestampedArray<Dist>,
+    heap: BinaryHeap<Reverse<(Dist, VertexId)>>,
+    /// Tile row of each vertex settled in this unit, else `NO_SLOT`.
+    slot: Vec<u32>,
+    /// Settled vertices in first-settle order: `settled[s]` owns row `s`.
+    settled: Vec<VertexId>,
+    /// `UNIT_CUTS` entries per row; `INF` where the unit's search did not
+    /// reach the vertex.
+    rows: Vec<Dist>,
+}
+
+impl UnitTile {
+    fn new(n: usize) -> Self {
+        Self {
+            dist: TimestampedArray::new(n, INF),
+            heap: BinaryHeap::new(),
+            slot: vec![NO_SLOT; n],
+            settled: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// The τ-restricted Dijkstra of every cut vertex of `unit`, `unit[j]`
+    /// writing column `j`.
+    fn search(&mut self, g: &CsrGraph, hier: &Hierarchy, unit: &[VertexId]) {
+        for (j, &r) in unit.iter().enumerate() {
+            let tr = hier.tau(r);
+            self.dist.reset();
+            self.heap.clear();
+            self.dist.set(r as usize, 0);
+            self.heap.push(Reverse((0, r)));
+            while let Some(Reverse((d, v))) = self.heap.pop() {
+                if d > self.dist.get(v as usize) {
+                    continue;
+                }
+                let mut s = self.slot[v as usize];
+                if s == NO_SLOT {
+                    s = self.settled.len() as u32;
+                    self.slot[v as usize] = s;
+                    self.settled.push(v);
+                    self.rows.extend([INF; UNIT_CUTS]);
+                }
+                self.rows[s as usize * UNIT_CUTS + j] = d;
+                let (ts, ws) = g.neighbor_slices(v);
+                for (&nb, &w) in ts.iter().zip(ws) {
+                    if w == INF || hier.tau(nb) <= tr {
+                        continue;
+                    }
+                    let nd = dist_add(d, w);
+                    if nd < self.dist.get(nb as usize) {
+                        self.dist.set(nb as usize, nd);
+                        self.heap.push(Reverse((nd, nb)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forget the unit's rows (after its copy-back).
+    fn clear(&mut self) {
+        for &v in &self.settled {
+            self.slot[v as usize] = NO_SLOT;
+        }
+        self.settled.clear();
+        self.rows.clear();
     }
 }
 
@@ -663,22 +729,58 @@ mod tests {
     }
 
     #[test]
+    fn tile_boundaries_split_cuts_exactly() {
+        // A 48×48 grid's upper cuts are wider than one unit, so units split
+        // cuts and the last unit of a cut is partial: the labels must be
+        // exact, and every thread count must build the same arena.
+        let g = grid(48, 3);
+        let hier = Hierarchy::build(&g, &StlConfig::default());
+        let cuts: Vec<usize> = (0..hier.num_nodes() as u32).map(|x| hier.cut(x).len()).collect();
+        assert!(cuts.iter().any(|&c| c > UNIT_CUTS && c % UNIT_CUTS != 0), "cuts {cuts:?}");
+        let serial = Stl::build_with_hierarchy(&g, hier.clone());
+        crate::verify::check_labels_exact(&serial, &g).unwrap();
+        for threads in [2usize, 3, 4] {
+            let par = Stl::build_with_hierarchy_parallel(&g, hier.clone(), threads);
+            assert_eq!(par.labels().flat(), serial.labels().flat(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn built_index_is_born_flat() {
+        let g = grid(9, 4);
+        let cfg = StlConfig::default();
+        let built = Stl::build(&g, &cfg);
+        // A chunked twin of the same labels, compacted after the fact: the
+        // born-flat layout must be the one compaction produces.
+        let mut twin = built.clone();
+        twin.labels.set(0, 0, twin.labels().get(0, 0));
+        assert!(!twin.is_flat());
+        assert!(twin.compact() > 0);
+        let loaded = crate::persist::load(&crate::persist::save(&built)).unwrap();
+        let mut cases = vec![("build".to_string(), built), ("load".to_string(), loaded)];
+        for t in [1usize, 2, 4, 7] {
+            cases.push((format!("build_parallel({t})"), Stl::build_parallel(&g, &cfg, t)));
+        }
+        for (name, mut stl) in cases {
+            assert!(stl.is_flat(), "{name}");
+            assert_eq!(stl.labels().flat(), twin.labels().flat(), "{name}");
+            assert_eq!(stl.compact(), 0, "{name}");
+            assert_eq!(stl.cow_stats().bytes_flattened, 0, "{name}");
+            assert_eq!(stl.labels().memory_bytes(), twin.labels().memory_bytes(), "{name}");
+            assert_eq!(stl.num_chunks(), twin.num_chunks(), "{name}");
+            crate::verify::check_all(&stl, &g).unwrap();
+        }
+    }
+
+    #[test]
     fn chunked_clone_shares_untouched_chunks() {
         // Tiny chunks make the sharing boundary precise: 16 vertices, 4
         // entries per chunk target → several chunks.
         let g = grid(4, 1);
         let built = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
-        let flat: Vec<Dist> = (0..16u32).flat_map(|v| built.labels().slice(v).to_vec()).collect();
-        let offsets: Vec<u64> = (0..=16usize)
-            .scan(0u64, |acc, v| {
-                let o = *acc;
-                if v < 16 {
-                    *acc += built.hierarchy().anc_count(v as u32) as u64;
-                }
-                Some(o)
-            })
-            .collect();
-        let mut labels = Labels::from_flat_with_chunk_target(offsets, flat, 4);
+        let flat = built.labels().flat().expect("born flat");
+        let mut labels =
+            Labels::from_arena(built.labels().offsets.to_vec(), AlignedBuf::copy_of(flat), 4);
         assert!(labels.num_chunks() >= 4, "want several chunks, got {}", labels.num_chunks());
         let snapshot = labels.clone();
         assert_eq!(labels.shared_chunks_with(&snapshot), labels.num_chunks());
@@ -707,13 +809,21 @@ mod tests {
 
     #[test]
     fn writes_without_snapshot_are_in_place() {
-        let g = grid(5, 2);
+        // The first write to a born-flat index promotes exactly its chunk
+        // out of the arena; with no snapshot holding it, the next write to
+        // that chunk is in place. (A single-chunk arena has nothing to
+        // promote out of: its one view becomes private and is written in
+        // place from the start.)
+        let g = grid(24, 2);
         let mut stl = Stl::build(&g, &StlConfig::default());
+        assert!(stl.num_chunks() > 1);
         let v = 3u32;
         let old = stl.labels().get(v, 0);
         stl.labels.set(v, 0, old.saturating_add(7));
-        assert_eq!(stl.cow_stats(), stl_graph::CowStats::default(), "unique chunks: no copy");
+        assert!(!stl.is_flat());
+        assert_eq!(stl.take_cow_stats().chunks_copied, 1);
         stl.labels.set(v, 0, old);
+        assert_eq!(stl.cow_stats(), CowStats::default(), "private chunk: written in place");
     }
 
     #[test]

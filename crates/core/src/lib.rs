@@ -58,7 +58,7 @@ pub mod verify;
 pub use engine::{EnginePool, UpdateEngine};
 pub use hierarchy::{Hierarchy, RawNode, SHARD_DEPTH, SPINE_SHARD};
 pub use index::DynamicDistanceIndex;
-pub use labelling::{Labels, LabelsWriter, ShardLabels, Stl};
+pub use labelling::{LabelArena, Labels, LabelsWriter, ShardLabels, Stl};
 pub use query::{min_plus, min_plus_scalar, QueryProfile};
 pub use shard::{ShardReport, ShardSet, ShardWriteLog};
 pub use stats::IndexStats;

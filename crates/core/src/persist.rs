@@ -5,6 +5,7 @@
 //! length-prefixed little-endian layout — no reflection, no allocation
 //! churn on load.
 
+use stl_graph::cow::{AlignedBuf, DEFAULT_CHUNK_ENTRIES};
 use stl_graph::{Dist, VertexId};
 
 use crate::hierarchy::Hierarchy;
@@ -99,7 +100,16 @@ pub fn load(mut buf: &[u8]) -> Result<Stl, PersistError> {
     for _ in 0..noff {
         offsets.push(buf.get_u64_le());
     }
-    let dists: Box<[Dist]> = get_u32s(&mut buf)?;
+    // The label entries decode straight into the aligned serving arena,
+    // which the index then wraps in place: a loaded index is born flat.
+    let ndists = get_len(&mut buf)?;
+    if buf.remaining() / 4 < ndists {
+        return Err(PersistError::Truncated);
+    }
+    let mut dists = AlignedBuf::<Dist>::zeroed(ndists);
+    for (d, le) in dists.as_mut_slice().iter_mut().zip(buf.chunks_exact(4)) {
+        *d = u32::from_le_bytes(le.try_into().expect("4-byte chunk"));
+    }
     // The repair-shard map is derived from the tree shape, not persisted.
     let shards = crate::hierarchy::derive_shards(
         &node_parent,
@@ -127,19 +137,17 @@ pub fn load(mut buf: &[u8]) -> Result<Stl, PersistError> {
     // Offsets must start at 0 and be non-decreasing, ending at the entry
     // count: the chunk layout and per-vertex location records are derived
     // from them by subtraction, so a corrupt file must be rejected here
-    // rather than produce out-of-range label views.
+    // rather than produce out-of-range label views. A corrupt entry count
+    // must likewise surface as an error, not as the `from_parts`
+    // consistency assert.
     if offsets.first() != Some(&0)
         || offsets.windows(2).any(|w| w[0] > w[1])
         || *offsets.last().ok_or(PersistError::Truncated)? as usize != dists.len()
+        || dists.len() as u64 != hier.total_label_entries()
     {
         return Err(PersistError::Truncated);
     }
-    let labels = Labels::from_flat(offsets, dists.into_vec());
-    // A corrupt entry count must surface as an error, not as the
-    // `from_parts` consistency assert.
-    if labels.num_entries() != hier.total_label_entries() {
-        return Err(PersistError::Truncated);
-    }
+    let labels = Labels::from_arena(offsets, dists, DEFAULT_CHUNK_ENTRIES);
     Ok(Stl::from_parts(hier, labels))
 }
 
@@ -249,7 +257,9 @@ mod tests {
     fn roundtrip_preserves_queries() {
         let (g, stl) = sample();
         let bytes = save(&stl);
-        let loaded = load(&bytes).unwrap();
+        let mut loaded = load(&bytes).unwrap();
+        assert!(loaded.is_flat(), "a loaded index is born flat");
+        assert_eq!(loaded.compact(), 0);
         for s in 0..10u32 {
             for t in 0..10u32 {
                 assert_eq!(stl.query(s, t), loaded.query(s, t));

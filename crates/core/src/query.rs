@@ -11,14 +11,15 @@
 //! speed. A query is therefore one body ([`Stl::query`]):
 //!
 //! 1. `s == t` → 0;
-//! 2. on a flat (compacted) index, hint both label bases toward L1
+//! 2. on a flat index, hint both label bases toward L1
 //!    (`prefetch_read`: x86_64 `PREFETCHT0`, a no-op elsewhere) so the loads
 //!    overlap the LCA arithmetic — a flat address is pure arithmetic, whereas
 //!    resolving a chunked slice *is* the pointer chase a hint would hide;
 //! 3. `K = common_anc_count(s, t)`; `K == 0` → `INF`;
 //! 4. [`min_plus`] over the two `K`-entry prefixes, read from the flat arena
-//!    ([`crate::Labels::flat`], the layout [`Stl::compact`] produces) or from
-//!    the chunked copy-on-write store a label write leaves behind.
+//!    ([`crate::Labels::flat`], the layout an index is built or loaded in and
+//!    [`Stl::compact`] restores) or from the chunked copy-on-write store a
+//!    label write leaves behind.
 //!
 //! [`min_plus`] runs 2 × 8 `u32` lanes per unrolled step with a horizontal
 //! min at the end — AVX2 intrinsics when the CPU has them (detected once,
@@ -209,7 +210,7 @@ struct SourceState<'a> {
     s: VertexId,
     /// `s`'s full label slice.
     ls: &'a [Dist],
-    /// The flat label arena, when compacted.
+    /// The label arena, if the index is flat.
     arena: Option<&'a [Dist]>,
 }
 
@@ -239,7 +240,7 @@ impl Stl {
     }
 
     /// `v`'s full label: by direct offset out of `arena` (this index's
-    /// [`crate::Labels::flat`]) when compacted, through the chunk table
+    /// [`crate::Labels::flat`]) when flat, through the chunk table
     /// otherwise.
     #[inline(always)]
     fn label<'a>(&'a self, arena: Option<&'a [Dist]>, v: VertexId) -> &'a [Dist] {
@@ -420,7 +421,7 @@ impl Stl {
     }
 
     /// Resolve everything source-side of a one-to-many scan once: the flat
-    /// arena, when the index is compacted, and `s`'s full label.
+    /// arena, when the index is flat, and `s`'s full label.
     fn hoist_source(&self, s: VertexId) -> SourceState<'_> {
         let arena = self.labels.flat();
         SourceState { s, ls: self.label(arena, s), arena }
@@ -638,19 +639,26 @@ mod tests {
     #[test]
     fn all_pairs_exact_after_compaction() {
         // The flat direct-offset read path must answer exactly like the
-        // chunked one.
-        let g = grid(7);
+        // chunked one: a born-flat index, the same index after one write
+        // promoted exactly one chunk out of its arena, and re-compacted.
+        let g = grid(16);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
+        assert!(stl.is_flat() && stl.num_chunks() > 1);
+        assert_all_pairs_exact(&g, &stl);
+        stl.labels.set(3, 0, stl.labels().get(3, 0));
+        assert!(!stl.is_flat());
+        assert_eq!(stl.take_cow_stats().chunks_copied, 1, "first write promotes one chunk");
+        assert_all_pairs_exact(&g, &stl);
         assert!(stl.compact() > 0);
         assert!(stl.is_flat());
         assert_all_pairs_exact(&g, &stl);
     }
 
-    /// The two label layouts × how each is reached: built (chunked) →
-    /// compacted (flat) → written by a sharded batch (chunked again, the
-    /// flat arena invalidated) → re-compacted (flat). In every state every
-    /// answer path equals Dijkstra on the current weights, and the profile
-    /// names exactly the layout in force.
+    /// The two label layouts × how each is reached: built (born flat) →
+    /// written by a sharded batch (chunked, the flat arena invalidated) →
+    /// re-compacted (flat). In every state every answer path equals
+    /// Dijkstra on the current weights, and the profile names exactly the
+    /// layout in force.
     #[test]
     fn every_answer_path_exact_in_every_layout_state() {
         let side = 10u32;
@@ -662,7 +670,7 @@ mod tests {
         let mut rng = XorShift(0x5eed_1234_5678_9abc);
         let few: Vec<VertexId> = (0..5).map(|_| rng.below(n as u64) as VertexId).collect();
         let many: Vec<VertexId> = (0..300).map(|_| rng.below(n as u64) as VertexId).collect();
-        for state in ["built", "compacted", "written", "recompacted"] {
+        for state in ["built", "written", "recompacted"] {
             match state {
                 "built" => {}
                 "written" => {
@@ -682,7 +690,7 @@ mod tests {
                 }
                 _ => assert!(stl.compact() > 0, "{state}: compaction moved nothing"),
             }
-            let flat = state.ends_with("compacted");
+            let flat = state != "written";
             assert_eq!(stl.is_flat(), flat, "{state}");
             let mut prof = QueryProfile::default();
             let mut out = Vec::new();
@@ -716,6 +724,7 @@ mod tests {
     fn profiled_queries_match_and_count() {
         let g = grid(7);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
+        stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
         let mut prof = QueryProfile::default();
         let n = g.num_vertices() as VertexId;
         for s in 0..n {
@@ -724,7 +733,7 @@ mod tests {
             }
         }
         assert_eq!(prof.queries, u64::from(n) * u64::from(n));
-        assert_eq!(prof.flat_slices, 0, "index not compacted yet");
+        assert_eq!(prof.flat_slices, 0, "written index reads chunked");
         let chunked = prof.chunked_slices;
         assert!(chunked > 0, "connected pairs read label prefixes");
 
@@ -807,14 +816,16 @@ mod tests {
         let g = grid(6);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
         let targets: Vec<u32> = (0..36).collect();
-        let chunked = stl.one_to_many(11, &targets);
+        let flat = stl.one_to_many(11, &targets);
+        stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
+        assert_eq!(stl.one_to_many(11, &targets), flat);
         stl.compact();
-        assert_eq!(stl.one_to_many(11, &targets), chunked);
+        assert_eq!(stl.one_to_many(11, &targets), flat);
     }
 
     /// Property: the tiled one-to-many scan is order-preserving and
     /// bit-identical to the per-target loop, on 10k-target random sets
-    /// (duplicates included), both chunked and compacted.
+    /// (duplicates included), both flat and chunked.
     #[test]
     fn tiled_one_to_many_bit_identical_to_loop() {
         let g = grid(10);
@@ -824,15 +835,16 @@ mod tests {
         let targets: Vec<VertexId> = (0..10_000).map(|_| rng.below(n) as VertexId).collect();
         let sources: Vec<VertexId> = (0..4).map(|_| rng.below(n) as VertexId).collect();
         let (mut tiled, mut looped) = (Vec::new(), Vec::new());
-        for compacted in [false, true] {
-            if compacted {
-                stl.compact();
+        for flat in [true, false] {
+            if !flat {
+                stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
             }
+            assert_eq!(stl.is_flat(), flat);
             for &s in &sources {
                 stl.one_to_many_into(s, &targets, &mut tiled);
                 stl.one_to_many_loop_into(s, &targets, &mut looped);
                 assert_eq!(tiled.len(), targets.len());
-                assert_eq!(tiled, looped, "s={s} compacted={compacted}");
+                assert_eq!(tiled, looped, "s={s} flat={flat}");
             }
         }
     }

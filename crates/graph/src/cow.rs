@@ -23,14 +23,18 @@
 //!   write points the maintenance algorithms already funnel through
 //!   (`Labels::set`, `CsrGraph::apply_update`) account bytes-copied per
 //!   generation for free; the server drains it into its published counters.
-//! * When an index quiesces, [`ChunkedStore::compact`] re-flattens the whole
-//!   arena into **one** contiguous 64-byte-aligned allocation and re-points
-//!   every chunk into it. Because chunks are offset views, compaction does
-//!   not give up copy-on-write: the next write to a compacted store promotes
-//!   only the touched chunk back into a private buffer, and publishing stays
-//!   `O(#chunks)`. A flat store additionally exposes
-//!   [`ChunkedStore::flat_slice`] so read paths can skip the chunk-table
-//!   indirection entirely (the direct-offset query path in `stl_core`).
+//! * A store is **born flat** when its builder fills one 64-byte-aligned
+//!   arena and wraps it with [`ChunkedStore::from_arena`]: every chunk is a
+//!   view into that arena at its canonical offset, with no copy. Because
+//!   chunks are offset views, flatness does not give up copy-on-write: the
+//!   first write to a flat store promotes only the touched chunk into a
+//!   private buffer, and publishing stays `O(#chunks)`. A flat store
+//!   additionally exposes [`ChunkedStore::flat_slice`] so read paths can
+//!   skip the chunk-table indirection entirely (the direct-offset query
+//!   path in `stl_core`).
+//! * Once writes have promoted chunks and the index quiesces,
+//!   [`ChunkedStore::compact`] re-flattens the store into a fresh arena of
+//!   the same layout — the only full-arena copy, and only after writes.
 //!
 //! [`ChunkedStore`] is the generic store; the CSR weight array uses it as
 //! [`WeightStore`], and `stl_core`'s label arena wraps it behind its
@@ -151,11 +155,10 @@ impl<T: Pod> std::fmt::Debug for AlignedBuf<T> {
 /// One chunk of a [`ChunkedStore`]: a `len`-entry view into a shared
 /// aligned buffer starting at entry `off`.
 ///
-/// A freshly allocated (or copy-on-write promoted) chunk owns its whole
-/// buffer (`off == 0`, `len == buf.len()`); after
-/// [`ChunkedStore::compact`] every chunk of the store is a view into one
-/// flat arena at its canonical global offset. Either way `as_slice` is one
-/// bounds-checked index away, and clone is an `Arc` bump.
+/// A copy-on-write promoted chunk owns its whole buffer (`off == 0`,
+/// `len == buf.len()`); in a born-flat or compacted store every chunk is a
+/// view into one flat arena at its canonical global offset. Either way
+/// `as_slice` is one bounds-checked index away, and clone is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct Chunk<T: Pod> {
     buf: Arc<AlignedBuf<T>>,
@@ -167,13 +170,6 @@ impl<T: Pod> Chunk<T> {
     /// A chunk owning a private aligned copy of `src`.
     fn owned(src: &[T]) -> Self {
         Chunk { buf: Arc::new(AlignedBuf::copy_of(src)), off: 0, len: src.len() }
-    }
-
-    /// A chunk owning a private `value`-filled buffer.
-    fn owned_filled(value: T, len: usize) -> Self {
-        let mut buf = AlignedBuf::zeroed(len);
-        buf.as_mut_slice().fill(value);
-        Chunk { buf: Arc::new(buf), off: 0, len }
     }
 
     /// The chunk's entries.
@@ -353,6 +349,14 @@ pub fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u
     (chunk_of, starts)
 }
 
+/// One view into `arena` per chunk, at the canonical offsets `chunk_starts`.
+fn views<T: Pod>(arena: &Arc<AlignedBuf<T>>, chunk_starts: &[u64]) -> Vec<Chunk<T>> {
+    chunk_starts
+        .windows(2)
+        .map(|w| Chunk { buf: Arc::clone(arena), off: w[0] as usize, len: (w[1] - w[0]) as usize })
+        .collect()
+}
+
 /// A flat `[T]` array split into vertex-aligned copy-on-write [`Chunk`]s
 /// with per-window dirty accounting and optional epoch compaction.
 ///
@@ -366,8 +370,8 @@ pub struct ChunkedStore<T: Pod> {
     chunk_starts: Arc<[u64]>,
     chunks: Vec<Chunk<T>>,
     /// `Some` iff every chunk is a view into this one contiguous arena at
-    /// its canonical offset (established by [`Self::compact`], invalidated
-    /// by the first subsequent write).
+    /// its canonical offset (established by [`Self::from_arena`] or
+    /// [`Self::compact`], invalidated by the first subsequent write).
     flat: Option<Arc<AlignedBuf<T>>>,
     dirty: DirtyTracker,
 }
@@ -409,14 +413,22 @@ impl<T: Pod> ChunkedStore<T> {
         Self::assemble(chunk_of, chunk_starts, chunks)
     }
 
-    /// A store of `value`-filled entries with the same layout rules.
-    pub fn filled(offsets: &[u64], value: T, target: u64) -> Self {
+    /// Wrap an already-filled `arena` in place, chunked along the vertex
+    /// spans `offsets[v]..offsets[v+1]`: every chunk is a view into it at
+    /// its canonical offset — exactly the layout [`Self::compact`]
+    /// produces, without the copy. With `flat` the store starts flat
+    /// ([`Self::flat_slice`] exposes the arena and `compact` returns 0);
+    /// without it the chunk views are the only way in, for callers whose
+    /// direct offsets cannot address the whole arena. Either way the first
+    /// write to a chunk promotes it.
+    pub fn from_arena(offsets: &[u64], arena: AlignedBuf<T>, target: u64, flat: bool) -> Self {
+        assert_eq!(*offsets.last().expect("offsets never empty") as usize, arena.len());
         let (chunk_of, chunk_starts) = partition_vertex_chunks(offsets, target);
-        let chunks = chunk_starts
-            .windows(2)
-            .map(|w| Chunk::owned_filled(value, (w[1] - w[0]) as usize))
-            .collect();
-        Self::assemble(chunk_of, chunk_starts, chunks)
+        let arena = Arc::new(arena);
+        let chunks = views(&arena, &chunk_starts);
+        let mut store = Self::assemble(chunk_of, chunk_starts, chunks);
+        store.flat = flat.then_some(arena);
+        store
     }
 
     /// Total number of entries.
@@ -490,23 +502,6 @@ impl<T: Pod> ChunkedStore<T> {
         (&self.chunk_of, &self.chunk_starts)
     }
 
-    /// Raw per-chunk base pointers for parallel builders that write disjoint
-    /// slots without synchronisation. Panics if any chunk is shared — only
-    /// freshly constructed stores qualify.
-    pub fn unique_chunk_ptrs(&mut self) -> Vec<*mut T> {
-        self.flat = None;
-        self.chunks
-            .iter_mut()
-            .map(|c| {
-                assert!(c.is_whole(), "chunks must be uniquely owned");
-                Arc::get_mut(&mut c.buf)
-                    .expect("chunks must be uniquely owned")
-                    .as_mut_slice()
-                    .as_mut_ptr()
-            })
-            .collect()
-    }
-
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
         self.chunks.len()
@@ -532,15 +527,16 @@ impl<T: Pod> ChunkedStore<T> {
         self.dirty.stats()
     }
 
-    /// Re-flatten the store into one contiguous 64-byte-aligned arena.
+    /// Re-flatten a written store into one contiguous 64-byte-aligned arena.
     ///
     /// Every chunk becomes a view into the arena at its canonical global
-    /// offset, so reads (chunked or [`flat_slice`](Self::flat_slice)-based)
-    /// see identical values, clones still share per chunk, and the next
-    /// write still promotes only its own chunk (`O(chunk)`, not
-    /// `O(arena)`). Sharing with snapshots taken *before* the compaction is
-    /// given up — that full-arena copy is the price of the flat read path,
-    /// and it is accounted in [`CowStats::bytes_flattened`].
+    /// offset — the layout [`Self::from_arena`] gives a store at birth — so
+    /// reads (chunked or [`flat_slice`](Self::flat_slice)-based) see
+    /// identical values, clones still share per chunk, and the next write
+    /// still promotes only its own chunk (`O(chunk)`, not `O(arena)`).
+    /// Sharing with snapshots taken *before* the compaction is given up —
+    /// that full-arena copy is the price of the flat read path, and it is
+    /// accounted in [`CowStats::bytes_flattened`].
     ///
     /// Returns the bytes moved; 0 (and no work) if the store is already
     /// flat.
@@ -555,10 +551,7 @@ impl<T: Pod> ChunkedStore<T> {
             dst[w[0] as usize..w[1] as usize].copy_from_slice(self.chunks[c].as_slice());
         }
         let arena = Arc::new(buf);
-        for (c, w) in self.chunk_starts.windows(2).enumerate() {
-            self.chunks[c] =
-                Chunk { buf: Arc::clone(&arena), off: w[0] as usize, len: (w[1] - w[0]) as usize };
-        }
+        self.chunks = views(&arena, &self.chunk_starts);
         self.flat = Some(arena);
         let bytes = total as u64 * std::mem::size_of::<T>() as u64;
         self.dirty.mark_compaction(bytes);
@@ -897,17 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn filled_store_matches_layout() {
-        let offs = offsets(&[3, 3, 2]);
-        let s: ChunkedStore<u32> = ChunkedStore::filled(&offs, 9, 4);
-        assert_eq!(s.len(), 8);
-        assert!(s.iter().all(|x| x == 9));
-        let (chunk_of, starts) = s.layout();
-        assert_eq!(chunk_of.len(), 3);
-        assert_eq!(*starts.last().unwrap(), 8);
-    }
-
-    #[test]
     fn clone_shares_until_first_write() {
         let mut a = store(4);
         let b = a.clone();
@@ -948,21 +930,43 @@ mod tests {
     }
 
     #[test]
-    fn unique_chunk_ptrs_allow_direct_writes() {
-        let mut a = store(4);
-        let ptrs = a.unique_chunk_ptrs();
-        assert_eq!(ptrs.len(), 2);
-        // SAFETY: store is uniquely owned and indices are in range.
-        unsafe { *ptrs[1].add(0) = 77 };
-        assert_eq!(a.get(2, 4), 77);
+    fn from_arena_is_born_compacted() {
+        // Wrapping a filled arena gives the layout, values, size and
+        // flatness of a chunked store compacted after the fact — and no
+        // compaction is recorded, because nothing was copied.
+        let offs: Vec<u64> = vec![0, 2, 4, 6, 8];
+        let weights: Vec<Weight> = (0..8).collect();
+        let mut born = ChunkedStore::from_arena(&offs, AlignedBuf::copy_of(&weights), 4, true);
+        let mut twin = store(4);
+        twin.compact();
+        assert!(born.is_flat());
+        assert_eq!(born.flat_slice(), twin.flat_slice());
+        assert_eq!(born.layout(), twin.layout());
+        assert_eq!(born.memory_bytes(), twin.memory_bytes());
+        assert_eq!(born.compact(), 0);
+        assert_eq!(born.cow_stats(), CowStats::default());
+        // The first write promotes exactly the touched chunk; a second
+        // write to it is in place.
+        born.set(3, 7, 70);
+        assert!(!born.is_flat());
+        born.set(2, 4, 40);
+        assert_eq!(
+            born.take_cow_stats(),
+            CowStats { chunks_copied: 1, bytes_copied: 16, ..Default::default() }
+        );
+        assert_eq!(born.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 40, 5, 6, 70]);
     }
 
     #[test]
-    #[should_panic(expected = "uniquely owned")]
-    fn unique_chunk_ptrs_reject_shared_chunks() {
-        let mut a = store(4);
-        let _pin = a.clone();
-        let _ = a.unique_chunk_ptrs();
+    fn from_arena_without_flat_keeps_views() {
+        let offs: Vec<u64> = vec![0, 2, 4, 6, 8];
+        let weights: Vec<Weight> = (0..8).collect();
+        let mut a = ChunkedStore::from_arena(&offs, AlignedBuf::copy_of(&weights), 4, false);
+        assert!(!a.is_flat() && a.flat_slice().is_none());
+        assert_eq!(a.iter().collect::<Vec<_>>(), weights);
+        a.set(0, 1, 9);
+        assert_eq!(a.cow_stats().chunks_copied, 1, "views promote like a flat store's");
+        assert_eq!(a.get(0, 1), 9);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use stl_core::{Hierarchy, Labels, RawNode, Stl, StlConfig};
+use stl_core::{Hierarchy, LabelArena, Labels, RawNode, Stl, StlConfig};
 use stl_graph::hash::FxHashMap;
 use stl_graph::subgraph::induced_subgraph;
 use stl_graph::{dist_add, CsrGraph, Dist, GraphBuilder, VertexId, INF};
@@ -230,7 +230,7 @@ fn contract_cut(h: &CsrGraph, cut: &[VertexId]) -> CsrGraph {
 /// Global-distance labels via boundary-seeded restricted Dijkstras.
 fn build_global_labels(g: &CsrGraph, hier: &Hierarchy) -> Labels {
     let n = g.num_vertices();
-    let mut labels = Labels::new_inf(hier);
+    let mut labels = LabelArena::new(hier);
     let mut dist: TimestampedArray<Dist> = TimestampedArray::new(n, INF);
     let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
     for node in 0..hier.num_nodes() as u32 {
@@ -279,7 +279,7 @@ fn build_global_labels(g: &CsrGraph, hier: &Hierarchy) -> Labels {
             }
         }
     }
-    labels
+    labels.into_labels()
 }
 
 #[cfg(test)]

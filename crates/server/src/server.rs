@@ -190,50 +190,55 @@ impl ServerConfig {
     /// without a word, which meant a typo in the CI matrix quietly tested
     /// the wrong configuration. Callers decide how loud to be — the test
     /// harnesses `expect` the result so a bad matrix entry fails the run.
+    /// (A value that is not valid unicode is read lossily, so it fails to
+    /// parse and errors too.)
     pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`ServerConfig::from_env`] over any variable source: `lookup(key)`
+    /// is the value of `key`, `None` if unset.
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Some(t) = parsed_env::<usize>("STL_REPAIR_THREADS")? {
+        if let Some(t) = parsed_var::<usize>(&lookup, "STL_REPAIR_THREADS")? {
             if t == 0 {
                 return Err("STL_REPAIR_THREADS must be at least 1".into());
             }
             cfg.repair_threads = t;
         }
-        if let Some(q) = parsed_env::<u32>("STL_COMPACT_QUIET_EPOCHS")? {
+        if let Some(q) = parsed_var::<u32>(&lookup, "STL_COMPACT_QUIET_EPOCHS")? {
             cfg.compact_after_quiet_epochs = q;
         }
-        if let Some(r) = parsed_env::<f64>("STL_COMPACT_DIRTY_RATIO")? {
+        if let Some(r) = parsed_var::<f64>(&lookup, "STL_COMPACT_DIRTY_RATIO")? {
             if !(0.0..=1.0).contains(&r) {
                 return Err(format!("STL_COMPACT_DIRTY_RATIO must be within 0.0..=1.0, got {r}"));
             }
             cfg.compact_dirty_ratio = r;
         }
-        if let Some(w) = parsed_env::<usize>("STL_REJECTION_WINDOW")? {
+        if let Some(w) = parsed_var::<usize>(&lookup, "STL_REJECTION_WINDOW")? {
             if w == 0 {
                 return Err("STL_REJECTION_WINDOW must be at least 1".into());
             }
             cfg.rejection_window = w;
         }
-        if let Some(d) = parsed_env::<usize>("STL_DEDUP_WINDOW")? {
+        if let Some(d) = parsed_var::<usize>(&lookup, "STL_DEDUP_WINDOW")? {
             cfg.dedup_window = d;
         }
         Ok(cfg)
     }
 }
 
-/// Read and parse an environment variable, distinguishing "absent" (fine,
-/// `None`) from "present but unparsable" (an error worth surfacing).
-fn parsed_env<T: std::str::FromStr>(key: &str) -> Result<Option<T>, String> {
-    match std::env::var(key) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            Err(format!("{key} is set but not valid unicode: {raw:?}"))
-        }
-        Ok(raw) => raw
-            .trim()
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("{key}={raw:?} is not a valid {}", std::any::type_name::<T>())),
-    }
+/// Look up and parse a variable, distinguishing "absent" (fine, `None`)
+/// from "present but unparsable" (an error worth surfacing).
+fn parsed_var<T: std::str::FromStr>(
+    lookup: impl Fn(&str) -> Option<String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    let Some(raw) = lookup(key) else { return Ok(None) };
+    raw.trim()
+        .parse::<T>()
+        .map(Some)
+        .map_err(|_| format!("{key}={raw:?} is not a valid {}", std::any::type_name::<T>()))
 }
 
 impl Default for ServerConfig {
@@ -1219,45 +1224,33 @@ mod tests {
         assert!(stats.trees_skipped_total > 0, "single-edge batches must skip most stable trees");
     }
 
+    /// [`ServerConfig::from_vars`] over a fixed set of variables — no
+    /// process-global environment involved, so tests cannot race.
+    fn config_from(vars: &[(&str, &str)]) -> Result<ServerConfig, String> {
+        ServerConfig::from_vars(|key| {
+            vars.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string())
+        })
+    }
+
     #[test]
     fn config_from_env_overrides_repair_threads() {
-        // Env mutation is process-global; keep the window tiny and restore.
         let key = "STL_REPAIR_THREADS";
-        let prev = std::env::var(key).ok();
-        std::env::set_var(key, "2");
-        assert_eq!(ServerConfig::from_env().unwrap().repair_threads, 2);
+        assert_eq!(config_from(&[(key, "2")]).unwrap().repair_threads, 2);
         // Malformed or out-of-range values are errors now, not silent
         // defaults — a CI-matrix typo must fail the run, loudly.
-        std::env::set_var(key, "not a number");
-        let err = ServerConfig::from_env().unwrap_err();
+        let err = config_from(&[(key, "not a number")]).unwrap_err();
         assert!(err.contains("STL_REPAIR_THREADS"), "error must name the variable: {err}");
-        std::env::set_var(key, "0");
-        let err = ServerConfig::from_env().unwrap_err();
+        let err = config_from(&[(key, "0")]).unwrap_err();
         assert!(err.contains("at least 1"), "zero threads must be rejected: {err}");
-        match prev {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
     }
 
     #[test]
     fn config_from_env_overrides_durability_windows() {
-        let keys = ["STL_REJECTION_WINDOW", "STL_DEDUP_WINDOW"];
-        let prev: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var(keys[0], "7");
-        std::env::set_var(keys[1], "0");
-        let cfg = ServerConfig::from_env().unwrap();
+        let cfg = config_from(&[("STL_REJECTION_WINDOW", "7"), ("STL_DEDUP_WINDOW", "0")]).unwrap();
         assert_eq!(cfg.rejection_window, 7);
         assert_eq!(cfg.dedup_window, 0, "0 must be accepted (disables dedup)");
-        std::env::set_var(keys[0], "0");
-        let err = ServerConfig::from_env().unwrap_err();
+        let err = config_from(&[("STL_REJECTION_WINDOW", "0")]).unwrap_err();
         assert!(err.contains("at least 1"), "zero-deep rejection window must error: {err}");
-        for (k, v) in keys.iter().zip(prev) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 
     #[test]
@@ -1336,22 +1329,13 @@ mod tests {
 
     #[test]
     fn config_from_env_overrides_compaction_knobs() {
-        let keys = ["STL_COMPACT_QUIET_EPOCHS", "STL_COMPACT_DIRTY_RATIO"];
-        let prev: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var(keys[0], "3");
-        std::env::set_var(keys[1], "0.5");
-        let cfg = ServerConfig::from_env().unwrap();
+        let cfg =
+            config_from(&[("STL_COMPACT_QUIET_EPOCHS", "3"), ("STL_COMPACT_DIRTY_RATIO", "0.5")])
+                .unwrap();
         assert_eq!(cfg.compact_after_quiet_epochs, 3);
         assert!((cfg.compact_dirty_ratio - 0.5).abs() < 1e-9);
-        std::env::set_var(keys[1], "1.5");
-        let err = ServerConfig::from_env().unwrap_err();
+        let err = config_from(&[("STL_COMPACT_DIRTY_RATIO", "1.5")]).unwrap_err();
         assert!(err.contains("0.0..=1.0"), "out-of-range ratio must error: {err}");
-        for (k, v) in keys.iter().zip(prev) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 
     #[test]
