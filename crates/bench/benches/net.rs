@@ -12,9 +12,11 @@
 //! 2. **Amortization** — the `--batch-latency-ms` knob made measurable: the
 //!    same paced stream of single-update requests is pushed through the
 //!    `AdaptiveBatcher` with a zero budget (every request its own batch)
-//!    and with a 40 ms budget (requests coalesce). Raising the budget must
-//!    strictly reduce `batches_applied` *and* total apply time — asserted
-//!    here, recorded as `net_batches_*` / `net_apply_ms_*`.
+//!    and with a 40 ms budget (requests coalesce). A lone update is never
+//!    delayed; the budget holds only requests that arrive while a batch is
+//!    with the writer, which a paced stream keeps busy. Raising the budget
+//!    must strictly reduce `batches_applied` *and* total apply time —
+//!    asserted here, recorded as `net_batches_*` / `net_apply_ms_*`.
 //! 3. **Overload** — open-loop arrivals at well past the sustainable rate
 //!    against a deliberately tiny server (2 readers, 4 connections).
 //!    Admission control must shed explicitly (BUSY / `overloaded`

@@ -33,11 +33,14 @@
 //!
 //! With `--listen ADDR`, `serve` instead exposes the server over TCP (the
 //! length-prefixed protocol of `stl_server::transport`) with adaptive update
-//! batching, and runs until `--duration-secs` elapses (`0` = forever). Pair
-//! it with `stl bench-net`, which drives a remote server with a seeded
-//! **open-loop** trace — Poisson arrivals at `--rate` requests/second,
-//! regardless of how fast the server answers — and reports p50/p99 latency,
-//! achieved throughput, and explicit rejection/shed counts under overload.
+//! batching, and runs until `--duration-secs` elapses (`0` = forever). A
+//! lone update is never delayed: `--batch-latency-ms` and
+//! `--batch-max-updates` only hold updates that arrive while a batch is with
+//! the writer. Pair it with `stl bench-net`, which drives a remote server
+//! with a seeded **open-loop** trace — Poisson arrivals at `--rate`
+//! requests/second, regardless of how fast the server answers — and reports
+//! p50/p99 latency, achieved throughput, and explicit rejection/shed counts
+//! under overload.
 //!
 //! With `--state-dir DIR`, `serve` becomes **crash-safe**: accepted update
 //! batches are write-ahead logged before they apply (`--fsync` picks the
@@ -452,7 +455,8 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
         let net_server = NetServer::start(Arc::clone(&server), addr.as_str(), net.clone())
             .map_err(|e| format!("cannot listen on '{addr}': {e}"))?;
         println!(
-            "batching: up to {} updates or {} ms, {} queued max; \
+            "batching: a lone update flushes at once; behind a busy writer, \
+             up to {} updates or {} ms, {} queued max; \
              {} net readers, {} connections ({} queued) max",
             net.batcher.max_updates,
             net.batcher.latency_ms,
@@ -481,11 +485,12 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
         );
         println!(
             "batcher: {} batches from {} requests ({} shed, {} rejected pre-validate); \
-             {} size flushes, {} timer flushes",
+             {} idle flushes, {} size flushes, {} timer flushes",
             net_stats.batcher.batches_submitted,
             net_stats.batcher.requests_coalesced,
             net_stats.batcher.requests_shed,
             net_stats.batcher.requests_rejected,
+            net_stats.batcher.flushes_idle,
             net_stats.batcher.flushes_by_size,
             net_stats.batcher.flushes_by_timer,
         );

@@ -4,11 +4,18 @@
 //! makes user-facing: larger batches amortise label repair (one search pass,
 //! one publish for many updates) at the cost of update visibility latency. The [`AdaptiveBatcher`] sits between any number of
 //! producers — the TCP transport's reader pool, or in-process callers — and
-//! [`StlServer::submit`]: it accumulates incoming update requests until
-//! either a **latency budget** ([`BatcherConfig::latency_ms`]) or a **size
-//! budget** ([`BatcherConfig::max_updates`]) trips, then submits everything
-//! accumulated as one writer batch and fans the resulting [`BatchOutcome`]
-//! back to every contributing request.
+//! [`StlServer::submit`]: it submits accumulated update requests as one
+//! writer batch and fans the resulting [`BatchOutcome`] back to every
+//! contributing request.
+//!
+//! The flush rule is **group commit**. A request that finds the batcher
+//! idle — nothing pending and no merged batch with the writer — is flushed
+//! at once, so a lone update is never delayed; requests that land before
+//! the flusher grabs it ride along. Requests that arrive while a batch is
+//! with the writer accumulate instead, and flush when either a **latency
+//! budget** ([`BatcherConfig::latency_ms`]) or a **size budget**
+//! ([`BatcherConfig::max_updates`]) trips. Amortisation therefore happens
+//! exactly when there is a batch to amortise over, and idle costs nothing.
 //!
 //! Two properties keep bad input and overload survivable:
 //!
@@ -47,10 +54,12 @@ use crate::server::{validate_batch, BatchOutcome, StlServer};
 /// Batching knobs (see the module docs for the trade-off they control).
 #[derive(Debug, Clone)]
 pub struct BatcherConfig {
-    /// Latency budget in milliseconds: a pending batch is flushed once its
-    /// oldest update has waited this long. `0` flushes as soon as the
-    /// flusher can grab the pending set (minimal added latency, minimal
-    /// amortisation).
+    /// Latency budget in milliseconds: how long a request may wait for
+    /// company **while the writer is busy**. A request that finds the
+    /// batcher idle is flushed at once whatever this says; a set opened
+    /// behind a busy writer is flushed once its oldest update has waited
+    /// this long. `0` flushes such a set as soon as the writer is free
+    /// (minimal added latency, minimal amortisation).
     pub latency_ms: u64,
     /// Size budget: a pending batch is flushed as soon as it holds at least
     /// this many updates, regardless of age.
@@ -84,6 +93,9 @@ pub struct BatcherStats {
     /// for already-*applied* keys are counted in
     /// [`crate::ServerStats::dedup_hits`] instead).
     pub requests_joined: u64,
+    /// Flushes of a set opened while the batcher was idle (nothing pending,
+    /// no batch with the writer), sent to the writer without waiting.
+    pub flushes_idle: u64,
     /// Flushes tripped by the size budget.
     pub flushes_by_size: u64,
     /// Flushes tripped by the latency budget.
@@ -125,6 +137,7 @@ impl PendingUpdate {
     }
 }
 
+#[derive(Default)]
 struct FlushState {
     pending: Vec<EdgeUpdate>,
     /// One entry per enqueued request: its idempotency key (if any) and the
@@ -133,8 +146,48 @@ struct FlushState {
     /// Keys currently pending or in a submitted-but-unresolved batch; a
     /// retry carrying one of these joins the existing slot.
     in_flight: HashMap<u64, Arc<OutcomeSlot>>,
+    /// When the pending set's first request arrived; `None` while no
+    /// request is pending.
     opened_at: Option<Instant>,
+    /// The pending set was opened while the batcher was idle, so it goes to
+    /// the writer without waiting for company.
+    opened_idle: bool,
+    /// The flusher holds a taken set: from the take until its waiters are
+    /// resolved. A set opened meanwhile waits out the latency budget.
+    busy: bool,
     stop: bool,
+}
+
+/// Why the flusher takes the pending set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flush {
+    /// The set was opened while the batcher was idle.
+    Idle,
+    /// The set holds at least [`BatcherConfig::max_updates`] updates.
+    Size,
+    /// The set, opened behind a busy writer, used up its latency budget.
+    Timer,
+    /// Shutdown drains whatever is pending.
+    Shutdown,
+}
+
+/// The flush rule, a pure function of the batcher state: `None` means keep
+/// waiting. The size budget and an idle-opened set flush at once; otherwise
+/// shutdown drains, and a set opened behind a busy writer waits out its
+/// latency budget.
+fn flush_due(st: &FlushState, now: Instant, cfg: &BatcherConfig) -> Option<Flush> {
+    let opened_at = st.opened_at?;
+    if st.pending.len() >= cfg.max_updates {
+        Some(Flush::Size)
+    } else if st.opened_idle {
+        Some(Flush::Idle)
+    } else if st.stop {
+        Some(Flush::Shutdown)
+    } else if now.saturating_duration_since(opened_at) >= Duration::from_millis(cfg.latency_ms) {
+        Some(Flush::Timer)
+    } else {
+        None
+    }
 }
 
 struct BatcherShared<I: DynamicDistanceIndex> {
@@ -151,6 +204,7 @@ struct BatcherShared<I: DynamicDistanceIndex> {
     requests_shed: AtomicU64,
     requests_rejected: AtomicU64,
     requests_joined: AtomicU64,
+    flushes_idle: AtomicU64,
     flushes_by_size: AtomicU64,
     flushes_by_timer: AtomicU64,
 }
@@ -170,19 +224,14 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
             server,
             graph,
             cfg,
-            state: Mutex::new(FlushState {
-                pending: Vec::new(),
-                waiters: Vec::new(),
-                in_flight: HashMap::new(),
-                opened_at: None,
-                stop: false,
-            }),
+            state: Mutex::new(FlushState::default()),
             kick: Condvar::new(),
             batches_submitted: AtomicU64::new(0),
             requests_coalesced: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
             requests_rejected: AtomicU64::new(0),
             requests_joined: AtomicU64::new(0),
+            flushes_idle: AtomicU64::new(0),
             flushes_by_size: AtomicU64::new(0),
             flushes_by_timer: AtomicU64::new(0),
         });
@@ -250,8 +299,9 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
                 self.shared.cfg.max_queued
             )));
         }
-        if st.pending.is_empty() {
+        if st.waiters.is_empty() {
             st.opened_at = Some(Instant::now());
+            st.opened_idle = !st.busy;
         }
         st.pending.extend(updates);
         let slot = Arc::new(OutcomeSlot::default());
@@ -272,6 +322,7 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
             requests_shed: self.shared.requests_shed.load(Ordering::Relaxed),
             requests_rejected: self.shared.requests_rejected.load(Ordering::Relaxed),
             requests_joined: self.shared.requests_joined.load(Ordering::Relaxed),
+            flushes_idle: self.shared.flushes_idle.load(Ordering::Relaxed),
             flushes_by_size: self.shared.flushes_by_size.load(Ordering::Relaxed),
             flushes_by_timer: self.shared.flushes_by_timer.load(Ordering::Relaxed),
         }
@@ -299,60 +350,63 @@ impl<I: DynamicDistanceIndex> Drop for AdaptiveBatcher<I> {
 }
 
 fn flusher_loop<I: DynamicDistanceIndex>(shared: &BatcherShared<I>) {
+    let budget = Duration::from_millis(shared.cfg.latency_ms);
+    let mut st = shared.state.lock().unwrap();
     loop {
-        let (batch, waiters, by_size, by_timer) = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.waiters.is_empty() {
-                    if st.stop {
-                        return;
-                    }
-                    st = shared.kick.wait(st).unwrap();
-                    continue;
+        let now = Instant::now();
+        let Some(why) = flush_due(&st, now, &shared.cfg) else {
+            st = match st.opened_at {
+                // A set opened behind a busy writer: sleep out the rest of
+                // its budget, re-checking whenever a new request lands (it
+                // may trip the size budget).
+                Some(t) => {
+                    shared
+                        .kick
+                        .wait_timeout(st, (t + budget).saturating_duration_since(now))
+                        .unwrap()
+                        .0
                 }
-                let budget = Duration::from_millis(shared.cfg.latency_ms);
-                let age = st.opened_at.map_or(budget, |t| t.elapsed());
-                let by_size = st.pending.len() >= shared.cfg.max_updates;
-                if st.stop || by_size || age >= budget {
-                    st.opened_at = None;
-                    break (
-                        std::mem::take(&mut st.pending),
-                        std::mem::take(&mut st.waiters),
-                        by_size,
-                        !by_size && !st.stop,
-                    );
-                }
-                // Not ripe yet: sleep out the remaining budget, re-checking
-                // whenever a new request lands (it may trip the size budget).
-                let (guard, _) = shared.kick.wait_timeout(st, budget - age).unwrap();
-                st = guard;
-            }
+                None if st.stop => return,
+                None => shared.kick.wait(st).unwrap(),
+            };
+            continue;
         };
-        // Submit outside the lock: producers keep accumulating the *next*
-        // batch while the writer applies this one — the wait below is
-        // exactly where repair amortisation comes from under load.
+        st.opened_at = None;
+        st.opened_idle = false;
+        st.busy = true;
+        let batch = std::mem::take(&mut st.pending);
+        let waiters = std::mem::take(&mut st.waiters);
+        drop(st);
+        // Submit outside the lock: requests arriving while the writer
+        // applies this batch open the next set behind a busy writer, and
+        // their wait is exactly where repair amortisation comes from under
+        // load.
         let keys: Vec<u64> = waiters.iter().filter_map(|(k, _)| *k).collect();
         let ticket = shared.server.submit_with_keys(keys, batch);
         let outcome = shared.server.wait_for(ticket);
         shared.batches_submitted.fetch_add(1, Ordering::Relaxed);
         shared.requests_coalesced.fetch_add(waiters.len() as u64, Ordering::Relaxed);
-        if by_size {
-            shared.flushes_by_size.fetch_add(1, Ordering::Relaxed);
-        } else if by_timer {
-            shared.flushes_by_timer.fetch_add(1, Ordering::Relaxed);
+        let counter = match why {
+            Flush::Idle => Some(&shared.flushes_idle),
+            Flush::Size => Some(&shared.flushes_by_size),
+            Flush::Timer => Some(&shared.flushes_by_timer),
+            Flush::Shutdown => None,
+        };
+        if let Some(c) = counter {
+            c.fetch_add(1, Ordering::Relaxed);
         }
-        // Resolve before releasing the keys: a retry arriving in between
-        // either joins the already-resolved slot (fine — PendingUpdate::wait
-        // is idempotent) or, after release, hits the server's dedup window.
-        for (_, waiter) in &waiters {
+        // Resolve, release the keys and go idle under one lock: a keyed
+        // retry either joins a resolved slot (PendingUpdate::wait is
+        // idempotent) or hits the server's dedup window, and a caller that
+        // submits again right after its outcome finds the batcher idle.
+        st = shared.state.lock().unwrap();
+        for (key, waiter) in &waiters {
             waiter.resolve(outcome.clone());
-        }
-        let mut st = shared.state.lock().unwrap();
-        for (key, _) in &waiters {
             if let Some(k) = key {
                 st.in_flight.remove(k);
             }
         }
+        st.busy = false;
     }
 }
 
@@ -369,6 +423,71 @@ mod tests {
         Arc::new(StlServer::start(g, stl, ServerConfig::default()))
     }
 
+    /// Mark the batcher busy as if a merged batch were with the writer, so
+    /// the next requests open a set that waits for company. The flusher
+    /// clears the mark once it has resolved that set.
+    fn hold_writer_busy(batcher: &AdaptiveBatcher) {
+        batcher.shared.state.lock().unwrap().busy = true;
+    }
+
+    #[test]
+    fn flush_due_decides_by_size_idleness_shutdown_and_budget() {
+        let cfg = BatcherConfig { latency_ms: 5, max_updates: 3, ..Default::default() };
+        let budget = Duration::from_millis(cfg.latency_ms);
+        let t0 = Instant::now();
+        let set = |updates: usize, opened_idle: bool, stop: bool| FlushState {
+            pending: vec![EdgeUpdate::new(0, 1, 1); updates],
+            waiters: vec![(None, Arc::default()); updates],
+            opened_at: Some(t0),
+            opened_idle,
+            stop,
+            ..Default::default()
+        };
+        let cases = [
+            ("nothing pending", FlushState::default(), t0 + budget, None),
+            ("idle-opened", set(1, true, false), t0, Some(Flush::Idle)),
+            ("busy-opened under the budget", set(1, false, false), t0 + budget / 2, None),
+            (
+                "busy-opened past the budget",
+                set(1, false, false),
+                t0 + 2 * budget,
+                Some(Flush::Timer),
+            ),
+            ("size trip", set(3, false, false), t0, Some(Flush::Size)),
+            ("size trip on an idle-opened set", set(3, true, false), t0, Some(Flush::Size)),
+            ("shutdown with a non-empty set", set(1, false, true), t0, Some(Flush::Shutdown)),
+            (
+                "shutdown with nothing pending",
+                FlushState { stop: true, ..Default::default() },
+                t0,
+                None,
+            ),
+        ];
+        for (name, st, now, want) in cases {
+            assert_eq!(flush_due(&st, now, &cfg), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn lone_update_is_not_held_by_the_window() {
+        let server = diamond_server();
+        let batcher = AdaptiveBatcher::start(
+            Arc::clone(&server),
+            BatcherConfig { latency_ms: 10_000, ..Default::default() },
+        );
+        let p = batcher.submit(vec![EdgeUpdate::new(0, 1, 5)]);
+        assert_eq!(p.wait(), BatchOutcome::Applied { seq: 1 });
+        let stats = batcher.stats();
+        assert_eq!(stats.flushes_idle, 1);
+        assert_eq!(stats.flushes_by_timer, 0);
+        // The outcome is resolved only once the batcher is idle again, so a
+        // caller's next update is not held either.
+        let p = batcher.submit(vec![EdgeUpdate::new(0, 1, 6)]);
+        assert_eq!(p.wait(), BatchOutcome::Applied { seq: 2 });
+        assert_eq!(batcher.stats().flushes_idle, 2);
+        batcher.shutdown();
+    }
+
     #[test]
     fn coalesces_concurrent_requests_into_one_writer_batch() {
         let server = diamond_server();
@@ -376,22 +495,20 @@ mod tests {
             Arc::clone(&server),
             BatcherConfig { latency_ms: 250, ..Default::default() },
         );
-        // Three requests inside one latency window → one merged batch.
+        // The first request finds the batcher idle; the others ride along
+        // or wait behind it, depending on when the flusher grabs the set.
         let pends: Vec<PendingUpdate> = vec![
             batcher.submit(vec![EdgeUpdate::new(0, 1, 5)]),
             batcher.submit(vec![EdgeUpdate::new(1, 2, 6)]),
             batcher.submit(vec![EdgeUpdate::new(2, 3, 7)]),
         ];
         for p in &pends {
-            assert_eq!(p.wait(), BatchOutcome::Applied { seq: 1 });
+            assert!(p.wait().is_applied());
         }
-        let stats = batcher.stats();
-        assert_eq!(stats.batches_submitted, 1, "three requests must merge into one batch");
-        assert_eq!(stats.requests_coalesced, 3);
-        assert_eq!(stats.flushes_by_timer, 1);
+        assert_eq!(batcher.stats().requests_coalesced, 3);
         batcher.shutdown();
-        assert_eq!(server.generation(), 1);
         assert_eq!(server.snapshot().query(0, 2), 11);
+        assert_eq!(server.snapshot().query(0, 3), 18);
     }
 
     #[test]
@@ -401,11 +518,14 @@ mod tests {
             Arc::clone(&server),
             BatcherConfig { latency_ms: 10_000, max_updates: 2, ..Default::default() },
         );
+        hold_writer_busy(&batcher);
         let a = batcher.submit(vec![EdgeUpdate::new(0, 1, 9)]);
         let b = batcher.submit(vec![EdgeUpdate::new(1, 2, 9)]);
         assert_eq!(a.wait(), BatchOutcome::Applied { seq: 1 });
         assert_eq!(b.wait(), BatchOutcome::Applied { seq: 1 });
-        assert!(batcher.stats().flushes_by_size >= 1);
+        let stats = batcher.stats();
+        assert_eq!(stats.flushes_by_size, 1);
+        assert_eq!(stats.batches_submitted, 1);
         batcher.shutdown();
     }
 
@@ -440,7 +560,8 @@ mod tests {
             Arc::clone(&server),
             BatcherConfig { latency_ms: 300, max_updates: 1000, max_queued: 3 },
         );
-        // Fill the queue within one latency window, then overflow it.
+        // Fill the queue behind a busy writer, then overflow it.
+        hold_writer_busy(&batcher);
         let fill: Vec<PendingUpdate> =
             (0..3).map(|i| batcher.submit(vec![EdgeUpdate::new(0, 1, 10 + i)])).collect();
         let shed = batcher.submit(vec![EdgeUpdate::new(2, 3, 9)]);
@@ -484,9 +605,10 @@ mod tests {
             Arc::clone(&server),
             BatcherConfig { latency_ms: 250, ..Default::default() },
         );
-        // Two submissions with the same key inside one latency window: the
-        // second joins the first's outcome slot instead of enqueueing a
-        // duplicate update.
+        // Two submissions with the same key behind a busy writer: the second
+        // joins the first's outcome slot instead of enqueueing a duplicate
+        // update.
+        hold_writer_busy(&batcher);
         let a = batcher.submit_keyed(Some(7), vec![EdgeUpdate::new(1, 2, 9)]);
         let b = batcher.submit_keyed(Some(7), vec![EdgeUpdate::new(1, 2, 9)]);
         assert_eq!(a.wait(), BatchOutcome::Applied { seq: 1 });
@@ -509,9 +631,15 @@ mod tests {
                 ..Default::default()
             },
         );
+        hold_writer_busy(&batcher);
         let p = batcher.submit(vec![EdgeUpdate::new(0, 3, 2)]);
         batcher.shutdown();
         assert_eq!(p.wait(), BatchOutcome::Applied { seq: 1 }, "shutdown must flush, not drop");
+        let stats = batcher.stats();
+        assert_eq!(
+            (stats.batches_submitted, stats.flushes_idle, stats.flushes_by_timer),
+            (1, 0, 0)
+        );
         assert_eq!(server.snapshot().query(0, 3), 2);
         assert!(!batcher.submit(vec![EdgeUpdate::new(0, 1, 4)]).wait().is_applied());
     }

@@ -102,9 +102,10 @@
 //! fixed-size reader pool that refreshes its `Arc<Snapshot>` per request,
 //! and connection/queue admission control so overload sheds instead of
 //! piling up. Incoming updates flow through the [`batcher`] module's
-//! [`AdaptiveBatcher`], which accumulates them until a latency or size
-//! budget trips — trading publish frequency against repair amortization,
-//! the knob the paper's batch experiments motivate.
+//! [`AdaptiveBatcher`], which sends a lone update to the writer at once and
+//! accumulates updates that arrive behind a busy writer until a latency or
+//! size budget trips — trading publish frequency against repair
+//! amortization, the knob the paper's batch experiments motivate.
 //!
 //! ## Distributed serving
 //!

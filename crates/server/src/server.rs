@@ -972,15 +972,6 @@ mod tests {
     use stl_pathfinding::dijkstra;
     use stl_workloads::{generate, RoadNetConfig};
 
-    /// The failpoint registry is process-global; tests that arm points
-    /// serialise on this lock so parallel test threads cannot observe each
-    /// other's armings.
-    static FP_LOCK: Mutex<()> = Mutex::new(());
-
-    fn fp_locked() -> MutexGuard<'static, ()> {
-        FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn diamond() -> CsrGraph {
         from_edges(4, vec![(0, 1, 3), (1, 2, 4), (2, 3, 5), (0, 3, 20)])
     }
@@ -1446,65 +1437,6 @@ mod tests {
         assert_eq!(server.dedup_lookup(88), None);
         let stats = server.shutdown();
         assert_eq!(stats.dedup_hits, 1);
-    }
-
-    #[test]
-    fn writer_restart_rolls_back_the_in_flight_batch() {
-        // Kill the writer at the publish failpoint (before the pointer
-        // swap): the in-flight batch must come back Rejected("writer
-        // restarted") with no state change, and the respawned writer must
-        // serve later batches with an unbroken sequence.
-        let _l = fp_locked();
-        stl_core::failpoint::disarm_all();
-        let g = diamond();
-        let server = start(&g);
-        stl_core::failpoint::arm("publish", stl_core::failpoint::Action::Panic, 1);
-        let t1 = server.submit(vec![EdgeUpdate::new(0, 3, 2)]);
-        match server.wait_for(t1) {
-            BatchOutcome::Rejected(reason) => {
-                assert!(reason.contains("writer restarted"), "got: {reason}");
-            }
-            BatchOutcome::Applied { .. } => panic!("killed-at-publish batch must be rejected"),
-        }
-        // Rolled back: no generation consumed, distances untouched.
-        assert_eq!(server.generation(), 0);
-        assert_eq!(server.snapshot().query(0, 3), 12);
-        // The respawned writer picks up exactly where the dead one left.
-        let t2 = server.submit(vec![EdgeUpdate::new(0, 3, 2)]);
-        assert_eq!(server.wait_for(t2), BatchOutcome::Applied { seq: 1 });
-        assert_eq!(server.snapshot().query(0, 3), 2);
-        let stats = server.shutdown();
-        assert_eq!(stats.writer_restarts, 1);
-        assert_eq!(stats.batches_applied, 1);
-        assert_eq!(stats.batches_rejected, 1);
-    }
-
-    #[test]
-    fn supervisor_gives_up_after_max_restarts() {
-        let _l = fp_locked();
-        stl_core::failpoint::disarm_all();
-        let g = diamond();
-        let stl = Stl::build(&g, &StlConfig::default());
-        let server = StlServer::start(
-            g.clone(),
-            stl,
-            ServerConfig { max_writer_restarts: 0, ..Default::default() },
-        );
-        stl_core::failpoint::arm("publish", stl_core::failpoint::Action::Panic, 1);
-        let t1 = server.submit(vec![EdgeUpdate::new(0, 3, 2)]);
-        assert!(!server.wait_for(t1).is_applied());
-        // Zero restarts allowed: the service is down, but waiters must
-        // still resolve (as Rejected) instead of hanging.
-        let t2 = server.submit(vec![EdgeUpdate::new(0, 3, 2)]);
-        match server.wait_for(t2) {
-            BatchOutcome::Rejected(reason) => {
-                assert!(reason.contains("terminated"), "got: {reason}");
-            }
-            BatchOutcome::Applied { .. } => panic!("dead service cannot apply"),
-        }
-        // Reads keep working from the last published snapshot.
-        assert_eq!(server.snapshot().query(0, 3), 12);
-        server.shutdown();
     }
 
     #[test]

@@ -1151,7 +1151,9 @@ mod tests {
     #[test]
     fn client_disconnect_mid_frame_is_survived() {
         let g = diamond();
-        let (_server, net) = start_net(&g, fast_cfg());
+        // One reader serves connections in accept order, so it has counted
+        // the hangup before it can answer the follow-up connection.
+        let (_server, net) = start_net(&g, NetConfig { reader_threads: 1, ..fast_cfg() });
         {
             let mut quitter = NetClient::connect(&net.local_addr()).unwrap();
             // Announce a 10-byte frame, deliver 4 bytes, vanish.
@@ -1179,42 +1181,42 @@ mod tests {
 
     #[test]
     fn overload_sheds_connections_with_busy() {
-        // One worker, zero waiting room: while the worker is pinned by a
-        // slow update (large latency budget), any further connection must be
-        // shed with BUSY instead of queueing without bound.
+        // One worker, room for one waiting connection: while the worker is
+        // pinned by an open connection, the next connection waits and any
+        // further one must be shed with BUSY instead of queueing without
+        // bound.
         let g = diamond();
         let (_server, net) = start_net(
             &g,
             NetConfig {
                 reader_threads: 1,
-                max_connections: 1,
+                max_connections: 2,
                 accept_queue: 1,
-                batcher: BatcherConfig { latency_ms: 1_000, ..Default::default() },
                 idle_timeout_ms: 30_000,
+                ..fast_cfg()
             },
         );
         let addr = net.local_addr();
 
-        // Pin the only worker: this update waits out the 1 s latency budget.
-        let pinned_addr = addr.clone();
-        let pinned = std::thread::spawn(move || {
-            let mut c = NetClient::connect(&pinned_addr).unwrap();
-            c.update(&[EdgeUpdate::new(0, 1, 5)]).unwrap()
-        });
-        // Give the worker time to pick the connection up.
-        std::thread::sleep(Duration::from_millis(300));
+        // Pin the only worker: a reader owns its connection until the client
+        // closes it, and an answered request proves the worker holds it.
+        let mut pinned = NetClient::connect(&addr).unwrap();
+        assert_eq!(pinned.query(0, 3).unwrap(), 12);
 
-        // The worker is busy; this connection waits in the accept queue.
-        let _waiting = NetClient::connect(&addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        // The worker is busy; this connection waits in the accept queue. The
+        // acceptor takes connections in arrival order, so it is queued
+        // before the next one is looked at.
+        let mut waiting = NetClient::connect(&addr).unwrap();
         // Queue full (1 waiting) and at the connection cap: shed.
         let mut shed = NetClient::connect(&addr).unwrap();
         let err = shed.query(0, 3).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "expected BUSY, got {err}");
 
-        assert!(pinned.join().unwrap().applied);
+        // Closing the pinned connection frees the worker for the waiting one.
+        drop(pinned);
+        assert_eq!(waiting.query(0, 3).unwrap(), 12);
         let stats = net.shutdown();
-        assert!(stats.connections_shed >= 1, "admission control must have shed");
+        assert_eq!(stats.connections_shed, 1, "admission control must have shed exactly one");
     }
 
     #[test]
