@@ -1,20 +1,19 @@
-//! Criterion bench: serial vs tree-sharded batch repair, both maintenance
+//! Criterion bench: serial vs tree-grouped batch repair, both maintenance
 //! families.
 //!
 //! Runs Label-Search **and** Pareto-Search maintenance over two seeded
-//! congestion streams — **scattered** (uniform over the network, best case
-//! for sharding) and **hotspot** (concentrated in the 2 stable trees owning
-//! the most edges, worst case) — through three drivers each: the serial
-//! `apply_batch`, the sharded driver at 1 thread, and the sharded driver at
-//! 4 threads.
+//! congestion streams — **scattered** (uniform over the network, many trees
+//! skipped per batch) and **hotspot** (concentrated in the 2 stable trees
+//! owning the most edges) — through two drivers each: the per-update serial
+//! `apply_batch` and the tree-grouped `apply_batch_sharded`.
 //!
-//! Before any timing, every stream is replayed through serial and sharded
+//! Before any timing, every stream is replayed through serial and grouped
 //! copies side by side and the resulting label arenas are asserted equal
 //! **entry for entry**. For Label Search the search-effort counters
-//! (`pops`, `label_writes`, …) must also match serial exactly — sharding is
+//! (`pops`, `label_writes`, …) must also match serial exactly — grouping is
 //! a pure re-scheduling there. Pareto's interval-clamped decomposition runs
 //! each update's searches once per owning unit (subtree + spine residual),
-//! so its counters measure the sharded schedule; the label-equality bar is
+//! so its counters measure the grouped schedule; the label-equality bar is
 //! the same. `cargo bench --bench repair -- --test` runs exactly these
 //! checks plus one pass of each bench body; CI's release stage invokes it
 //! that way and, with `BENCH_SUMMARY_PATH` set, collects per-bench medians
@@ -33,62 +32,44 @@ use stl_workloads::{generate, RoadNetConfig};
 const BATCHES: usize = 48;
 const BATCH_SIZE: usize = 16;
 
-/// Replay `batches` through the serial driver once and through a sharded
-/// copy per entry of `thread_counts`, side by side; assert byte-identical
-/// labels after every batch — plus equal search effort for Label Search,
-/// where the sharded driver runs the very same searches. Returns the
-/// accumulated serial-driver stats (the trajectory counters).
-fn assert_sharded_equals_serial(
+/// Replay `batches` through the serial and the grouped driver side by side;
+/// assert byte-identical labels after every batch — plus equal search
+/// effort for Label Search, where the grouped driver runs the very same
+/// searches. Returns the accumulated serial-driver stats (the trajectory
+/// counters).
+fn assert_grouped_equals_serial(
     g0: &CsrGraph,
     stl0: &Stl,
     batches: &[Vec<EdgeUpdate>],
     algo: Maintenance,
-    thread_counts: &[usize],
     scenario: &str,
 ) -> UpdateStats {
-    let mut g_serial = g0.clone();
-    let mut serial = stl0.clone();
+    let (mut g_serial, mut g_grouped) = (g0.clone(), g0.clone());
+    let (mut serial, mut grouped) = (stl0.clone(), stl0.clone());
     let mut eng = UpdateEngine::new(g0.num_vertices());
-    let mut shard_runs: Vec<_> = thread_counts
-        .iter()
-        .map(|&threads| (threads, g0.clone(), stl0.clone(), EnginePool::new()))
-        .collect();
+    let mut pool = EnginePool::new();
     let mut total = UpdateStats::default();
     for (i, batch) in batches.iter().enumerate() {
         let st_serial = serial.apply_batch(&mut g_serial, batch, algo, &mut eng);
         total += st_serial;
-        for (threads, g_shard, sharded, pool) in &mut shard_runs {
-            let threads = *threads;
-            let (mut st_shard, _) =
-                sharded.apply_batch_sharded(g_shard, batch, algo, pool, threads);
-            if algo == Maintenance::LabelSearch {
-                assert!(
-                    st_shard.pops <= st_serial.pops,
-                    "{scenario}: sharded repair settled more nodes than serial \
-                     ({} vs {}, batch {i})",
-                    st_shard.pops,
-                    st_serial.pops
-                );
-                st_shard.trees_touched = 0;
-                st_shard.trees_skipped = 0;
-                assert_eq!(
-                    st_serial, st_shard,
-                    "{scenario}: stats diverged at batch {i} ({threads}t)"
-                );
-            } else {
-                assert!(
-                    st_shard.trees_touched > 0 || st_serial.updates == 0,
-                    "{scenario}: pareto sharded path must fill tree counters (batch {i})"
-                );
-            }
-            for v in 0..g0.num_vertices() as VertexId {
-                assert_eq!(
-                    serial.labels().slice(v),
-                    sharded.labels().slice(v),
-                    "{scenario}: {algo:?} labels diverged at batch {i}, vertex {v} \
-                     ({threads} threads)"
-                );
-            }
+        let (mut st_grouped, _) =
+            grouped.apply_batch_sharded(&mut g_grouped, batch, algo, &mut pool, 1);
+        if algo == Maintenance::LabelSearch {
+            st_grouped.trees_touched = 0;
+            st_grouped.trees_skipped = 0;
+            assert_eq!(st_serial, st_grouped, "{scenario}: stats diverged at batch {i}");
+        } else {
+            assert!(
+                st_grouped.trees_touched > 0 || st_serial.updates == 0,
+                "{scenario}: pareto grouped path must fill tree counters (batch {i})"
+            );
+        }
+        for v in 0..g0.num_vertices() as VertexId {
+            assert_eq!(
+                serial.labels().slice(v),
+                grouped.labels().slice(v),
+                "{scenario}: {algo:?} labels diverged at batch {i}, vertex {v}"
+            );
         }
     }
     total
@@ -122,11 +103,9 @@ fn bench_repair(c: &mut Criterion) {
                 },
             );
 
-            // Correctness gate (the `--test` mode contract) — sharded output
-            // equals serial output entry-for-entry, at 1 and 4 threads,
-            // against a single shared serial replay.
-            let gate_stats =
-                assert_sharded_equals_serial(&g0, &stl0, &batches, algo, &[1, 4], scenario);
+            // Correctness gate (the `--test` mode contract) — grouped output
+            // equals serial output entry-for-entry.
+            let gate_stats = assert_grouped_equals_serial(&g0, &stl0, &batches, algo, scenario);
             summary::counter(
                 format!("{family}_{scenario}_serial_pops"),
                 (gate_stats.pops + gate_stats.repair_pops) as f64,
@@ -151,15 +130,14 @@ fn bench_repair(c: &mut Criterion) {
                 });
             }
 
-            // Sharded driver at 1 thread (grouping overhead + tree skipping,
-            // no parallelism) and at 4 threads (the fan-out).
-            for threads in [1usize, 4] {
+            // Tree-grouped driver: grouping overhead plus tree skipping.
+            {
                 let mut g = g0.clone();
                 let mut stl = stl0.clone();
                 let mut pool = EnginePool::new();
                 let mut i = 0usize;
                 group.bench_function(
-                    BenchmarkId::new(format!("{family}_sharded{threads}"), scenario),
+                    BenchmarkId::new(format!("{family}_grouped"), scenario),
                     |b| {
                         b.iter(|| {
                             let out = stl.apply_batch_sharded(
@@ -167,7 +145,7 @@ fn bench_repair(c: &mut Criterion) {
                                 &batches[i % BATCHES],
                                 algo,
                                 &mut pool,
-                                threads,
+                                1,
                             );
                             i += 1;
                             std::hint::black_box(out);

@@ -8,8 +8,8 @@
 //! stl gen     <out.gr> [--vertices N] [--seed S]  synthetic road network
 //! stl serve   <graph.gr> [--readers N] [--ops N] [--update-fraction F]
 //!             [--batch-size K] [--seed S] [--algo pareto|label] [--threads T]
-//!             [--repair-threads R] [--compact-quiet-epochs Q]
-//!             [--compact-dirty-ratio D] [--state-dir DIR]
+//!             [--compact-quiet-epochs Q] [--compact-dirty-ratio D]
+//!             [--state-dir DIR]
 //!             [--fsync always|never|every:N] [--rejection-window N]
 //!             [--dedup-window N]
 //! stl serve   <graph.gr> --listen ADDR [--net-readers N] [--max-conns C]
@@ -286,7 +286,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let mut seed = 0xD157u64;
     let mut algo = Maintenance::ParetoSearch;
     let mut threads = 1usize;
-    let mut repair_threads = ServerConfig::default().repair_threads;
     let mut compact_quiet_epochs = ServerConfig::default().compact_after_quiet_epochs;
     let mut compact_dirty_ratio = ServerConfig::default().compact_dirty_ratio;
     let mut rejection_window = ServerConfig::default().rejection_window;
@@ -354,9 +353,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
             }
             "--seed" => seed = it.next().ok_or("--seed needs a value")?.parse()?,
             "--threads" => threads = it.next().ok_or("--threads needs a value")?.parse()?,
-            "--repair-threads" => {
-                repair_threads = it.next().ok_or("--repair-threads needs a value")?.parse()?
-            }
             "--compact-quiet-epochs" => {
                 compact_quiet_epochs =
                     it.next().ok_or("--compact-quiet-epochs needs a value")?.parse()?
@@ -377,9 +373,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     }
     if readers == 0 {
         return Err("--readers must be at least 1".into());
-    }
-    if repair_threads == 0 {
-        return Err("--repair-threads must be at least 1".into());
     }
     if batch_size == 0 {
         return Err("--batch-size must be at least 1".into());
@@ -426,7 +419,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     }
     let server_cfg = ServerConfig {
         algo,
-        repair_threads,
         compact_after_quiet_epochs: compact_quiet_epochs,
         compact_dirty_ratio,
         rejection_window,
@@ -516,8 +508,8 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
         batch_size
     );
     println!(
-        "repair: {repair_threads} thread(s), {} stable-tree shards ({} family, \
-         tree-sharded with a spine residual)",
+        "repair: inline, {} stable-tree shards ({} family, \
+         tree-grouped with a spine residual)",
         stl.hierarchy().num_shards(),
         match algo {
             Maintenance::ParetoSearch => "pareto",

@@ -97,17 +97,15 @@ fn serve_runs_mixed_trace_and_reports_stats() {
         "4",
         "--seed",
         "77",
-        "--repair-threads",
-        "2",
     ]));
     assert!(out.contains("queries/s"), "serve output: {out}");
     assert!(out.contains("generation"), "serve output: {out}");
     // The trace is seeded: the query/batch split is reproducible.
     assert!(out.contains("seed 77"), "serve output: {out}");
-    // The sharded-repair banner and per-shard writer timings must surface —
-    // for the default (Pareto) family too, which fans out since the
-    // interval-clamped decomposition landed.
-    assert!(out.contains("repair: 2 thread(s)"), "serve output: {out}");
+    // The tree-grouped repair banner and per-shard writer timings must
+    // surface — for the default (Pareto) family too, which groups by tree
+    // through the interval-clamped decomposition.
+    assert!(out.contains("repair: inline"), "serve output: {out}");
     assert!(out.contains("stable-tree shards (pareto family"), "serve output: {out}");
     assert!(out.contains("trees touched/skipped"), "serve output: {out}");
 }
@@ -160,7 +158,8 @@ fn serve_rejects_bad_flags() {
         vec!["serve", "x.gr", "--readers", "0"],
         vec!["serve", "x.gr", "--batch-size", "0"],
         vec!["serve", "x.gr", "--update-fraction", "1.5"],
-        vec!["serve", "x.gr", "--repair-threads", "0"],
+        // Repair runs inline on the writer: the old thread knob is unknown.
+        vec!["serve", "x.gr", "--repair-threads", "2"],
         vec!["serve", "x.gr", "--net-readers", "0"],
         vec!["serve", "x.gr", "--listen", "not-an-address", "--duration-secs", "1"],
         vec!["serve", "x.gr", "--fsync", "sometimes"],

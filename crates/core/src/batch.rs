@@ -74,7 +74,7 @@ impl DirectedStl {
 }
 
 /// Normalise a batch: last update per edge wins; classify against current
-/// weights; drop no-ops. Shared with the tree-sharded driver
+/// weights; drop no-ops. Shared with the tree-grouped driver
 /// (`crate::shard`) so serial and sharded paths see identical batches.
 pub(crate) fn split_batch(
     g: &CsrGraph,

@@ -2,7 +2,9 @@
 //!
 //! One engine serves any number of update batches; all per-search state is
 //! epoch-reset ([`TimestampedArray`]) so a batch of thousands of updates
-//! never pays `O(|V|)` clears.
+//! never pays `O(|V|)` clears. Repair runs inline on the caller's thread,
+//! so the tree-grouped batch driver needs exactly one engine, which an
+//! [`EnginePool`] keeps warm between batches.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -73,12 +75,12 @@ pub struct UpdateEngine {
     pub(crate) rheap: BinaryHeap<std::cmp::Reverse<(Dist, VertexId, u32)>>,
     /// Scratch list of `(ancestor, affected vertices)` per increase batch.
     pub(crate) aff_per_r: Vec<(VertexId, Vec<VertexId>)>,
-    /// Per-update `(Δ, affected pairs)` lists carried from the sharded
+    /// Per-update `(Δ, affected pairs)` lists carried from the grouped
     /// Pareto increase's identification phase to its bump+repair phase;
-    /// kept on the engine so a long-lived worker reuses the outer buffer.
+    /// kept on the engine so a long-lived writer reuses the outer buffer.
     pub(crate) inc_pairs: Vec<(Dist, Vec<(VertexId, u32)>)>,
     /// Drained pair buffers awaiting reuse (the inner vectors of
-    /// `inc_pairs`, handed back after each sharded Pareto batch).
+    /// `inc_pairs`, handed back after each grouped Pareto unit).
     pub(crate) pair_pool: Vec<Vec<(VertexId, u32)>>,
 }
 
@@ -120,45 +122,26 @@ impl UpdateEngine {
     }
 }
 
-/// A reusable pool of per-worker [`UpdateEngine`]s for tree-sharded batch
-/// repair.
-///
-/// Engines are lazily grown to the requested worker count and kept warm
-/// across batches — the epoch-reset scratch arrays make reuse free, and a
-/// long-lived writer (e.g. the `stl_server` writer thread) allocates its
-/// `O(threads · |V|)` scratch exactly once.
+/// The batch driver's one [`UpdateEngine`], created on first use and kept
+/// warm across batches: the epoch-reset scratch arrays make reuse free, so
+/// a long-lived writer (e.g. the `stl_server` writer thread) allocates its
+/// `O(|V|)` scratch exactly once.
 #[derive(Debug, Default)]
 pub struct EnginePool {
-    engines: Vec<UpdateEngine>,
+    engine: Option<UpdateEngine>,
 }
 
 impl EnginePool {
-    /// An empty pool; engines are created on first use.
+    /// An empty pool; the engine is created on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// At least `workers` engines, each with capacity for `n` vertices.
-    /// Returns exactly `workers` of them for a `thread::scope` fan-out.
-    pub fn engines(&mut self, workers: usize, n: usize) -> &mut [UpdateEngine] {
-        let workers = workers.max(1);
-        while self.engines.len() < workers {
-            self.engines.push(UpdateEngine::new(n));
-        }
-        for eng in &mut self.engines[..workers] {
-            eng.ensure_capacity(n);
-        }
-        &mut self.engines[..workers]
-    }
-
-    /// Number of engines currently held.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Whether the pool has no engines yet.
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
+    /// The engine, with capacity for `n` vertices.
+    pub fn engine(&mut self, n: usize) -> &mut UpdateEngine {
+        let eng = self.engine.get_or_insert_with(|| UpdateEngine::new(n));
+        eng.ensure_capacity(n);
+        eng
     }
 }
 
@@ -195,17 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_pool_grows_and_reuses() {
+    fn engine_pool_reuses_one_engine_and_grows_it() {
         let mut pool = EnginePool::new();
-        assert!(pool.is_empty());
-        assert_eq!(pool.engines(3, 8).len(), 3);
-        assert_eq!(pool.len(), 3);
-        // A smaller request reuses the same allocations and grows capacity.
-        let engines = pool.engines(2, 32);
-        assert_eq!(engines.len(), 2);
-        assert!(engines[0].in_aff.len() >= 32);
-        assert_eq!(pool.len(), 3, "pool never shrinks");
-        // Zero workers clamps to one engine.
-        assert_eq!(pool.engines(0, 8).len(), 1);
+        assert!(pool.engine.is_none());
+        pool.engine(8).pair_pool.push(Vec::new());
+        // A larger graph grows the same engine rather than replacing it.
+        let eng = pool.engine(32);
+        assert!(eng.in_aff.len() >= 32);
+        assert_eq!(eng.pair_pool.len(), 1, "the engine is kept warm");
     }
 }

@@ -9,7 +9,7 @@
 //!   [`one_to_many_into`](DynamicDistanceIndex::one_to_many_into) against an
 //!   immutable snapshot;
 //! * **writes** — [`apply_batch`](DynamicDistanceIndex::apply_batch), the
-//!   tree-sharded batch repair with an optional [`ShardSet`] ownership
+//!   tree-grouped batch repair with an optional [`ShardSet`] ownership
 //!   filter (the unit process-sharded serving deals in);
 //! * **maintenance** — [`compact`](DynamicDistanceIndex::compact) plus the
 //!   flatness/chunk accessors the writer's quiescence trigger reads, and
@@ -52,8 +52,8 @@ pub trait DynamicDistanceIndex: Clone + Send + Sync + Sized + 'static {
     /// reorder the *work* for locality but not the output.
     fn one_to_many_into(&self, s: VertexId, targets: &[VertexId], out: &mut Vec<Dist>);
 
-    /// Apply a batch of edge-weight updates to `g` and repair the labels,
-    /// fanning the repair out over `threads` workers. With
+    /// Apply a batch of edge-weight updates to `g` and repair the labels on
+    /// the calling thread, with `pool`'s engine. With
     /// `owned = Some(set)`, every weight change still lands (the graph
     /// replica stays exact) but only the spine and the subtree shards in
     /// `set` are repaired — the process-sharding contract of
@@ -64,7 +64,6 @@ pub trait DynamicDistanceIndex: Clone + Send + Sync + Sized + 'static {
         updates: &[EdgeUpdate],
         algo: Maintenance,
         pool: &mut EnginePool,
-        threads: usize,
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport);
 
@@ -110,10 +109,9 @@ impl DynamicDistanceIndex for Stl {
         updates: &[EdgeUpdate],
         algo: Maintenance,
         pool: &mut EnginePool,
-        threads: usize,
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport) {
-        self.apply_batch_sharded_owned(g, updates, algo, pool, threads, owned)
+        self.apply_batch_sharded_owned(g, updates, algo, pool, owned)
     }
 
     fn compact(&mut self) -> u64 {
@@ -166,7 +164,6 @@ mod tests {
             &[EdgeUpdate::new(0, 3, 2)],
             Maintenance::ParetoSearch,
             &mut pool,
-            1,
             None,
         );
         assert_eq!(stats.updates, 1);

@@ -20,7 +20,7 @@
 //! [`ShardLabels`](crate::labelling::ShardLabels) view inside
 //! [`Stl::apply_batch_sharded`](crate::labelling::Stl::apply_batch_sharded)
 //! — every per-ancestor search reads and writes only entries `(v, τ(r))`
-//! with `v ∈ Desc(r)`, which is what makes the shard fan-out sound.
+//! with `v ∈ Desc(r)`, which is what makes the per-tree grouping sound.
 
 use std::cmp::Reverse;
 

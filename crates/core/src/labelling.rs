@@ -13,13 +13,17 @@
 //! `stl_graph::cow`). An index is therefore **born flat**; a label write
 //! promotes its chunk out of the arena, and compaction only re-flattens
 //! after such writes.
+//!
+//! Batch repair writes through a [`LabelsWriter`] phase, which resolves
+//! each chunk it touches once and hands every repair shard a
+//! [`ShardLabels`] view confined to the entries that shard owns.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, DisjointWriter, DEFAULT_CHUNK_ENTRIES};
+use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, PhaseWriter, DEFAULT_CHUNK_ENTRIES};
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 use stl_pathfinding::TimestampedArray;
 
@@ -246,20 +250,19 @@ impl Labels {
         }
     }
 
-    /// Open a concurrent-repair phase over the arena: shared access for a
-    /// pool of shard workers with disjoint entry sets (see [`ShardLabels`]).
-    /// Copy-on-write promotions and dirty accounting behave exactly as for
-    /// serial [`Labels::set`]; promoted chunks install when the returned
-    /// writer drops.
-    pub fn disjoint_writer(&mut self) -> LabelsWriter<'_> {
-        LabelsWriter { locs: Arc::clone(&self.locs), inner: self.store.disjoint_writer() }
+    /// Open a repair phase over the arena, handed out per work unit as
+    /// [`ShardLabels`] views. Copy-on-write promotions and dirty accounting
+    /// behave exactly as for [`Labels::set`], but each chunk's payload is
+    /// resolved once per phase instead of once per write.
+    pub fn phase_writer(&mut self) -> LabelsWriter<'_> {
+        LabelsWriter { locs: &self.locs, inner: self.store.phase_writer() }
     }
 }
 
 /// Uniform read/write access to label entries — implemented by the owning
-/// [`Labels`] (serial maintenance) and by per-shard [`ShardLabels`] views
-/// (tree-sharded parallel maintenance), so the search algorithms in
-/// `label_search` compile once against either.
+/// [`Labels`] (the per-update serial driver) and by per-shard
+/// [`ShardLabels`] views (the tree-grouped batch driver), so the search
+/// algorithms in `label_search` and `pareto` compile once against either.
 pub(crate) trait LabelAccess {
     /// `L(v)[i]`.
     fn get(&self, v: VertexId, i: u32) -> Dist;
@@ -279,54 +282,59 @@ impl LabelAccess for Labels {
     }
 }
 
-/// One tree-sharded repair phase over a label arena (from
-/// [`Labels::disjoint_writer`]). Hand each worker a [`ShardLabels`] view via
-/// [`LabelsWriter::shard_view`]; drop the writer to install copy-on-write
-/// promotions into the arena.
+/// One batch-repair phase over a label arena (from
+/// [`Labels::phase_writer`]). Hand each work unit a [`ShardLabels`] view via
+/// [`LabelsWriter::shard_view`]; copy-on-write promotions land in the arena
+/// as they happen.
 #[derive(Debug)]
 pub struct LabelsWriter<'a> {
-    locs: Arc<[VertexLoc]>,
-    inner: DisjointWriter<'a, Dist>,
+    locs: &'a [VertexLoc],
+    inner: PhaseWriter<'a, Dist>,
 }
 
-impl LabelsWriter<'_> {
+impl<'a> LabelsWriter<'a> {
     /// A mutable view over the label region owned by `shard`.
     ///
     /// With `log = true` the view records every `(vertex, index)` it writes
-    /// — the instrumentation the shard-disjointness property tests consume.
-    pub fn shard_view<'w>(&'w self, hier: &'w Hierarchy, shard: u32, log: bool) -> ShardLabels<'w> {
+    /// — the instrumentation the shard-ownership property tests consume.
+    pub fn shard_view<'w>(
+        &'w mut self,
+        hier: &'w Hierarchy,
+        shard: u32,
+        log: bool,
+    ) -> ShardLabels<'w, 'a> {
         ShardLabels { writer: self, hier, shard, log: log.then(Vec::new) }
     }
 }
 
 /// Mutable view over the label entries owned by one repair shard.
 ///
-/// # Why unsynchronised shared writes are sound
 /// A shard owns the entries `(v, τ(r))` for its cut vertices `r` and
 /// `v ∈ Desc(r)`. For two distinct cut vertices: if they are ⪯-comparable
 /// their τ values differ (τ is injective along a chain), so the entries
 /// differ in index; if incomparable, their descendant sets are disjoint, so
 /// the entries differ in vertex. Shards group whole subtrees (plus the
 /// spine, whose cuts are ⪯-below every subtree), hence any two shards'
-/// entry sets are disjoint — the same argument that makes
-/// [`Stl::build_with_hierarchy_parallel`] race-free. Every access is
-/// debug-asserted against [`Hierarchy::shard_of_entry`].
+/// entry sets are disjoint — which is what lets the batch driver run each
+/// shard's searches as one unit, and a shard worker repair only the units
+/// it owns. Every access is debug-asserted against
+/// [`Hierarchy::shard_of_entry`].
 #[derive(Debug)]
-pub struct ShardLabels<'w> {
-    writer: &'w LabelsWriter<'w>,
+pub struct ShardLabels<'w, 'a> {
+    writer: &'w mut LabelsWriter<'a>,
     hier: &'w Hierarchy,
     shard: u32,
     log: Option<Vec<(VertexId, u32)>>,
 }
 
-impl ShardLabels<'_> {
+impl ShardLabels<'_, '_> {
     /// The `(vertex, index)` write log, if logging was requested.
     pub fn into_log(self) -> Vec<(VertexId, u32)> {
         self.log.unwrap_or_default()
     }
 }
 
-impl LabelAccess for ShardLabels<'_> {
+impl LabelAccess for ShardLabels<'_, '_> {
     #[inline(always)]
     fn get(&self, v: VertexId, i: u32) -> Dist {
         debug_assert_eq!(
@@ -337,9 +345,7 @@ impl LabelAccess for ShardLabels<'_> {
         );
         let loc = self.writer.locs[v as usize];
         debug_assert!(i < loc.len);
-        // SAFETY: entry sets are disjoint across shards (see type docs), so
-        // no other worker concurrently writes this entry.
-        unsafe { self.writer.inner.get_in_chunk(loc.chunk as usize, (loc.lo + i) as usize) }
+        self.writer.inner.get_in_chunk(loc.chunk as usize, (loc.lo + i) as usize)
     }
 
     #[inline(always)]
@@ -355,8 +361,7 @@ impl LabelAccess for ShardLabels<'_> {
         }
         let loc = self.writer.locs[v as usize];
         debug_assert!(i < loc.len);
-        // SAFETY: as in `get` — this entry belongs to this shard alone.
-        unsafe { self.writer.inner.set_in_chunk(loc.chunk as usize, (loc.lo + i) as usize, d) }
+        self.writer.inner.set_in_chunk(loc.chunk as usize, (loc.lo + i) as usize, d)
     }
 }
 

@@ -13,9 +13,10 @@
 //!   two searches with Pareto-active intervals (Algorithms 3–5).
 //! * [`batch`] — mixed-batch driver splitting updates into increase /
 //!   decrease phases.
-//! * [`shard`] — tree-sharded **parallel** batch repair: label maintenance
-//!   fanned out across worker threads by owning stable tree, with provably
-//!   disjoint write sets.
+//! * [`shard`] — tree-grouped batch repair: label maintenance grouped into
+//!   one work unit per owning stable tree, with provably disjoint write
+//!   sets, so untouched trees are skipped and a shard worker repairs only
+//!   the trees it owns.
 //! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
 //!   min-plus kernel, over the chunked or the flat label layout.
 //! * [`directed`] — the §8 extension to directed road networks.

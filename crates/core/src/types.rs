@@ -51,7 +51,7 @@ pub struct UpdateStats {
     /// Priority-queue pops in repair phases.
     pub repair_pops: u64,
     /// Stable trees (repair shards) that received work from the batch.
-    /// Populated by the tree-sharded driver (`Stl::apply_batch_sharded`);
+    /// Populated by the tree-grouped driver (`Stl::apply_batch_sharded`);
     /// serial paths leave it 0.
     pub trees_touched: u64,
     /// Stable trees the batch pre-grouping skipped before any search

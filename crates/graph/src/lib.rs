@@ -26,7 +26,7 @@ pub mod subgraph;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use cow::{AlignedBuf, ChunkedStore, CowStats, DirtyTracker, DisjointWriter, Pod, WeightStore};
+pub use cow::{AlignedBuf, ChunkedStore, CowStats, DirtyTracker, PhaseWriter, Pod, WeightStore};
 pub use csr::CsrGraph;
 pub use digraph::DiGraph;
 pub use error::GraphError;

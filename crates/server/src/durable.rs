@@ -359,7 +359,6 @@ pub(crate) fn recover<I: DynamicDistanceIndex>(
             &rec.updates,
             server_cfg.algo,
             &mut pool,
-            server_cfg.repair_threads,
             server_cfg.owned_shards.as_ref(),
         );
         generation = rec.seq;

@@ -1,4 +1,10 @@
 //! The service: one supervised writer thread, any number of snapshot readers.
+//!
+//! The writer validates, logs, and applies each batch — label repair runs
+//! inline on the writer thread, one stable tree after another
+//! (`Stl::apply_batch_sharded_owned`) — then publishes the new epoch with
+//! one pointer swap. The epoch it replaces is dropped after the swap lock
+//! is released and the waiters are woken, so readers never wait on it.
 
 use std::collections::VecDeque;
 use std::io;
@@ -112,13 +118,10 @@ pub fn validate_batch(g: &CsrGraph, batch: &[EdgeUpdate]) -> Result<(), String> 
 pub struct ServerConfig {
     /// Maintenance family the writer uses for every batch.
     pub algo: Maintenance,
-    /// Worker threads for tree-sharded batch repair
-    /// (`Stl::apply_batch_sharded`). `1` runs the sharded schedule on one
-    /// worker; higher values fan label repair out by owning stable tree.
-    /// Both families parallelise: Label Search by per-ancestor ownership,
-    /// Pareto Search by clamping validity intervals at the spine boundary.
-    /// Labels are byte-identical to the serial drivers at any setting.
-    /// Defaults to the machine's available parallelism.
+    /// Read by nothing: label repair runs inline on the writer thread. The
+    /// field stays only so the frozen benchmark harness keeps compiling —
+    /// delete with the next `[benchmark]` issue.
+    #[doc(hidden)]
     pub repair_threads: usize,
     /// Quiescence window for epoch compaction: after this many
     /// *consecutive* epochs whose dirty-chunk ratio stayed at or below
@@ -173,9 +176,6 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// [`ServerConfig::default`] with environment overrides:
     ///
-    /// * `STL_REPAIR_THREADS` (positive integer) — `repair_threads`; the
-    ///   hook the CI release-stress matrix uses to exercise the repair
-    ///   pipeline at both 1 and 4 workers.
     /// * `STL_COMPACT_QUIET_EPOCHS` (integer, `0` disables) —
     ///   [`ServerConfig::compact_after_quiet_epochs`].
     /// * `STL_COMPACT_DIRTY_RATIO` (float in `0.0..=1.0`) —
@@ -186,10 +186,10 @@ impl ServerConfig {
     ///   [`ServerConfig::dedup_window`].
     ///
     /// A set-but-malformed variable is an **error**, not a silent default:
-    /// `STL_REPAIR_THREADS=abc` (or `=0`) used to fall back to the default
-    /// without a word, which meant a typo in the CI matrix quietly tested
-    /// the wrong configuration. Callers decide how loud to be — the test
-    /// harnesses `expect` the result so a bad matrix entry fails the run.
+    /// `STL_DEDUP_WINDOW=abc` falling back to the default without a word
+    /// would mean a typo quietly tests the wrong configuration. Callers
+    /// decide how loud to be — the test harnesses `expect` the result so a
+    /// bad setting fails the run.
     /// (A value that is not valid unicode is read lossily, so it fails to
     /// parse and errors too.)
     pub fn from_env() -> Result<Self, String> {
@@ -200,12 +200,6 @@ impl ServerConfig {
     /// is the value of `key`, `None` if unset.
     pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Some(t) = parsed_var::<usize>(&lookup, "STL_REPAIR_THREADS")? {
-            if t == 0 {
-                return Err("STL_REPAIR_THREADS must be at least 1".into());
-            }
-            cfg.repair_threads = t;
-        }
         if let Some(q) = parsed_var::<u32>(&lookup, "STL_COMPACT_QUIET_EPOCHS")? {
             cfg.compact_after_quiet_epochs = q;
         }
@@ -245,7 +239,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             algo: Maintenance::ParetoSearch,
-            repair_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            repair_threads: 1,
             compact_after_quiet_epochs: 12,
             compact_dirty_ratio: 0.02,
             rejection_window: 1024,
@@ -864,14 +858,8 @@ fn writer_loop<I: DynamicDistanceIndex>(
             }
         }
         let t_apply = Instant::now();
-        let (ustats, report) = stl.apply_batch(
-            &mut graph,
-            &batch,
-            cfg.algo,
-            &mut pool,
-            cfg.repair_threads,
-            cfg.owned_shards.as_ref(),
-        );
+        let (ustats, report) =
+            stl.apply_batch(&mut graph, &batch, cfg.algo, &mut pool, cfg.owned_shards.as_ref());
         stats.apply_ns_total.fetch_add(t_apply.elapsed().as_nanos() as u64, Ordering::Relaxed);
         stats.repair_shards_last.store(report.shards_touched as u64, Ordering::Relaxed);
         stats.repair_shard_ns_max_last.store(report.max_ns(), Ordering::Relaxed);
@@ -923,7 +911,10 @@ fn writer_loop<I: DynamicDistanceIndex>(
         // Fires *before* the pointer swap: a batch killed here is rolled
         // back (WAL record annulled), so readers must never have seen it.
         failpoint::fire("publish");
-        *write_ok(&shared.current) = snap;
+        // The replaced epoch is dropped only after the guard is released and
+        // the waiters are woken: its drop walks every chunk `Arc`, and
+        // readers taking a snapshot must not wait for that.
+        let retired = std::mem::replace(&mut *write_ok(&shared.current), snap);
         // Stored only *after* the pointer swap: storing before it opened a
         // window where stats() reported a flat snapshot while readers still
         // held the chunked one.
@@ -943,6 +934,7 @@ fn writer_loop<I: DynamicDistanceIndex>(
         p.generation = p.generation.max(generation);
         drop(p);
         shared.published.notify_all();
+        drop(retired);
         *lock_ok(&shared.in_flight) = None;
         if checkpoint_due {
             do_checkpoint(shared, &graph, &stl, generation);
@@ -1148,19 +1140,15 @@ mod tests {
 
     #[test]
     fn sharded_writer_matches_oracle_and_reports_shard_timings() {
-        // Label-search writer with a multi-thread repair fan-out: every
-        // published epoch must still match Dijkstra exactly, and the
-        // per-shard repair accounting must reach ServerStats.
+        // Label-search writer: every published epoch must still match
+        // Dijkstra exactly, and the per-shard repair accounting must reach
+        // ServerStats.
         let mut g = generate(&RoadNetConfig::sized(220, 21));
         let stl = Stl::build(&g, &StlConfig::default());
         let server = StlServer::start(
             g.clone(),
             stl,
-            ServerConfig {
-                algo: stl_core::Maintenance::LabelSearch,
-                repair_threads: 3,
-                ..Default::default()
-            },
+            ServerConfig { algo: stl_core::Maintenance::LabelSearch, ..Default::default() },
         );
         let edges: Vec<_> = g.edges().step_by(7).take(6).collect();
         for &(a, b, w) in &edges {
@@ -1182,20 +1170,14 @@ mod tests {
 
     #[test]
     fn pareto_sharded_writer_matches_oracle_and_reports_shard_timings() {
-        // The default (Pareto) writer with a multi-thread repair fan-out:
-        // every published epoch must match Dijkstra exactly and the shard
-        // accounting must reach ServerStats — Pareto is no longer the
-        // serial-only family.
+        // The default (Pareto) writer: every published epoch must match
+        // Dijkstra exactly and the shard accounting must reach ServerStats.
         let mut g = generate(&RoadNetConfig::sized(220, 27));
         let stl = Stl::build(&g, &StlConfig::default());
         let server = StlServer::start(
             g.clone(),
             stl,
-            ServerConfig {
-                algo: stl_core::Maintenance::ParetoSearch,
-                repair_threads: 3,
-                ..Default::default()
-            },
+            ServerConfig { algo: stl_core::Maintenance::ParetoSearch, ..Default::default() },
         );
         let edges: Vec<_> = g.edges().step_by(9).take(5).collect();
         for &(a, b, w) in &edges {
@@ -1224,24 +1206,15 @@ mod tests {
     }
 
     #[test]
-    fn config_from_env_overrides_repair_threads() {
-        let key = "STL_REPAIR_THREADS";
-        assert_eq!(config_from(&[(key, "2")]).unwrap().repair_threads, 2);
-        // Malformed or out-of-range values are errors now, not silent
-        // defaults — a CI-matrix typo must fail the run, loudly.
-        let err = config_from(&[(key, "not a number")]).unwrap_err();
-        assert!(err.contains("STL_REPAIR_THREADS"), "error must name the variable: {err}");
-        let err = config_from(&[(key, "0")]).unwrap_err();
-        assert!(err.contains("at least 1"), "zero threads must be rejected: {err}");
-    }
-
-    #[test]
     fn config_from_env_overrides_durability_windows() {
         let cfg = config_from(&[("STL_REJECTION_WINDOW", "7"), ("STL_DEDUP_WINDOW", "0")]).unwrap();
         assert_eq!(cfg.rejection_window, 7);
         assert_eq!(cfg.dedup_window, 0, "0 must be accepted (disables dedup)");
         let err = config_from(&[("STL_REJECTION_WINDOW", "0")]).unwrap_err();
         assert!(err.contains("at least 1"), "zero-deep rejection window must error: {err}");
+        // Malformed values are errors, not silent defaults.
+        let err = config_from(&[("STL_DEDUP_WINDOW", "not a number")]).unwrap_err();
+        assert!(err.contains("STL_DEDUP_WINDOW"), "error must name the variable: {err}");
     }
 
     #[test]

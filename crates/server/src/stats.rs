@@ -35,10 +35,10 @@ pub struct ServerStats {
     /// per-ancestor ownership, Pareto Search by clamped validity intervals.
     pub repair_shards_last: u64,
     /// Wall time of the slowest shard of the most recent batch, in
-    /// nanoseconds — the critical path of the repair fan-out.
+    /// nanoseconds — how much of the repair one shard owns.
     pub repair_shard_ns_max_last: u64,
     /// Summed per-shard wall time of the most recent batch, in nanoseconds
-    /// — what a serial pass over the same shards would have paid.
+    /// — the repair's wall time, shards running one after another.
     pub repair_shard_ns_sum_last: u64,
     /// Stable trees that received repair work, summed over all batches.
     pub trees_touched_total: u64,
@@ -100,7 +100,7 @@ impl std::fmt::Display for ServerStats {
             "generation {} | {} queries | {} updates in {} batches ({} rejected) | \
              publish mean {:.1} us (last {:.1} us) | cow copied {:.1} KiB/epoch \
              (last epoch {} chunks) | apply total {:.1} ms | last repair: \
-             {} shards (critical path {:.1} us of {:.1} us total) | \
+             {} shards (slowest {:.1} us of {:.1} us total) | \
              trees touched/skipped {}/{} | {} compactions ({:.1} KiB flattened) | \
              snapshot {} | wal {} appended / {} fsyncs / {} replayed{} | \
              {} checkpoints | {} writer restarts | {} dedup hits | \

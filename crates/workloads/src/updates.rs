@@ -5,10 +5,10 @@
 //! measuring both directions. Figure 8 varies `factor` from 2 to 10.
 //!
 //! [`hotspot_batches`] additionally generates **tree-targeted** streams for
-//! the tree-sharded repair path: updates concentrated in the `k` stable
+//! the tree-grouped repair path: updates concentrated in the `k` stable
 //! trees owning the most edges (an incident, e.g. one closed bridge ramp —
-//! the worst case for sharding, all work lands on few shards) versus
-//! uniformly scattered (city-wide rush hour — the best case). Both reuse
+//! all work lands on few shards) versus uniformly scattered (city-wide rush
+//! hour — work spread over many). Both reuse
 //! the mixed-trace congestion ledger so decreases are real recoveries.
 
 use rand::rngs::StdRng;

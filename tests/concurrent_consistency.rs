@@ -63,9 +63,8 @@ fn readers_never_observe_unpublished_state() {
         oracle.push(pool.iter().map(|&(s, t)| dijkstra::distance(&g, s, t)).collect());
     }
 
-    // CI runs this suite under an STL_REPAIR_THREADS matrix (1 and 4) so
-    // the sharded repair pipeline of the default (Pareto) writer is
-    // exercised at both a single worker and a real fan-out.
+    // The default (Pareto) writer, with any `STL_*` overrides from the
+    // environment (e.g. a compaction trigger wound down for a local run).
     let server = StlServer::start(
         g0,
         stl0,

@@ -70,7 +70,7 @@ fn pinned_epochs_survive_later_batches_unchanged() {
         oracle.push(pool.iter().map(|&(s, t)| dijkstra::distance(&g, s, t)).collect());
     }
 
-    // Honour the CI release-stress matrix (STL_REPAIR_THREADS ∈ {1, 4}).
+    // The default writer, with any `STL_*` overrides from the environment.
     let server = StlServer::start(
         g0,
         stl0,

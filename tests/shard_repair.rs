@@ -1,16 +1,17 @@
-//! Property tests for tree-sharded parallel batch repair.
+//! Property tests for tree-grouped batch repair.
 //!
 //! For random road networks and seeded mixed batches, for **both**
-//! maintenance families (Label Search since PR 4, Pareto Search since the
-//! interval-clamped decomposition):
+//! maintenance families (Label Search by per-ancestor ownership, Pareto
+//! Search by the interval-clamped decomposition):
 //! * the set of label entries written by shard `i` never intersects shard
-//!   `j`'s (instrumented with the sharded driver's entry-level write log,
+//!   `j`'s (instrumented with the grouped driver's entry-level write log,
 //!   which records every `ShardLabels::set` — strictly finer than the COW
 //!   `DirtyTracker` chunk sets, which legitimately overlap because one
 //!   ~16 KiB chunk interleaves entries of many shards);
 //! * every write lands in the region `Hierarchy::shard_of_entry` assigns to
-//!   the writing shard;
-//! * the merged index is byte-identical to the single-threaded serial
+//!   the writing shard — the proof behind the router's `owned` filter,
+//!   which repairs only the units a worker owns;
+//! * the grouped index is byte-identical to the per-update serial
 //!   repair — search-effort counters included for Label Search; Pareto's
 //!   clamped searches re-explore some vertices per unit, so its guarantee
 //!   is label equality, not counter equality;
@@ -61,7 +62,6 @@ fn shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
                 batch,
                 Maintenance::LabelSearch,
                 &mut pool,
-                4,
             );
 
             // Disjointness: no entry appears under two shards, and each
@@ -83,7 +83,7 @@ fn shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
                 }
             }
 
-            // Sharding is an accounting refinement, never extra work: the
+            // Grouping is an accounting refinement, never extra work: the
             // same searches run, so effort counters match serial exactly.
             assert!(report.shards_touched as u64 == st_shard.trees_touched);
             st_shard.trees_touched = 0;
@@ -116,7 +116,7 @@ fn shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
 fn pareto_shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
     // The Pareto twin of the write-log property test: interval-clamped
     // decomposition instead of per-ancestor filtering, same disjointness
-    // and merge contract (labels + oracle; counters measure the sharded
+    // and merge contract (labels + oracle; counters measure the grouped
     // schedule and are checked for plausibility, not serial equality).
     for seed in [0x5AD, 42u64, 0xC0FFEE] {
         let g0 = generate(&RoadNetConfig::sized(260, seed));
@@ -140,7 +140,6 @@ fn pareto_shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
                 batch,
                 Maintenance::ParetoSearch,
                 &mut pool,
-                4,
             );
 
             let mut owner: HashMap<(VertexId, u32), u32> = HashMap::new();
@@ -191,37 +190,35 @@ fn pareto_shard_write_sets_are_disjoint_and_merge_matches_serial_and_oracle() {
 
 /// Long-stream twin shared by both families; release-gated.
 fn long_stream_twin(algo: Maintenance) {
-    // The differential-fuzz twin for the sharded driver: long mixed streams,
-    // threads ∈ {1, 4}; every round must stay byte-identical to the serial
-    // path for the whole stream, and every epoch must satisfy the oracle.
+    // The differential-fuzz twin for the grouped driver: long mixed streams;
+    // every round must stay byte-identical to the serial path for the whole
+    // stream, and every epoch must satisfy the oracle.
     for seed in [0xFACE, 9001u64] {
         let g0 = generate(&RoadNetConfig::sized(400, seed));
         let stl0 = Stl::build(&g0, &StlConfig::default());
-        for threads in [1usize, 4] {
-            let mut g_serial = g0.clone();
-            let mut g_shard = g0.clone();
-            let mut serial = stl0.clone();
-            let mut sharded = stl0.clone();
-            let mut eng = UpdateEngine::new(g0.num_vertices());
-            let mut pool = EnginePool::new();
-            let pool_pairs = random_pairs(g0.num_vertices(), 15, seed);
-            for (round, batch) in batches_for(&g0, seed, 220).iter().enumerate() {
-                serial.apply_batch(&mut g_serial, batch, algo, &mut eng);
-                sharded.apply_batch_sharded(&mut g_shard, batch, algo, &mut pool, threads);
-                for v in 0..g0.num_vertices() as VertexId {
-                    assert_eq!(
-                        serial.labels().slice(v),
-                        sharded.labels().slice(v),
-                        "seed {seed} {algo:?} threads {threads} round {round}: vertex {v}"
-                    );
-                }
-                for &(s, t) in &pool_pairs {
-                    assert_eq!(
-                        sharded.query(s, t),
-                        dijkstra::distance(&g_shard, s, t),
-                        "seed {seed} {algo:?} threads {threads} round {round}: d({s},{t})"
-                    );
-                }
+        let mut g_serial = g0.clone();
+        let mut g_shard = g0.clone();
+        let mut serial = stl0.clone();
+        let mut sharded = stl0;
+        let mut eng = UpdateEngine::new(g0.num_vertices());
+        let mut pool = EnginePool::new();
+        let pool_pairs = random_pairs(g0.num_vertices(), 15, seed);
+        for (round, batch) in batches_for(&g0, seed, 220).iter().enumerate() {
+            serial.apply_batch(&mut g_serial, batch, algo, &mut eng);
+            sharded.apply_batch_sharded(&mut g_shard, batch, algo, &mut pool, 1);
+            for v in 0..g0.num_vertices() as VertexId {
+                assert_eq!(
+                    serial.labels().slice(v),
+                    sharded.labels().slice(v),
+                    "seed {seed} {algo:?} round {round}: vertex {v}"
+                );
+            }
+            for &(s, t) in &pool_pairs {
+                assert_eq!(
+                    sharded.query(s, t),
+                    dijkstra::distance(&g_shard, s, t),
+                    "seed {seed} {algo:?} round {round}: d({s},{t})"
+                );
             }
         }
     }
@@ -229,12 +226,12 @@ fn long_stream_twin(algo: Maintenance) {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "stress test: run with --release")]
-fn sharded_survives_long_mixed_streams_all_thread_counts() {
+fn sharded_survives_long_mixed_streams() {
     long_stream_twin(Maintenance::LabelSearch);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "stress test: run with --release")]
-fn pareto_sharded_survives_long_mixed_streams_all_thread_counts() {
+fn pareto_sharded_survives_long_mixed_streams() {
     long_stream_twin(Maintenance::ParetoSearch);
 }
