@@ -3,14 +3,17 @@
 //! label layouts of this repo's own read path.
 //!
 //! The `query_8k` group keeps the cross-index comparison. The
-//! `query_path_8k` group isolates what the query pipeline gains from
-//! compaction and the vector kernel: the *same* index is queried through
+//! `query_path_8k` group isolates what the query pipeline gains from the
+//! born-flat arena and the vector kernel: the *same* labels are queried
+//! through
 //!
 //! - `chunked_scalar` — `Stl::query_reference`, the scalar oracle:
 //!   chunk-table slice resolution plus a scalar min-plus scan;
 //! - `chunked_vectorized` — `Stl::query` on a COW-fragmented index, and
-//! - `flat_vectorized` — `Stl::query` after `Stl::compact()`, where label
-//!   slices come straight out of one contiguous arena.
+//! - `flat_vectorized` — `Stl::query` on an index built afresh over the
+//!   updated graph (born flat, with the same labels: STL labels are
+//!   canonical), where label slices come straight out of one contiguous
+//!   arena.
 //!
 //! The `one_to_many_64k` group compares the tiled shard-ordered one-to-many
 //! scan against a pointwise `Stl::query` loop on a 64k-vertex network,
@@ -106,10 +109,10 @@ fn bench_query_paths(c: &mut Criterion) {
         chunked.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
     }
     drop(pinned);
-    let mut flat = chunked.clone();
-    let bytes = flat.compact();
+    let flat = Stl::build(&g, &StlConfig::default());
     assert!(flat.is_flat() && !chunked.is_flat(), "regimes must actually differ");
-    summary::counter("compact_bytes_flattened", bytes as f64);
+    let n = g.num_vertices() as u32;
+    assert!((0..n).all(|v| flat.labels().slice(v) == chunked.labels().slice(v)), "same labels");
 
     let pairs = random_pairs(g.num_vertices(), 1024, 3);
     let scalar_sum = sweep(&pairs, |s, t| chunked.query_reference(s, t));
@@ -220,8 +223,7 @@ fn bench_query_paths(c: &mut Criterion) {
 /// pre-warmed cache.
 fn bench_one_to_many(c: &mut Criterion) {
     let g = generate(&RoadNetConfig::sized(64_000, 404));
-    let mut flat = Stl::build(&g, &StlConfig::default());
-    flat.compact();
+    let flat = Stl::build(&g, &StlConfig::default());
     let target_sets: Vec<Vec<u32>> = (0..16)
         .map(|i| random_pairs(g.num_vertices(), 1_000, 9 + i).iter().map(|p| p.0).collect())
         .collect();

@@ -8,7 +8,6 @@
 //! stl gen     <out.gr> [--vertices N] [--seed S]  synthetic road network
 //! stl serve   <graph.gr> [--readers N] [--ops N] [--update-fraction F]
 //!             [--batch-size K] [--seed S] [--algo pareto|label] [--threads T]
-//!             [--compact-quiet-epochs Q] [--compact-dirty-ratio D]
 //!             [--state-dir DIR]
 //!             [--fsync always|never|every:N] [--rejection-window N]
 //!             [--dedup-window N]
@@ -76,7 +75,8 @@ use stl_core::{persist, IndexStats, Maintenance, ShardSet, Stl, StlConfig};
 use stl_graph::{io as gio, CsrGraph};
 use stl_server::{
     replay_mixed, DurabilityConfig, Endpoint, FsyncPolicy, NetClient, NetConfig, NetServer, Router,
-    RouterConfig, RouterServer, ServerConfig, StlServer,
+    RouterConfig, RouterServer, ServerConfig, StlServer, CHECKPOINT_QUIET_EPOCHS,
+    CHECKPOINT_QUIET_RATIO,
 };
 use stl_workloads::mixed::{mixed_trace, split_trace, MixedConfig, MixedOp};
 use stl_workloads::openloop::{open_loop_trace, percentile, Arrival, OpenLoopConfig};
@@ -286,8 +286,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let mut seed = 0xD157u64;
     let mut algo = Maintenance::ParetoSearch;
     let mut threads = 1usize;
-    let mut compact_quiet_epochs = ServerConfig::default().compact_after_quiet_epochs;
-    let mut compact_dirty_ratio = ServerConfig::default().compact_dirty_ratio;
     let mut rejection_window = ServerConfig::default().rejection_window;
     let mut dedup_window = ServerConfig::default().dedup_window;
     let mut state_dir: Option<String> = None;
@@ -353,14 +351,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
             }
             "--seed" => seed = it.next().ok_or("--seed needs a value")?.parse()?,
             "--threads" => threads = it.next().ok_or("--threads needs a value")?.parse()?,
-            "--compact-quiet-epochs" => {
-                compact_quiet_epochs =
-                    it.next().ok_or("--compact-quiet-epochs needs a value")?.parse()?
-            }
-            "--compact-dirty-ratio" => {
-                compact_dirty_ratio =
-                    it.next().ok_or("--compact-dirty-ratio needs a value")?.parse()?
-            }
             "--algo" => {
                 algo = match it.next().map(String::as_str) {
                     Some("pareto") => Maintenance::ParetoSearch,
@@ -379,9 +369,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     }
     if !(0.0..=1.0).contains(&update_fraction) {
         return Err("--update-fraction must be within 0.0..=1.0".into());
-    }
-    if !(0.0..=1.0).contains(&compact_dirty_ratio) {
-        return Err("--compact-dirty-ratio must be within 0.0..=1.0".into());
     }
     if net.reader_threads == 0 {
         return Err("--net-readers must be at least 1".into());
@@ -419,8 +406,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     }
     let server_cfg = ServerConfig {
         algo,
-        compact_after_quiet_epochs: compact_quiet_epochs,
-        compact_dirty_ratio,
         rejection_window,
         dedup_window,
         owned_shards,
@@ -435,6 +420,11 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
                 let (server, report) = StlServer::start_durable(g, stl, server_cfg, durability)
                     .map_err(|e| format!("cannot recover from '{dir}': {e}"))?;
                 println!("durability: state dir {dir}, fsync {fsync}");
+                println!(
+                    "checkpoints: after {CHECKPOINT_QUIET_EPOCHS} quiet epochs \
+                     (≤ {} % of chunks copied each)",
+                    CHECKPOINT_QUIET_RATIO * 100.0
+                );
                 println!("recovery: {report}");
                 Ok(server)
             }
@@ -516,14 +506,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
             Maintenance::LabelSearch => "label",
         }
     );
-    if compact_quiet_epochs == 0 {
-        println!("compaction: disabled");
-    } else {
-        println!(
-            "compaction: after {compact_quiet_epochs} quiet epoch(s) at dirty ratio \
-             <= {compact_dirty_ratio} (flat snapshots take the direct-offset query path)"
-        );
-    }
 
     let server = start_server(g, stl)?;
     let wall = replay_mixed(&server, &queries, &batches, readers);

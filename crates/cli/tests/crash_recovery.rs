@@ -20,7 +20,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use stl_graph::{CsrGraph, EdgeUpdate};
-use stl_server::{NetClient, RetryPolicy};
+use stl_server::{NetClient, RetryPolicy, CHECKPOINT_QUIET_EPOCHS};
 
 /// Unique scratch directory, cleaned up on drop.
 struct Scratch(PathBuf);
@@ -46,16 +46,18 @@ impl Drop for Scratch {
     }
 }
 
-/// A spawned `stl serve --listen` child plus the address it bound.
+/// A spawned `stl serve --listen` child, the address it bound, and what its
+/// boot-time recovery reported.
 struct Server {
     child: Child,
     addr: String,
+    recovery: String,
 }
 
 impl Server {
     /// Spawn `stl serve` on an ephemeral port with the given state dir and
     /// extra env (failpoints), and wait for its `listening on` banner.
-    fn spawn(graph: &str, state_dir: &str, failpoints: Option<&str>, extra: &[&str]) -> Server {
+    fn spawn(graph: &str, state_dir: &str, failpoints: Option<&str>) -> Server {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_stl"));
         cmd.args([
             "serve",
@@ -69,7 +71,6 @@ impl Server {
             "--batch-latency-ms",
             "0",
         ])
-        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
         match failpoints {
@@ -79,11 +80,15 @@ impl Server {
         let mut child = cmd.spawn().expect("spawn stl serve");
         let stdout = child.stdout.take().expect("child stdout piped");
         let mut lines = std::io::BufReader::new(stdout).lines();
+        let mut recovery = String::new();
         let addr = loop {
             let line = lines
                 .next()
                 .expect("server exited before announcing its address")
                 .expect("read child stdout");
+            if let Some(rest) = line.strip_prefix("recovery: ") {
+                recovery = rest.to_string();
+            }
             if let Some(rest) = line.strip_prefix("listening on ") {
                 break rest.trim().to_string();
             }
@@ -91,7 +96,7 @@ impl Server {
         // Keep draining stdout on a helper thread so the child never blocks
         // on a full pipe; the final lines are collected via wait_banner.
         std::thread::spawn(move || for _ in lines.by_ref() {});
-        Server { child, addr }
+        Server { child, addr, recovery }
     }
 
     fn connect(&self) -> NetClient {
@@ -137,6 +142,14 @@ fn planned_updates(g: &CsrGraph, count: usize) -> Vec<EdgeUpdate> {
         .collect()
 }
 
+/// `count` copies of an update that re-sets an edge of `g` to its weight in
+/// `g`. The server normalises it away, so its epoch copies no chunk: every
+/// one is a quiet epoch, and [`CHECKPOINT_QUIET_EPOCHS`] in a row checkpoint.
+fn noop_updates(g: &CsrGraph, count: usize) -> Vec<EdgeUpdate> {
+    let (a, b, w) = g.edges().next().expect("graph has edges");
+    vec![EdgeUpdate::new(a, b, w); count]
+}
+
 /// Check a handful of distances served by `client` against an `Stl` built
 /// fresh on `mirror` (the graph with exactly the acknowledged updates).
 fn assert_matches_oracle(client: &mut NetClient, mirror: &CsrGraph, context: &str) {
@@ -169,15 +182,20 @@ fn failpoint_kill_restart_preserves_acked_updates_and_dedups_retries() {
         let state_dir = scratch.path(&format!("state-{fp}"));
         let mut mirror = g.clone();
 
-        // checkpoint-rename only fires if checkpoints happen; make every
-        // epoch trigger one. The other points fire on the first update.
-        let eager: &[&str] = if *fp == "checkpoint-rename" {
-            &["--compact-quiet-epochs", "1", "--compact-dirty-ratio", "1.0"]
+        // The other points fire on the first update. checkpoint-rename only
+        // fires once a checkpoint happens: after one real update, a streak
+        // of no-ops checkpoints at its 12th, and the 13th finds the process
+        // gone at the latest.
+        let drive: Vec<EdgeUpdate> = if *fp == "checkpoint-rename" {
+            let mut after = g.clone();
+            after.set_weight(updates[0].a, updates[0].b, updates[0].new_weight).unwrap();
+            let noops = noop_updates(&after, CHECKPOINT_QUIET_EPOCHS as usize + 1);
+            updates[..1].iter().copied().chain(noops).collect()
         } else {
-            &[]
+            updates[..4].to_vec()
         };
         let spec = format!("{fp}=exit");
-        let mut server = Server::spawn(&graph_path, &state_dir, Some(&spec), eager);
+        let mut server = Server::spawn(&graph_path, &state_dir, Some(&spec));
         let mut client = server.connect();
 
         // Drive keyed updates until the injected kill severs the connection.
@@ -185,7 +203,7 @@ fn failpoint_kill_restart_preserves_acked_updates_and_dedups_retries() {
         // (send observed an error) is remembered for the keyed retry.
         let mut in_doubt: Option<(u64, EdgeUpdate)> = None;
         let mut acked = 0u64;
-        for (i, u) in updates[..4].iter().enumerate() {
+        for (i, u) in drive.iter().enumerate() {
             let key = (leg as u64) << 32 | i as u64;
             match client.update_keyed(key, &[*u]) {
                 Ok(out) => {
@@ -203,7 +221,11 @@ fn failpoint_kill_restart_preserves_acked_updates_and_dedups_retries() {
         server.child.wait_timeout_or_kill();
 
         // Restart without failpoints and settle the in-doubt update by key.
-        let server = Server::spawn(&graph_path, &state_dir, None, eager);
+        let server = Server::spawn(&graph_path, &state_dir, None);
+        if *fp == "checkpoint-rename" {
+            // The only checkpoint died before its rename: it is invisible.
+            assert!(server.recovery.starts_with("no checkpoint"), "{fp}: {}", server.recovery);
+        }
         let mut client = server.connect();
         let (key, u) = in_doubt.unwrap();
         let out = client
@@ -247,10 +269,11 @@ impl WaitHelper for Child {
     }
 }
 
-/// SIGKILL sweep: kill the child at arbitrary moments mid-trace (including
-/// right after a checkpoint-heavy burst), restart, and keep going. After the
-/// final restart the served distances must equal the acknowledged-updates
-/// oracle. Release-gated: each restart rebuilds the index in-process.
+/// SIGKILL sweep: kill the child at arbitrary moments mid-trace — mid-WAL,
+/// around a checkpoint and just after one — restart, and keep going. After
+/// the final restart the served distances must equal the
+/// acknowledged-updates oracle. Release-gated: each restart rebuilds the
+/// index in-process.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "spawns many index rebuilds: run with --release")]
 fn sigkill_sweep_recovers_every_acknowledged_update() {
@@ -260,12 +283,18 @@ fn sigkill_sweep_recovers_every_acknowledged_update() {
     let updates = planned_updates(&g, 30);
     let mut mirror = g.clone();
 
-    // Eager checkpointing so kills land both mid-WAL and around checkpoints.
-    let eager: &[&str] = &["--compact-quiet-epochs", "2", "--compact-dirty-ratio", "1.0"];
+    // Each round acks a deterministic-but-scattered number of real updates,
+    // then `quiet` keyed no-ops, then dies. A real update copies chunks, so
+    // the no-ops count from zero; the 12th checkpoints. The kills land
+    // mid-WAL (0 or 11 no-ops), around a checkpoint (12: the kill races the
+    // checkpoint after the last ack) and just after one (13: the writer
+    // finished that checkpoint before it took the 13th).
+    let q = CHECKPOINT_QUIET_EPOCHS as usize;
+    let rounds = [(3usize, q), (1, 0), (4, q + 1), (2, q - 1), (5, 0)];
     let mut next = 0usize;
-    // Kill after a deterministic-but-scattered number of acks per round.
-    for (round, kill_after) in [3usize, 1, 4, 2, 5].into_iter().enumerate() {
-        let server = Server::spawn(&graph_path, &state_dir, None, eager);
+    let mut noop_key = 0xB00C_0000u64;
+    for (round, (kill_after, quiet)) in rounds.into_iter().enumerate() {
+        let server = Server::spawn(&graph_path, &state_dir, None);
         let mut client = server.connect();
         let mut acked_this_round = 0usize;
         while next < updates.len() && acked_this_round < kill_after {
@@ -280,12 +309,19 @@ fn sigkill_sweep_recovers_every_acknowledged_update() {
             next += 1;
             acked_this_round += 1;
         }
+        for u in noop_updates(&mirror, quiet) {
+            noop_key += 1;
+            let out = client.update_keyed_retry(noop_key, &[u], RetryPolicy::default());
+            assert!(out.expect("keyed no-op").applied, "round {round}: no-op rejected");
+        }
         drop(client);
         server.sigkill();
     }
 
-    // Final restart: everything ever acknowledged must still be there.
-    let server = Server::spawn(&graph_path, &state_dir, None, eager);
+    // Final restart: everything ever acknowledged must still be there, on
+    // top of the checkpoint the third round finished at the latest.
+    let server = Server::spawn(&graph_path, &state_dir, None);
+    assert!(server.recovery.starts_with("checkpoint at generation"), "{}", server.recovery);
     let mut client = server.connect();
     assert_matches_oracle(&mut client, &mirror, "after sigkill sweep");
 
@@ -366,7 +402,7 @@ fn sigterm_drains_checkpoints_and_exits_cleanly() {
     assert!(tail.contains("checkpoints"), "closing stats must mention checkpoints:\n{tail}");
 
     // Reboot: the final checkpoint covers everything, the WAL is empty.
-    let server = Server::spawn(&graph_path, &state_dir, None, &[]);
+    let server = Server::spawn(&graph_path, &state_dir, None);
     let mut client = server.connect();
     let mut mirror = g.clone();
     for u in &updates {

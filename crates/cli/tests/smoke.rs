@@ -140,6 +140,10 @@ fn serve_with_state_dir_recovers_on_the_next_boot() {
     // First run: fresh state dir, clean shutdown writes a final checkpoint.
     let out = serve("400");
     assert!(out.contains("durability: state dir"), "serve output: {out}");
+    assert!(
+        out.contains("checkpoints: after 12 quiet epochs (≤ 2 % of chunks copied each)"),
+        "serve output: {out}"
+    );
     assert!(out.contains("recovery: no checkpoint"), "first boot is fresh: {out}");
     assert!(out.contains("checkpoints"), "closing stats must count checkpoints: {out}");
 
@@ -158,8 +162,6 @@ fn serve_rejects_bad_flags() {
         vec!["serve", "x.gr", "--readers", "0"],
         vec!["serve", "x.gr", "--batch-size", "0"],
         vec!["serve", "x.gr", "--update-fraction", "1.5"],
-        // Repair runs inline on the writer: the old thread knob is unknown.
-        vec!["serve", "x.gr", "--repair-threads", "2"],
         vec!["serve", "x.gr", "--net-readers", "0"],
         vec!["serve", "x.gr", "--listen", "not-an-address", "--duration-secs", "1"],
         vec!["serve", "x.gr", "--fsync", "sometimes"],
@@ -169,6 +171,14 @@ fn serve_rejects_bad_flags() {
         let out = stl(&bad);
         assert_eq!(out.status.code(), Some(1), "args: {bad:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error:"), "args: {bad:?}");
+    }
+    // Knobs of machinery that is gone are unknown flags: repair runs inline
+    // on the writer, and nothing compacts (the checkpoint schedule is fixed).
+    for flag in ["--repair-threads", "--compact-quiet-epochs", "--compact-dirty-ratio"] {
+        let out = stl(&["serve", "x.gr", flag, "1"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "{flag}: {err}");
     }
 }
 

@@ -188,53 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_is_invisible_across_epochs() {
-        // Property: a compacted index and a never-compacted twin fed the
-        // same batch stream stay byte-identical, label slice by label slice,
-        // across ≥ 25 epochs — compaction changes memory layout, never
-        // content. A second compaction mid-stream must also be absorbed.
-        let mut g_a = ladder(12);
-        let mut g_b = g_a.clone();
-        let cfg = StlConfig { leaf_size: 3, ..Default::default() };
-        let mut twin_a = Stl::build(&g_a, &cfg);
-        let mut twin_b = Stl::build(&g_b, &cfg);
-        let mut eng = UpdateEngine::new(g_a.num_vertices());
-        let edges: Vec<_> = g_a.edges().collect();
-        let mut state = 0xC0FFEEu64;
-        let mut next = |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let n = g_a.num_vertices() as VertexId;
-        for epoch in 0..28 {
-            let (a, b, _) = edges[next(edges.len() as u64) as usize];
-            let w = (next(25) + 1) as Weight;
-            let batch = [EdgeUpdate::new(a, b, w)];
-            twin_a.apply_batch(&mut g_a, &batch, Maintenance::ParetoSearch, &mut eng);
-            twin_b.apply_batch(&mut g_b, &batch, Maintenance::ParetoSearch, &mut eng);
-            // Compact only twin A, twice, at different points in the stream.
-            if epoch == 9 || epoch == 19 {
-                assert!(twin_a.compact() > 0, "epoch {epoch}: compaction moved nothing");
-                assert!(twin_a.is_flat());
-                assert!(!twin_b.is_flat(), "twin B must stay chunked as the control");
-            }
-            for v in 0..n {
-                assert_eq!(
-                    twin_a.labels().slice(v),
-                    twin_b.labels().slice(v),
-                    "epoch {epoch}: label slices of vertex {v} diverged"
-                );
-            }
-            for s in (0..n).step_by(5) {
-                for t in (0..n).step_by(7) {
-                    assert_eq!(twin_a.query(s, t), twin_b.query(s, t), "epoch {epoch}: ({s},{t})");
-                }
-            }
-        }
-        verify::check_all(&twin_a, &g_a).unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "missing edge")]
     fn missing_edge_panics() {
         let mut g = ladder(4);

@@ -11,10 +11,11 @@
 //! * **writes** — [`apply_batch`](DynamicDistanceIndex::apply_batch), the
 //!   tree-grouped batch repair with an optional [`ShardSet`] ownership
 //!   filter (the unit process-sharded serving deals in);
-//! * **maintenance** — [`compact`](DynamicDistanceIndex::compact) plus the
-//!   flatness/chunk accessors the writer's quiescence trigger reads, and
-//!   [`take_cow_stats`](DynamicDistanceIndex::take_cow_stats) for the
-//!   publish accounting;
+//! * **copy-on-write accounting** —
+//!   [`take_cow_stats`](DynamicDistanceIndex::take_cow_stats), the chunks a
+//!   batch copied, over [`num_chunks`](DynamicDistanceIndex::num_chunks),
+//!   the chunks there are: the publish counters and the durable writer's
+//!   checkpoint schedule read both;
 //! * **persistence** — [`to_bytes`](DynamicDistanceIndex::to_bytes) /
 //!   [`from_bytes`](DynamicDistanceIndex::from_bytes), the checkpoint and
 //!   replication wire format.
@@ -67,16 +68,9 @@ pub trait DynamicDistanceIndex: Clone + Send + Sync + Sized + 'static {
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport);
 
-    /// Re-flatten the index's chunked stores into contiguous allocations;
-    /// returns the bytes moved. Called by the writer's quiescence trigger.
-    fn compact(&mut self) -> u64;
-
-    /// Whether the index currently serves its flat (built, loaded or
-    /// compacted, and unwritten since) fast path.
-    fn is_flat(&self) -> bool;
-
     /// Chunk count of the index's backing stores — the denominator of the
-    /// writer's dirty-ratio compaction trigger.
+    /// durable writer's quiet-epoch test (see `stl_server`'s checkpoint
+    /// schedule).
     fn num_chunks(&self) -> usize;
 
     /// Drain the copy-on-write accounting accumulated since the last call.
@@ -112,14 +106,6 @@ impl DynamicDistanceIndex for Stl {
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport) {
         self.apply_batch_sharded_owned(g, updates, algo, pool, owned)
-    }
-
-    fn compact(&mut self) -> u64 {
-        Stl::compact(self)
-    }
-
-    fn is_flat(&self) -> bool {
-        Stl::is_flat(self)
     }
 
     fn num_chunks(&self) -> usize {
@@ -173,8 +159,6 @@ mod tests {
         let restored = I::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(restored.query(0, 3), 2);
         assert!(I::from_bytes(b"not an index").is_err());
-        index.compact();
-        let _ = index.is_flat();
         assert!(index.num_chunks() >= 1);
         let _ = index.take_cow_stats();
     }

@@ -17,9 +17,9 @@
 //!    resolving a chunked slice *is* the pointer chase a hint would hide;
 //! 3. `K = common_anc_count(s, t)`; `K == 0` → `INF`;
 //! 4. [`min_plus`] over the two `K`-entry prefixes, read from the flat arena
-//!    ([`crate::Labels::flat`], the layout an index is built or loaded in and
-//!    [`Stl::compact`] restores) or from the chunked copy-on-write store a
-//!    label write leaves behind.
+//!    ([`crate::Labels::flat`], the layout an index is built or loaded in)
+//!    or from the chunked copy-on-write store its first label write leaves
+//!    behind for good.
 //!
 //! [`min_plus`] runs 2 × 8 `u32` lanes per unrolled step with a horizontal
 //! min at the end — AVX2 intrinsics when the CPU has them (detected once,
@@ -637,10 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_exact_after_compaction() {
+    fn all_pairs_exact_flat_and_after_first_write() {
         // The flat direct-offset read path must answer exactly like the
-        // chunked one: a born-flat index, the same index after one write
-        // promoted exactly one chunk out of its arena, and re-compacted.
+        // chunked one: a born-flat index, and the same index after one
+        // write promoted exactly one chunk out of its arena.
         let g = grid(16);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
         assert!(stl.is_flat() && stl.num_chunks() > 1);
@@ -649,14 +649,11 @@ mod tests {
         assert!(!stl.is_flat());
         assert_eq!(stl.take_cow_stats().chunks_copied, 1, "first write promotes one chunk");
         assert_all_pairs_exact(&g, &stl);
-        assert!(stl.compact() > 0);
-        assert!(stl.is_flat());
-        assert_all_pairs_exact(&g, &stl);
     }
 
-    /// The two label layouts × how each is reached: built (born flat) →
-    /// written by a sharded batch (chunked, the flat arena invalidated) →
-    /// re-compacted (flat). In every state every answer path equals
+    /// The two label layouts, in the order an index meets them: built
+    /// (born flat) → written by a sharded batch (chunked, the flat arena
+    /// given up for good). In both states every answer path equals
     /// Dijkstra on the current weights, and the profile names exactly the
     /// layout in force.
     #[test]
@@ -670,27 +667,17 @@ mod tests {
         let mut rng = XorShift(0x5eed_1234_5678_9abc);
         let few: Vec<VertexId> = (0..5).map(|_| rng.below(n as u64) as VertexId).collect();
         let many: Vec<VertexId> = (0..300).map(|_| rng.below(n as u64) as VertexId).collect();
-        for state in ["built", "written", "recompacted"] {
-            match state {
-                "built" => {}
-                "written" => {
-                    let batch: Vec<EdgeUpdate> = (0..12)
-                        .map(|_| {
-                            let (a, b, _) = edges[rng.below(edges.len() as u64) as usize];
-                            EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
-                        })
-                        .collect();
-                    stl.apply_batch_sharded(
-                        &mut g,
-                        &batch,
-                        Maintenance::ParetoSearch,
-                        &mut pool,
-                        2,
-                    );
-                }
-                _ => assert!(stl.compact() > 0, "{state}: compaction moved nothing"),
+        for state in ["built", "written"] {
+            if state == "written" {
+                let batch: Vec<EdgeUpdate> = (0..12)
+                    .map(|_| {
+                        let (a, b, _) = edges[rng.below(edges.len() as u64) as usize];
+                        EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
+                    })
+                    .collect();
+                stl.apply_batch_sharded(&mut g, &batch, Maintenance::ParetoSearch, &mut pool, 2);
             }
-            let flat = state != "written";
+            let flat = state == "built";
             assert_eq!(stl.is_flat(), flat, "{state}");
             let mut prof = QueryProfile::default();
             let mut out = Vec::new();
@@ -724,28 +711,25 @@ mod tests {
     fn profiled_queries_match_and_count() {
         let g = grid(7);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
-        stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
-        let mut prof = QueryProfile::default();
         let n = g.num_vertices() as VertexId;
-        for s in 0..n {
-            for t in 0..n {
-                assert_eq!(stl.query_profiled(s, t, &mut prof), stl.query(s, t));
+        let profile = |stl: &Stl| {
+            let mut prof = QueryProfile::default();
+            for s in 0..n {
+                for t in 0..n {
+                    assert_eq!(stl.query_profiled(s, t, &mut prof), stl.query(s, t));
+                }
             }
-        }
-        assert_eq!(prof.queries, u64::from(n) * u64::from(n));
-        assert_eq!(prof.flat_slices, 0, "written index reads chunked");
-        let chunked = prof.chunked_slices;
-        assert!(chunked > 0, "connected pairs read label prefixes");
+            assert_eq!(prof.queries, u64::from(n) * u64::from(n));
+            prof
+        };
+        let flat = profile(&stl);
+        assert_eq!(flat.chunked_slices, 0, "born-flat index reads flat");
+        assert!(flat.flat_slices > 0, "connected pairs read label prefixes");
 
-        stl.compact();
-        let mut flat_prof = QueryProfile::default();
-        for s in 0..n {
-            for t in 0..n {
-                stl.query_profiled(s, t, &mut flat_prof);
-            }
-        }
-        assert_eq!(flat_prof.flat_slices, chunked, "same queries, now flat");
-        assert_eq!(flat_prof.chunked_slices, 0);
+        stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
+        let chunked = profile(&stl);
+        assert_eq!(chunked.chunked_slices, flat.flat_slices, "same queries, now chunked");
+        assert_eq!(chunked.flat_slices, 0);
     }
 
     #[test]
@@ -812,14 +796,12 @@ mod tests {
     }
 
     #[test]
-    fn one_to_many_matches_on_compacted_index() {
+    fn one_to_many_matches_flat_and_chunked() {
         let g = grid(6);
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
         let targets: Vec<u32> = (0..36).collect();
         let flat = stl.one_to_many(11, &targets);
         stl.labels.set(0, 0, stl.labels().get(0, 0)); // un-flatten the born-flat arena
-        assert_eq!(stl.one_to_many(11, &targets), flat);
-        stl.compact();
         assert_eq!(stl.one_to_many(11, &targets), flat);
     }
 

@@ -31,10 +31,8 @@
 //!   private buffer, and publishing stays `O(#chunks)`. A flat store
 //!   additionally exposes [`ChunkedStore::flat_slice`] so read paths can
 //!   skip the chunk-table indirection entirely (the direct-offset query
-//!   path in `stl_core`).
-//! * Once writes have promoted chunks and the index quiesces,
-//!   [`ChunkedStore::compact`] re-flattens the store into a fresh arena of
-//!   the same layout — the only full-arena copy, and only after writes.
+//!   path in `stl_core`). The first write un-flattens the store for good:
+//!   nothing ever copies the whole arena back together.
 //! * A repair phase that reads and writes many entries of few chunks opens
 //!   a [`PhaseWriter`]: the same copy-on-write writes, with each chunk's
 //!   payload resolved once, on first touch, so a phase resolves only the
@@ -161,8 +159,8 @@ impl<T: Pod> std::fmt::Debug for AlignedBuf<T> {
 /// aligned buffer starting at entry `off`.
 ///
 /// A copy-on-write promoted chunk owns its whole buffer (`off == 0`,
-/// `len == buf.len()`); in a born-flat or compacted store every chunk is a
-/// view into one flat arena at its canonical global offset. Either way
+/// `len == buf.len()`); in a store wrapped around an arena every unwritten
+/// chunk is a view into it at its canonical global offset. Either way
 /// `as_slice` is one bounds-checked index away, and clone is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct Chunk<T: Pod> {
@@ -205,29 +203,19 @@ impl<T: Pod> std::ops::Deref for Chunk<T> {
     }
 }
 
-/// Bytes copied by copy-on-write chunk promotions (and moved by epoch
-/// compactions), per drain window.
+/// Bytes copied by copy-on-write chunk promotions, per drain window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Chunks that were physically copied (first write to a shared chunk).
     pub chunks_copied: u64,
     /// Total bytes those copies moved.
     pub bytes_copied: u64,
-    /// Epoch-compaction passes that re-flattened the store into one
-    /// contiguous aligned arena ([`ChunkedStore::compact`]).
-    pub compactions: u64,
-    /// Total bytes those compactions moved. Kept separate from
-    /// `bytes_copied`: compaction is a deliberate full-arena copy traded
-    /// for faster reads, not a per-epoch publish cost.
-    pub bytes_flattened: u64,
 }
 
 impl std::ops::AddAssign for CowStats {
     fn add_assign(&mut self, o: Self) {
         self.chunks_copied += o.chunks_copied;
         self.bytes_copied += o.bytes_copied;
-        self.compactions += o.compactions;
-        self.bytes_flattened += o.bytes_flattened;
     }
 }
 
@@ -240,27 +228,18 @@ impl std::ops::Add for CowStats {
 }
 
 /// Chunk-granular dirty set: which chunks were COW-copied since the last
-/// [`DirtyTracker::take`], how many bytes that moved, and how many bytes
-/// compaction passes flattened in the same window.
+/// [`DirtyTracker::take`], and how many bytes that moved.
 #[derive(Debug, Default)]
 pub struct DirtyTracker {
     bits: Vec<u64>,
     marked: Vec<u32>,
     bytes: u64,
-    compactions: u64,
-    flattened: u64,
 }
 
 impl DirtyTracker {
     /// Tracker for `num_chunks` chunks, all clean.
     pub fn new(num_chunks: usize) -> Self {
-        Self {
-            bits: vec![0; num_chunks.div_ceil(64)],
-            marked: Vec::new(),
-            bytes: 0,
-            compactions: 0,
-            flattened: 0,
-        }
+        Self { bits: vec![0; num_chunks.div_ceil(64)], marked: Vec::new(), bytes: 0 }
     }
 
     /// Record that `chunk` was copied, moving `bytes` bytes. Idempotent per
@@ -276,13 +255,6 @@ impl DirtyTracker {
         }
     }
 
-    /// Record one compaction pass that moved `bytes` bytes.
-    #[inline]
-    pub fn mark_compaction(&mut self, bytes: u64) {
-        self.compactions += 1;
-        self.flattened += bytes;
-    }
-
     /// Whether `chunk` was copied in the current window.
     #[inline]
     pub fn is_dirty(&self, chunk: usize) -> bool {
@@ -291,12 +263,7 @@ impl DirtyTracker {
 
     /// Counters for the current window without clearing it.
     pub fn stats(&self) -> CowStats {
-        CowStats {
-            chunks_copied: self.marked.len() as u64,
-            bytes_copied: self.bytes,
-            compactions: self.compactions,
-            bytes_flattened: self.flattened,
-        }
+        CowStats { chunks_copied: self.marked.len() as u64, bytes_copied: self.bytes }
     }
 
     /// Drain the window: return its counters and reset to all-clean in
@@ -308,8 +275,6 @@ impl DirtyTracker {
         }
         self.marked.clear();
         self.bytes = 0;
-        self.compactions = 0;
-        self.flattened = 0;
         out
     }
 }
@@ -354,16 +319,8 @@ pub fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u
     (chunk_of, starts)
 }
 
-/// One view into `arena` per chunk, at the canonical offsets `chunk_starts`.
-fn views<T: Pod>(arena: &Arc<AlignedBuf<T>>, chunk_starts: &[u64]) -> Vec<Chunk<T>> {
-    chunk_starts
-        .windows(2)
-        .map(|w| Chunk { buf: Arc::clone(arena), off: w[0] as usize, len: (w[1] - w[0]) as usize })
-        .collect()
-}
-
 /// A flat `[T]` array split into vertex-aligned copy-on-write [`Chunk`]s
-/// with per-window dirty accounting and optional epoch compaction.
+/// with per-window dirty accounting.
 ///
 /// Addressing is by **global index** plus the **owning vertex** (the vertex
 /// whose span contains the index), which locates the chunk in O(1) without
@@ -375,8 +332,8 @@ pub struct ChunkedStore<T: Pod> {
     chunk_starts: Arc<[u64]>,
     chunks: Vec<Chunk<T>>,
     /// `Some` iff every chunk is a view into this one contiguous arena at
-    /// its canonical offset (established by [`Self::from_arena`] or
-    /// [`Self::compact`], invalidated by the first subsequent write).
+    /// its canonical offset (established by [`Self::from_arena`],
+    /// invalidated for good by the first write).
     flat: Option<Arc<AlignedBuf<T>>>,
     dirty: DirtyTracker,
 }
@@ -420,9 +377,8 @@ impl<T: Pod> ChunkedStore<T> {
 
     /// Wrap an already-filled `arena` in place, chunked along the vertex
     /// spans `offsets[v]..offsets[v+1]`: every chunk is a view into it at
-    /// its canonical offset — exactly the layout [`Self::compact`]
-    /// produces, without the copy. With `flat` the store starts flat
-    /// ([`Self::flat_slice`] exposes the arena and `compact` returns 0);
+    /// its canonical offset, with no copy. With `flat` the store starts
+    /// flat ([`Self::flat_slice`] exposes the arena until the first write);
     /// without it the chunk views are the only way in, for callers whose
     /// direct offsets cannot address the whole arena. Either way the first
     /// write to a chunk promotes it.
@@ -430,7 +386,14 @@ impl<T: Pod> ChunkedStore<T> {
         assert_eq!(*offsets.last().expect("offsets never empty") as usize, arena.len());
         let (chunk_of, chunk_starts) = partition_vertex_chunks(offsets, target);
         let arena = Arc::new(arena);
-        let chunks = views(&arena, &chunk_starts);
+        let chunks = chunk_starts
+            .windows(2)
+            .map(|w| Chunk {
+                buf: Arc::clone(&arena),
+                off: w[0] as usize,
+                len: (w[1] - w[0]) as usize,
+            })
+            .collect();
         let mut store = Self::assemble(chunk_of, chunk_starts, chunks);
         store.flat = flat.then_some(arena);
         store
@@ -532,39 +495,8 @@ impl<T: Pod> ChunkedStore<T> {
         self.dirty.stats()
     }
 
-    /// Re-flatten a written store into one contiguous 64-byte-aligned arena.
-    ///
-    /// Every chunk becomes a view into the arena at its canonical global
-    /// offset — the layout [`Self::from_arena`] gives a store at birth — so
-    /// reads (chunked or [`flat_slice`](Self::flat_slice)-based) see
-    /// identical values, clones still share per chunk, and the next write
-    /// still promotes only its own chunk (`O(chunk)`, not `O(arena)`).
-    /// Sharing with snapshots taken *before* the compaction is given up —
-    /// that full-arena copy is the price of the flat read path, and it is
-    /// accounted in [`CowStats::bytes_flattened`].
-    ///
-    /// Returns the bytes moved; 0 (and no work) if the store is already
-    /// flat.
-    pub fn compact(&mut self) -> u64 {
-        if self.flat.is_some() {
-            return 0;
-        }
-        let total = self.len();
-        let mut buf = AlignedBuf::zeroed(total);
-        let dst = buf.as_mut_slice();
-        for (c, w) in self.chunk_starts.windows(2).enumerate() {
-            dst[w[0] as usize..w[1] as usize].copy_from_slice(self.chunks[c].as_slice());
-        }
-        let arena = Arc::new(buf);
-        self.chunks = views(&arena, &self.chunk_starts);
-        self.flat = Some(arena);
-        let bytes = total as u64 * std::mem::size_of::<T>() as u64;
-        self.dirty.mark_compaction(bytes);
-        bytes
-    }
-
-    /// Whether the store is currently one flat arena (compacted and not
-    /// written since).
+    /// Whether the store is still the one flat arena it was wrapped around
+    /// ([`Self::from_arena`] with `flat`, and not written since).
     #[inline(always)]
     pub fn is_flat(&self) -> bool {
         self.flat.is_some()
@@ -769,30 +701,25 @@ mod tests {
         d.mark(129, 50);
         d.mark(0, 100); // already dirty: no double count
         assert!(d.is_dirty(0) && d.is_dirty(129) && !d.is_dirty(64));
-        let want = CowStats { chunks_copied: 2, bytes_copied: 150, ..Default::default() };
+        let want = CowStats { chunks_copied: 2, bytes_copied: 150 };
         assert_eq!(d.stats(), want);
         assert_eq!(d.take(), want);
         assert_eq!(d.stats(), CowStats::default());
         assert!(!d.is_dirty(0));
     }
 
-    #[test]
-    fn dirty_tracker_accounts_compactions() {
-        let mut d = DirtyTracker::new(4);
-        d.mark_compaction(4096);
-        assert_eq!(
-            d.stats(),
-            CowStats { compactions: 1, bytes_flattened: 4096, ..Default::default() }
-        );
-        assert_eq!(d.take().compactions, 1);
-        assert_eq!(d.stats(), CowStats::default());
-    }
+    // 4 vertices with 2 arcs each.
+    const OFFS: [u64; 5] = [0, 2, 4, 6, 8];
 
     fn store(target: u64) -> WeightStore {
-        // 4 vertices with 2 arcs each.
-        let offs: Vec<u64> = vec![0, 2, 4, 6, 8];
         let weights: Vec<Weight> = (0..8).collect();
-        ChunkedStore::from_flat(&offs, &weights, target)
+        ChunkedStore::from_flat(&OFFS, &weights, target)
+    }
+
+    /// [`store`]'s layout and values, wrapped flat around one arena.
+    fn flat_store(target: u64) -> WeightStore {
+        let weights: Vec<Weight> = (0..8).collect();
+        ChunkedStore::from_arena(&OFFS, AlignedBuf::copy_of(&weights), target, true)
     }
 
     #[test]
@@ -826,15 +753,9 @@ mod tests {
         assert_eq!(b.get(0, 1), 1, "snapshot keeps the old value");
         // First write copied one 4-entry chunk (16 bytes); second write to
         // the same chunk is free.
-        assert_eq!(
-            a.cow_stats(),
-            CowStats { chunks_copied: 1, bytes_copied: 16, ..Default::default() }
-        );
+        assert_eq!(a.cow_stats(), CowStats { chunks_copied: 1, bytes_copied: 16 });
         a.set(0, 0, 98);
-        assert_eq!(
-            a.take_cow_stats(),
-            CowStats { chunks_copied: 1, bytes_copied: 16, ..Default::default() }
-        );
+        assert_eq!(a.take_cow_stats(), CowStats { chunks_copied: 1, bytes_copied: 16 });
     }
 
     #[test]
@@ -854,38 +775,32 @@ mod tests {
     }
 
     #[test]
-    fn from_arena_is_born_compacted() {
-        // Wrapping a filled arena gives the layout, values, size and
-        // flatness of a chunked store compacted after the fact — and no
-        // compaction is recorded, because nothing was copied.
-        let offs: Vec<u64> = vec![0, 2, 4, 6, 8];
-        let weights: Vec<Weight> = (0..8).collect();
-        let mut born = ChunkedStore::from_arena(&offs, AlignedBuf::copy_of(&weights), 4, true);
-        let mut twin = store(4);
-        twin.compact();
-        assert!(born.is_flat());
-        assert_eq!(born.flat_slice(), twin.flat_slice());
+    fn from_arena_is_born_flat() {
+        // Wrapping a filled arena gives the layout, values and size of a
+        // store chunked by copying — plus the flat view, aligned, with
+        // nothing recorded as copied.
+        let mut born = flat_store(4);
+        let twin = store(4);
+        assert!(born.is_flat() && !twin.is_flat());
+        let flat = born.flat_slice().expect("born flat");
+        assert_eq!(flat, twin.iter().collect::<Vec<_>>().as_slice());
+        assert_eq!(flat.as_ptr() as usize % 64, 0, "arena must be 64-byte aligned");
         assert_eq!(born.layout(), twin.layout());
         assert_eq!(born.memory_bytes(), twin.memory_bytes());
-        assert_eq!(born.compact(), 0);
         assert_eq!(born.cow_stats(), CowStats::default());
         // The first write promotes exactly the touched chunk; a second
         // write to it is in place.
         born.set(3, 7, 70);
-        assert!(!born.is_flat());
+        assert!(!born.is_flat() && born.flat_slice().is_none());
         born.set(2, 4, 40);
-        assert_eq!(
-            born.take_cow_stats(),
-            CowStats { chunks_copied: 1, bytes_copied: 16, ..Default::default() }
-        );
+        assert_eq!(born.take_cow_stats(), CowStats { chunks_copied: 1, bytes_copied: 16 });
         assert_eq!(born.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 40, 5, 6, 70]);
     }
 
     #[test]
     fn from_arena_without_flat_keeps_views() {
-        let offs: Vec<u64> = vec![0, 2, 4, 6, 8];
         let weights: Vec<Weight> = (0..8).collect();
-        let mut a = ChunkedStore::from_arena(&offs, AlignedBuf::copy_of(&weights), 4, false);
+        let mut a = ChunkedStore::from_arena(&OFFS, AlignedBuf::copy_of(&weights), 4, false);
         assert!(!a.is_flat() && a.flat_slice().is_none());
         assert_eq!(a.iter().collect::<Vec<_>>(), weights);
         a.set(0, 1, 9);
@@ -894,32 +809,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_values_and_flat_reads() {
-        let mut a = store(4);
-        assert!(!a.is_flat());
-        let bytes = a.compact();
-        assert_eq!(bytes, 8 * 4);
-        assert!(a.is_flat());
-        let flat = a.flat_slice().expect("flat after compaction");
-        assert_eq!(flat, (0..8).collect::<Vec<Weight>>().as_slice());
-        assert_eq!(flat.as_ptr() as usize % 64, 0, "arena must be 64-byte aligned");
-        // Chunked reads go through the same arena and agree.
-        for owner in 0..4 {
-            for idx in (owner as u64 * 2)..(owner as u64 * 2 + 2) {
-                assert_eq!(a.get(owner, idx), idx as Weight);
-            }
-        }
-        assert_eq!(a.cow_stats().compactions, 1);
-        assert_eq!(a.cow_stats().bytes_flattened, 32);
-        // Compacting a flat store is free.
-        assert_eq!(a.compact(), 0);
-        assert_eq!(a.cow_stats().compactions, 1);
-    }
-
-    #[test]
-    fn compact_keeps_cow_chunk_granular() {
-        let mut a = store(4);
-        a.compact();
+    fn flat_store_keeps_cow_chunk_granular() {
+        let mut a = flat_store(4);
         let snap = a.clone();
         assert!(snap.is_flat(), "clone of a flat store starts flat");
         assert_eq!(a.shared_chunks_with(&snap), 2);
@@ -927,22 +818,11 @@ mod tests {
         assert!(!a.is_flat(), "first write un-flattens the writer");
         assert!(snap.is_flat(), "held snapshot stays flat");
         assert_eq!(snap.get(0, 1), 1, "snapshot keeps the old value");
+        assert_eq!(snap.flat_slice().unwrap()[1], 1);
         assert_eq!(a.get(0, 1), 99);
         // Only the touched chunk was promoted out of the arena.
         assert_eq!(a.shared_chunks_with(&snap), 1);
-        assert_eq!(a.cow_stats().chunks_copied, 1, "write after compact copies one chunk");
-    }
-
-    #[test]
-    fn compact_after_divergence_reflattens() {
-        let mut a = store(4);
-        a.compact();
-        a.set(0, 0, 5);
-        assert!(!a.is_flat());
-        a.compact();
-        assert!(a.is_flat());
-        assert_eq!(a.flat_slice().unwrap()[0], 5);
-        assert_eq!(a.cow_stats().compactions, 2);
+        assert_eq!(a.cow_stats().chunks_copied, 1, "first write copies one chunk");
     }
 
     #[test]
@@ -975,10 +855,7 @@ mod tests {
         assert!(a.dirty.is_dirty(0) && a.dirty.is_dirty(2), "shared chunks promoted");
         assert!(!a.dirty.is_dirty(1), "private chunk not copied");
         assert_eq!(a.chunk(1).as_ptr(), private_payload, "private chunk written in place");
-        assert_eq!(
-            a.take_cow_stats(),
-            CowStats { chunks_copied: 2, bytes_copied: 32, ..Default::default() }
-        );
+        assert_eq!(a.take_cow_stats(), CowStats { chunks_copied: 2, bytes_copied: 32 });
         assert_eq!(a.get(4, 9), 102, "promotions are installed in the store");
         assert_eq!(snap.iter().collect::<Vec<_>>(), vals, "snapshot keeps the old values");
         assert_eq!(a.shared_chunks_with(&snap), 0);
@@ -986,8 +863,7 @@ mod tests {
 
     #[test]
     fn phase_writer_reads_leave_a_flat_store_flat() {
-        let mut a = store(4);
-        a.compact();
+        let mut a = flat_store(4);
         let snap = a.clone();
         {
             let w = a.phase_writer();

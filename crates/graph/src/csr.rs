@@ -202,19 +202,6 @@ impl CsrGraph {
         self.weights.num_chunks()
     }
 
-    /// Re-flatten the weight store into one contiguous 64-byte-aligned
-    /// arena (see [`crate::cow::ChunkedStore::compact`]). Returns the bytes
-    /// moved; 0 if the weights are already flat.
-    pub fn compact_weights(&mut self) -> u64 {
-        self.weights.compact()
-    }
-
-    /// Whether the weight store is one flat arena (compacted, not written
-    /// since).
-    pub fn weights_flat(&self) -> bool {
-        self.weights.is_flat()
-    }
-
     /// Whether weight chunk `c` is physically shared with `other`.
     pub fn shares_weight_chunk(&self, other: &CsrGraph, c: usize) -> bool {
         self.weights.shares_chunk(&other.weights, c)
@@ -360,21 +347,5 @@ mod tests {
         assert!(!g.shares_topology(&d));
         assert_eq!(g.shared_weight_chunks(&d), 0);
         assert_eq!(d.weight(1, 2), Some(20));
-    }
-
-    #[test]
-    fn weight_compaction_preserves_queries_and_cow() {
-        let mut g = triangle();
-        assert!(!g.weights_flat());
-        assert!(g.compact_weights() > 0);
-        assert!(g.weights_flat());
-        assert_eq!(g.weight(0, 2), Some(40));
-        let snap = g.clone();
-        g.set_weight(0, 1, 3).unwrap();
-        assert!(!g.weights_flat(), "write un-flattens the writer");
-        assert!(snap.weights_flat(), "held snapshot stays flat");
-        assert_eq!(snap.weight(0, 1), Some(10));
-        assert_eq!(g.weight(0, 1), Some(3));
-        assert_eq!(g.cow_stats().compactions, 1);
     }
 }

@@ -12,13 +12,14 @@
 //!
 //! ## Checkpoint lifecycle
 //!
-//! The writer checkpoints on the existing quiescence trigger (the same
-//! streak that drives epoch compaction) and on clean shutdown: dump state,
-//! fsync, rename into place, fsync the directory, then atomically reset the
-//! WAL. A crash at *any* instant leaves a recoverable pair: before the
-//! rename, recovery uses the old checkpoint plus the full WAL; between the
-//! rename and the WAL reset, replay skips every record whose sequence
-//! number the new checkpoint already covers.
+//! The writer checkpoints after a streak of [`CHECKPOINT_QUIET_EPOCHS`]
+//! quiet epochs (each copying at most [`CHECKPOINT_QUIET_RATIO`] of the
+//! chunks) and on clean shutdown: dump state, fsync, rename into place,
+//! fsync the directory, then atomically reset the WAL. A crash at *any*
+//! instant leaves a recoverable pair: before the rename, recovery uses the
+//! old checkpoint plus the full WAL; between the rename and the WAL reset,
+//! replay skips every record whose sequence number the new checkpoint
+//! already covers.
 //!
 //! ## Recovery
 //!
@@ -41,6 +42,37 @@ use crate::server::{validate_batch, ServerConfig};
 use crate::wal::{self, crc32, get_u64, put_u64, sync_parent_dir, FsyncPolicy, WalWriter};
 
 const CKPT_MAGIC: &[u8; 8] = b"STLCKPT1";
+
+/// Consecutive quiet epochs after which a durable writer checkpoints and
+/// resets its WAL. Twelve waits for traffic to have genuinely gone quiet, not
+/// for a gap between two bursts: a checkpoint writes the whole world.
+pub const CHECKPOINT_QUIET_EPOCHS: u32 = 12;
+
+/// An epoch is *quiet* when its batch copied at most this share of the
+/// index's and the graph's copy-on-write chunks — under 2 % of the world
+/// rewritten. A batch normalised away to nothing copies none, so it is
+/// always quiet.
+pub const CHECKPOINT_QUIET_RATIO: f64 = 0.02;
+
+/// The durable writer's checkpoint schedule: a count of consecutive quiet
+/// epochs that asks for a checkpoint every [`CHECKPOINT_QUIET_EPOCHS`]th one.
+#[derive(Debug, Default)]
+pub(crate) struct QuietStreak(u32);
+
+impl QuietStreak {
+    /// Count one published epoch whose batch copied `copied` of `total`
+    /// chunks. Returns whether it completes a streak — then the writer
+    /// checkpoints, and the count starts over. A copying epoch resets it.
+    pub(crate) fn checkpoint_due(&mut self, copied: u64, total: usize) -> bool {
+        let quiet = copied as f64 / total.max(1) as f64 <= CHECKPOINT_QUIET_RATIO;
+        self.0 = if quiet { self.0 + 1 } else { 0 };
+        if self.0 < CHECKPOINT_QUIET_EPOCHS {
+            return false;
+        }
+        self.0 = 0;
+        true
+    }
+}
 
 /// Where the durability layer keeps its state and how hard it flushes.
 #[derive(Debug, Clone)]

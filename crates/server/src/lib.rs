@@ -81,7 +81,7 @@
 //! The server can also survive its *own* death. [`StlServer::start_durable`]
 //! adds a durability layer rooted in a state directory: every accepted
 //! batch is appended to a CRC-framed **write-ahead log** ([`wal`]) before it
-//! is applied, the quiescence trigger (and clean shutdown) folds the log
+//! is applied, a streak of quiet epochs (and clean shutdown) folds the log
 //! into an atomic **checkpoint** ([`durable`]), and boot **recovers** by
 //! overlaying the checkpoint and replaying the WAL tail through the normal
 //! sharded-repair path — truncating, never panicking on, torn crash debris.
@@ -134,7 +134,9 @@ pub mod transport;
 pub mod wal;
 
 pub use batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats, PendingUpdate};
-pub use durable::{DedupWindow, DurabilityConfig, RecoveryReport};
+pub use durable::{
+    DedupWindow, DurabilityConfig, RecoveryReport, CHECKPOINT_QUIET_EPOCHS, CHECKPOINT_QUIET_RATIO,
+};
 pub use proto::{Endpoint, RemoteOutcome, RemoteStats, Request, Response};
 pub use replay::replay_mixed;
 pub use router::{Router, RouterConfig, RouterServer, RouterStats};

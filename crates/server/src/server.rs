@@ -17,7 +17,7 @@ use std::time::Instant;
 use stl_core::{failpoint, DynamicDistanceIndex, EnginePool, Maintenance, ShardSet, Stl};
 use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId, INF};
 
-use crate::durable::{self, DedupWindow, DurabilityConfig, RecoveryReport};
+use crate::durable::{self, DedupWindow, DurabilityConfig, QuietStreak, RecoveryReport};
 use crate::snapshot::Snapshot;
 use crate::stats::{ServerStats, StatsCells};
 use crate::wal::WalWriter;
@@ -123,22 +123,12 @@ pub struct ServerConfig {
     /// delete with the next `[benchmark]` issue.
     #[doc(hidden)]
     pub repair_threads: usize,
-    /// Quiescence window for epoch compaction: after this many
-    /// *consecutive* epochs whose dirty-chunk ratio stayed at or below
-    /// [`ServerConfig::compact_dirty_ratio`], the writer re-flattens the
-    /// label arena and CSR weights into contiguous aligned allocations,
-    /// switching readers onto direct-offset label reads from the next
-    /// published snapshot on. On a durable server
-    /// the same trigger also writes a checkpoint and resets the WAL — the
-    /// quiet moment when copying the world is cheapest. `0` disables the
-    /// trigger entirely. The default (12 epochs) is deliberately
-    /// conservative: compaction copies the whole arena, so it should fire
-    /// when traffic has genuinely gone quiet, not between two bursts.
+    /// Read by nothing: epoch compaction is gone, and a durable server's
+    /// checkpoint schedule is fixed ([`crate::durable::CHECKPOINT_QUIET_EPOCHS`]).
+    /// The field stays only so the frozen benchmark harness keeps compiling
+    /// — delete with the next `[benchmark]` issue.
+    #[doc(hidden)]
     pub compact_after_quiet_epochs: u32,
-    /// An epoch counts as *quiet* when `chunks copied / total chunks` is at
-    /// or below this ratio (no-op batches have ratio 0). Default `0.02` —
-    /// under 2% of the world rewritten per batch.
-    pub compact_dirty_ratio: f64,
     /// How many rejection reasons [`StlServer::wait_for`] can still resolve,
     /// i.e. the depth of the bounded reason window (default 1024, minimum
     /// 1). Rejections are an error path: retaining every reason forever
@@ -176,10 +166,6 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// [`ServerConfig::default`] with environment overrides:
     ///
-    /// * `STL_COMPACT_QUIET_EPOCHS` (integer, `0` disables) —
-    ///   [`ServerConfig::compact_after_quiet_epochs`].
-    /// * `STL_COMPACT_DIRTY_RATIO` (float in `0.0..=1.0`) —
-    ///   [`ServerConfig::compact_dirty_ratio`].
     /// * `STL_REJECTION_WINDOW` (positive integer) —
     ///   [`ServerConfig::rejection_window`].
     /// * `STL_DEDUP_WINDOW` (integer, `0` disables) —
@@ -200,15 +186,6 @@ impl ServerConfig {
     /// is the value of `key`, `None` if unset.
     pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Some(q) = parsed_var::<u32>(&lookup, "STL_COMPACT_QUIET_EPOCHS")? {
-            cfg.compact_after_quiet_epochs = q;
-        }
-        if let Some(r) = parsed_var::<f64>(&lookup, "STL_COMPACT_DIRTY_RATIO")? {
-            if !(0.0..=1.0).contains(&r) {
-                return Err(format!("STL_COMPACT_DIRTY_RATIO must be within 0.0..=1.0, got {r}"));
-            }
-            cfg.compact_dirty_ratio = r;
-        }
         if let Some(w) = parsed_var::<usize>(&lookup, "STL_REJECTION_WINDOW")? {
             if w == 0 {
                 return Err("STL_REJECTION_WINDOW must be at least 1".into());
@@ -240,8 +217,7 @@ impl Default for ServerConfig {
         Self {
             algo: Maintenance::ParetoSearch,
             repair_threads: 1,
-            compact_after_quiet_epochs: 12,
-            compact_dirty_ratio: 0.02,
+            compact_after_quiet_epochs: 0,
             rejection_window: 1024,
             dedup_window: 4096,
             max_writer_restarts: 8,
@@ -791,9 +767,8 @@ fn writer_loop<I: DynamicDistanceIndex>(
     cfg: &ServerConfig,
 ) {
     let mut pool = EnginePool::new();
-    // Consecutive epochs at or below the quiet dirty ratio — the
-    // compaction/checkpoint trigger's streak counter.
-    let mut quiet_epochs = 0u32;
+    // The checkpoint schedule; only a durable server has one.
+    let mut streak = shared.durable.as_ref().map(|_| QuietStreak::default());
     // Held for the writer's whole life: exactly one writer drains the queue
     // at a time, and a respawned writer takes over atomically.
     let rx = lock_ok(rx);
@@ -872,33 +847,12 @@ fn writer_loop<I: DynamicDistanceIndex>(
         let cow = stl.take_cow_stats() + graph.take_cow_stats();
         stats.publish_bytes_copied.fetch_add(cow.bytes_copied, Ordering::Relaxed);
         stats.chunks_copied_last.store(cow.chunks_copied, Ordering::Relaxed);
-        // Quiescence trigger: when the dirty-chunk rate has stayed below
-        // the threshold for enough consecutive epochs, re-flatten labels +
-        // CSR weights so the snapshot published below serves direct-offset
-        // label reads — and, on a durable server, checkpoint
-        // after the publish (traffic is quiet, copying is cheapest).
-        let mut checkpoint_due = false;
-        if cfg.compact_after_quiet_epochs > 0 {
-            let total_chunks = (stl.num_chunks() + graph.num_weight_chunks()).max(1);
-            let ratio = cow.chunks_copied as f64 / total_chunks as f64;
-            quiet_epochs = if ratio <= cfg.compact_dirty_ratio { quiet_epochs + 1 } else { 0 };
-            if quiet_epochs >= cfg.compact_after_quiet_epochs {
-                if !(stl.is_flat() && graph.weights_flat()) {
-                    let bytes = stl.compact() + graph.compact_weights();
-                    // Drop the compaction pass out of the next epoch's COW
-                    // window — it is accounted here, in the dedicated
-                    // counters.
-                    stl.take_cow_stats();
-                    graph.take_cow_stats();
-                    if bytes > 0 {
-                        stats.compactions_total.fetch_add(1, Ordering::Relaxed);
-                        stats.bytes_flattened_total.fetch_add(bytes, Ordering::Relaxed);
-                    }
-                }
-                checkpoint_due = shared.durable.is_some();
-                quiet_epochs = 0;
-            }
-        }
+        // A durable server checkpoints after the publish below once enough
+        // consecutive epochs were quiet (traffic is quiet, copying the world
+        // is cheapest).
+        let checkpoint_due = streak.as_mut().is_some_and(|s| {
+            s.checkpoint_due(cow.chunks_copied, stl.num_chunks() + graph.num_weight_chunks())
+        });
         // Publish: O(touched) — the clone below copies only the Arc chunk
         // tables; every byte not written by this batch is shared with the
         // previous epoch. Every *valid* batch publishes — even one
@@ -907,7 +861,6 @@ fn writer_loop<I: DynamicDistanceIndex>(
         generation = seq;
         let t_pub = Instant::now();
         let snap = Arc::new(Snapshot::new(generation, graph.clone(), stl.clone()));
-        let snap_flat = snap.is_flat();
         // Fires *before* the pointer swap: a batch killed here is rolled
         // back (WAL record annulled), so readers must never have seen it.
         failpoint::fire("publish");
@@ -915,10 +868,6 @@ fn writer_loop<I: DynamicDistanceIndex>(
         // the waiters are woken: its drop walks every chunk `Arc`, and
         // readers taking a snapshot must not wait for that.
         let retired = std::mem::replace(&mut *write_ok(&shared.current), snap);
-        // Stored only *after* the pointer swap: storing before it opened a
-        // window where stats() reported a flat snapshot while readers still
-        // held the chunked one.
-        stats.snapshot_is_flat.store(u64::from(snap_flat), Ordering::Relaxed);
         let pub_ns = t_pub.elapsed().as_nanos() as u64;
         stats.publish_ns_total.fetch_add(pub_ns, Ordering::Relaxed);
         stats.publish_ns_last.store(pub_ns, Ordering::Relaxed);
@@ -1218,91 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_triggers_compaction_and_flat_snapshots() {
-        // With the trigger wound down to "compact after every epoch", the
-        // writer must flatten the arena, report it in ServerStats, and keep
-        // serving exact distances from the flat read path.
-        let mut g = generate(&RoadNetConfig::sized(180, 41));
-        let stl = Stl::build(&g, &StlConfig::default());
-        let server = StlServer::start(
-            g.clone(),
-            stl,
-            ServerConfig {
-                compact_after_quiet_epochs: 1,
-                compact_dirty_ratio: 1.0,
-                ..Default::default()
-            },
-        );
-        let edges: Vec<_> = g.edges().step_by(11).take(4).collect();
-        for &(a, b, w) in &edges {
-            server.wait_for(server.submit(vec![EdgeUpdate::new(a, b, w * 3)]));
-            g.set_weight(a, b, w * 3).unwrap();
-            let snap = server.snapshot();
-            for (s, t) in [(0u32, 140u32), (7, 101), (33, 90)] {
-                assert_eq!(snap.query(s, t), dijkstra::distance(&g, s, t));
-            }
-        }
-        let stats = server.shutdown();
-        assert!(stats.compactions_total >= 1, "every-epoch trigger must have compacted");
-        assert!(stats.bytes_flattened_total > 0);
-        assert!(stats.snapshot_is_flat, "last published snapshot must be flat");
-    }
-
-    #[test]
-    fn compaction_never_mutates_pinned_snapshots() {
-        // A reader holding an Arc<Snapshot> across a compaction (and further
-        // batches) must observe the exact distances of its own generation —
-        // compaction re-points the *writer's* chunks, never a published epoch.
-        let mut g = generate(&RoadNetConfig::sized(160, 53));
-        let stl = Stl::build(&g, &StlConfig::default());
-        let server = StlServer::start(
-            g.clone(),
-            stl,
-            ServerConfig {
-                compact_after_quiet_epochs: 1,
-                compact_dirty_ratio: 1.0,
-                ..Default::default()
-            },
-        );
-        let pairs = [(0u32, 120u32), (5, 99), (41, 77), (12, 150)];
-        let pinned = server.snapshot();
-        let oracle: Vec<_> = pairs.iter().map(|&(s, t)| dijkstra::distance(&g, s, t)).collect();
-        assert_eq!(pinned.generation(), 0);
-
-        let edges: Vec<_> = g.edges().step_by(13).take(5).collect();
-        for &(a, b, w) in &edges {
-            server.wait_for(server.submit(vec![EdgeUpdate::new(a, b, w + 9)]));
-            g.set_weight(a, b, w + 9).unwrap();
-        }
-        let stats = server.stats();
-        assert!(stats.compactions_total >= 1, "trigger must have fired mid-run");
-
-        // The pinned generation-0 snapshot still answers generation-0 truth.
-        assert_eq!(pinned.generation(), 0);
-        for (&(s, t), &d) in pairs.iter().zip(&oracle) {
-            assert_eq!(pinned.query(s, t), d, "pinned snapshot changed under compaction");
-        }
-        // And the current snapshot answers the updated graph, from a flat arena.
-        let snap = server.snapshot();
-        assert!(snap.is_flat());
-        for &(s, t) in &pairs {
-            assert_eq!(snap.query(s, t), dijkstra::distance(&g, s, t));
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn config_from_env_overrides_compaction_knobs() {
-        let cfg =
-            config_from(&[("STL_COMPACT_QUIET_EPOCHS", "3"), ("STL_COMPACT_DIRTY_RATIO", "0.5")])
-                .unwrap();
-        assert_eq!(cfg.compact_after_quiet_epochs, 3);
-        assert!((cfg.compact_dirty_ratio - 0.5).abs() < 1e-9);
-        let err = config_from(&[("STL_COMPACT_DIRTY_RATIO", "1.5")]).unwrap_err();
-        assert!(err.contains("0.0..=1.0"), "out-of-range ratio must error: {err}");
-    }
-
-    #[test]
     fn rejected_batch_leaves_server_serving() {
         // The regression this PR exists for: a batch with a nonexistent edge
         // must come back Rejected — writer alive, queries exact, and later
@@ -1466,52 +1330,53 @@ mod tests {
     }
 
     #[test]
+    fn durable_writer_checkpoints_after_twelve_quiet_epochs_and_at_shutdown() {
+        // A batch re-setting an edge to its current weight is normalised
+        // away and copies no chunk, so every such epoch is quiet; a real
+        // weight change copies chunks and is not. Each `wait_for` of a later
+        // ticket also waits out any checkpoint the writer ran before it.
+        use crate::durable::CHECKPOINT_QUIET_EPOCHS;
+        let s = Scratch::new("quiet-streak");
+        let g = generate(&RoadNetConfig::sized(140, 29));
+        let stl = Stl::build(&g, &StlConfig::default());
+        let durability = DurabilityConfig::new(&s.0);
+        let (server, _) =
+            StlServer::start_durable(g.clone(), stl, ServerConfig::default(), durability.clone())
+                .unwrap();
+        let (a, b, w) = g.edges().next().unwrap();
+        let apply = |batch: &[EdgeUpdate], n: u32| {
+            for _ in 0..n {
+                assert!(server.wait_for(server.submit(batch.to_vec())).is_applied());
+            }
+        };
+        apply(&[EdgeUpdate::new(a, b, w)], CHECKPOINT_QUIET_EPOCHS - 1);
+        apply(&[EdgeUpdate::new(a, b, w + 5)], 1);
+        assert_eq!(server.stats().checkpoints_written, 0, "11 quiet epochs do not checkpoint");
+        assert!(server.stats().chunks_copied_last > 0, "a real change copies chunks");
+        let noop = [EdgeUpdate::new(a, b, w + 5)];
+        apply(&noop, CHECKPOINT_QUIET_EPOCHS - 1);
+        assert_eq!(server.stats().checkpoints_written, 0, "a copying epoch restarts the count");
+        apply(&noop, 2); // the 12th quiet epoch, then one more
+        assert_eq!(server.stats().checkpoints_written, 1, "the 12th quiet epoch checkpoints");
+        let wal = crate::wal::replay(&durability.wal_path()).unwrap();
+        let seqs: Vec<u64> = wal.records.iter().map(|r| r.seq).collect();
+        assert_eq!(
+            seqs,
+            [2 * u64::from(CHECKPOINT_QUIET_EPOCHS) + 1],
+            "the checkpoint reset the WAL"
+        );
+        let stats = server.shutdown();
+        assert_eq!(stats.checkpoints_written, 2, "clean shutdown folds the last record in");
+        assert_eq!(stats.batches_applied, 2 * u64::from(CHECKPOINT_QUIET_EPOCHS) + 1);
+    }
+
+    #[test]
     fn query_and_record_feed_stats() {
         let g = diamond();
         let server = start(&g);
         assert_eq!(server.query(0, 2), 7);
         server.record_queries(41);
         assert_eq!(server.stats().queries_served, 42);
-    }
-
-    #[test]
-    fn flat_flag_tracks_the_published_snapshot() {
-        // Regression for the ordering bug: snapshot_is_flat used to be
-        // stored *before* the pointer swap, so stats() could claim a flat
-        // snapshot while readers still got the chunked one. Pin the
-        // invariant: after every wait_for, the flag equals the published
-        // snapshot's own is_flat() — across epochs that flip it both ways
-        // (chunked → compacted/flat → written/chunked again).
-        let mut g = generate(&RoadNetConfig::sized(160, 47));
-        let stl = Stl::build(&g, &StlConfig::default());
-        let server = StlServer::start(
-            g.clone(),
-            stl,
-            ServerConfig {
-                compact_after_quiet_epochs: 2,
-                compact_dirty_ratio: 1.0,
-                ..Default::default()
-            },
-        );
-        let mut seen_flat = false;
-        let mut seen_chunked = false;
-        let edges: Vec<_> = g.edges().step_by(9).take(6).collect();
-        for &(a, b, w) in &edges {
-            server.wait_for(server.submit(vec![EdgeUpdate::new(a, b, w + 5)]));
-            g.set_weight(a, b, w + 5).unwrap();
-            let snap = server.snapshot();
-            let stats = server.stats();
-            assert_eq!(
-                stats.snapshot_is_flat,
-                snap.is_flat(),
-                "stats flag diverged from the published snapshot at generation {}",
-                snap.generation()
-            );
-            seen_flat |= snap.is_flat();
-            seen_chunked |= !snap.is_flat();
-        }
-        assert!(seen_flat && seen_chunked, "test must cover both flag states");
-        server.shutdown();
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Immutable published epochs.
+//!
+//! A snapshot shares every chunk its batch did not write with the epoch
+//! before it. Its index reads labels by direct offset only until the
+//! server's first label write; every later snapshot reads through the chunk
+//! table, since nothing re-flattens an index.
 
 use stl_core::{DynamicDistanceIndex, Stl};
 use stl_graph::{CsrGraph, Dist, VertexId};
@@ -46,14 +51,6 @@ impl<I: DynamicDistanceIndex> Snapshot<I> {
     #[inline]
     pub fn index(&self) -> &I {
         &self.index
-    }
-
-    /// Whether this epoch serves the flat direct-offset read path: label
-    /// arena and CSR weights both compacted and unwritten since. Snapshots cloned from a compacted writer stay flat forever —
-    /// later writes promote chunks in the *writer's* stores only.
-    #[inline]
-    pub fn is_flat(&self) -> bool {
-        self.index.is_flat() && self.graph.weights_flat()
     }
 }
 

@@ -45,14 +45,15 @@ pub struct ServerStats {
     /// Stable trees skipped by batch pre-grouping before any search
     /// started, summed over all batches.
     pub trees_skipped_total: u64,
-    /// Quiescence-triggered epoch compactions (label arena + CSR weights
-    /// re-flattened into contiguous aligned allocations).
+    /// Always 0: epoch compaction is gone. Stays only because the frozen
+    /// benchmark harness reads it — delete with the next `[benchmark]`
+    /// issue.
+    #[doc(hidden)]
     pub compactions_total: u64,
-    /// Total bytes those compactions moved.
+    /// Always 0, like `compactions_total` — delete with the next
+    /// `[benchmark]` issue.
+    #[doc(hidden)]
     pub bytes_flattened_total: u64,
-    /// Whether the most recently published snapshot serves the flat
-    /// direct-offset query path (compacted and not written since).
-    pub snapshot_is_flat: bool,
     /// Write-ahead-log records appended this process lifetime (durable
     /// servers only; one per accepted batch, written before the apply).
     pub wal_records_appended: u64,
@@ -66,8 +67,9 @@ pub struct ServerStats {
     /// corrupt WAL tail (0 or 1; a torn tail is expected crash debris, not
     /// an error).
     pub wal_torn_tail: u64,
-    /// Checkpoints written (quiescence-triggered and the final one at clean
-    /// shutdown), each atomically resetting the WAL.
+    /// Checkpoints written (after each streak of quiet epochs, see
+    /// [`crate::durable::CHECKPOINT_QUIET_EPOCHS`], and the final one at
+    /// clean shutdown), each atomically resetting the WAL.
     pub checkpoints_written: u64,
     /// Times the supervisor respawned a dead writer thread from the last
     /// published state.
@@ -101,8 +103,8 @@ impl std::fmt::Display for ServerStats {
              publish mean {:.1} us (last {:.1} us) | cow copied {:.1} KiB/epoch \
              (last epoch {} chunks) | apply total {:.1} ms | last repair: \
              {} shards (slowest {:.1} us of {:.1} us total) | \
-             trees touched/skipped {}/{} | {} compactions ({:.1} KiB flattened) | \
-             snapshot {} | wal {} appended / {} fsyncs / {} replayed{} | \
+             trees touched/skipped {}/{} | \
+             wal {} appended / {} fsyncs / {} replayed{} | \
              {} checkpoints | {} writer restarts | {} dedup hits | \
              {} reasons evicted",
             self.batches_applied,
@@ -120,9 +122,6 @@ impl std::fmt::Display for ServerStats {
             self.repair_shard_ns_sum_last as f64 / 1e3,
             self.trees_touched_total,
             self.trees_skipped_total,
-            self.compactions_total,
-            self.bytes_flattened_total as f64 / 1024.0,
-            if self.snapshot_is_flat { "flat" } else { "chunked" },
             self.wal_records_appended,
             self.wal_fsyncs,
             self.wal_records_replayed,
@@ -152,10 +151,6 @@ pub(crate) struct StatsCells {
     pub repair_shard_ns_sum_last: AtomicU64,
     pub trees_touched_total: AtomicU64,
     pub trees_skipped_total: AtomicU64,
-    pub compactions_total: AtomicU64,
-    pub bytes_flattened_total: AtomicU64,
-    /// 0 or 1; written by the writer thread at every publish.
-    pub snapshot_is_flat: AtomicU64,
     pub wal_records_appended: AtomicU64,
     pub wal_fsyncs: AtomicU64,
     pub wal_records_replayed: AtomicU64,
@@ -184,9 +179,8 @@ impl StatsCells {
             repair_shard_ns_sum_last: self.repair_shard_ns_sum_last.load(Ordering::Relaxed),
             trees_touched_total: self.trees_touched_total.load(Ordering::Relaxed),
             trees_skipped_total: self.trees_skipped_total.load(Ordering::Relaxed),
-            compactions_total: self.compactions_total.load(Ordering::Relaxed),
-            bytes_flattened_total: self.bytes_flattened_total.load(Ordering::Relaxed),
-            snapshot_is_flat: self.snapshot_is_flat.load(Ordering::Relaxed) != 0,
+            compactions_total: 0,
+            bytes_flattened_total: 0,
             wal_records_appended: self.wal_records_appended.load(Ordering::Relaxed),
             wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
             wal_records_replayed: self.wal_records_replayed.load(Ordering::Relaxed),
@@ -219,20 +213,6 @@ mod tests {
         let text = format!("{s}");
         assert!(text.contains("generation 7"));
         assert!(text.contains("cow copied 2.0 KiB/epoch"));
-        assert!(text.contains("snapshot chunked"));
-    }
-
-    #[test]
-    fn display_mentions_compaction_state() {
-        let s = ServerStats {
-            compactions_total: 2,
-            bytes_flattened_total: 3 * 1024,
-            snapshot_is_flat: true,
-            ..Default::default()
-        };
-        let text = format!("{s}");
-        assert!(text.contains("2 compactions (3.0 KiB flattened)"));
-        assert!(text.contains("snapshot flat"));
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn readers_never_observe_unpublished_state() {
     }
 
     // The default (Pareto) writer, with any `STL_*` overrides from the
-    // environment (e.g. a compaction trigger wound down for a local run).
+    // environment (e.g. a dedup window sized for a local run).
     let server = StlServer::start(
         g0,
         stl0,

@@ -26,7 +26,7 @@ use stable_tree_labelling::core::failpoint::{self, Action};
 use stable_tree_labelling::core::{persist, Stl, StlConfig};
 use stable_tree_labelling::prelude::*;
 use stable_tree_labelling::server::{
-    BatchOutcome, DurabilityConfig, FsyncPolicy, ServerConfig, StlServer,
+    BatchOutcome, DurabilityConfig, FsyncPolicy, ServerConfig, StlServer, CHECKPOINT_QUIET_EPOCHS,
 };
 use stable_tree_labelling::workloads::{generate, RoadNetConfig};
 
@@ -175,6 +175,15 @@ fn writer_crash_at_every_failpoint_recovers_bit_identical() {
     }
 }
 
+/// Poll `done` for up to 10 s: a checkpoint runs after the ack of the batch
+/// that triggers it, so only the server's counters show when it is over.
+fn wait_until(done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 /// Kill the writer between writing the checkpoint temp file and the atomic
 /// rename: the half-written checkpoint must be invisible (the rename never
 /// happened), the WAL must keep its records, and recovery must still land on
@@ -183,60 +192,61 @@ fn writer_crash_at_every_failpoint_recovers_bit_identical() {
 fn crash_during_checkpoint_rename_leaves_a_consistent_state_dir() {
     let _serial = fp_lock();
     failpoint::disarm_all();
-    // Checkpoint eagerly: every epoch counts as quiet, one quiet epoch fires.
-    let cfg = ServerConfig {
-        compact_after_quiet_epochs: 1,
-        compact_dirty_ratio: 1.0,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let dir = Scratch::new("ckpt");
     let (server, _) = start(&dir, cfg.clone());
-    let plan = batches(&server.snapshot().graph().clone(), 3);
+    let g = server.snapshot().graph().clone();
+    let plan = batches(&g, 3);
+    // A batch re-setting an edge no plan batch touches to its weight is
+    // normalised away and copies no chunk: a quiet epoch. Twelve in a row
+    // checkpoint after the twelfth's ack.
+    let (a, b, w) = g
+        .edges()
+        .find(|&(a, b, _)| plan.iter().flatten().all(|u| (u.a, u.b) != (a, b)))
+        .expect("an edge outside the plan");
+    let noop = vec![EdgeUpdate::new(a, b, w)];
+    // Every batch the server saw, in order: the twin replays these.
+    let mut accepted: Vec<Vec<EdgeUpdate>> = Vec::new();
+    // One plan batch, then a quiet streak: the writer checkpoints after the
+    // streak's last ack.
+    let mut round = |server: &StlServer, batch: &Vec<EdgeUpdate>| {
+        let streak = std::iter::repeat_n(&noop, CHECKPOINT_QUIET_EPOCHS as usize);
+        for b in std::iter::once(batch).chain(streak) {
+            assert!(server.wait_for(server.submit(b.clone())).is_applied());
+            accepted.push(b.clone());
+        }
+    };
 
-    // Batch 1 applies and checkpoints cleanly (WAL reset to empty). The
-    // checkpoint runs after the ack, so give it a moment.
-    let t = server.submit(plan[0].clone());
-    assert!(server.wait_for(t).is_applied());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().checkpoints_written == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(server.stats().checkpoints_written >= 1, "eager checkpointing must have fired");
+    round(&server, &plan[0]);
+    wait_until(|| server.stats().checkpoints_written >= 1);
+    assert_eq!(server.stats().checkpoints_written, 1, "the quiet streak must checkpoint");
 
-    // Batch 2 applies, acks, then the checkpoint dies mid-rename. The ack
-    // came from publish, so the batch must survive regardless.
+    // This round's checkpoint dies mid-rename. Every ack came from publish,
+    // so every batch must survive regardless.
     failpoint::arm("checkpoint-rename", Action::Panic, 1);
-    let t = server.submit(plan[1].clone());
-    assert!(server.wait_for(t).is_applied(), "the ack precedes the checkpoint");
+    round(&server, &plan[1]);
     // The writer died after resolving the ticket; wait for the supervisor.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().writer_restarts == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    wait_until(|| server.stats().writer_restarts > 0);
     assert_eq!(server.stats().writer_restarts, 1, "supervisor must respawn after the rename crash");
 
-    // Batch 3 on the respawned writer.
-    let t = server.submit(plan[2].clone());
-    assert!(server.wait_for(t).is_applied());
-    assert_eq!(server.generation(), 3);
+    // A round on the respawned writer.
+    round(&server, &plan[2]);
+    let generation = 3 * (1 + u64::from(CHECKPOINT_QUIET_EPOCHS));
+    assert_eq!(server.generation(), generation);
 
-    // `wait_for` returns at publish, but the eager checkpoint for batch 3
-    // runs *after* the ack — and `mem::forget` leaks the writer thread
-    // alive, unlike a real kill -9. Wait for that checkpoint (the second
-    // counted one; batch 2's died mid-rename) so the leaked writer is done
-    // touching the state dir before the reborn server reads it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server.stats().checkpoints_written < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(server.stats().checkpoints_written, 2, "batch 3 must checkpoint before the kill");
+    // `mem::forget` leaks the writer thread alive, unlike a real kill -9.
+    // Wait for the last checkpoint (the second counted one; the one before
+    // died mid-rename) so the leaked writer is done touching the state dir
+    // before the reborn server reads it.
+    wait_until(|| server.stats().checkpoints_written >= 2);
+    assert_eq!(server.stats().checkpoints_written, 2, "the last round must checkpoint");
 
     std::mem::forget(server); // kill -9
 
     let (reborn, report) = start(&dir, cfg.clone());
-    assert_eq!(report.generation, 3, "all three acknowledged batches must survive ({report})");
+    assert_eq!(report.generation, generation, "every acknowledged batch must survive ({report})");
     let snap = reborn.snapshot();
-    let (twin_bytes, twin_dists) = clean_twin(cfg, &plan);
+    let (twin_bytes, twin_dists) = clean_twin(cfg, &accepted);
     assert_eq!(sample(&snap), twin_dists, "recovered distances diverge from the twin");
     assert_eq!(persist::save(snap.stl()), twin_bytes, "labels must be bit-identical");
     drop(snap);
