@@ -8,7 +8,9 @@
 //!    transport skin. A MANY tail on the same connection checks that the
 //!    reader's one-to-many scratch vector is recycled across requests
 //!    (`net_many_scratch_reuses`) and that batched answers match point
-//!    queries.
+//!    queries. The same round trip over a unix socket records
+//!    `net_socket_reads_per_request`, an exact count asserted to be 1: a
+//!    request frame is read whole, prefix and payload in one `read`.
 //! 2. **Amortization** — the `--batch-latency-ms` knob made measurable: the
 //!    same paced stream of single-update requests is pushed through the
 //!    `AdaptiveBatcher` with a zero budget (every request its own batch)
@@ -238,6 +240,48 @@ fn overload_leg(g: &CsrGraph) {
     assert!(stats.connections_shed + stats.batcher.requests_shed >= shed);
 }
 
+/// The round trip over a unix socket, counting the server's socket reads.
+fn uds_roundtrip_leg(g: &CsrGraph, c: &mut Criterion) {
+    let path = std::env::temp_dir().join(format!("stl-bench-net-{}.sock", std::process::id()));
+    let net = NetServer::start(
+        start_server(g),
+        &format!("unix:{}", path.display()),
+        NetConfig {
+            batcher: BatcherConfig { latency_ms: 0, ..Default::default() },
+            ..Default::default()
+        },
+    )
+    .expect("bind unix socket");
+    let mut client =
+        NetClient::connect_retry(&net.local_addr(), Duration::from_secs(10)).expect("connect");
+    let n = g.num_vertices() as u32;
+    let mut group = c.benchmark_group("net_2k");
+    group.sample_size(30);
+    let mut j = 0u32;
+    group.bench_function("query_roundtrip_uds", |b| {
+        b.iter(|| {
+            j = (j + 1) % (n - 1);
+            std::hint::black_box(client.query(j, n - 1 - j).expect("query frame"))
+        })
+    });
+    group.finish();
+    for s in 0..100 {
+        client.query(s, n - 1).expect("query frame");
+    }
+    drop(client);
+    let stats = net.shutdown();
+    let per_request = stats.socket_reads as f64 / stats.requests_served as f64;
+    summary::counter("net_socket_reads_per_request", per_request);
+    println!(
+        "uds: {} requests, {} socket reads ({per_request} per request)",
+        stats.requests_served, stats.socket_reads
+    );
+    assert_eq!(
+        stats.socket_reads, stats.requests_served,
+        "sequential requests must be read with one socket read each"
+    );
+}
+
 fn bench_net(c: &mut Criterion) {
     let g = generate(&RoadNetConfig::sized(2_000, 404));
 
@@ -293,6 +337,7 @@ fn bench_net(c: &mut Criterion) {
 
     drop(client);
     net.shutdown();
+    uds_roundtrip_leg(&g, c);
 
     // Legs 2 and 3 are scenario measurements, not timed closures: they run
     // once and publish counters (and assertions) of their own.

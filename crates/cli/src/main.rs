@@ -459,11 +459,13 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
         }
         let net_stats = net_server.shutdown();
         println!(
-            "transport: {} connections accepted, {} shed, {} bad frames, {} requests",
+            "transport: {} connections accepted, {} shed, {} bad frames, {} requests, \
+             {:.2} socket reads per request",
             net_stats.connections_accepted,
             net_stats.connections_shed,
             net_stats.frames_rejected,
             net_stats.requests_served,
+            net_stats.socket_reads as f64 / net_stats.requests_served.max(1) as f64,
         );
         println!(
             "batcher: {} batches from {} requests ({} shed, {} rejected pre-validate); \

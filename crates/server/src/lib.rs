@@ -124,6 +124,7 @@
 
 pub mod batcher;
 pub mod durable;
+mod frame;
 pub mod proto;
 pub mod replay;
 pub mod router;

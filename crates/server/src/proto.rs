@@ -53,7 +53,7 @@
 //! can be scraped from `listening on …` lines and dialed back verbatim.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -168,38 +168,42 @@ pub enum Response {
 impl Request {
     /// Encode into a frame payload (version byte + opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = vec![PROTO_VERSION];
+        let mut p = Vec::new();
+        self.encode_into(&mut p);
+        p
+    }
+
+    /// Append the frame payload to `p` — how endpoints encode straight
+    /// into a reused transmit buffer.
+    pub fn encode_into(&self, p: &mut Vec<u8>) {
+        p.push(PROTO_VERSION);
         match self {
             Request::Query { s, t } => {
                 p.push(OP_QUERY);
-                put_u32(&mut p, *s);
-                put_u32(&mut p, *t);
+                put_u32(p, *s);
+                put_u32(p, *t);
             }
             Request::Update(batch) => {
                 p.push(OP_UPDATE);
-                put_update_body(&mut p, batch);
+                put_update_body(p, batch);
             }
             Request::UpdateKeyed { key, batch } => {
                 p.push(OP_UPDATE_KEYED);
-                put_u64(&mut p, *key);
-                put_update_body(&mut p, batch);
+                put_u64(p, *key);
+                put_update_body(p, batch);
             }
             Request::Stats => p.push(OP_STATS),
             Request::OneToMany { s, targets } => {
                 p.push(OP_ONE_TO_MANY);
-                put_u32(&mut p, *s);
-                put_u32(&mut p, targets.len() as u32);
-                for &t in targets {
-                    put_u32(&mut p, t);
-                }
+                put_u32(p, *s);
+                put_u32_list(p, targets);
             }
             Request::Apply { seq, batch } => {
                 p.push(OP_APPLY);
-                put_u64(&mut p, *seq);
-                put_update_body(&mut p, batch);
+                put_u64(p, *seq);
+                put_update_body(p, batch);
             }
         }
-        p
     }
 
     /// Decode a frame payload. Errors are static descriptions suitable for
@@ -260,38 +264,45 @@ impl Request {
 impl Response {
     /// Encode into a frame payload (version byte + opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = vec![PROTO_VERSION];
+        let mut p = Vec::new();
+        self.encode_into(&mut p);
+        p
+    }
+
+    /// Append the frame payload to `p` (see [`Request::encode_into`]).
+    pub fn encode_into(&self, p: &mut Vec<u8>) {
+        p.push(PROTO_VERSION);
         match self {
             Response::Dist(d) => {
                 p.push(RESP_DIST);
-                put_u32(&mut p, *d);
+                put_u32(p, *d);
             }
             Response::Many(dists) => {
-                return many_payload(dists);
+                p.push(RESP_MANY);
+                put_u32_list(p, dists);
             }
             Response::Batch { applied, generation, reason } => {
                 p.push(RESP_BATCH);
                 p.push(if *applied { OUTCOME_APPLIED } else { OUTCOME_REJECTED });
-                put_u64(&mut p, *generation);
-                put_str(&mut p, reason);
+                put_u64(p, *generation);
+                put_str(p, reason);
             }
             Response::Stats(fields) => {
                 p.push(RESP_STATS);
-                put_u32(&mut p, fields.len() as u32);
+                put_u32(p, fields.len() as u32);
                 for &f in fields {
-                    put_u64(&mut p, f);
+                    put_u64(p, f);
                 }
             }
             Response::Busy(reason) => {
                 p.push(RESP_BUSY);
-                put_str(&mut p, reason);
+                put_str(p, reason);
             }
             Response::Error(reason) => {
                 p.push(RESP_ERROR);
-                put_str(&mut p, reason);
+                put_str(p, reason);
             }
         }
-        p
     }
 
     /// Decode a frame payload.
@@ -352,14 +363,10 @@ impl Response {
 
 /// Encode a `MANY` response payload straight from a distance slice —
 /// equivalent to `Response::Many(dists.to_vec()).encode()` without cloning
-/// the distances. The reader pool answers `ONE_TO_MANY` from a reusable
-/// per-worker scratch buffer through this.
+/// the distances.
 pub fn many_payload(dists: &[Dist]) -> Vec<u8> {
     let mut p = vec![PROTO_VERSION, RESP_MANY];
-    put_u32(&mut p, dists.len() as u32);
-    for &d in dists {
-        put_u32(&mut p, d);
-    }
+    put_u32_list(&mut p, dists);
     p
 }
 
@@ -402,6 +409,14 @@ pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `n: u32, n × u32` — a target or distance list.
+fn put_u32_list(buf: &mut Vec<u8>, vals: &[u32]) {
+    put_u32(buf, vals.len() as u32);
+    for &v in vals {
+        put_u32(buf, v);
+    }
+}
+
 pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -431,33 +446,6 @@ pub(crate) fn get_str(b: &[u8], at: usize) -> Option<(String, usize)> {
     }
     let s = String::from_utf8_lossy(&b[at + 2..at + 2 + len]).into_owned();
     Some((s, at + 2 + len))
-}
-
-/// Write one frame: length prefix + payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
-}
-
-/// Blocking frame read for clients: `Ok(None)` on clean EOF at a frame
-/// boundary, `Err` on anything else.
-pub fn read_frame_blocking(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// A remote batch outcome as reported in a `BATCH` response frame.
@@ -716,19 +704,5 @@ mod tests {
         }
         assert!(Endpoint::parse("unix:").is_err());
         assert!(Endpoint::parse("not-an-address").is_err());
-    }
-
-    #[test]
-    fn frame_io_roundtrips_and_rejects_oversized() {
-        let payload = Request::Stats.encode();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        assert_eq!(read_frame_blocking(&mut cursor).unwrap(), Some(payload));
-        assert_eq!(read_frame_blocking(&mut cursor).unwrap(), None, "clean EOF");
-
-        let huge = (MAX_FRAME_BYTES + 1).to_le_bytes();
-        let mut cursor = io::Cursor::new(huge.to_vec());
-        assert!(read_frame_blocking(&mut cursor).is_err());
     }
 }

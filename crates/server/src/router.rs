@@ -53,9 +53,10 @@ use std::time::Duration;
 use stl_core::{Hierarchy, ShardSet, StlConfig, SPINE_SHARD};
 use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId};
 
-use crate::proto::{write_frame, Endpoint, RemoteOutcome, RemoteStats, Request, Response};
+use crate::frame::{Framed, ReadEnd};
+use crate::proto::{Endpoint, RemoteOutcome, RemoteStats, Request, Response};
 use crate::server::validate_batch;
-use crate::transport::{read_frame_polling, retryable, NetClient, NetListener, NetStream, ReadEnd};
+use crate::transport::{retryable, NetClient, NetListener, NetStream};
 use crate::DedupWindow;
 
 /// Router knobs.
@@ -628,24 +629,25 @@ impl Drop for RouterServer {
     }
 }
 
-fn serve_front(router: &Router, mut stream: NetStream, stop: &AtomicBool) {
+fn serve_front(router: &Router, stream: NetStream, stop: &AtomicBool) {
     stream.set_nodelay();
     if stream.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
         return;
     }
     let idle = Some(Duration::from_secs(30));
+    let mut conn = Framed::new(stream);
     loop {
-        let payload = match read_frame_polling(&mut stream, stop, idle) {
+        let payload = match conn.recv_polling(stop, idle, None) {
             Ok(p) => p,
             Err(ReadEnd::Malformed(why)) => {
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
+                let _ = conn.send_response(&Response::Error(why.into()));
                 return;
             }
             Err(_) => return,
         };
-        let response = match Request::decode(&payload) {
+        let response = match Request::decode(payload) {
             Err(why) => {
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
+                let _ = conn.send_response(&Response::Error(why.into()));
                 return;
             }
             Ok(Request::Query { s, t }) => reply(router.query(s, t), Response::Dist),
@@ -661,7 +663,7 @@ fn serve_front(router: &Router, mut stream: NetStream, stop: &AtomicBool) {
             Ok(Request::Apply { .. }) => Response::Error("router does not accept APPLY".into()),
             Ok(Request::Stats) => reply(router.stats_fields(), Response::Stats),
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if conn.send_response(&response).is_err() {
             return;
         }
     }

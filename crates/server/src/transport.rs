@@ -8,7 +8,10 @@
 //! blocking [`NetClient`]. Both address families speak identical frames
 //! through one read loop ([`NetStream`] abstracts the socket), so
 //! `--listen unix:/path` and `--listen host:port` differ only in how the
-//! listener binds.
+//! listener binds. Every connection, on either side, reads a frame with one
+//! `read` into its own receive buffer and writes one with one `write` from
+//! its own transmit buffer, so a round trip costs four syscalls
+//! ([`NetStats::socket_reads`] counts the server's reads).
 //!
 //! A **malformed frame** — oversized length prefix, wrong protocol version,
 //! unknown opcode, body shorter or longer than its opcode requires, or a
@@ -71,10 +74,8 @@ use stl_core::{DynamicDistanceIndex, Stl};
 use stl_graph::{Dist, EdgeUpdate, VertexId};
 
 use crate::batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats};
-use crate::proto::{
-    self, read_frame_blocking, write_frame, Endpoint, RemoteOutcome, RemoteStats, Request,
-    Response, MAX_FRAME_BYTES,
-};
+use crate::frame::{Framed, ReadEnd};
+use crate::proto::{Endpoint, RemoteOutcome, RemoteStats, Request, Response};
 use crate::server::{BatchOutcome, StlServer};
 
 /// Transport configuration (see the module docs for the backpressure model).
@@ -121,6 +122,10 @@ pub struct NetStats {
     pub frames_rejected: u64,
     /// Requests served over all connections (queries, updates, stats).
     pub requests_served: u64,
+    /// Socket `read` calls that returned bytes. A frame is read whole in
+    /// one call when it has fully arrived, so sequential request/response
+    /// traffic reads once per request.
+    pub socket_reads: u64,
     /// `ONE_TO_MANY` requests answered from a worker's reusable distance
     /// buffer without growing it — the steady state once each worker's
     /// scratch has seen its largest target set.
@@ -135,6 +140,7 @@ struct NetCounters {
     connections_shed: AtomicU64,
     frames_rejected: AtomicU64,
     requests_served: AtomicU64,
+    socket_reads: AtomicU64,
     many_scratch_reuses: AtomicU64,
 }
 
@@ -341,6 +347,7 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
             connections_shed: c.connections_shed.load(Ordering::Relaxed),
             frames_rejected: c.frames_rejected.load(Ordering::Relaxed),
             requests_served: c.requests_served.load(Ordering::Relaxed),
+            socket_reads: c.socket_reads.load(Ordering::Relaxed),
             many_scratch_reuses: c.many_scratch_reuses.load(Ordering::Relaxed),
             batcher: self.shared.batcher.stats(),
         }
@@ -388,7 +395,7 @@ fn accept_loop<I: DynamicDistanceIndex>(
 ) {
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
-            Ok(mut stream) => {
+            Ok(stream) => {
                 let queued = shared.queued.load(Ordering::Relaxed);
                 let open = queued + shared.active.load(Ordering::Relaxed);
                 if open >= shared.cfg.max_connections || queued >= shared.cfg.accept_queue {
@@ -397,10 +404,8 @@ fn accept_loop<I: DynamicDistanceIndex>(
                     // dropped; a short write timeout keeps a dead peer from
                     // stalling the acceptor.
                     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-                    let _ = write_frame(
-                        &mut stream,
-                        &Response::Busy("server overloaded".into()).encode(),
-                    );
+                    let _ = Framed::new(stream)
+                        .send_response(&Response::Busy("server overloaded".into()));
                     continue; // drop closes the stream
                 }
                 shared.counters.connections_accepted.fetch_add(1, Ordering::Relaxed);
@@ -441,23 +446,9 @@ fn worker_loop<I: DynamicDistanceIndex>(shared: &NetShared<I>, rx: &Mutex<Receiv
     }
 }
 
-/// Why a frame read ended without a frame.
-pub(crate) enum ReadEnd {
-    /// Clean EOF at a frame boundary.
-    Closed,
-    /// Shutdown requested while waiting.
-    Stopped,
-    /// Idle deadline passed, either between frames or mid-frame.
-    TimedOut,
-    /// The peer vanished mid-frame or sent an oversized length.
-    Malformed(&'static str),
-    /// A hard socket error; treated like a hangup.
-    Io(#[allow(dead_code)] io::Error),
-}
-
 fn serve_connection<I: DynamicDistanceIndex>(
     shared: &NetShared<I>,
-    mut stream: NetStream,
+    stream: NetStream,
     many_scratch: &mut Vec<Dist>,
 ) -> io::Result<()> {
     stream.set_nodelay();
@@ -468,51 +459,55 @@ fn serve_connection<I: DynamicDistanceIndex>(
         0 => None,
         ms => Some(Duration::from_millis(ms)),
     };
+    let mut conn = Framed::new(stream);
     loop {
-        let payload = match read_frame_polling(&mut stream, &shared.stop, idle) {
-            Ok(p) => p,
-            Err(ReadEnd::Closed) | Err(ReadEnd::Stopped) | Err(ReadEnd::TimedOut) => {
-                return Ok(());
-            }
-            Err(ReadEnd::Malformed(why)) => {
-                shared.counters.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
-                return Ok(());
-            }
-            Err(ReadEnd::Io(_)) => return Ok(()),
-        };
+        let payload =
+            match conn.recv_polling(&shared.stop, idle, Some(&shared.counters.socket_reads)) {
+                Ok(p) => p,
+                Err(ReadEnd::Closed) | Err(ReadEnd::Stopped) | Err(ReadEnd::TimedOut) => {
+                    return Ok(());
+                }
+                Err(ReadEnd::Malformed(why)) => {
+                    shared.counters.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    let _ = conn.send_response(&Response::Error(why.into()));
+                    return Ok(());
+                }
+                Err(ReadEnd::Io(_)) => return Ok(()),
+            };
         shared.counters.requests_served.fetch_add(1, Ordering::Relaxed);
         // Refresh the snapshot per request: each answer comes from the
         // latest published epoch at the moment the request is handled.
         let snap = shared.server.snapshot();
         let n = snap.graph().num_vertices() as u64;
-        let response = match Request::decode(&payload) {
+        let response = match Request::decode(payload) {
             Err(why) => {
                 // Malformed at the payload level (including a protocol
                 // version this build does not speak): answer and close,
                 // exactly like a malformed frame.
                 shared.counters.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut stream, &Response::Error(why.into()).encode());
+                let _ = conn.send_response(&Response::Error(why.into()));
                 return Ok(());
             }
             Ok(Request::Query { s, t }) => {
                 if u64::from(s) >= n || u64::from(t) >= n {
-                    Response::Error("vertex out of range".into()).encode()
+                    Response::Error("vertex out of range".into())
                 } else {
                     shared.server.record_queries(1);
-                    Response::Dist(snap.query(s, t)).encode()
+                    Response::Dist(snap.query(s, t))
                 }
             }
             Ok(Request::OneToMany { s, targets }) => {
                 if u64::from(s) >= n || targets.iter().any(|&t| u64::from(t) >= n) {
-                    Response::Error("vertex out of range".into()).encode()
+                    Response::Error("vertex out of range".into())
                 } else {
                     shared.server.record_queries(targets.len() as u64);
                     if many_scratch.capacity() >= targets.len() {
                         shared.counters.many_scratch_reuses.fetch_add(1, Ordering::Relaxed);
                     }
                     snap.index().one_to_many_into(s, &targets, many_scratch);
-                    proto::many_payload(many_scratch)
+                    // Moved into the response, not cloned; the scratch comes
+                    // back once the response is encoded.
+                    Response::Many(std::mem::take(many_scratch))
                 }
             }
             Ok(Request::Update(batch)) => {
@@ -520,11 +515,11 @@ fn serve_connection<I: DynamicDistanceIndex>(
                 // queues — each worker owns one connection) until the merged
                 // batch publishes: read-your-writes for the client.
                 let outcome = shared.batcher.submit(batch).wait();
-                batch_response(&outcome, shared.server.generation()).encode()
+                batch_response(&outcome, shared.server.generation())
             }
             Ok(Request::UpdateKeyed { key, batch }) => {
                 let outcome = shared.batcher.submit_keyed(Some(key), batch).wait();
-                batch_response(&outcome, shared.server.generation()).encode()
+                batch_response(&outcome, shared.server.generation())
             }
             Ok(Request::Apply { seq, batch }) => {
                 // Router→worker replication. Bypasses the batcher (coalescing
@@ -537,7 +532,6 @@ fn serve_connection<I: DynamicDistanceIndex>(
                         generation: applied_seq,
                         reason: String::new(),
                     }
-                    .encode()
                 } else {
                     let generation = shared.server.generation();
                     if seq != generation + 1 {
@@ -547,22 +541,25 @@ fn serve_connection<I: DynamicDistanceIndex>(
                         Response::Error(format!(
                             "apply out of order: at generation {generation}, got seq {seq}"
                         ))
-                        .encode()
                     } else {
                         let ticket = shared.server.submit_with_keys(vec![seq], batch);
                         let outcome = shared.server.wait_for(ticket);
-                        batch_response(&outcome, shared.server.generation()).encode()
+                        batch_response(&outcome, shared.server.generation())
                     }
                 }
             }
-            Ok(Request::Stats) => Response::Stats(stats_fields(shared)).encode(),
+            Ok(Request::Stats) => Response::Stats(stats_fields(shared)),
         };
+        response.encode_into(conn.frame());
+        if let Response::Many(dists) = response {
+            *many_scratch = dists;
+        }
         // The ack-loss window the keyed-retry machinery exists for: the
         // update has applied (and hit the WAL, on durable servers) but the
         // response is not yet on the wire. The crash suite kills here and
         // proves a keyed resend is acknowledged without re-applying.
         stl_core::failpoint::fire("frame-write");
-        if write_frame(&mut stream, &response).is_err() {
+        if conn.send().is_err() {
             return Ok(()); // peer gone mid-response; nothing to salvage
         }
     }
@@ -604,67 +601,6 @@ fn stats_fields<I: DynamicDistanceIndex>(shared: &NetShared<I>) -> Vec<u64> {
         batcher.requests_shed,
         c.many_scratch_reuses.load(Ordering::Relaxed),
     ]
-}
-
-/// Worker-side frame read: polls in read-timeout slices so the stop flag and
-/// the idle deadline stay live, and classifies every way a read can end.
-pub(crate) fn read_frame_polling(
-    stream: &mut NetStream,
-    stop: &AtomicBool,
-    idle: Option<Duration>,
-) -> Result<Vec<u8>, ReadEnd> {
-    let deadline = idle.map(|d| Instant::now() + d);
-    let mut len_buf = [0u8; 4];
-    read_exact_polling(stream, &mut len_buf, stop, deadline, true)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(ReadEnd::Malformed("frame length exceeds the 16 MiB cap"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    // Mid-frame now: EOF or a stall past the deadline is a truncated frame.
-    read_exact_polling(stream, &mut payload, stop, deadline, false)?;
-    Ok(payload)
-}
-
-fn read_exact_polling(
-    stream: &mut NetStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-    at_boundary: bool,
-) -> Result<(), ReadEnd> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Err(ReadEnd::Stopped);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Err(ReadEnd::Closed)
-                } else {
-                    Err(ReadEnd::Malformed("connection closed mid-frame"))
-                };
-            }
-            Ok(k) => filled += k,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return if at_boundary && filled == 0 {
-                            Err(ReadEnd::TimedOut)
-                        } else {
-                            Err(ReadEnd::Malformed("idle deadline passed mid-frame"))
-                        };
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ReadEnd::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 // ---- blocking client -----------------------------------------------------
@@ -754,7 +690,10 @@ pub(crate) fn retryable(kind: io::ErrorKind) -> bool {
 /// and the net bench; also a reference implementation of the frame flow.
 #[derive(Debug)]
 pub struct NetClient {
-    stream: NetStream,
+    /// The connection with its frame buffers, replaced as one value on
+    /// reconnect: no byte buffered from a dead connection can be parsed as
+    /// part of the next connection's response.
+    conn: Framed<NetStream>,
     /// Peer endpoint, kept so the retry paths can reconnect.
     peer: Endpoint,
 }
@@ -762,8 +701,8 @@ pub struct NetClient {
 impl NetClient {
     /// Connect once.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Self> {
-        let stream = dial(endpoint)?;
-        Ok(Self { stream, peer: endpoint.clone() })
+        let conn = Framed::new(dial(endpoint)?);
+        Ok(Self { conn, peer: endpoint.clone() })
     }
 
     /// Connect under `policy`: up to [`RetryPolicy::max_attempts`] tries with
@@ -808,21 +747,19 @@ impl NetClient {
         &self.peer
     }
 
-    fn roundtrip(&mut self, request: &[u8]) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, request)?;
-        match read_frame_blocking(&mut self.stream)? {
-            Some(payload) if !payload.is_empty() => Ok(payload),
-            Some(_) => Err(io::Error::new(io::ErrorKind::InvalidData, "empty response frame")),
+    /// One request → one decoded response.
+    fn request(&mut self, req: &Request) -> io::Result<Response> {
+        req.encode_into(self.conn.frame());
+        self.conn.send()?;
+        match self.conn.recv()? {
+            Some([]) => Err(io::Error::new(io::ErrorKind::InvalidData, "empty response frame")),
+            Some(payload) => {
+                Response::decode(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+            }
             None => {
                 Err(io::Error::new(io::ErrorKind::ConnectionAborted, "server closed connection"))
             }
         }
-    }
-
-    /// One request → one decoded response.
-    fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let payload = self.roundtrip(&req.encode())?;
-        Response::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Map a response the caller did not ask for to an error.
@@ -925,7 +862,7 @@ impl NetClient {
             // Reconnect before the resend; failure to connect just burns
             // this attempt and falls through to the next backoff.
             if let Ok(stream) = dial(&self.peer) {
-                self.stream = stream;
+                self.conn = Framed::new(stream);
             }
         }
     }
@@ -948,26 +885,26 @@ impl NetClient {
     /// Send `payload` as one raw frame without awaiting a response. Test
     /// hook for malformed-input coverage.
     pub fn send_raw(&mut self, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        self.conn.frame().extend_from_slice(payload);
+        self.conn.send()
     }
 
     /// Send arbitrary bytes, bypassing framing entirely. Test hook for
     /// truncated-frame coverage.
     pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        self.conn.stream.write_all(bytes)
     }
 
     /// Read one raw response frame (`None` on clean EOF). Test hook.
     pub fn recv_raw(&mut self) -> io::Result<Option<Vec<u8>>> {
-        read_frame_blocking(&mut self.stream)
+        Ok(self.conn.recv()?.map(<[u8]>::to_vec))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{put_u32, OP_QUERY, OP_UPDATE, PROTO_VERSION};
+    use crate::proto::{put_u32, MAX_FRAME_BYTES, OP_QUERY, OP_UPDATE, PROTO_VERSION};
     use crate::server::ServerConfig;
     use stl_core::StlConfig;
     use stl_graph::builder::from_edges;
@@ -1252,6 +1189,60 @@ mod tests {
         assert!(out.applied);
         assert_eq!(client.query(0, 3).unwrap(), 8);
         net.shutdown();
+    }
+
+    /// A reconnect must not carry buffered bytes over: the first connection
+    /// dies after three bytes of its response, and the retry on the second
+    /// connection must parse the second response from its first byte.
+    #[test]
+    fn update_keyed_retry_drops_bytes_buffered_from_the_dead_connection() {
+        use std::os::unix::net::UnixListener;
+        let path = std::env::temp_dir().join(format!("stl-retry-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let answer = |applied: bool, generation: u64| {
+            let mut conn = Framed::new(Vec::new());
+            let reason = String::new();
+            conn.send_response(&Response::Batch { applied, generation, reason }).unwrap();
+            conn.stream
+        };
+        let first = answer(false, 1);
+        let second = answer(true, 7);
+        let peer = std::thread::spawn(move || {
+            for reply in [&first[..3], &second[..]] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut len = [0u8; 4];
+                stream.read_exact(&mut len).unwrap();
+                let mut request = vec![0u8; u32::from_le_bytes(len) as usize];
+                stream.read_exact(&mut request).unwrap();
+                assert!(matches!(Request::decode(&request), Ok(Request::UpdateKeyed { .. })));
+                stream.write_all(reply).unwrap();
+            } // each stream closes here
+        });
+        let mut client = NetClient::connect(&Endpoint::Unix(path.clone())).unwrap();
+        let out = client
+            .update_keyed_retry(9, &[EdgeUpdate::new(0, 1, 2)], RetryPolicy::new(1, 1, 3))
+            .unwrap();
+        assert_eq!(out, RemoteOutcome { applied: true, generation: 7, reason: String::new() });
+        peer.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One socket read per request on sequential traffic: each request frame
+    /// is written whole and read whole, prefix and payload together.
+    #[test]
+    fn sequential_requests_take_one_socket_read_each() {
+        let g = diamond();
+        let path = std::env::temp_dir().join(format!("stl-reads-{}.sock", std::process::id()));
+        let (_server, net) = start_net_on(&g, &format!("unix:{}", path.display()), fast_cfg());
+        let mut client = NetClient::connect(&net.local_addr()).unwrap();
+        for i in 0..100 {
+            assert_eq!(client.query(i % 4, 3).unwrap(), [12, 9, 5, 0][i as usize % 4]);
+        }
+        drop(client);
+        let stats = net.shutdown();
+        assert_eq!(stats.requests_served, 100);
+        assert_eq!(stats.socket_reads, 100);
     }
 
     #[test]
