@@ -15,15 +15,20 @@
 //! τ-restriction (`τ(n) > τ(r)` keeps the search inside `G[Desc(r_i)]`) and
 //! the same self-entry guard derived from the zero-weight-cycle analysis
 //! (see `pareto.rs`).
+//!
+//! [`DirectedStl::apply_batch`] is the mixed-batch driver: its
+//! normalisation key is the **ordered** arc `(a, b)`, so updates to the two
+//! directions of a road never collapse into one.
 
 use std::cmp::Reverse;
 
-use stl_graph::{dist_add, DiGraph, VertexId, Weight, INF};
+use stl_graph::{dist_add, DiGraph, EdgeUpdate, VertexId, Weight, INF};
 
 use crate::directed::DirectedStl;
 use crate::engine::UpdateEngine;
 use crate::hierarchy::Hierarchy;
 use crate::labelling::Labels;
+use crate::shard::normalise_batch;
 use crate::types::UpdateStats;
 
 /// Which label family a directed search maintains.
@@ -36,6 +41,32 @@ enum Dir {
 }
 
 impl DirectedStl {
+    /// Apply a mixed batch of **arc**-weight updates, keeping graph and both
+    /// label families consistent: the decreases, then the increases, one
+    /// arc at a time.
+    ///
+    /// Unlike the undirected driver, normalisation keys on the ordered pair
+    /// `(a, b)`: a batch updating both `a → b` and `b → a` applies both, and
+    /// only repeats of the *same* direction collapse last-wins.
+    ///
+    /// Panics if an update references a non-existent arc.
+    pub fn apply_batch(
+        &mut self,
+        dg: &mut DiGraph,
+        updates: &[EdgeUpdate],
+        eng: &mut UpdateEngine,
+    ) -> UpdateStats {
+        let (dec, inc) = normalise_batch(updates, true, |a, b| dg.arc_weight(a, b));
+        let mut stats = UpdateStats::default();
+        for u in dec {
+            stats += self.decrease_arc(dg, u.a, u.b, u.new_weight, eng);
+        }
+        for u in inc {
+            stats += self.increase_arc(dg, u.a, u.b, u.new_weight, eng);
+        }
+        stats
+    }
+
     /// Decrease the weight of arc `a → b` and repair both label families.
     pub fn decrease_arc(
         &mut self,
@@ -403,6 +434,81 @@ mod tests {
         stl.increase_arc(&mut dg, 1, 2, INF, &mut eng);
         assert_eq!(stl.query(0, 3), 10);
         assert_exact(&dg, &stl);
+    }
+
+    fn two_way_ring(n: u32) -> DiGraph {
+        // Both directions of every road exist with distinct weights.
+        let mut arcs = Vec::new();
+        for i in 0..n {
+            let j = (i + 1) % n;
+            arcs.push((i, j, 3 + i % 4));
+            arcs.push((j, i, 5 + i % 3));
+        }
+        arcs.push((0, n / 2, 11));
+        arcs.push((n / 2, 0, 13));
+        DiGraph::from_arcs(n as usize, arcs)
+    }
+
+    #[test]
+    fn directed_batch_keeps_opposite_arcs_distinct() {
+        // Regression: the undirected normalisation key `{min, max}` used to
+        // be the only one available — a directed batch touching `(a, b)` and
+        // `(b, a)` would collapse to whichever came last. Both arcs must
+        // survive normalisation and both weights must land.
+        let mut dg = two_way_ring(8);
+        let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 2, ..Default::default() });
+        let mut eng = UpdateEngine::new(dg.num_vertices());
+        let batch = vec![EdgeUpdate::new(2, 3, 40), EdgeUpdate::new(3, 2, 1)];
+        let stats = stl.apply_batch(&mut dg, &batch, &mut eng);
+        assert_eq!(dg.arc_weight(2, 3), Some(40), "forward arc must keep its own update");
+        assert_eq!(dg.arc_weight(3, 2), Some(1), "reverse arc must keep its own update");
+        assert_eq!(stats.updates, 2, "both orientations count as real updates");
+        assert_exact(&dg, &stl);
+    }
+
+    #[test]
+    fn directed_batch_same_arc_still_last_wins() {
+        let mut dg = two_way_ring(8);
+        let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 2, ..Default::default() });
+        let mut eng = UpdateEngine::new(dg.num_vertices());
+        let w_rev = dg.arc_weight(5, 4).unwrap();
+        let batch = vec![
+            EdgeUpdate::new(4, 5, 100),
+            EdgeUpdate::new(4, 5, 2), // same direction: supersedes the first
+        ];
+        stl.apply_batch(&mut dg, &batch, &mut eng);
+        assert_eq!(dg.arc_weight(4, 5), Some(2));
+        assert_eq!(dg.arc_weight(5, 4), Some(w_rev), "reverse arc untouched");
+        assert_exact(&dg, &stl);
+    }
+
+    #[test]
+    fn directed_mixed_batch_exact_after_split() {
+        let mut dg = two_way_ring(10);
+        let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 3, ..Default::default() });
+        let mut eng = UpdateEngine::new(dg.num_vertices());
+        // Mixed increases and decreases over both orientations, plus a no-op.
+        let keep = dg.arc_weight(7, 6).unwrap();
+        let batch = vec![
+            EdgeUpdate::new(0, 1, 50),
+            EdgeUpdate::new(1, 0, 1),
+            EdgeUpdate::new(5, 0, 2),
+            EdgeUpdate::new(0, 5, 60),
+            EdgeUpdate::new(7, 6, keep),
+        ];
+        let stats = stl.apply_batch(&mut dg, &batch, &mut eng);
+        assert_eq!(stats.updates, 4, "the no-op must be dropped");
+        assert_exact(&dg, &stl);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing arc")]
+    fn directed_missing_arc_panics() {
+        // A one-way street: the reverse arc does not exist.
+        let mut dg = DiGraph::from_arcs(3, vec![(0, 1, 2), (1, 2, 3), (2, 0, 4)]);
+        let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 1, ..Default::default() });
+        let mut eng = UpdateEngine::new(3);
+        stl.apply_batch(&mut dg, &[EdgeUpdate::new(1, 0, 9)], &mut eng);
     }
 
     #[test]

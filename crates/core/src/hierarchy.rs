@@ -455,8 +455,8 @@ impl Hierarchy {
     }
 
     /// The one ancestor walker behind both public enumerations — the shard
-    /// filter must never drift from the unfiltered walk, or sharded repair
-    /// would silently diverge from serial.
+    /// filter must never drift from the unfiltered walk: over all shards it
+    /// visits exactly the inclusive ancestor set, or repair misses ancestors.
     fn walk_ancestors(&self, v: VertexId, shard: Option<u32>, mut f: impl FnMut(VertexId, u32)) {
         // Collect root path of ℓ(v).
         let mut path = [0u32; 128];

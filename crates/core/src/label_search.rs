@@ -1,11 +1,12 @@
-//! Label Search maintenance — the ancestor-centric algorithms.
+//! Label Search maintenance — the ancestor-centric algorithms, run by the
+//! batch driver (`crate::shard`) once per repair shard:
 //!
-//! * [`decrease`] — Algorithm 1: per affected ancestor `r`, a pruned
-//!   Dijkstra restricted to `G[Desc(r)]` repairs labels immediately (new
-//!   distances are known as soon as a vertex is settled).
-//! * [`increase`] — Algorithm 2: per ancestor, first identify the affected
-//!   set `V_aff` along the old shortest-path DAG (Lemma 5.2 equality test),
-//!   then repair all labels in one pass from distance bounds computed at the
+//! * decreases — Algorithm 1: per affected ancestor `r`, a pruned Dijkstra
+//!   restricted to `G[Desc(r)]` repairs labels immediately (new distances
+//!   are known as soon as a vertex is settled);
+//! * increases — Algorithm 2: per ancestor, first identify the affected set
+//!   `V_aff` along the old shortest-path DAG (Lemma 5.2 equality test), then
+//!   repair all labels in one pass from distance bounds computed at the
 //!   unaffected boundary (Definition 5.4, Lemma 5.5).
 //!
 //! Paper-fidelity note: Algorithm 2's `Repair` (line 19) restricts boundary
@@ -13,14 +14,10 @@
 //! and lose repairs for its direct neighbours, so we use `τ(n) ≥ τ(r)` —
 //! along an ancestor chain the only vertex with `τ(n) = τ(r)` is `r`.
 //!
-//! All phases are **scoped**: the seed/search/repair cores are generic over
-//! the crate-internal `LabelAccess` trait and take an optional repair-shard filter, so the same
-//! code runs serially over the whole ancestor set (`shard = None`, the
-//! public [`decrease`]/[`increase`] entry points) or per stable tree on a
-//! [`ShardLabels`](crate::labelling::ShardLabels) view inside
-//! [`Stl::apply_batch_sharded`](crate::labelling::Stl::apply_batch_sharded)
-//! — every per-ancestor search reads and writes only entries `(v, τ(r))`
-//! with `v ∈ Desc(r)`, which is what makes the per-tree grouping sound.
+//! Every phase runs on a `ShardLabels` view and seeds only the ancestors
+//! its shard owns: a per-ancestor search reads and writes only entries
+//! `(v, τ(r))` with `v ∈ Desc(r)`, which is what makes the per-tree
+//! grouping sound.
 
 use std::cmp::Reverse;
 
@@ -28,45 +25,16 @@ use stl_graph::{dist_add, CsrGraph, EdgeUpdate, VertexId, INF};
 
 use crate::engine::UpdateEngine;
 use crate::hierarchy::Hierarchy;
-use crate::labelling::{LabelAccess, Stl};
+use crate::labelling::ShardLabels;
 use crate::types::UpdateStats;
 
-/// Algorithm 1 — batch of edge-weight **decreases**.
-///
-/// Applies the new weights to `g`, then repairs all affected labels.
-/// Updates must strictly decrease weights (the batch driver filters).
-pub fn decrease(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
-) -> UpdateStats {
-    let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
-    if updates.is_empty() {
-        return stats;
-    }
-    eng.ensure_capacity(g.num_vertices());
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-
-    // Weight decreases take effect first: searches relax over new weights.
-    for &u in updates {
-        let old = g.apply_update(u).expect("update must target an existing edge");
-        debug_assert!(u.new_weight <= old, "decrease batch got an increase");
-    }
-
-    seed_decrease(hier, labels, updates, None, eng);
-    run_decrease_searches(hier, labels, g, eng, &mut stats);
-    stats
-}
-
 /// Partition decrease seeds into per-ancestor queues `Q_r` (Alg. 1 lines
-/// 2–7), restricted to the ancestors owned by `shard` when given. The new
-/// weights must already be applied to the graph.
-pub(crate) fn seed_decrease<L: LabelAccess>(
+/// 2–7) for the ancestors `labels`' shard owns. The new weights must
+/// already be applied to the graph.
+pub(crate) fn seed_decrease(
     hier: &Hierarchy,
-    labels: &L,
+    labels: &ShardLabels<'_, '_>,
     updates: &[EdgeUpdate],
-    shard: Option<u32>,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
@@ -74,7 +42,7 @@ pub(crate) fn seed_decrease<L: LabelAccess>(
         let (a, b) = orient(hier, u.a, u.b);
         let w = u.new_weight;
         let seeds = &mut eng.seeds;
-        let visit = |r: VertexId, tr: u32| {
+        hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
             let la = labels.get(a, tr);
             let lb = labels.get(b, tr);
             if la != INF && dist_add(la, w) < lb {
@@ -82,19 +50,15 @@ pub(crate) fn seed_decrease<L: LabelAccess>(
             } else if lb != INF && dist_add(lb, w) < la {
                 seeds.entry(r).or_default().push((dist_add(lb, w), a));
             }
-        };
-        match shard {
-            Some(s) => hier.for_each_ancestor_in_shard(a, s, visit),
-            None => hier.for_each_ancestor_inclusive(a, visit),
-        }
+        });
     }
 }
 
 /// One pruned Dijkstra per seeded ancestor (Alg. 1 lines 8–14), in τ order:
 /// hash-map order would make repair order and stats nondeterministic.
-pub(crate) fn run_decrease_searches<L: LabelAccess>(
+pub(crate) fn run_decrease_searches(
     hier: &Hierarchy,
-    labels: &mut L,
+    labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -130,46 +94,14 @@ pub(crate) fn run_decrease_searches<L: LabelAccess>(
     }
 }
 
-/// Algorithm 2 — batch of edge-weight **increases**.
-///
-/// Searches run on the *old* graph/labels (equality tests of Lemma 5.2);
-/// weights are applied afterwards and `Repair` recomputes affected labels
-/// from boundary distance bounds.
-pub fn increase(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
-) -> UpdateStats {
-    let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
-    if updates.is_empty() {
-        return stats;
-    }
-    eng.ensure_capacity(g.num_vertices());
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-
-    seed_increase(hier, labels, g, updates, None, eng);
-    collect_affected(hier, labels, g, eng, &mut stats);
-
-    // Apply the new weights, then repair per ancestor.
-    for &u in updates {
-        g.apply_update(u).expect("validated above");
-    }
-    let aff_per_r = std::mem::take(&mut eng.aff_per_r);
-    run_repairs(hier, labels, g, &aff_per_r, eng, &mut stats);
-    eng.aff_per_r = aff_per_r; // return buffers for reuse
-    stats
-}
-
 /// Seed increase queues from **old** labels and **old** weights (Alg. 2
-/// lines 2–7), restricted to the ancestors owned by `shard` when given.
-/// Must run before any of the batch's weights are applied.
-pub(crate) fn seed_increase<L: LabelAccess>(
+/// lines 2–7) for the ancestors `labels`' shard owns. Must run before any
+/// of the batch's weights are applied.
+pub(crate) fn seed_increase(
     hier: &Hierarchy,
-    labels: &L,
+    labels: &ShardLabels<'_, '_>,
     g: &CsrGraph,
     updates: &[EdgeUpdate],
-    shard: Option<u32>,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
@@ -179,7 +111,7 @@ pub(crate) fn seed_increase<L: LabelAccess>(
         let (a, b) = orient(hier, u.a, u.b);
         let ta = hier.tau(a);
         let seeds = &mut eng.seeds;
-        let visit = |r: VertexId, tr: u32| {
+        hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
             let la = labels.get(a, tr);
             let lb = labels.get(b, tr);
             if la != INF && lb != INF && dist_add(la, w_old) == lb {
@@ -190,20 +122,16 @@ pub(crate) fn seed_increase<L: LabelAccess>(
                 // closing a zero-length cycle) the self-entry is 0 forever.
                 seeds.entry(r).or_default().push((la, a));
             }
-        };
-        match shard {
-            Some(s) => hier.for_each_ancestor_in_shard(a, s, visit),
-            None => hier.for_each_ancestor_inclusive(a, visit),
-        }
+        });
     }
 }
 
 /// Identify `V_aff` per seeded ancestor along the old shortest-path DAG
 /// (Alg. 2 lines 8–14), in τ order for run-to-run determinism, appending to
 /// `eng.aff_per_r`. All searches must precede any weight application.
-pub(crate) fn collect_affected<L: LabelAccess>(
+pub(crate) fn collect_affected(
     hier: &Hierarchy,
-    labels: &L,
+    labels: &ShardLabels<'_, '_>,
     g: &CsrGraph,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -247,9 +175,9 @@ pub(crate) fn collect_affected<L: LabelAccess>(
 
 /// Run `Repair` for every `(ancestor, V_aff)` pair, in the given (τ-sorted)
 /// order. The batch's new weights must already be applied.
-pub(crate) fn run_repairs<L: LabelAccess>(
+pub(crate) fn run_repairs(
     hier: &Hierarchy,
-    labels: &mut L,
+    labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
     aff_per_r: &[(VertexId, Vec<VertexId>)],
     eng: &mut UpdateEngine,
@@ -261,9 +189,9 @@ pub(crate) fn run_repairs<L: LabelAccess>(
 }
 
 /// `Repair` of Algorithm 2 (lines 16–27) for one ancestor.
-fn repair<L: LabelAccess>(
+fn repair(
     hier: &Hierarchy,
-    labels: &mut L,
+    labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
     r: VertexId,
     v_aff: &[VertexId],
@@ -320,7 +248,7 @@ fn repair<L: LabelAccess>(
 /// (`τ(a) < τ(b)`, cf. Algorithm 1 line 2; endpoints of an edge are always
 /// comparable by Lemma 5.3).
 #[inline]
-pub(crate) fn orient(hier: &Hierarchy, a: VertexId, b: VertexId) -> (VertexId, VertexId) {
+fn orient(hier: &Hierarchy, a: VertexId, b: VertexId) -> (VertexId, VertexId) {
     if hier.tau(a) < hier.tau(b) {
         (a, b)
     } else {
@@ -330,10 +258,13 @@ pub(crate) fn orient(hier: &Hierarchy, a: VertexId, b: VertexId) -> (VertexId, V
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::types::StlConfig;
-    use crate::verify;
     use stl_graph::builder::from_edges;
+    use stl_graph::{CsrGraph, EdgeUpdate, INF};
+
+    use crate::engine::UpdateEngine;
+    use crate::labelling::Stl;
+    use crate::types::{Maintenance, StlConfig, UpdateStats};
+    use crate::verify;
 
     fn grid(side: u32) -> CsrGraph {
         let idx = |x: u32, y: u32| y * side + x;
@@ -351,13 +282,25 @@ mod tests {
         from_edges((side * side) as usize, edges)
     }
 
+    /// Apply `batch` with Label Search; the labels must equal a rebuild.
+    fn apply(
+        stl: &mut Stl,
+        g: &mut CsrGraph,
+        batch: &[EdgeUpdate],
+        eng: &mut UpdateEngine,
+    ) -> UpdateStats {
+        let stats = stl.apply_batch(g, batch, Maintenance::LabelSearch, eng);
+        verify::check_matches_rebuild(stl, g).unwrap();
+        stats
+    }
+
     #[test]
     fn single_decrease_repairs_exactly() {
         let mut g = grid(6);
         let mut stl = Stl::build(&g, &StlConfig::default());
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(10).unwrap();
-        let stats = decrease(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w / 2)], &mut eng);
+        let stats = apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w / 2)], &mut eng);
         assert_eq!(stats.updates, 1);
         verify::check_all(&stl, &g).unwrap();
     }
@@ -368,7 +311,7 @@ mod tests {
         let mut stl = Stl::build(&g, &StlConfig::default());
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(17).unwrap();
-        let stats = increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 3)], &mut eng);
+        let stats = apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 3)], &mut eng);
         assert_eq!(stats.updates, 1);
         verify::check_all(&stl, &g).unwrap();
     }
@@ -381,10 +324,10 @@ mod tests {
         let originals: Vec<_> = g.edges().step_by(3).collect();
         let dec: Vec<_> =
             originals.iter().map(|&(a, b, w)| EdgeUpdate::new(a, b, (w / 2).max(1))).collect();
-        decrease(&mut stl, &mut g, &dec, &mut eng);
+        apply(&mut stl, &mut g, &dec, &mut eng);
         verify::check_all(&stl, &g).unwrap();
         let inc: Vec<_> = originals.iter().map(|&(a, b, w)| EdgeUpdate::new(a, b, w)).collect();
-        increase(&mut stl, &mut g, &inc, &mut eng);
+        apply(&mut stl, &mut g, &inc, &mut eng);
         verify::check_all(&stl, &g).unwrap();
     }
 
@@ -394,7 +337,7 @@ mod tests {
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, _) = g.edges().next().unwrap();
-        increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, INF)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, INF)], &mut eng);
         verify::check_all(&stl, &g).unwrap();
     }
 
@@ -406,18 +349,8 @@ mod tests {
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
         assert_eq!(stl.query(0, 5), 25);
         let mut eng = UpdateEngine::new(g.num_vertices());
-        decrease(&mut stl, &mut g, &[EdgeUpdate::new(0, 5, 3)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(0, 5, 3)], &mut eng);
         assert_eq!(stl.query(0, 5), 3);
-        verify::check_all(&stl, &g).unwrap();
-    }
-
-    #[test]
-    fn noop_same_weight_increase_is_safe() {
-        let mut g = grid(4);
-        let mut stl = Stl::build(&g, &StlConfig::default());
-        let mut eng = UpdateEngine::new(g.num_vertices());
-        let (a, b, w) = g.edges().next().unwrap();
-        increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w)], &mut eng);
         verify::check_all(&stl, &g).unwrap();
     }
 
@@ -432,16 +365,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
-        for round in 0..30 {
+        for _ in 0..30 {
             let (a, b, _) = edges[next(edges.len() as u64) as usize];
-            let cur = g.weight(a, b).unwrap();
             let target = (next(20) + 1) as u32;
-            if target < cur {
-                decrease(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
-            } else if target > cur {
-                increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
-            }
-            verify::check_labels_exact(&stl, &g).unwrap_or_else(|e| panic!("round {round}: {e}"));
+            apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
         }
         verify::check_all(&stl, &g).unwrap();
     }

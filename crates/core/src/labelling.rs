@@ -247,29 +247,6 @@ impl Labels {
     }
 }
 
-/// Uniform read/write access to label entries — implemented by the owning
-/// [`Labels`] (the per-update serial driver) and by per-shard
-/// [`ShardLabels`] views (the tree-grouped batch driver), so the search
-/// algorithms in `label_search` and `pareto` compile once against either.
-pub(crate) trait LabelAccess {
-    /// `L(v)[i]`.
-    fn get(&self, v: VertexId, i: u32) -> Dist;
-    /// Overwrite `L(v)[i]`.
-    fn set(&mut self, v: VertexId, i: u32, d: Dist);
-}
-
-impl LabelAccess for Labels {
-    #[inline(always)]
-    fn get(&self, v: VertexId, i: u32) -> Dist {
-        Labels::get(self, v, i)
-    }
-
-    #[inline(always)]
-    fn set(&mut self, v: VertexId, i: u32, d: Dist) {
-        Labels::set(self, v, i, d)
-    }
-}
-
 /// One batch-repair phase over a label arena (from
 /// [`Labels::phase_writer`]). Hand each work unit a [`ShardLabels`] view via
 /// [`LabelsWriter::shard_view`]; copy-on-write promotions land in the arena
@@ -320,11 +297,16 @@ impl ShardLabels<'_, '_> {
     pub fn into_log(self) -> Vec<(VertexId, u32)> {
         self.log.unwrap_or_default()
     }
-}
 
-impl LabelAccess for ShardLabels<'_, '_> {
+    /// The repair shard whose entries this view is confined to.
+    #[inline]
+    pub(crate) fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// `L(v)[i]`, an entry this view's shard owns.
     #[inline(always)]
-    fn get(&self, v: VertexId, i: u32) -> Dist {
+    pub(crate) fn get(&self, v: VertexId, i: u32) -> Dist {
         debug_assert_eq!(
             self.hier.shard_of_entry(v, i),
             self.shard,
@@ -336,8 +318,9 @@ impl LabelAccess for ShardLabels<'_, '_> {
         self.writer.inner.get_in_chunk(loc.chunk as usize, (loc.lo + i) as usize)
     }
 
+    /// Overwrite `L(v)[i]`, an entry this view's shard owns.
     #[inline(always)]
-    fn set(&mut self, v: VertexId, i: u32, d: Dist) {
+    pub(crate) fn set(&mut self, v: VertexId, i: u32, d: Dist) {
         debug_assert_eq!(
             self.hier.shard_of_entry(v, i),
             self.shard,

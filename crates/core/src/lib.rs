@@ -8,18 +8,17 @@
 //!   weights.
 //! * [`labelling::Stl`] — the 2-hop labelling over it (Definition 4.6)
 //!   storing **subgraph** distances, with O(1)-LCA queries (Equation 3).
-//! * [`label_search`] — ancestor-centric maintenance (Algorithms 1–2).
-//! * [`pareto`] — update-centric maintenance combining all ancestors into
-//!   two searches with Pareto-active intervals (Algorithms 3–5).
-//! * [`batch`] — mixed-batch driver splitting updates into increase /
-//!   decrease phases.
-//! * [`shard`] — tree-grouped batch repair: label maintenance grouped into
-//!   one work unit per owning stable tree, with provably disjoint write
-//!   sets, so untouched trees are skipped and a shard worker repairs only
-//!   the trees it owns.
+//! * [`shard`] — the batch driver, [`Stl::apply_batch`]: a mixed batch is
+//!   normalised, split into decrease and increase phases, and repaired by
+//!   ancestor-centric Label Search (Algorithms 1–2) or by update-centric
+//!   Pareto Search, which combines all ancestors into two searches with
+//!   Pareto-active intervals (Algorithms 3–5) — grouped into one work unit
+//!   per owning stable tree, with provably disjoint write sets, so untouched
+//!   trees are skipped and a shard worker repairs only the trees it owns.
 //! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
 //!   min-plus kernel, over the chunked or the flat label layout.
-//! * [`directed`] — the §8 extension to directed road networks.
+//! * [`directed`] — the §8 extension to directed road networks, maintained
+//!   by [`directed_dynamic`].
 //! * [`structural`] — §8 edge/vertex insertion & deletion.
 //! * [`index`] — the [`DynamicDistanceIndex`] serving trait `stl_server`
 //!   is generic over (the on-ramp for second-generation engines).
@@ -38,16 +37,15 @@
 //! assert_eq!(stl.query(0, 3), 12);
 //! ```
 
-pub mod batch;
 pub mod directed;
 pub mod directed_dynamic;
 pub mod engine;
 pub mod failpoint;
 pub mod hierarchy;
 pub mod index;
-pub mod label_search;
+mod label_search;
 pub mod labelling;
-pub mod pareto;
+mod pareto;
 pub mod persist;
 pub mod query;
 pub mod shard;

@@ -1,4 +1,5 @@
-//! Pareto Search maintenance — the update-centric algorithms.
+//! Pareto Search maintenance — the update-centric algorithms, run by the
+//! batch driver (`crate::shard`) once per work unit an update reaches.
 //!
 //! Instead of one search per affected ancestor, Pareto Search runs **two**
 //! searches per update (one from each endpoint of the updated edge) and
@@ -8,12 +9,13 @@
 //! so validity intervals clamp at `τ(v)` on every hop; the per-vertex
 //! `level` watermark discards dominated tuples (Example 5.13).
 //!
-//! * [`decrease`] — Algorithm 3: labels repair immediately
-//!   (`L_v[i] ← d + L_r[i]`) because new distances are known on the fly.
-//! * [`increase`] — Algorithms 4–5: equality tests on *old* labels identify
-//!   exact affected `(v, i)` pairs, labels are bumped by `Δ` as upper
-//!   bounds, and a per-index repair Dijkstra finishes from the unaffected
-//!   boundary.
+//! * decreases — Algorithm 3 (`search_and_repair_dec`): labels repair
+//!   immediately (`L_v[i] ← d + L_r[i]`) because new distances are known on
+//!   the fly;
+//! * increases — Algorithms 4–5 (`search_inc`, `bump_pairs`, `repair_inc`):
+//!   equality tests on *old* labels identify exact affected `(v, i)` pairs,
+//!   labels are bumped by `Δ` as upper bounds, and a per-index repair
+//!   Dijkstra finishes from the unaffected boundary.
 //!
 //! Implementation note (see DESIGN.md §2): Algorithm 4 bumps labels *during*
 //! its searches while later equality checks need pre-update values; we
@@ -21,12 +23,11 @@
 //! all `+Δ` bumps after, which keeps the two searches' equality tests exact
 //! without snapshotting every label.
 //!
-//! All search cores are **scoped** like `label_search`'s: they are generic
-//! over the crate-internal `LabelAccess` trait and take an ancestor-index clamp `[lo, hi]`, so the
-//! same code runs serially over the full validity interval (the public
-//! [`decrease`]/[`increase`] entry points, clamp `[0, ∞)`) or per repair
-//! shard inside [`Stl::apply_batch_sharded`]. The clamp is sound because a
-//! Pareto search's writes at index `i` all target entries `(v, i)` with
+//! Every search core runs on a `ShardLabels` view and takes an
+//! ancestor-index clamp `[lo, hi]`: the driver runs an update's searches in
+//! its subtree's unit and in the spine unit with complementary clamps. The
+//! clamp is sound because a Pareto search's writes at index `i` all target
+//! entries `(v, i)` with
 //! `v ∈ Desc(r_i)` for the *common* `i`-th ancestor `r_i` of the updated
 //! edge's endpoints (Definition 5.11: an item leaving `Desc(r_i)` has its
 //! `hi` clamped below `i` at the boundary vertex), and the index ranges
@@ -37,60 +38,21 @@
 
 use std::cmp::Reverse;
 
-use stl_graph::{dist_add, CsrGraph, Dist, EdgeUpdate, VertexId, INF};
+use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 
 use crate::engine::{ParetoItem, UpdateEngine};
 use crate::hierarchy::Hierarchy;
-use crate::labelling::{LabelAccess, Stl};
+use crate::labelling::ShardLabels;
 use crate::types::UpdateStats;
-
-/// Algorithm 3 — edge-weight **decreases**, one update at a time.
-pub fn decrease(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
-) -> UpdateStats {
-    let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
-    eng.ensure_capacity(g.num_vertices());
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-    for &u in updates {
-        let old = g.apply_update(u).expect("update must target an existing edge");
-        debug_assert!(u.new_weight <= old, "decrease batch got an increase");
-        search_and_repair_dec(
-            hier,
-            labels,
-            g,
-            u.a,
-            u.b,
-            u.new_weight,
-            (0, u32::MAX),
-            eng,
-            &mut stats,
-        );
-        search_and_repair_dec(
-            hier,
-            labels,
-            g,
-            u.b,
-            u.a,
-            u.new_weight,
-            (0, u32::MAX),
-            eng,
-            &mut stats,
-        );
-    }
-    stats
-}
 
 /// One decrease search anchored at `r` starting at `start` (Algorithm 3's
 /// `Search-and-Repair`): explores paths `r → start → …` whose first edge is
 /// the updated edge with weight `phi`. The validity interval is intersected
 /// with `clamp` (see module docs); an empty intersection skips the search.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn search_and_repair_dec<L: LabelAccess>(
+pub(crate) fn search_and_repair_dec(
     hier: &Hierarchy,
-    labels: &mut L,
+    labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
     r: VertexId,
     start: VertexId,
@@ -156,54 +118,12 @@ pub(crate) fn search_and_repair_dec<L: LabelAccess>(
     }
 }
 
-/// Algorithms 4–5 — edge-weight **increases**, one update at a time.
-pub fn increase(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
-) -> UpdateStats {
-    let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
-    eng.ensure_capacity(g.num_vertices());
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-    for &u in updates {
-        let w_old = g.weight(u.a, u.b).expect("update must target an existing edge");
-        debug_assert!(u.new_weight >= w_old, "increase batch got a decrease");
-        let delta = u.new_weight.saturating_sub(w_old);
-        if delta == 0 {
-            continue;
-        }
-        // Phase 1: both searches on old labels/weights, collecting exact
-        // affected (v, i) pairs.
-        eng.pairs.clear();
-        search_inc(hier, labels, g, u.a, u.b, w_old, (0, u32::MAX), eng, &mut stats);
-        search_inc(hier, labels, g, u.b, u.a, w_old, (0, u32::MAX), eng, &mut stats);
-
-        // Phase 2: apply the new weight; bump affected labels by Δ (upper
-        // bounds, Alg. 4 line 18) and build per-vertex affected intervals.
-        g.apply_update(u).expect("validated above");
-        let mut pairs = std::mem::take(&mut eng.pairs);
-        pairs.sort_unstable();
-        pairs.dedup();
-        stats.affected += pairs.len() as u64;
-        eng.aff_lo.reset();
-        eng.aff_hi.reset();
-        eng.aff_list.clear();
-        bump_pairs(labels, &pairs, delta, eng, &mut stats);
-        eng.pairs = pairs;
-
-        // Phase 3: repair (Algorithm 5).
-        repair_inc(hier, labels, g, eng, &mut stats);
-    }
-    stats
-}
-
 /// Bump collected pairs by `delta` (upper bounds, Alg. 4 line 18) and fold
 /// them into the engine's per-vertex affected intervals (`aff_lo`/`aff_hi`
 /// must be freshly reset at the start of the batch — callers accumulate
 /// several updates' pairs into one interval set before [`repair_inc`]).
-pub(crate) fn bump_pairs<L: LabelAccess>(
-    labels: &mut L,
+pub(crate) fn bump_pairs(
+    labels: &mut ShardLabels<'_, '_>,
     pairs: &[(VertexId, u32)],
     delta: Dist,
     eng: &mut UpdateEngine,
@@ -235,9 +155,9 @@ pub(crate) fn bump_pairs<L: LabelAccess>(
 /// Must run before any of the batch's weights are applied; the validity
 /// interval is intersected with `clamp` as in [`search_and_repair_dec`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn search_inc<L: LabelAccess>(
+pub(crate) fn search_inc(
     hier: &Hierarchy,
-    labels: &L,
+    labels: &ShardLabels<'_, '_>,
     g: &CsrGraph,
     r: VertexId,
     start: VertexId,
@@ -312,12 +232,11 @@ pub(crate) fn search_inc<L: LabelAccess>(
 
 /// Algorithm 5 — per-index repair over the affected intervals held in the
 /// engine (`aff_list`/`aff_lo`/`aff_hi`). Entirely index-local: a repair at
-/// index `i` reads and writes only index-`i` entries, so the same code
-/// serves one update's intervals (serial driver) or a whole shard-clamped
-/// batch's merged intervals (sharded driver).
-pub(crate) fn repair_inc<L: LabelAccess>(
+/// index `i` reads and writes only index-`i` entries, so one pass repairs a
+/// whole unit's merged intervals.
+pub(crate) fn repair_inc(
     hier: &Hierarchy,
-    labels: &mut L,
+    labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -381,10 +300,13 @@ pub(crate) fn repair_inc<L: LabelAccess>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::types::StlConfig;
-    use crate::verify;
     use stl_graph::builder::from_edges;
+    use stl_graph::{CsrGraph, EdgeUpdate, VertexId, INF};
+
+    use crate::engine::UpdateEngine;
+    use crate::labelling::Stl;
+    use crate::types::{Maintenance, StlConfig, UpdateStats};
+    use crate::verify;
 
     fn grid(side: u32) -> CsrGraph {
         let idx = |x: u32, y: u32| y * side + x;
@@ -402,14 +324,31 @@ mod tests {
         from_edges((side * side) as usize, edges)
     }
 
+    /// Apply `batch` with Pareto Search; the labels must equal a rebuild.
+    fn apply(
+        stl: &mut Stl,
+        g: &mut CsrGraph,
+        batch: &[EdgeUpdate],
+        eng: &mut UpdateEngine,
+    ) -> UpdateStats {
+        let stats = stl.apply_batch(g, batch, Maintenance::ParetoSearch, eng);
+        verify::check_matches_rebuild(stl, g).unwrap();
+        stats
+    }
+
     #[test]
     fn pareto_decrease_single_update() {
         let mut g = grid(6);
         let mut stl = Stl::build(&g, &StlConfig::default());
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(20).unwrap();
-        let stats = decrease(&mut stl, &mut g, &[EdgeUpdate::new(a, b, (w / 3).max(1))], &mut eng);
-        assert_eq!(stats.searches, 2, "exactly two searches per update");
+        let stats = apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, (w / 3).max(1))], &mut eng);
+        assert!(stats.trees_touched > 0);
+        assert_eq!(
+            stats.searches,
+            2 * stats.trees_touched,
+            "exactly two searches per update in every unit it reaches"
+        );
         verify::check_all(&stl, &g).unwrap();
     }
 
@@ -419,44 +358,8 @@ mod tests {
         let mut stl = Stl::build(&g, &StlConfig::default());
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(33).unwrap();
-        increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 4)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 4)], &mut eng);
         verify::check_all(&stl, &g).unwrap();
-    }
-
-    #[test]
-    fn pareto_matches_label_search_results() {
-        // Run the same update stream through both algorithm families on two
-        // index copies; final labels must agree entry for entry.
-        let g0 = grid(5);
-        let cfg = StlConfig { leaf_size: 4, ..Default::default() };
-        let (mut g1, mut g2) = (g0.clone(), g0.clone());
-        let mut stl_l = Stl::build(&g0, &cfg);
-        let mut stl_p = stl_l.clone();
-        let mut eng = UpdateEngine::new(g0.num_vertices());
-        let edges: Vec<_> = g0.edges().collect();
-        let mut state = 7u64;
-        let mut next = |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        for _ in 0..25 {
-            let (a, b, _) = edges[next(edges.len() as u64) as usize];
-            let cur = g1.weight(a, b).unwrap();
-            let target = (next(25) + 1) as u32;
-            let upd = [EdgeUpdate::new(a, b, target)];
-            if target < cur {
-                crate::label_search::decrease(&mut stl_l, &mut g1, &upd, &mut eng);
-                decrease(&mut stl_p, &mut g2, &upd, &mut eng);
-            } else if target > cur {
-                crate::label_search::increase(&mut stl_l, &mut g1, &upd, &mut eng);
-                increase(&mut stl_p, &mut g2, &upd, &mut eng);
-            }
-        }
-        verify::check_all(&stl_l, &g1).unwrap();
-        verify::check_all(&stl_p, &g2).unwrap();
-        for v in 0..g0.num_vertices() as VertexId {
-            assert_eq!(stl_l.labels().slice(v), stl_p.labels().slice(v), "labels differ at {v}");
-        }
     }
 
     #[test]
@@ -466,8 +369,8 @@ mod tests {
         let reference = stl.clone();
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(8).unwrap();
-        increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 2)], &mut eng);
-        decrease(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 2)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w)], &mut eng);
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(
                 stl.labels().slice(v),
@@ -483,7 +386,7 @@ mod tests {
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, _) = g.edges().nth(5).unwrap();
-        increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, INF)], &mut eng);
+        apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, INF)], &mut eng);
         verify::check_all(&stl, &g).unwrap();
     }
 
@@ -498,30 +401,11 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
-        for round in 0..30 {
+        for _ in 0..30 {
             let (a, b, _) = edges[next(edges.len() as u64) as usize];
-            let cur = g.weight(a, b).unwrap();
             let target = (next(25) + 1) as u32;
-            if target < cur {
-                decrease(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
-            } else if target > cur {
-                increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
-            }
-            verify::check_labels_exact(&stl, &g).unwrap_or_else(|e| panic!("round {round}: {e}"));
+            apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, target)], &mut eng);
         }
-    }
-
-    #[test]
-    fn zero_delta_increase_is_noop() {
-        let mut g = grid(4);
-        let mut stl = Stl::build(&g, &StlConfig::default());
-        let reference = stl.clone();
-        let mut eng = UpdateEngine::new(g.num_vertices());
-        let (a, b, w) = g.edges().next().unwrap();
-        let stats = increase(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w)], &mut eng);
-        assert_eq!(stats.pops, 0);
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(stl.labels().slice(v), reference.labels().slice(v));
-        }
+        verify::check_all(&stl, &g).unwrap();
     }
 }

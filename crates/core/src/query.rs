@@ -475,7 +475,7 @@ mod tests {
     use super::{min_plus, min_plus_portable, min_plus_scalar, QueryProfile};
     use crate::labelling::Stl;
     use crate::types::{Maintenance, StlConfig};
-    use crate::EnginePool;
+    use crate::UpdateEngine;
     use stl_graph::builder::from_edges;
     use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId, INF};
     use stl_pathfinding::dijkstra;
@@ -662,7 +662,7 @@ mod tests {
         let edges = grid_edges(side);
         let mut g = from_edges((side * side) as usize, edges.clone());
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
-        let mut pool = EnginePool::new();
+        let mut eng = UpdateEngine::new(g.num_vertices());
         let n = g.num_vertices() as VertexId;
         let mut rng = XorShift(0x5eed_1234_5678_9abc);
         let few: Vec<VertexId> = (0..5).map(|_| rng.below(n as u64) as VertexId).collect();
@@ -675,7 +675,7 @@ mod tests {
                         EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
                     })
                     .collect();
-                stl.apply_batch_sharded(&mut g, &batch, Maintenance::ParetoSearch, &mut pool, 2);
+                stl.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
             }
             let flat = state == "built";
             assert_eq!(stl.is_flat(), flat, "{state}");

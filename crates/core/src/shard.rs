@@ -1,4 +1,11 @@
-//! Tree-grouped batch repair.
+//! The batch repair driver.
+//!
+//! [`Stl::apply_batch`] is the one path by which labels are maintained. It
+//! normalises a mixed batch (last update per edge wins, no-ops dropped),
+//! splits it into a decrease and an increase phase, and repairs the labels
+//! with the selected family — Label Search (Algorithms 1–2,
+//! `label_search`) or Pareto Search (Algorithms 3–5, `pareto`) — grouped
+//! by owning stable tree.
 //!
 //! The stable tree hierarchy partitions the label space: a per-ancestor
 //! Label-Search phase for cut vertex `r` reads and writes **only** the
@@ -8,18 +15,16 @@
 //! [`Stl::build_with_hierarchy_parallel`]). This module groups those repairs
 //! by **owning stable tree** (the subtree-ownership map of
 //! [`Hierarchy::tree_of`]) into work units and runs the units inline, one
-//! after another, on the caller's thread and one [`UpdateEngine`] kept in
-//! an [`EnginePool`]:
+//! after another, on the caller's thread and one [`UpdateEngine`]:
 //!
-//! 1. the batch is normalised once (shared with [`Stl::apply_batch`]) and
-//!    **pre-grouped by tree** — shards no update maps to are skipped before
-//!    any search starts (surfaced as `UpdateStats::trees_skipped`), and the
-//!    spine (cut vertices above [`SHARD_DEPTH`](crate::hierarchy::SHARD_DEPTH))
-//!    forms its own work unit, run first, since every root path crosses it;
-//! 2. weight application is phase-fenced exactly as in the serial
-//!    algorithms (decreases before their searches, increases after the
-//!    affected-set searches and before the repairs), so every unit sees the
-//!    same graph the serial path would;
+//! 1. the batch is normalised once and **pre-grouped by tree** — shards no
+//!    update maps to are skipped before any search starts (surfaced as
+//!    `UpdateStats::trees_skipped`), and the spine (cut vertices above
+//!    [`SHARD_DEPTH`](crate::hierarchy::SHARD_DEPTH)) forms its own work
+//!    unit, run first, since every root path crosses it;
+//! 2. weight application is phase-fenced: decreases land before their
+//!    searches, increases after the affected-set searches and before the
+//!    repairs, so every unit reads the graph its phase needs;
 //! 3. units repair their shards on [`ShardLabels`](crate::labelling::ShardLabels)
 //!    views over one [`LabelsWriter`](crate::labelling::LabelsWriter) phase,
 //!    which resolves each arena chunk on first touch (`stl_graph::cow`), so
@@ -27,10 +32,9 @@
 //! 4. per-unit [`UpdateStats`] accumulate in unit order and the per-shard
 //!    wall times land in a [`ShardReport`] for the server stats.
 //!
-//! For Label Search the driver runs the same per-ancestor searches the
-//! serial path runs, in a shard-grouped order, and produces byte-identical
-//! labels and search-effort counters. Disjointness is what makes the
-//! grouping, and a shard worker's owned-units-only repair, sound.
+//! For Label Search a unit runs Algorithms 1–2's per-ancestor searches for
+//! the ancestors its shard owns. Disjointness is what makes the grouping,
+//! and a shard worker's owned-units-only repair, sound.
 //!
 //! There is no thread pool. Two threads against one on 16-edge scattered
 //! and hotspot batches, unpinned on two vCPUs, measured 0.93–1.07× at 16k
@@ -46,30 +50,33 @@
 //! ownership follows the anchor's root path. That path crosses the spine
 //! and then descends into exactly one subtree shard `s`, splitting the
 //! index range at `k = Hierarchy::shard_anc_start(s)`: indices `[0, k)` are
-//! spine-owned, `[k, τ]` belong to `s`. The grouped Pareto driver therefore
-//! runs each update's two searches twice with complementary clamps — once
-//! in its subtree unit (`[k, ∞)`) and once in the spine unit (`[0, k)`,
-//! the residual every root path shares) — and since search, bump and
-//! repair are all **index-local**, the two passes read and write disjoint
-//! entry sets and the spine unit schedules like any other work unit.
-//! Increases keep the collect-then-bump ordering behind a phase fence: all
-//! identification searches run on the old weights and labels, the batch's
-//! weights land, then every unit applies its summed `+Δ` bumps before its
-//! per-index repair Dijkstras (a pair collected by several updates needs
-//! the summed upper bound — paths through two increased edges grow by both
-//! deltas). Labels come out byte-identical to the serial Pareto driver
-//! because both drivers restore the canonical exact subgraph distances; the
-//! effort counters differ (clamped searches re-explore some vertices per
-//! unit), which is why the Pareto equivalence tests compare labels and
-//! oracles, not counters.
+//! spine-owned, `[k, τ]` belong to `s`. The Pareto driver therefore runs
+//! each update's two searches twice with complementary clamps — once in its
+//! subtree unit (`[k, ∞)`) and once in the spine unit (`[0, k)`, the
+//! residual every root path shares) — and since search, bump and repair are
+//! all **index-local**, the two passes read and write disjoint entry sets
+//! and the spine unit schedules like any other work unit. Increases keep
+//! the collect-then-bump ordering behind a phase fence: all identification
+//! searches run on the old weights and labels, the batch's weights land,
+//! then every unit applies its summed `+Δ` bumps before its per-index
+//! repair Dijkstras (a pair collected by several updates needs the summed
+//! upper bound — paths through two increased edges grow by both deltas).
+//! The effort counters measure this schedule: clamped searches re-explore
+//! some vertices in each unit an update reaches.
+//!
+//! **The oracle.** Labels are canonical: `L(v)[τ(r)]` is the distance from
+//! `r` inside `G[Desc(r)]`, fixed by the graph and the weight-independent
+//! hierarchy. Whatever the family, the arena after a batch must equal what
+//! [`Stl::build_with_hierarchy`] builds on the updated graph;
+//! [`verify::check_matches_rebuild`](crate::verify::check_matches_rebuild)
+//! is the check the tests run after their batches.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
 use stl_graph::hash::FxHashMap;
-use stl_graph::{CsrGraph, EdgeUpdate, VertexId};
+use stl_graph::{CsrGraph, EdgeUpdate, VertexId, Weight};
 
-use crate::batch::split_batch;
 use crate::engine::{EnginePool, UpdateEngine};
 use crate::hierarchy::{Hierarchy, SPINE_SHARD};
 use crate::label_search;
@@ -123,7 +130,7 @@ struct ShardUnit<'b> {
 /// ownership unit of process-sharded serving.
 ///
 /// A worker that applies a batch under a `ShardSet` still applies **every
-/// weight change** (the serial fences of both drivers are untouched) but
+/// weight change** (the phase fences are untouched) but
 /// repairs only the spine unit plus the subtree units in the set. Because
 /// label entries are column-confined — the spine unit owns the ancestor
 /// prefix `[0, k)` of every vertex, a subtree unit the range `[k, τ]` of
@@ -201,18 +208,27 @@ impl ShardSet {
 }
 
 impl Stl {
-    /// [`Stl::apply_batch`] with the label repair grouped into one work
-    /// unit per owning stable tree, run inline on the calling thread.
+    /// Apply a mixed batch of edge-weight updates with the given algorithm
+    /// family, keeping graph and labels consistent. The repair runs as one
+    /// work unit per owning stable tree, inline on the calling thread (see
+    /// the [module docs](crate::shard)); `UpdateStats::trees_touched` and
+    /// `trees_skipped` count the units.
     ///
-    /// Semantically identical to the serial driver: label entries come out
-    /// byte-for-byte equal, and the grouped path additionally fills the
-    /// `trees_touched`/`trees_skipped` counters. Both maintenance families
-    /// group — [`Maintenance::LabelSearch`] by per-ancestor ownership,
-    /// [`Maintenance::ParetoSearch`] by clamping validity intervals at the
-    /// spine boundary (see module docs). For Label Search the search-effort
-    /// counters of [`UpdateStats`] also match serial exactly; the Pareto
-    /// decomposition re-explores some vertices per unit, so its counters
-    /// measure the grouped schedule.
+    /// Panics if an update references a non-existent edge (road-network
+    /// structure is fixed; see `structural` for insertions/deletions).
+    pub fn apply_batch(
+        &mut self,
+        g: &mut CsrGraph,
+        updates: &[EdgeUpdate],
+        algo: Maintenance,
+        eng: &mut UpdateEngine,
+    ) -> UpdateStats {
+        eng.ensure_capacity(g.num_vertices());
+        self.apply_batch_grouped(g, updates, algo, eng, None, false).0
+    }
+
+    /// [`Stl::apply_batch`] on `pool`'s engine, also returning the batch's
+    /// per-shard timings.
     ///
     /// `_threads` is ignored. It stays only so the frozen benchmark harness
     /// keeps compiling — delete with the next `[benchmark]` issue.
@@ -224,8 +240,7 @@ impl Stl {
         pool: &mut EnginePool,
         _threads: usize,
     ) -> (UpdateStats, ShardReport) {
-        let (stats, report, _) = self.apply_batch_grouped(g, updates, algo, pool, None, false);
-        (stats, report)
+        self.apply_batch_sharded_owned(g, updates, algo, pool, None)
     }
 
     /// [`Stl::apply_batch_sharded`] restricted to an ownership set: every
@@ -234,7 +249,7 @@ impl Stl {
     /// entries owned by the spine or by an owned subtree come out
     /// byte-identical to an unfiltered apply; entries of unowned subtrees
     /// are left stale — the caller (a shard worker) must never serve them.
-    /// `owned = None` is exactly [`Stl::apply_batch_sharded`].
+    /// `owned = None` repairs every unit.
     pub fn apply_batch_sharded_owned(
         &mut self,
         g: &mut CsrGraph,
@@ -243,7 +258,8 @@ impl Stl {
         pool: &mut EnginePool,
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport) {
-        let (stats, report, _) = self.apply_batch_grouped(g, updates, algo, pool, owned, false);
+        let eng = pool.engine(g.num_vertices());
+        let (stats, report, _) = self.apply_batch_grouped(g, updates, algo, eng, owned, false);
         (stats, report)
     }
 
@@ -258,7 +274,8 @@ impl Stl {
         algo: Maintenance,
         pool: &mut EnginePool,
     ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        self.apply_batch_grouped(g, updates, algo, pool, None, true)
+        let eng = pool.engine(g.num_vertices());
+        self.apply_batch_grouped(g, updates, algo, eng, None, true)
     }
 
     fn apply_batch_grouped(
@@ -266,11 +283,10 @@ impl Stl {
         g: &mut CsrGraph,
         updates: &[EdgeUpdate],
         algo: Maintenance,
-        pool: &mut EnginePool,
+        eng: &mut UpdateEngine,
         owned: Option<&ShardSet>,
         log: bool,
     ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        let eng = pool.engine(g.num_vertices());
         match algo {
             Maintenance::ParetoSearch => pareto_grouped(self, g, updates, eng, owned, log),
             Maintenance::LabelSearch => label_search_grouped(self, g, updates, eng, owned, log),
@@ -352,7 +368,7 @@ impl Tally {
     }
 }
 
-/// The grouped Label-Search driver; see the module docs for the phase plan.
+/// The Label-Search driver; see the module docs for the phase plan.
 fn label_search_grouped(
     stl: &mut Stl,
     g: &mut CsrGraph,
@@ -376,7 +392,7 @@ fn label_search_grouped(
     for unit in &dec_units {
         tally.write_unit(unit.shard, |stats, log| {
             let mut view = writer.shard_view(hier, unit.shard, log);
-            label_search::seed_decrease(hier, &view, &unit.updates, Some(unit.shard), eng);
+            label_search::seed_decrease(hier, &view, &unit.updates, eng);
             label_search::run_decrease_searches(hier, &mut view, g, eng, stats);
             view.into_log()
         });
@@ -388,7 +404,7 @@ fn label_search_grouped(
         let aff = tally.unit(unit.shard, |stats| {
             // Identification only reads labels; no write log to collect.
             let view = writer.shard_view(hier, unit.shard, false);
-            label_search::seed_increase(hier, &view, g, &unit.updates, Some(unit.shard), eng);
+            label_search::seed_increase(hier, &view, g, &unit.updates, eng);
             label_search::collect_affected(hier, &view, g, eng, stats);
             std::mem::take(&mut eng.aff_per_r)
         });
@@ -407,8 +423,8 @@ fn label_search_grouped(
             label_search::run_repairs(hier, &mut view, g, &aff, eng, stats);
             view.into_log()
         });
-        // Hand the drained list back to the engine — the outer-capacity
-        // reuse the serial increase keeps per batch.
+        // Hand the drained list back to the engine, keeping the outer
+        // allocation for the next batch.
         aff.clear();
         if eng.aff_per_r.capacity() < aff.capacity() {
             eng.aff_per_r = aff;
@@ -440,10 +456,10 @@ fn pareto_clamp(hier: &Hierarchy, shard: u32, a: VertexId, b: VertexId) -> Optio
     }
 }
 
-/// The grouped Pareto-Search driver; see the module docs for why interval
-/// clamping at the spine boundary yields disjoint per-unit entry sets and
-/// why the phase plan (weights fenced, collect → bump → repair) preserves
-/// the serial driver's labels byte-for-byte.
+/// The Pareto-Search driver; see the module docs for why interval clamping
+/// at the spine boundary yields disjoint per-unit entry sets and why the
+/// phase plan (weights fenced, collect → bump → repair) restores exact
+/// labels.
 fn pareto_grouped(
     stl: &mut Stl,
     g: &mut CsrGraph,
@@ -488,9 +504,8 @@ fn pareto_grouped(
     // ---- increase phase A: identification on the old weights and labels,
     // collecting per unit the per-update `(Δ, deduplicated affected pairs)`
     // lists in batch order. Nothing is written, so every unit's equality
-    // tests run against the same pre-batch state the serial per-update
-    // schedule would reach by induction — the collected pair sets cover
-    // every entry that changes.
+    // tests run against the pre-batch state, and the collected pair sets
+    // cover every entry that changes.
     let mut inc_work = Vec::with_capacity(inc_units.len());
     for unit in &inc_units {
         let collected = tally.unit(unit.shard, |stats| {
@@ -586,6 +601,53 @@ fn group_by_tree<'b>(
     units
 }
 
+/// Normalise an undirected batch against `g`'s current weights into its
+/// decrease and increase phases.
+fn split_batch(g: &CsrGraph, updates: &[EdgeUpdate]) -> (Vec<EdgeUpdate>, Vec<EdgeUpdate>) {
+    normalise_batch(updates, false, |a, b| g.weight(a, b))
+}
+
+/// Batch normalisation, shared with `DirectedStl::apply_batch`: the last
+/// update per edge wins, each survivor is classified against its current
+/// weight (`weight_of`) as a decrease or an increase, and no-ops are
+/// dropped.
+///
+/// `directed` selects the dedup key: ordered arcs `(a, b)` for directed
+/// graphs, unordered `{a, b}` (canonicalised `min ≤ max`) for undirected
+/// ones. Keying undirected edges on the ordered pair would make
+/// `(a,b,w1), (b,a,w2)` both survive and race on one physical edge; keying
+/// directed arcs unordered would collapse two independent arcs — each
+/// representation gets exactly its own key.
+pub(crate) fn normalise_batch(
+    updates: &[EdgeUpdate],
+    directed: bool,
+    weight_of: impl Fn(VertexId, VertexId) -> Option<Weight>,
+) -> (Vec<EdgeUpdate>, Vec<EdgeUpdate>) {
+    let mut last: FxHashMap<(VertexId, VertexId), EdgeUpdate> = FxHashMap::default();
+    for &u in updates {
+        let key = if directed || u.a < u.b { (u.a, u.b) } else { (u.b, u.a) };
+        last.insert(key, u);
+    }
+    let mut dec = Vec::new();
+    let mut inc = Vec::new();
+    for (_, u) in last {
+        let cur = weight_of(u.a, u.b).unwrap_or_else(|| {
+            panic!(
+                "update targets missing {} ({}, {})",
+                if directed { "arc" } else { "edge" },
+                u.a,
+                u.b
+            )
+        });
+        match u.new_weight.cmp(&cur) {
+            std::cmp::Ordering::Less => dec.push(u),
+            std::cmp::Ordering::Greater => inc.push(u),
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+    (dec, inc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,197 +691,117 @@ mod tests {
             .collect()
     }
 
-    /// The grouped driver's contract: labels equal the serial driver's
-    /// byte-for-byte and the search-effort counters match exactly.
-    #[test]
-    fn grouped_matches_serial() {
+    /// Replay mixed batches through one family: after every batch the
+    /// report matches the counters and the labels equal a rebuild.
+    fn batches_match_rebuild(algo: Maintenance, seed: u64) {
         let g0 = grid(7);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g_serial = g0.clone();
-        let mut g_shard = g0.clone();
-        let mut serial = Stl::build(&g0, &cfg);
-        let mut sharded = serial.clone();
-        let mut eng = UpdateEngine::new(g0.num_vertices());
+        let mut g = g0.clone();
+        let mut stl = Stl::build(&g0, &StlConfig { leaf_size: 2, ..Default::default() });
         let mut pool = EnginePool::new();
-        for (round, batch) in mixed_batches(&g0, 12, 0xBEEF).iter().enumerate() {
-            let st_serial =
-                serial.apply_batch(&mut g_serial, batch, Maintenance::LabelSearch, &mut eng);
-            let (mut st_shard, report) = sharded.apply_batch_sharded(
-                &mut g_shard,
-                batch,
-                Maintenance::LabelSearch,
-                &mut pool,
-                1,
-            );
+        for (round, batch) in mixed_batches(&g0, 12, seed).iter().enumerate() {
+            let (stats, report) =
+                stl.apply_batch_sharded_owned(&mut g, batch, algo, &mut pool, None);
+            assert!(stats.trees_touched > 0 || stats.updates == 0, "{algo:?} round={round}");
+            assert_eq!(report.shards_touched as u64, stats.trees_touched);
             assert!(report.shards_touched <= report.shards_total);
             assert_eq!(
                 report.per_shard_ns.len() as u32,
                 report.shards_touched,
                 "one timing entry per touched shard"
             );
-            // Normalise the grouping-only counters before the exact
-            // comparison — the serial path leaves them 0.
-            st_shard.trees_touched = 0;
-            st_shard.trees_skipped = 0;
-            assert_eq!(st_serial, st_shard, "round={round}");
-            for v in 0..g0.num_vertices() as VertexId {
-                assert_eq!(
-                    serial.labels().slice(v),
-                    sharded.labels().slice(v),
-                    "round={round} vertex={v}"
-                );
-            }
+            verify::check_matches_rebuild(&stl, &g)
+                .unwrap_or_else(|e| panic!("{algo:?} round={round}: {e}"));
         }
-        verify::check_all(&sharded, &g_shard).unwrap();
+        verify::check_all(&stl, &g).unwrap();
     }
 
     #[test]
-    fn sharded_skips_untouched_trees() {
+    fn label_search_batches_match_rebuild() {
+        batches_match_rebuild(Maintenance::LabelSearch, 0xBEEF);
+    }
+
+    #[test]
+    fn pareto_batches_match_rebuild() {
+        batches_match_rebuild(Maintenance::ParetoSearch, 0xFEED);
+    }
+
+    #[test]
+    fn duplicate_edge_updates_last_wins() {
+        let mut g = grid(5);
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        let mut eng = UpdateEngine::new(g.num_vertices());
+        let (a, b, _) = g.edges().next().unwrap();
+        let batch =
+            vec![EdgeUpdate::new(a, b, 100), EdgeUpdate::new(b, a, 7), EdgeUpdate::new(a, b, 9)];
+        let stats = stl.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
+        assert_eq!(stats.updates, 1);
+        assert_eq!(g.weight(a, b), Some(9));
+        verify::check_all(&stl, &g).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "missing edge")]
+    fn missing_edge_panics() {
+        let mut g = grid(4);
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        let mut eng = UpdateEngine::new(g.num_vertices());
+        stl.apply_batch(&mut g, &[EdgeUpdate::new(0, 7, 3)], Maintenance::LabelSearch, &mut eng);
+    }
+
+    #[test]
+    fn single_edge_batch_skips_untouched_trees() {
         let g0 = grid(8);
         let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g = g0.clone();
-        let mut stl = Stl::build(&g0, &cfg);
-        let mut pool = EnginePool::new();
-        assert!(stl.hierarchy().num_shards() > 2, "grid must split into several trees");
-        // A single-edge batch touches at most spine + one subtree.
         let (a, b, w) = g0.edges().next().unwrap();
-        let (stats, report) = stl.apply_batch_sharded(
-            &mut g,
-            &[EdgeUpdate::new(a, b, w * 3)],
-            Maintenance::LabelSearch,
-            &mut pool,
-            1,
-        );
-        assert!(stats.trees_touched <= 2, "one update maps to spine + one tree at most");
-        assert!(stats.trees_skipped > 0, "the other trees must be skipped");
-        assert_eq!(
-            stats.trees_touched
-                + stats.trees_skipped
-                + u64::from(!stl.hierarchy().spine_has_cuts()),
-            stl.hierarchy().num_shards() as u64
-        );
-        assert_eq!(report.shards_touched as u64, stats.trees_touched);
-        verify::check_all(&stl, &g).unwrap();
-    }
-
-    #[test]
-    fn sharded_write_log_is_disjoint_and_owned() {
-        let g0 = grid(6);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g = g0.clone();
-        let mut stl = Stl::build(&g0, &cfg);
-        let mut pool = EnginePool::new();
-        let batch = &mixed_batches(&g0, 1, 77)[0];
-        let (_, _, log) =
-            stl.apply_batch_sharded_logged(&mut g, batch, Maintenance::LabelSearch, &mut pool);
-        let mut seen: std::collections::HashMap<(VertexId, u32), u32> =
-            std::collections::HashMap::new();
-        let mut writes = 0usize;
-        for (shard, entries) in &log {
-            for &(v, i) in entries {
-                writes += 1;
-                assert_eq!(
-                    stl.hierarchy().shard_of_entry(v, i),
-                    *shard,
-                    "shard {shard} wrote an entry it does not own"
-                );
-                if let Some(other) = seen.insert((v, i), *shard) {
-                    assert_eq!(other, *shard, "entry ({v},{i}) written by two shards");
-                }
-            }
-        }
-        assert!(writes > 0, "batch must have repaired something");
-        verify::check_all(&stl, &g).unwrap();
-    }
-
-    /// The grouped Pareto contract: a real decomposition (not a serial
-    /// fallback) whose labels equal the serial driver's byte-for-byte, with
-    /// the grouping counters populated.
-    #[test]
-    fn pareto_grouped_matches_serial() {
-        let g0 = grid(7);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g_serial = g0.clone();
-        let mut g_shard = g0.clone();
-        let mut serial = Stl::build(&g0, &cfg);
-        let mut sharded = serial.clone();
-        let mut eng = UpdateEngine::new(g0.num_vertices());
-        let mut pool = EnginePool::new();
-        for (round, batch) in mixed_batches(&g0, 12, 0xFEED).iter().enumerate() {
-            serial.apply_batch(&mut g_serial, batch, Maintenance::ParetoSearch, &mut eng);
-            let (st_shard, report) = sharded.apply_batch_sharded(
-                &mut g_shard,
-                batch,
-                Maintenance::ParetoSearch,
-                &mut pool,
-                1,
-            );
-            assert!(st_shard.trees_touched > 0, "pareto path must fill tree counters");
-            assert_eq!(report.shards_touched as u64, st_shard.trees_touched);
+        for algo in [Maintenance::LabelSearch, Maintenance::ParetoSearch] {
+            let mut g = g0.clone();
+            let mut stl = Stl::build(&g0, &cfg);
+            let mut eng = UpdateEngine::new(g.num_vertices());
+            let hier = stl.hierarchy().clone();
+            assert!(hier.num_shards() > 2, "grid must split into several trees");
+            let stats = stl.apply_batch(&mut g, &[EdgeUpdate::new(a, b, w * 3)], algo, &mut eng);
+            assert!(stats.trees_touched <= 2, "{algo:?}: one update maps to spine + one tree");
+            assert!(stats.trees_skipped > 0, "{algo:?}: the other trees must be skipped");
             assert_eq!(
-                report.per_shard_ns.len() as u32,
-                report.shards_touched,
-                "one timing entry per touched shard"
+                stats.trees_touched + stats.trees_skipped + u64::from(!hier.spine_has_cuts()),
+                hier.num_shards() as u64
             );
-            for v in 0..g0.num_vertices() as VertexId {
-                assert_eq!(
-                    serial.labels().slice(v),
-                    sharded.labels().slice(v),
-                    "round={round} vertex={v}"
-                );
-            }
+            verify::check_all(&stl, &g).unwrap();
         }
-        verify::check_all(&sharded, &g_shard).unwrap();
     }
 
     #[test]
-    fn pareto_sharded_write_log_is_disjoint_and_owned() {
+    fn write_log_is_disjoint_and_owned() {
         let g0 = grid(6);
         let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g = g0.clone();
-        let mut stl = Stl::build(&g0, &cfg);
-        let mut pool = EnginePool::new();
-        let batch = &mixed_batches(&g0, 1, 78)[0];
-        let (_, _, log) =
-            stl.apply_batch_sharded_logged(&mut g, batch, Maintenance::ParetoSearch, &mut pool);
-        let mut seen: std::collections::HashMap<(VertexId, u32), u32> =
-            std::collections::HashMap::new();
-        let mut writes = 0usize;
-        for (shard, entries) in &log {
-            for &(v, i) in entries {
-                writes += 1;
-                assert_eq!(
-                    stl.hierarchy().shard_of_entry(v, i),
-                    *shard,
-                    "shard {shard} wrote an entry it does not own"
-                );
-                if let Some(other) = seen.insert((v, i), *shard) {
-                    assert_eq!(other, *shard, "entry ({v},{i}) written by two shards");
+        for (algo, seed) in [(Maintenance::LabelSearch, 77), (Maintenance::ParetoSearch, 78)] {
+            let mut g = g0.clone();
+            let mut stl = Stl::build(&g0, &cfg);
+            let mut pool = EnginePool::new();
+            let batch = &mixed_batches(&g0, 1, seed)[0];
+            let (_, _, log) = stl.apply_batch_sharded_logged(&mut g, batch, algo, &mut pool);
+            let mut seen: std::collections::HashMap<(VertexId, u32), u32> =
+                std::collections::HashMap::new();
+            let mut writes = 0usize;
+            for (shard, entries) in &log {
+                for &(v, i) in entries {
+                    writes += 1;
+                    assert_eq!(
+                        stl.hierarchy().shard_of_entry(v, i),
+                        *shard,
+                        "{algo:?}: shard {shard} wrote an entry it does not own"
+                    );
+                    if let Some(other) = seen.insert((v, i), *shard) {
+                        assert_eq!(
+                            other, *shard,
+                            "{algo:?}: entry ({v},{i}) written by two shards"
+                        );
+                    }
                 }
             }
+            assert!(writes > 0, "{algo:?}: batch must have repaired something");
+            verify::check_all(&stl, &g).unwrap();
         }
-        assert!(writes > 0, "batch must have repaired something");
-        verify::check_all(&stl, &g).unwrap();
-    }
-
-    #[test]
-    fn pareto_sharded_skips_untouched_trees() {
-        let g0 = grid(8);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g = g0.clone();
-        let mut stl = Stl::build(&g0, &cfg);
-        let mut pool = EnginePool::new();
-        let (a, b, w) = g0.edges().next().unwrap();
-        let (stats, _) = stl.apply_batch_sharded(
-            &mut g,
-            &[EdgeUpdate::new(a, b, w * 3)],
-            Maintenance::ParetoSearch,
-            &mut pool,
-            1,
-        );
-        assert!(stats.trees_touched <= 2, "one update maps to spine + one tree at most");
-        assert!(stats.trees_skipped > 0, "the other trees must be skipped");
-        verify::check_all(&stl, &g).unwrap();
     }
 
     /// The process-sharding contract: a replica that applies every weight
@@ -843,7 +825,7 @@ mod tests {
             let mut replicas: Vec<Stl> = (0..num_workers).map(|_| full0.clone()).collect();
             let mut pool = EnginePool::new();
             for batch in &mixed_batches(&g0, 8, 0xACE ^ algo as u64) {
-                full.apply_batch_sharded(&mut g_full, batch, algo, &mut pool, 1);
+                full.apply_batch_sharded_owned(&mut g_full, batch, algo, &mut pool, None);
                 for k in 0..num_workers {
                     replicas[k].apply_batch_sharded_owned(
                         &mut g_rep[k],
@@ -896,36 +878,37 @@ mod tests {
         assert!(!sets[0].contains(SPINE_SHARD));
     }
 
+    /// Under a pinned snapshot, the chunks a batch counts as copied are
+    /// exactly the chunks it no longer shares with the snapshot, and the
+    /// snapshot keeps its bytes.
     #[test]
-    fn sharded_cow_accounting_matches_serial() {
-        // Pin a snapshot, apply the same batch serially and sharded: both
-        // must promote chunks (COW) and leave the snapshot untouched.
-        let g0 = grid(6);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        let mut g_serial = g0.clone();
-        let mut g_shard = g0.clone();
-        let mut serial = Stl::build(&g0, &cfg);
-        let mut sharded = serial.clone();
-        let pin_serial = serial.clone();
-        let pin_shard = sharded.clone();
-        let mut eng = UpdateEngine::new(g0.num_vertices());
-        let mut pool = EnginePool::new();
+    fn copied_chunks_are_the_chunks_unshared_with_a_pinned_snapshot() {
+        let g0 = grid(24);
         let batch = &mixed_batches(&g0, 1, 13)[0];
-        serial.apply_batch(&mut g_serial, batch, Maintenance::LabelSearch, &mut eng);
-        sharded.apply_batch_sharded(&mut g_shard, batch, Maintenance::LabelSearch, &mut pool, 1);
-        let cs = serial.take_cow_stats();
-        let ch = sharded.take_cow_stats();
-        assert_eq!(cs, ch, "identical write sets must promote identical chunk sets");
-        assert!(ch.bytes_copied > 0, "pinned snapshot forces promotions");
-        for v in 0..g0.num_vertices() as VertexId {
-            assert_eq!(pin_serial.labels().slice(v), pin_shard.labels().slice(v));
-            assert_eq!(serial.labels().slice(v), sharded.labels().slice(v));
+        for algo in [Maintenance::LabelSearch, Maintenance::ParetoSearch] {
+            let mut g = g0.clone();
+            let mut stl = Stl::build(&g0, &StlConfig::default());
+            assert!(stl.num_chunks() > 1, "want several chunks");
+            let pin = stl.clone();
+            let before = pin.deep_clone();
+            stl.apply_batch(&mut g, batch, algo, &mut UpdateEngine::new(g0.num_vertices()));
+            let cow = stl.take_cow_stats();
+            assert!(cow.bytes_copied > 0, "{algo:?}: the batch wrote labels");
+            assert_eq!(
+                cow.chunks_copied as usize,
+                stl.num_chunks() - stl.labels().shared_chunks_with(pin.labels()),
+                "{algo:?}"
+            );
+            for v in 0..g0.num_vertices() as VertexId {
+                assert_eq!(pin.labels().slice(v), before.labels().slice(v), "{algo:?}");
+            }
         }
     }
 
     /// A batch with no work opens no chunk: on an index whose every chunk a
     /// held snapshot shares, an empty batch and an all-equal-weight batch
-    /// copy nothing, unshare nothing, and keep a born-flat index flat.
+    /// run no search, copy nothing, unshare nothing, and keep a born-flat
+    /// index flat.
     #[test]
     fn no_work_batches_touch_no_chunk() {
         let g0 = grid(8);
@@ -935,12 +918,11 @@ mod tests {
         let born = Stl::build(&g0, &cfg);
         let mut written = born.clone();
         let (a, b, w) = g0.edges().next().unwrap();
-        written.apply_batch_sharded(
+        written.apply_batch(
             &mut g0.clone(),
             &[EdgeUpdate::new(a, b, w + 1)],
             Maintenance::ParetoSearch,
-            &mut EnginePool::new(),
-            1,
+            &mut UpdateEngine::new(g0.num_vertices()),
         );
         assert!(born.is_flat() && !written.is_flat());
         for algo in [Maintenance::LabelSearch, Maintenance::ParetoSearch] {
@@ -951,8 +933,9 @@ mod tests {
                 let mut pool = EnginePool::new();
                 for batch in [&[][..], &same] {
                     let (stats, report) =
-                        stl.apply_batch_sharded(&mut g, batch, algo, &mut pool, 1);
+                        stl.apply_batch_sharded_owned(&mut g, batch, algo, &mut pool, None);
                     assert_eq!(stats.trees_touched, 0, "{algo:?}: nothing to repair");
+                    assert_eq!(stats.pops + stats.label_writes, 0, "{algo:?}: no search ran");
                     assert_eq!(report.shards_touched, 0);
                     assert_eq!(stl.cow_stats(), Default::default(), "{algo:?}: no chunk copied");
                     assert_eq!(stl.labels().shared_chunks_with(held.labels()), stl.num_chunks());

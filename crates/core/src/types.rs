@@ -40,7 +40,7 @@ pub struct UpdateStats {
     /// Number of edge updates processed.
     pub updates: u64,
     /// Number of per-ancestor (Label Search) or per-endpoint (Pareto
-    /// Search) searches started.
+    /// Search, in every work unit an update reaches) searches started.
     pub searches: u64,
     /// Priority-queue pops across all search phases.
     pub pops: u64,
@@ -51,11 +51,10 @@ pub struct UpdateStats {
     /// Priority-queue pops in repair phases.
     pub repair_pops: u64,
     /// Stable trees (repair shards) that received work from the batch.
-    /// Populated by the tree-grouped driver (`Stl::apply_batch_sharded`);
-    /// serial paths leave it 0.
+    /// Filled by `Stl::apply_batch`; the directed driver leaves it 0.
     pub trees_touched: u64,
     /// Stable trees the batch pre-grouping skipped before any search
-    /// started (the skip-untouched-trees saving of the sharded driver).
+    /// started (the skip-untouched-trees saving of tree grouping).
     pub trees_skipped: u64,
 }
 

@@ -75,6 +75,24 @@ pub fn check_labels_exact(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
     Ok(())
 }
 
+/// Compare the label arena, entry for entry, with a rebuild over the same
+/// hierarchy on `g` — the oracle for maintenance. Labels are canonical:
+/// `L(v)[τ(r)]` is the distance from `r` inside `G[Desc(r)]`, fixed by the
+/// graph and the weight-independent hierarchy alone, so whatever schedule
+/// repaired them must land on what construction computes. Costs one build,
+/// so unlike [`check_labels_exact`] it can run after every batch of a long
+/// stream on a few hundred vertices.
+pub fn check_matches_rebuild(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
+    let fresh = Stl::build_with_hierarchy(g, stl.hierarchy().clone());
+    for v in 0..stl.num_vertices() as VertexId {
+        let (got, want) = (stl.labels().slice(v), fresh.labels().slice(v));
+        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            return Err(format!("L({v})[{i}] = {}, rebuild has {}", got[i], want[i]));
+        }
+    }
+    Ok(())
+}
+
 /// All-pairs query vs Dijkstra oracle. O(n · m log n) — small graphs only.
 pub fn check_two_hop_cover(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
     let n = g.num_vertices() as VertexId;
@@ -124,6 +142,7 @@ mod tests {
         );
         let stl = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
         check_all(&stl, &g).unwrap();
+        check_matches_rebuild(&stl, &g).unwrap();
     }
 
     #[test]
@@ -135,6 +154,7 @@ mod tests {
             (0..4u32).find(|&v| stl.hierarchy().tau(v) > 0).expect("some vertex has an ancestor");
         stl.labels.set(victim, 0, 12345);
         assert!(check_labels_exact(&stl, &g).is_err());
+        assert!(check_matches_rebuild(&stl, &g).is_err());
     }
 
     #[test]

@@ -412,7 +412,7 @@ pub(crate) fn recover<I: DynamicDistanceIndex>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use stl_core::{persist, Stl, StlConfig};
+    use stl_core::{persist, Stl, StlConfig, UpdateEngine};
     use stl_graph::EdgeUpdate;
     use stl_workloads::{generate, RoadNetConfig};
 
@@ -450,15 +450,14 @@ mod tests {
     fn checkpoint_roundtrip_restores_weights_index_and_dedup() {
         let s = Scratch::new("roundtrip");
         let (mut g, mut stl) = world();
-        let mut pool = EnginePool::new();
+        let mut eng = UpdateEngine::new(g.num_vertices());
         let edges: Vec<_> = g.edges().take(4).collect();
         for &(a, b, w) in &edges {
-            stl.apply_batch_sharded(
+            stl.apply_batch(
                 &mut g,
                 &[EdgeUpdate::new(a, b, w * 3)],
                 stl_core::Maintenance::ParetoSearch,
-                &mut pool,
-                1,
+                &mut eng,
             );
         }
         let mut dedup = DedupWindow::new(16);
@@ -510,7 +509,7 @@ mod tests {
         let s = Scratch::new("skip");
         let (g0, stl0) = world();
         let (mut g, mut stl) = (g0.clone(), stl0.clone());
-        let mut pool = EnginePool::new();
+        let mut eng = UpdateEngine::new(g.num_vertices());
         let edges: Vec<_> = g.edges().step_by(3).take(3).collect();
         let cfg = s.cfg();
         let scfg = ServerConfig::default();
@@ -522,7 +521,7 @@ mod tests {
             let batch = vec![EdgeUpdate::new(a, b, w + 7)];
             wal.append(seq, &[100 + seq], &batch).unwrap();
             wal.sync().unwrap();
-            stl.apply_batch_sharded(&mut g, &batch, scfg.algo, &mut pool, 1);
+            stl.apply_batch(&mut g, &batch, scfg.algo, &mut eng);
             if seq == 2 {
                 write_checkpoint(&cfg, &g, &stl, 2, &DedupWindow::new(64)).unwrap();
             }

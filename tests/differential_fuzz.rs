@@ -1,8 +1,9 @@
 //! Differential fuzzing of the maintenance algorithms: long seeded mixed
 //! update streams (increases and decreases, factor 2–10 per §7, repeated
-//! edges allowed), cross-checked **after every batch** against fresh
-//! Dijkstra runs on the maintained graph, for both `Maintenance::LabelSearch`
-//! and `Maintenance::ParetoSearch`.
+//! edges allowed), cross-checked **after every batch** against a rebuild of
+//! the labels over the same hierarchy (entry for entry) and fresh Dijkstra
+//! runs on the maintained graph, for both `Maintenance::LabelSearch` and
+//! `Maintenance::ParetoSearch`.
 //!
 //! Every assertion message carries the stream seed, so any failure is
 //! replayable by pasting the seed into `SEEDS` (or into a one-off call of
@@ -51,6 +52,9 @@ fn differential_replay(seed: u64, algo: Maintenance) {
             MixedOp::Batch(batch) => {
                 stl.apply_batch(&mut g, &batch, algo, &mut eng);
                 batches_done += 1;
+                verify::check_matches_rebuild(&stl, &g).unwrap_or_else(|e| {
+                    panic!("replay seed {seed}, {algo:?}: after batch {batches_done}: {e}")
+                });
                 for &(s, t) in &pool {
                     assert_eq!(
                         stl.query(s, t),
@@ -110,6 +114,8 @@ fn alternating_families_share_one_index() {
             let algo =
                 if i % 2 == 0 { Maintenance::LabelSearch } else { Maintenance::ParetoSearch };
             stl.apply_batch(&mut g, batch, algo, &mut eng);
+            verify::check_matches_rebuild(&stl, &g)
+                .unwrap_or_else(|e| panic!("replay seed {seed}: batch {i} ({algo:?}): {e}"));
             for &(s, t) in &pool {
                 assert_eq!(
                     stl.query(s, t),

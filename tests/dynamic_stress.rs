@@ -46,6 +46,7 @@ fn long_mixed_stream_alternating_algorithms() {
             })
             .collect();
         stl.apply_batch(&mut g, &batch, algo, &mut eng);
+        verify::check_matches_rebuild(&stl, &g).unwrap_or_else(|e| panic!("round {round}: {e}"));
         spot_check(&g, &stl, &mut rng, 30);
     }
     verify::check_all(&stl, &g).unwrap();
@@ -81,8 +82,9 @@ fn closure_and_reopen_cycle() {
 
 #[test]
 fn heavy_batch_equivalence_with_rebuild() {
-    // A single huge mixed batch must leave the index identical (in answers)
-    // to building from scratch on the final graph.
+    // A single huge mixed batch must leave the labels identical to a
+    // rebuild on the final graph, and the answers identical to building
+    // from scratch.
     let mut g = generate(&RoadNetConfig::sized(500, 29));
     let mut stl = Stl::build(&g, &StlConfig::default());
     let mut eng = UpdateEngine::new(g.num_vertices());
@@ -98,6 +100,7 @@ fn heavy_batch_equivalence_with_rebuild() {
     }
     assert!(batch.len() > 50, "want a heavy batch");
     stl.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
+    verify::check_matches_rebuild(&stl, &g).unwrap();
     let fresh = Stl::build(&g, &StlConfig::default());
     for s in (0..g.num_vertices() as VertexId).step_by(17) {
         for t in (0..g.num_vertices() as VertexId).step_by(13) {

@@ -77,6 +77,7 @@ fn queries_exact_after_random_update_stream() {
                 Maintenance::LabelSearch
             };
             stl.apply_batch(&mut g, &[EdgeUpdate::new(a, b, w)], algo, &mut eng);
+            verify::check_matches_rebuild(&stl, &g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
         verify::check_labels_exact(&stl, &g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         verify::check_two_hop_cover(&stl, &g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -162,6 +163,8 @@ fn batch_matches_sequential_application() {
         for &u in &batch {
             two.apply_batch(&mut g2, &[u], Maintenance::ParetoSearch, &mut eng);
         }
+        verify::check_matches_rebuild(&one, &g1).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        verify::check_matches_rebuild(&two, &g2).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for s in 0..(n as u32).min(12) {
             for t in 0..(n as u32).min(12) {
                 assert_eq!(one.query(s, t), two.query(s, t), "seed {seed}: d({s},{t}) diverged");
