@@ -20,8 +20,6 @@
 //! * [`directed`] — the §8 extension to directed road networks, maintained
 //!   by [`directed_dynamic`].
 //! * [`structural`] — §8 edge/vertex insertion & deletion.
-//! * [`index`] — the [`DynamicDistanceIndex`] serving trait `stl_server`
-//!   is generic over (the on-ramp for second-generation engines).
 //! * [`verify`] — independent invariant checkers used by the test suite.
 //! * [`persist`] — compact binary serialization of a built index.
 //! * [`failpoint`] — env-gated fault injection for crash-safety testing.
@@ -42,7 +40,6 @@ pub mod directed_dynamic;
 pub mod engine;
 pub mod failpoint;
 pub mod hierarchy;
-pub mod index;
 mod label_search;
 pub mod labelling;
 mod pareto;
@@ -56,7 +53,6 @@ pub mod verify;
 
 pub use engine::{EnginePool, UpdateEngine};
 pub use hierarchy::{Hierarchy, RawNode, SHARD_DEPTH, SPINE_SHARD};
-pub use index::DynamicDistanceIndex;
 pub use labelling::{LabelArena, Labels, LabelsWriter, ShardLabels, Stl};
 pub use query::{min_plus, min_plus_scalar, QueryProfile};
 pub use shard::{ShardReport, ShardSet, ShardWriteLog};

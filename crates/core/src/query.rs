@@ -789,7 +789,8 @@ mod tests {
         let mut out = Vec::with_capacity(64);
         stl.one_to_many_into(7, &targets, &mut out);
         let cap = out.capacity();
-        assert_eq!(out, stl.one_to_many(7, &targets));
+        let by_query: Vec<_> = targets.iter().map(|&t| stl.query(7, t)).collect();
+        assert_eq!(out, by_query, "one distance per target, in targets order");
         stl.one_to_many_into(7, &targets[..10], &mut out);
         assert_eq!(out.len(), 10);
         assert_eq!(out.capacity(), cap, "no reallocation on a smaller refill");

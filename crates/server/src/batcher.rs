@@ -46,7 +46,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stl_core::{DynamicDistanceIndex, Stl};
 use stl_graph::{CsrGraph, EdgeUpdate};
 
 use crate::server::{validate_batch, BatchOutcome, StlServer};
@@ -190,8 +189,8 @@ fn flush_due(st: &FlushState, now: Instant, cfg: &BatcherConfig) -> Option<Flush
     }
 }
 
-struct BatcherShared<I: DynamicDistanceIndex> {
-    server: Arc<StlServer<I>>,
+struct BatcherShared {
+    server: Arc<StlServer>,
     /// Topology reference for pre-validation. Weights are irrelevant to
     /// validation and structure is immutable, so a COW clone taken at
     /// construction stays accurate forever.
@@ -211,14 +210,14 @@ struct BatcherShared<I: DynamicDistanceIndex> {
 
 /// The accumulating middleman between producers and the writer (see the
 /// module docs). Cheap to share behind an `Arc`; submission is `&self`.
-pub struct AdaptiveBatcher<I: DynamicDistanceIndex = Stl> {
-    shared: Arc<BatcherShared<I>>,
+pub struct AdaptiveBatcher {
+    shared: Arc<BatcherShared>,
     flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
+impl AdaptiveBatcher {
     /// Start the flusher thread in front of `server`.
-    pub fn start(server: Arc<StlServer<I>>, cfg: BatcherConfig) -> Self {
+    pub fn start(server: Arc<StlServer>, cfg: BatcherConfig) -> Self {
         let graph = server.snapshot().graph().clone();
         let shared = Arc::new(BatcherShared {
             server,
@@ -343,13 +342,13 @@ impl<I: DynamicDistanceIndex> AdaptiveBatcher<I> {
     }
 }
 
-impl<I: DynamicDistanceIndex> Drop for AdaptiveBatcher<I> {
+impl Drop for AdaptiveBatcher {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-fn flusher_loop<I: DynamicDistanceIndex>(shared: &BatcherShared<I>) {
+fn flusher_loop(shared: &BatcherShared) {
     let budget = Duration::from_millis(shared.cfg.latency_ms);
     let mut st = shared.state.lock().unwrap();
     loop {

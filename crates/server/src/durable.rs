@@ -35,7 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
-use stl_core::{failpoint, DynamicDistanceIndex, EnginePool};
+use stl_core::{failpoint, persist, EnginePool, Stl};
 use stl_graph::CsrGraph;
 
 use crate::server::{validate_batch, ServerConfig};
@@ -201,22 +201,12 @@ impl DedupWindow {
 }
 
 /// State restored from a checkpoint file.
-///
-/// `Debug` is hand-rolled (index elided) so it needs no bound on `I`.
-pub(crate) struct Checkpoint<I> {
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
     pub generation: u64,
-    pub stl: I,
+    pub stl: Stl,
     /// Dedup entries oldest-first.
     pub dedup: Vec<(u64, u64)>,
-}
-
-impl<I> std::fmt::Debug for Checkpoint<I> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Checkpoint")
-            .field("generation", &self.generation)
-            .field("dedup_entries", &self.dedup.len())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Write a checkpoint of the served world into `cfg.state_dir`, atomically.
@@ -227,10 +217,10 @@ impl<I> std::fmt::Debug for Checkpoint<I> {
 /// structure is fixed; the graph file remains the topology's source of
 /// truth). The `checkpoint-rename` failpoint fires between writing the temp
 /// file and renaming it into place.
-pub(crate) fn write_checkpoint<I: DynamicDistanceIndex>(
+pub(crate) fn write_checkpoint(
     cfg: &DurabilityConfig,
     graph: &CsrGraph,
-    stl: &I,
+    stl: &Stl,
     generation: u64,
     dedup: &DedupWindow,
 ) -> io::Result<u64> {
@@ -246,7 +236,7 @@ pub(crate) fn write_checkpoint<I: DynamicDistanceIndex>(
         put_u64(&mut payload, key);
         put_u64(&mut payload, seq);
     }
-    let index = stl.to_bytes();
+    let index = persist::save(stl);
     put_u64(&mut payload, index.len() as u64);
     payload.extend_from_slice(&index);
 
@@ -270,10 +260,10 @@ pub(crate) fn write_checkpoint<I: DynamicDistanceIndex>(
 /// when it was written, so its contents cannot be reconstructed from
 /// anywhere else — silently booting from genesis would resurrect stale
 /// distances.
-pub(crate) fn load_checkpoint<I: DynamicDistanceIndex>(
+pub(crate) fn load_checkpoint(
     cfg: &DurabilityConfig,
     graph: &mut CsrGraph,
-) -> io::Result<Option<Checkpoint<I>>> {
+) -> io::Result<Option<Checkpoint>> {
     let mut bytes = Vec::new();
     match File::open(cfg.checkpoint_path()) {
         Ok(mut f) => {
@@ -317,7 +307,12 @@ pub(crate) fn load_checkpoint<I: DynamicDistanceIndex>(
     if p.len() != nindex {
         return Err(corrupt("index length mismatch"));
     }
-    let stl = I::from_bytes(p).map_err(|e| corrupt(&e))?;
+    let stl = persist::load(p).map_err(|e| corrupt(&e.to_string()))?;
+    // Queries are range-checked against the graph, so an index over a
+    // different vertex set would be read out of bounds.
+    if stl.num_vertices() != graph.num_vertices() {
+        return Err(corrupt("index vertex count does not match the loaded graph"));
+    }
     // Weights are positional over the deterministic edge order; a count
     // mismatch means the checkpoint belongs to a different topology.
     let edges: Vec<_> = graph.edges().collect();
@@ -331,9 +326,9 @@ pub(crate) fn load_checkpoint<I: DynamicDistanceIndex>(
 }
 
 /// Everything [`recover`] hands back to the server constructor.
-pub(crate) struct Recovered<I> {
+pub(crate) struct Recovered {
     pub graph: CsrGraph,
-    pub stl: I,
+    pub stl: Stl,
     pub generation: u64,
     pub dedup: DedupWindow,
     pub wal: WalWriter,
@@ -349,12 +344,12 @@ pub(crate) struct Recovered<I> {
 /// applying it — a record that no longer validates (possible only if the
 /// operator swapped the graph file for a different topology) is an error,
 /// not a panic.
-pub(crate) fn recover<I: DynamicDistanceIndex>(
+pub(crate) fn recover(
     cfg: &DurabilityConfig,
     server_cfg: &ServerConfig,
     mut graph: CsrGraph,
-    mut stl: I,
-) -> io::Result<Recovered<I>> {
+    mut stl: Stl,
+) -> io::Result<Recovered> {
     std::fs::create_dir_all(&cfg.state_dir)?;
     let mut report = RecoveryReport::default();
     let mut dedup = DedupWindow::new(server_cfg.dedup_window);
@@ -386,7 +381,7 @@ pub(crate) fn recover<I: DynamicDistanceIndex>(
         // Replay through the same ownership filter the serving loop uses: a
         // respawned shard worker repairs only the spine and its owned
         // subtrees, exactly reproducing its pre-crash serving state.
-        stl.apply_batch(
+        stl.apply_batch_sharded_owned(
             &mut graph,
             &rec.updates,
             server_cfg.algo,
@@ -412,7 +407,8 @@ pub(crate) fn recover<I: DynamicDistanceIndex>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use stl_core::{persist, Stl, StlConfig, UpdateEngine};
+    use stl_core::{StlConfig, UpdateEngine};
+    use stl_graph::builder::from_edges;
     use stl_graph::EdgeUpdate;
     use stl_workloads::{generate, RoadNetConfig};
 
@@ -482,7 +478,7 @@ mod tests {
     fn missing_checkpoint_is_none() {
         let s = Scratch::new("missing");
         let (mut g, _) = world();
-        assert!(load_checkpoint::<Stl>(&s.cfg(), &mut g).unwrap().is_none());
+        assert!(load_checkpoint(&s.cfg(), &mut g).unwrap().is_none());
     }
 
     #[test]
@@ -495,13 +491,26 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_checkpoint::<Stl>(&s.cfg(), &mut g).unwrap_err();
+        let err = load_checkpoint(&s.cfg(), &mut g).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("crc mismatch"), "got: {err}");
         // Bad magic likewise.
         std::fs::write(&path, b"NOTACKPT----------------").unwrap();
-        let err = load_checkpoint::<Stl>(&s.cfg(), &mut g).unwrap_err();
+        let err = load_checkpoint(&s.cfg(), &mut g).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "got: {err}");
+    }
+
+    #[test]
+    fn checkpoint_over_another_vertex_count_is_refused() {
+        let s = Scratch::new("vertices");
+        let (g, stl) = world();
+        write_checkpoint(&s.cfg(), &g, &stl, 1, &DedupWindow::new(4)).unwrap();
+        // Same edges, one more (isolated) vertex: the edge-count check alone
+        // would accept it.
+        let mut wider = from_edges(g.num_vertices() + 1, g.edges());
+        let err = load_checkpoint(&s.cfg(), &mut wider).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("index vertex count"), "got: {err}");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use stl_core::DynamicDistanceIndex;
 use stl_graph::{EdgeUpdate, VertexId};
 
 use crate::server::StlServer;
@@ -22,8 +21,8 @@ use crate::server::StlServer;
 ///
 /// Readers re-grab the snapshot per query on purpose: the swap-slot
 /// acquisition is part of the serving cost this driver exists to measure.
-pub fn replay_mixed<I: DynamicDistanceIndex>(
-    server: &StlServer<I>,
+pub fn replay_mixed(
+    server: &StlServer,
     queries: &[(VertexId, VertexId)],
     batches: &[Vec<EdgeUpdate>],
     readers: usize,

@@ -549,7 +549,6 @@ pub struct RouterServer {
     unix_path: Option<PathBuf>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl RouterServer {
@@ -563,35 +562,15 @@ impl RouterServer {
             Endpoint::Tcp(_) => None,
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let router = Arc::clone(&router);
             let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("stl-route-accept".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok(stream) => {
-                                let router = Arc::clone(&router);
-                                let stop = Arc::clone(&stop);
-                                let handle = std::thread::Builder::new()
-                                    .name("stl-route-conn".into())
-                                    .spawn(move || serve_front(&router, stream, &stop))
-                                    .expect("spawn router connection thread");
-                                conns.lock().unwrap().push(handle);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                })
+                .spawn(move || accept_front(&listener, &router, &stop))
                 .expect("spawn router acceptor")
         };
-        Ok(Self { router, local_addr, unix_path, stop, acceptor: Some(acceptor), conns })
+        Ok(Self { router, local_addr, unix_path, stop, acceptor: Some(acceptor) })
     }
 
     /// The address the front actually bound.
@@ -611,11 +590,9 @@ impl RouterServer {
 
     fn close(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // Returns once every connection thread has seen the stop flag.
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
-        }
-        for handle in self.conns.lock().unwrap().drain(..) {
-            let _ = handle.join();
         }
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
@@ -627,6 +604,29 @@ impl Drop for RouterServer {
     fn drop(&mut self) {
         self.close();
     }
+}
+
+/// Accept front connections until `stop`, one thread each. The threads are
+/// scoped to this loop: a dropped scoped handle detaches its thread, so an
+/// exited one frees its stack at once, and the scope still waits for every
+/// connection before the acceptor returns.
+fn accept_front(listener: &NetListener, router: &Router, stop: &AtomicBool) {
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::Relaxed) {
+            match listener.accept() {
+                Ok(stream) => {
+                    std::thread::Builder::new()
+                        .name("stl-route-conn".into())
+                        .spawn_scoped(scope, move || serve_front(router, stream, stop))
+                        .expect("spawn router connection thread");
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    });
 }
 
 fn serve_front(router: &Router, stream: NetStream, stop: &AtomicBool) {
@@ -960,7 +960,10 @@ mod tests {
         let out = client.update(&[EdgeUpdate::new(0, 0, 5)]).unwrap();
         assert!(!out.applied);
         assert_eq!(front.router().generation(), 2);
+        // Shutdown returns while the client still holds its idle connection:
+        // the connection thread exits on its stop-flag poll and closes it.
         front.shutdown();
+        assert!(client.query(0, 1).is_err());
         drop(nets);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use stl_core::{failpoint, DynamicDistanceIndex, EnginePool, Maintenance, ShardSet, Stl};
+use stl_core::{failpoint, EnginePool, Maintenance, ShardSet, Stl};
 use stl_graph::{CsrGraph, Dist, EdgeUpdate, VertexId, INF};
 
 use crate::durable::{self, DedupWindow, DurabilityConfig, QuietStreak, RecoveryReport};
@@ -350,10 +350,10 @@ struct InFlight {
     wal_start: Option<u64>,
 }
 
-struct Shared<I: DynamicDistanceIndex> {
+struct Shared {
     /// The publish slot. Writers hold the write half only for the pointer
     /// swap; readers clone the `Arc` out under the read half.
-    current: RwLock<Arc<Snapshot<I>>>,
+    current: RwLock<Arc<Snapshot>>,
     stats: StatsCells,
     progress: Mutex<Progress>,
     published: Condvar,
@@ -368,16 +368,15 @@ struct Shared<I: DynamicDistanceIndex> {
     base_generation: u64,
 }
 
-/// Epoch-snapshot query service over a [`DynamicDistanceIndex`] (an [`Stl`]
-/// by default).
+/// Epoch-snapshot query service over an [`Stl`] index.
 ///
 /// See the crate docs for the protocol and its consistency guarantee. The
 /// server starts a supervisor thread in [`StlServer::start`] (or
 /// [`StlServer::start_durable`]) which in turn runs the writer thread,
 /// respawning it from the last published state if it dies; everything is
 /// joined in [`StlServer::shutdown`] (or on drop).
-pub struct StlServer<I: DynamicDistanceIndex = Stl> {
-    shared: Arc<Shared<I>>,
+pub struct StlServer {
+    shared: Arc<Shared>,
     /// Queue handle plus the ticket counter, under one lock: assigning a
     /// ticket and enqueueing its batch must be atomic together, or channel
     /// order could diverge from ticket order under concurrent submitters
@@ -387,12 +386,12 @@ pub struct StlServer<I: DynamicDistanceIndex = Stl> {
     supervisor: Option<JoinHandle<()>>,
 }
 
-impl<I: DynamicDistanceIndex> StlServer<I> {
+impl StlServer {
     /// Take ownership of the world (graph + index) and start serving,
     /// **without** durability: state lives in memory only.
     ///
     /// The initial state is published immediately as generation 0.
-    pub fn start(graph: CsrGraph, stl: I, cfg: ServerConfig) -> Self {
+    pub fn start(graph: CsrGraph, stl: Stl, cfg: ServerConfig) -> Self {
         let dedup = DedupWindow::new(cfg.dedup_window);
         Self::start_inner(graph, stl, cfg, 0, dedup, None)
     }
@@ -410,7 +409,7 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
     /// silently resurrect stale distances — the operator must decide).
     pub fn start_durable(
         graph: CsrGraph,
-        stl: I,
+        stl: Stl,
         cfg: ServerConfig,
         durability: DurabilityConfig,
     ) -> io::Result<(Self, RecoveryReport)> {
@@ -427,7 +426,7 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
 
     fn start_inner(
         graph: CsrGraph,
-        stl: I,
+        stl: Stl,
         cfg: ServerConfig,
         base_generation: u64,
         dedup: DedupWindow,
@@ -460,8 +459,8 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
                 // up on a crash-looping writer) so `wait_for` never blocks
                 // forever. Lives at supervisor scope: a writer death that
                 // will be followed by a respawn must NOT look like exit.
-                struct ExitFlag<I: DynamicDistanceIndex>(Arc<Shared<I>>);
-                impl<I: DynamicDistanceIndex> Drop for ExitFlag<I> {
+                struct ExitFlag(Arc<Shared>);
+                impl Drop for ExitFlag {
                     fn drop(&mut self) {
                         lock_ok(&self.0.progress).exited = true;
                         self.0.published.notify_all();
@@ -475,7 +474,7 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
                     // is exactly the state every acknowledged batch is in.
                     let (graph, stl, generation) = {
                         let snap = read_ok(&sup_shared.current);
-                        (snap.graph().clone(), snap.index().clone(), snap.generation())
+                        (snap.graph().clone(), snap.stl().clone(), snap.generation())
                     };
                     let w_shared = Arc::clone(&sup_shared);
                     let w_rx = Arc::clone(&rx);
@@ -597,7 +596,7 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
 
     /// Clone out the latest published epoch. O(1); never blocks the writer
     /// beyond the duration of a pointer swap.
-    pub fn snapshot(&self) -> Arc<Snapshot<I>> {
+    pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&read_ok(&self.shared.current))
     }
 
@@ -654,7 +653,7 @@ impl<I: DynamicDistanceIndex> StlServer<I> {
     }
 }
 
-impl<I: DynamicDistanceIndex> Drop for StlServer<I> {
+impl Drop for StlServer {
     fn drop(&mut self) {
         self.close();
     }
@@ -662,7 +661,7 @@ impl<I: DynamicDistanceIndex> Drop for StlServer<I> {
 
 /// Reject `ticket` with `reason`: count it, retain the reason, advance
 /// progress, and clear the in-flight slot.
-fn reject<I: DynamicDistanceIndex>(shared: &Shared<I>, ticket: u64, reason: String) {
+fn reject(shared: &Shared, ticket: u64, reason: String) {
     let stats = &shared.stats;
     stats.batches_rejected.fetch_add(1, Ordering::Relaxed);
     let evicted = lock_ok(&shared.rejections).push(ticket, reason.into());
@@ -686,7 +685,7 @@ fn reject<I: DynamicDistanceIndex>(shared: &Shared<I>, ticket: u64, reason: Stri
 /// so a crash right after the restart cannot replay a batch that was
 /// reported `Rejected`, and the ticket resolves `Rejected("writer
 /// restarted")`.
-fn resolve_orphan<I: DynamicDistanceIndex>(shared: &Arc<Shared<I>>) {
+fn resolve_orphan(shared: &Arc<Shared>) {
     let Some(inf) = lock_ok(&shared.in_flight).take() else { return };
     let published = read_ok(&shared.current).generation();
     if published >= inf.seq {
@@ -723,12 +722,7 @@ fn resolve_orphan<I: DynamicDistanceIndex>(shared: &Arc<Shared<I>>) {
 /// Checkpoint the served world and reset the WAL. Failure is logged, not
 /// fatal: the WAL keeps every batch since the last successful checkpoint,
 /// so durability is unaffected — the next trigger retries.
-fn do_checkpoint<I: DynamicDistanceIndex>(
-    shared: &Shared<I>,
-    graph: &CsrGraph,
-    stl: &I,
-    generation: u64,
-) {
+fn do_checkpoint(shared: &Shared, graph: &CsrGraph, stl: &Stl, generation: u64) {
     let Some(d) = &shared.durable else { return };
     // Hold the dedup lock across the dump so the serialized window is a
     // consistent cut with `generation`.
@@ -758,11 +752,11 @@ fn do_checkpoint<I: DynamicDistanceIndex>(
 /// publishes — one epoch per accepted batch. Runs under the supervisor;
 /// returning means the queue closed and everything (including the final
 /// checkpoint) is done.
-fn writer_loop<I: DynamicDistanceIndex>(
+fn writer_loop(
     mut graph: CsrGraph,
-    mut stl: I,
+    mut stl: Stl,
     mut generation: u64,
-    shared: &Arc<Shared<I>>,
+    shared: &Arc<Shared>,
     rx: &Mutex<Receiver<Job>>,
     cfg: &ServerConfig,
 ) {
@@ -833,8 +827,13 @@ fn writer_loop<I: DynamicDistanceIndex>(
             }
         }
         let t_apply = Instant::now();
-        let (ustats, report) =
-            stl.apply_batch(&mut graph, &batch, cfg.algo, &mut pool, cfg.owned_shards.as_ref());
+        let (ustats, report) = stl.apply_batch_sharded_owned(
+            &mut graph,
+            &batch,
+            cfg.algo,
+            &mut pool,
+            cfg.owned_shards.as_ref(),
+        );
         stats.apply_ns_total.fetch_add(t_apply.elapsed().as_nanos() as u64, Ordering::Relaxed);
         stats.repair_shards_last.store(report.shards_touched as u64, Ordering::Relaxed);
         stats.repair_shard_ns_max_last.store(report.max_ns(), Ordering::Relaxed);

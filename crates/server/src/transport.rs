@@ -70,7 +70,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stl_core::{DynamicDistanceIndex, Stl};
 use stl_graph::{Dist, EdgeUpdate, VertexId};
 
 use crate::batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats};
@@ -255,9 +254,9 @@ pub(crate) fn dial(endpoint: &Endpoint) -> io::Result<NetStream> {
 
 // ---- server -------------------------------------------------------------
 
-struct NetShared<I: DynamicDistanceIndex> {
-    server: Arc<StlServer<I>>,
-    batcher: AdaptiveBatcher<I>,
+struct NetShared {
+    server: Arc<StlServer>,
+    batcher: AdaptiveBatcher,
     cfg: NetConfig,
     stop: AtomicBool,
     /// Connections accepted but not yet picked up by a worker.
@@ -270,8 +269,8 @@ struct NetShared<I: DynamicDistanceIndex> {
 /// The socket front-end. Binds in [`NetServer::start`], serves until
 /// [`NetServer::shutdown`]. All state is shared through `Arc`s, so the
 /// handle is cheap to move across threads.
-pub struct NetServer<I: DynamicDistanceIndex = Stl> {
-    shared: Arc<NetShared<I>>,
+pub struct NetServer {
+    shared: Arc<NetShared>,
     local_addr: Endpoint,
     /// Socket file to unlink on shutdown when listening on a unix path.
     unix_path: Option<PathBuf>,
@@ -282,12 +281,12 @@ pub struct NetServer<I: DynamicDistanceIndex = Stl> {
     conn_tx: Mutex<Option<Sender<NetStream>>>,
 }
 
-impl<I: DynamicDistanceIndex> NetServer<I> {
+impl NetServer {
     /// Parse `listen` (`host:port`, or `unix:/path` — see
     /// [`Endpoint::parse`]), bind it, and start the acceptor and worker
     /// threads. Use port 0 for an ephemeral TCP port; the bound address is
     /// [`NetServer::local_addr`].
-    pub fn start(server: Arc<StlServer<I>>, listen: &str, cfg: NetConfig) -> io::Result<Self> {
+    pub fn start(server: Arc<StlServer>, listen: &str, cfg: NetConfig) -> io::Result<Self> {
         assert!(cfg.reader_threads >= 1, "need at least one reader thread");
         let endpoint = Endpoint::parse(listen)?;
         let (listener, local_addr) = NetListener::bind(&endpoint)?;
@@ -382,17 +381,13 @@ impl<I: DynamicDistanceIndex> NetServer<I> {
     }
 }
 
-impl<I: DynamicDistanceIndex> Drop for NetServer<I> {
+impl Drop for NetServer {
     fn drop(&mut self) {
         self.close();
     }
 }
 
-fn accept_loop<I: DynamicDistanceIndex>(
-    shared: &NetShared<I>,
-    listener: &NetListener,
-    tx: &Sender<NetStream>,
-) {
+fn accept_loop(shared: &NetShared, listener: &NetListener, tx: &Sender<NetStream>) {
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok(stream) => {
@@ -422,7 +417,7 @@ fn accept_loop<I: DynamicDistanceIndex>(
     }
 }
 
-fn worker_loop<I: DynamicDistanceIndex>(shared: &NetShared<I>, rx: &Mutex<Receiver<NetStream>>) {
+fn worker_loop(shared: &NetShared, rx: &Mutex<Receiver<NetStream>>) {
     // Per-worker distance scratch for ONE_TO_MANY responses: it outlives
     // connections, so the steady state is one allocation per worker for the
     // largest target set that worker has ever seen, instead of one per
@@ -446,8 +441,8 @@ fn worker_loop<I: DynamicDistanceIndex>(shared: &NetShared<I>, rx: &Mutex<Receiv
     }
 }
 
-fn serve_connection<I: DynamicDistanceIndex>(
-    shared: &NetShared<I>,
+fn serve_connection(
+    shared: &NetShared,
     stream: NetStream,
     many_scratch: &mut Vec<Dist>,
 ) -> io::Result<()> {
@@ -504,7 +499,7 @@ fn serve_connection<I: DynamicDistanceIndex>(
                     if many_scratch.capacity() >= targets.len() {
                         shared.counters.many_scratch_reuses.fetch_add(1, Ordering::Relaxed);
                     }
-                    snap.index().one_to_many_into(s, &targets, many_scratch);
+                    snap.stl().one_to_many_into(s, &targets, many_scratch);
                     // Moved into the response, not cloned; the scratch comes
                     // back once the response is encoded.
                     Response::Many(std::mem::take(many_scratch))
@@ -583,7 +578,7 @@ fn batch_response(outcome: &BatchOutcome, generation: u64) -> Response {
 }
 
 /// The `STATS` field list, in [`RemoteStats`] order.
-fn stats_fields<I: DynamicDistanceIndex>(shared: &NetShared<I>) -> Vec<u64> {
+fn stats_fields(shared: &NetShared) -> Vec<u64> {
     let server = shared.server.stats();
     let batcher = shared.batcher.stats();
     let c = &shared.counters;
@@ -906,7 +901,7 @@ mod tests {
     use super::*;
     use crate::proto::{put_u32, MAX_FRAME_BYTES, OP_QUERY, OP_UPDATE, PROTO_VERSION};
     use crate::server::ServerConfig;
-    use stl_core::StlConfig;
+    use stl_core::{Stl, StlConfig};
     use stl_graph::builder::from_edges;
     use stl_graph::CsrGraph;
 
