@@ -1,4 +1,4 @@
-//! Criterion bench: tree-grouped batch repair, both maintenance families.
+//! Criterion bench: batch repair, both maintenance families.
 //!
 //! Runs Label-Search **and** Pareto-Search maintenance through
 //! `Stl::apply_batch` over two seeded congestion streams — **scattered**
@@ -8,19 +8,25 @@
 //! Before any timing, every stream is replayed once and the label arena is
 //! asserted equal, entry for entry, to a rebuild over the same hierarchy
 //! every `CHECK_EVERY` batches: labels are canonical subgraph distances, so
-//! a rebuild is the exact expected arena. `cargo bench --bench repair --
-//! --test` runs exactly these checks plus one pass of each bench body; CI's
-//! release stage invokes it that way and, with `BENCH_SUMMARY_PATH` set,
-//! collects per-bench medians and each stream's pop and label-write
-//! counters into the `BENCH_*.json` perf trajectory.
+//! a rebuild is the exact expected arena. The stream is then replayed once
+//! more, each batch applied from one state both as one batch and as its
+//! raw updates in one-edge batches; the total-time ratio is reported as
+//! `{family}_{scenario}_batch_over_singles`, not asserted.
+//! `cargo bench --bench repair -- --test` runs exactly these legs plus one
+//! pass of each bench body; CI's release stage invokes it that way and,
+//! with `BENCH_SUMMARY_PATH` set, collects per-bench medians, each stream's
+//! pop and label-write counters and the ratios into the `BENCH_*.json`
+//! perf trajectory.
 //!
 //! Registered on the workspace root (like `throughput` and `publish`), so
 //! the command above works from the repo root.
 
+use std::time::Instant;
+
 use criterion::{criterion_group, criterion_main, summary, BenchmarkId, Criterion};
 
 use stl_core::{verify, Maintenance, Stl, StlConfig, UpdateEngine, UpdateStats};
-use stl_graph::{CsrGraph, EdgeUpdate};
+use stl_graph::{CsrGraph, EdgeUpdate, VertexId};
 use stl_workloads::updates::{hotspot_batches, HotspotConfig};
 use stl_workloads::{generate, RoadNetConfig};
 
@@ -58,6 +64,43 @@ fn assert_matches_rebuild(
         }
     }
     total
+}
+
+/// Replay `batches`, applying each from one state both as one batch and as
+/// its raw updates in one-edge batches, and return the total time of the
+/// batches over the total time of the singles. A clone pinned across both
+/// applies stands in for the published snapshot, so both ways pay the same
+/// copy-on-write chunk copies; the side that runs first alternates.
+fn batch_over_singles(
+    g0: &CsrGraph,
+    stl0: &Stl,
+    batches: &[Vec<EdgeUpdate>],
+    algo: Maintenance,
+) -> f64 {
+    let (mut g, mut stl) = (g0.clone(), stl0.clone());
+    let mut eng = UpdateEngine::new(g0.num_vertices());
+    let (mut batch_ns, mut singles_ns) = (0u128, 0u128);
+    for (i, batch) in batches.iter().enumerate() {
+        let pin = (g.clone(), stl.clone());
+        let (mut g1, mut stl1) = pin.clone();
+        for side in [i % 2, 1 - i % 2] {
+            let t = Instant::now();
+            if side == 0 {
+                stl.apply_batch(&mut g, batch, algo, &mut eng);
+                batch_ns += t.elapsed().as_nanos();
+            } else {
+                for &u in batch {
+                    stl1.apply_batch(&mut g1, &[u], algo, &mut eng);
+                }
+                singles_ns += t.elapsed().as_nanos();
+            }
+        }
+        drop(pin);
+        for v in 0..g0.num_vertices() as VertexId {
+            assert_eq!(stl.labels().slice(v), stl1.labels().slice(v), "{algo:?} batch {i}");
+        }
+    }
+    batch_ns as f64 / singles_ns as f64
 }
 
 fn bench_repair(c: &mut Criterion) {
@@ -98,6 +141,9 @@ fn bench_repair(c: &mut Criterion) {
                 format!("{family}_{scenario}_label_writes"),
                 gate_stats.label_writes as f64,
             );
+            let ratio = batch_over_singles(&g0, &stl0, &batches, algo);
+            println!("{family}/{scenario}: batch ÷ singles total time {ratio:.3}");
+            summary::counter(format!("{family}_{scenario}_batch_over_singles"), ratio);
 
             let mut g = g0.clone();
             let mut stl = stl0.clone();

@@ -1,5 +1,5 @@
-//! Ablation A — balance parameter β sweep (DESIGN.md calls out β = 0.2 as
-//! the paper's choice; this bench shows what the knob trades off).
+//! Ablation A — balance parameter β sweep (β = 0.2 is the paper's choice;
+//! this bench shows what the knob trades off).
 //!
 //! For β ∈ {0.1 … 0.5}: tree height, label entries, construction time,
 //! mean query time, mean per-update time (STL-P, mixed batch).

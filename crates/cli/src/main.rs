@@ -501,7 +501,7 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     );
     println!(
         "repair: inline, {} stable-tree shards ({} family, \
-         tree-grouped with a spine residual)",
+         each update repaired in the spine and its tree)",
         stl.hierarchy().num_shards(),
         match algo {
             Maintenance::ParetoSearch => "pareto",

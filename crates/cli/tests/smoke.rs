@@ -102,9 +102,9 @@ fn serve_runs_mixed_trace_and_reports_stats() {
     assert!(out.contains("generation"), "serve output: {out}");
     // The trace is seeded: the query/batch split is reproducible.
     assert!(out.contains("seed 77"), "serve output: {out}");
-    // The tree-grouped repair banner and per-shard writer timings must
-    // surface — for the default (Pareto) family too, which groups by tree
-    // through the interval-clamped decomposition.
+    // The repair banner and per-shard writer timings must surface — for
+    // the default (Pareto) family too, which splits an update across the
+    // spine and its tree through the interval-clamped decomposition.
     assert!(out.contains("repair: inline"), "serve output: {out}");
     assert!(out.contains("stable-tree shards (pareto family"), "serve output: {out}");
     assert!(out.contains("trees touched/skipped"), "serve output: {out}");

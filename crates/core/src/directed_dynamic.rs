@@ -56,7 +56,10 @@ impl DirectedStl {
         updates: &[EdgeUpdate],
         eng: &mut UpdateEngine,
     ) -> UpdateStats {
-        let (dec, inc) = normalise_batch(updates, true, |a, b| dg.arc_weight(a, b));
+        let (dec, inc): (Vec<_>, Vec<_>) =
+            normalise_batch(updates, true, |a, b| dg.arc_weight(a, b))
+                .into_iter()
+                .partition(|u| Some(u.new_weight) < dg.arc_weight(u.a, u.b));
         let mut stats = UpdateStats::default();
         for u in dec {
             stats += self.decrease_arc(dg, u.a, u.b, u.new_weight, eng);

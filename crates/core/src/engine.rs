@@ -3,8 +3,8 @@
 //! One engine serves any number of update batches; all per-search state is
 //! epoch-reset ([`TimestampedArray`]) so a batch of thousands of updates
 //! never pays `O(|V|)` clears. Repair runs inline on the caller's thread,
-//! so the tree-grouped batch driver needs exactly one engine, which an
-//! [`EnginePool`] keeps warm between batches.
+//! one update after another, so the batch driver needs exactly one engine,
+//! which an [`EnginePool`] keeps warm between batches.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -67,21 +67,16 @@ pub struct UpdateEngine {
     pub(crate) aff_hi: TimestampedArray<u32>,
     /// Vertices with a non-empty affected interval, in discovery order.
     pub(crate) aff_list: Vec<VertexId>,
-    /// Exact affected `(vertex, index)` pairs collected by increase searches.
+    /// Exact affected `(vertex, index)` pairs of one increase update,
+    /// collected by its searches unit after unit.
     pub(crate) pairs: Vec<(VertexId, u32)>,
     /// Anchor-label snapshot for the current Pareto search.
     pub(crate) snap: Vec<Dist>,
     /// (dist, vertex, index) heap for the Pareto repair phase.
     pub(crate) rheap: BinaryHeap<std::cmp::Reverse<(Dist, VertexId, u32)>>,
-    /// Scratch list of `(ancestor, affected vertices)` per increase batch.
+    /// Scratch list of `(ancestor, affected vertices)` of one increase
+    /// update, unit after unit.
     pub(crate) aff_per_r: Vec<(VertexId, Vec<VertexId>)>,
-    /// Per-update `(Δ, affected pairs)` lists carried from the grouped
-    /// Pareto increase's identification phase to its bump+repair phase;
-    /// kept on the engine so a long-lived writer reuses the outer buffer.
-    pub(crate) inc_pairs: Vec<(Dist, Vec<(VertexId, u32)>)>,
-    /// Drained pair buffers awaiting reuse (the inner vectors of
-    /// `inc_pairs`, handed back after each grouped Pareto unit).
-    pub(crate) pair_pool: Vec<Vec<(VertexId, u32)>>,
 }
 
 impl UpdateEngine {
@@ -101,14 +96,7 @@ impl UpdateEngine {
             snap: Vec::new(),
             rheap: BinaryHeap::new(),
             aff_per_r: Vec::new(),
-            inc_pairs: Vec::new(),
-            pair_pool: Vec::new(),
         }
-    }
-
-    /// Take an empty pair buffer, reusing a pooled allocation if available.
-    pub(crate) fn take_pair_buf(&mut self) -> Vec<(VertexId, u32)> {
-        self.pair_pool.pop().unwrap_or_default()
     }
 
     /// Grow scratch arrays if the graph is larger than at construction.
@@ -181,10 +169,10 @@ mod tests {
     fn engine_pool_reuses_one_engine_and_grows_it() {
         let mut pool = EnginePool::new();
         assert!(pool.engine.is_none());
-        pool.engine(8).pair_pool.push(Vec::new());
+        pool.engine(8).pairs.push((0, 0));
         // A larger graph grows the same engine rather than replacing it.
         let eng = pool.engine(32);
         assert!(eng.in_aff.len() >= 32);
-        assert_eq!(eng.pair_pool.len(), 1, "the engine is kept warm");
+        assert_eq!(eng.pairs.len(), 1, "the engine is kept warm");
     }
 }

@@ -1,5 +1,5 @@
 //! Label Search maintenance — the ancestor-centric algorithms, run by the
-//! batch driver (`crate::shard`) once per repair shard:
+//! batch driver (`crate::shard`) once per update in each unit it reaches:
 //!
 //! * decreases — Algorithm 1: per affected ancestor `r`, a pruned Dijkstra
 //!   restricted to `G[Desc(r)]` repairs labels immediately (new distances
@@ -16,10 +16,11 @@
 //!
 //! Every phase runs on a `ShardLabels` view and seeds only the ancestors
 //! its shard owns: a per-ancestor search reads and writes only entries
-//! `(v, τ(r))` with `v ∈ Desc(r)`, which is what makes the per-tree
-//! grouping sound.
+//! `(v, τ(r))` with `v ∈ Desc(r)`, which is what makes running an update
+//! unit by unit sound.
 
 use std::cmp::Reverse;
+use std::ops::Range;
 
 use stl_graph::{dist_add, CsrGraph, EdgeUpdate, VertexId, INF};
 
@@ -28,30 +29,28 @@ use crate::hierarchy::Hierarchy;
 use crate::labelling::ShardLabels;
 use crate::types::UpdateStats;
 
-/// Partition decrease seeds into per-ancestor queues `Q_r` (Alg. 1 lines
-/// 2–7) for the ancestors `labels`' shard owns. The new weights must
-/// already be applied to the graph.
+/// Seed decrease update `u`'s per-ancestor queues `Q_r` (Alg. 1 lines 2–7)
+/// for the ancestors `labels`' shard owns. The new weight must already be
+/// applied to the graph.
 pub(crate) fn seed_decrease(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
-    updates: &[EdgeUpdate],
+    u: EdgeUpdate,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
-    for &u in updates {
-        let (a, b) = orient(hier, u.a, u.b);
-        let w = u.new_weight;
-        let seeds = &mut eng.seeds;
-        hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
-            let la = labels.get(a, tr);
-            let lb = labels.get(b, tr);
-            if la != INF && dist_add(la, w) < lb {
-                seeds.entry(r).or_default().push((dist_add(la, w), b));
-            } else if lb != INF && dist_add(lb, w) < la {
-                seeds.entry(r).or_default().push((dist_add(lb, w), a));
-            }
-        });
-    }
+    let (a, b) = orient(hier, u.a, u.b);
+    let w = u.new_weight;
+    let seeds = &mut eng.seeds;
+    hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
+        let la = labels.get(a, tr);
+        let lb = labels.get(b, tr);
+        if la != INF && dist_add(la, w) < lb {
+            seeds.entry(r).or_default().push((dist_add(la, w), b));
+        } else if lb != INF && dist_add(lb, w) < la {
+            seeds.entry(r).or_default().push((dist_add(lb, w), a));
+        }
+    });
 }
 
 /// One pruned Dijkstra per seeded ancestor (Alg. 1 lines 8–14), in τ order:
@@ -94,41 +93,39 @@ pub(crate) fn run_decrease_searches(
     }
 }
 
-/// Seed increase queues from **old** labels and **old** weights (Alg. 2
-/// lines 2–7) for the ancestors `labels`' shard owns. Must run before any
-/// of the batch's weights are applied.
+/// Seed increase update `u`'s queues from **old** labels and the **old**
+/// weight (Alg. 2 lines 2–7) for the ancestors `labels`' shard owns. Must
+/// run before `u`'s weight is applied.
 pub(crate) fn seed_increase(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
     g: &CsrGraph,
-    updates: &[EdgeUpdate],
+    u: EdgeUpdate,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
-    for &u in updates {
-        let w_old = g.weight(u.a, u.b).expect("update must target an existing edge");
-        debug_assert!(u.new_weight >= w_old, "increase batch got a decrease");
-        let (a, b) = orient(hier, u.a, u.b);
-        let ta = hier.tau(a);
-        let seeds = &mut eng.seeds;
-        hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
-            let la = labels.get(a, tr);
-            let lb = labels.get(b, tr);
-            if la != INF && lb != INF && dist_add(la, w_old) == lb {
-                seeds.entry(r).or_default().push((lb, b));
-            } else if tr < ta && lb != INF && la != INF && dist_add(lb, w_old) == la {
-                // `tr < ta` keeps the ancestor itself out of its own queue:
-                // for r == a (only reachable through a zero-weight edge
-                // closing a zero-length cycle) the self-entry is 0 forever.
-                seeds.entry(r).or_default().push((la, a));
-            }
-        });
-    }
+    let w_old = g.weight(u.a, u.b).expect("update must target an existing edge");
+    debug_assert!(u.new_weight >= w_old, "increase got a decrease");
+    let (a, b) = orient(hier, u.a, u.b);
+    let ta = hier.tau(a);
+    let seeds = &mut eng.seeds;
+    hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
+        let la = labels.get(a, tr);
+        let lb = labels.get(b, tr);
+        if la != INF && lb != INF && dist_add(la, w_old) == lb {
+            seeds.entry(r).or_default().push((lb, b));
+        } else if tr < ta && lb != INF && la != INF && dist_add(lb, w_old) == la {
+            // `tr < ta` keeps the ancestor itself out of its own queue:
+            // for r == a (only reachable through a zero-weight edge
+            // closing a zero-length cycle) the self-entry is 0 forever.
+            seeds.entry(r).or_default().push((la, a));
+        }
+    });
 }
 
 /// Identify `V_aff` per seeded ancestor along the old shortest-path DAG
 /// (Alg. 2 lines 8–14), in τ order for run-to-run determinism, appending to
-/// `eng.aff_per_r`. All searches must precede any weight application.
+/// `eng.aff_per_r`. Must run before the update's weight is applied.
 pub(crate) fn collect_affected(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
@@ -136,7 +133,6 @@ pub(crate) fn collect_affected(
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    eng.aff_per_r.clear();
     eng.seed_list.clear();
     eng.seed_list.extend(eng.seeds.drain());
     eng.seed_list.sort_unstable_by_key(|&(r, _)| (hier.tau(r), r));
@@ -173,19 +169,22 @@ pub(crate) fn collect_affected(
     }
 }
 
-/// Run `Repair` for every `(ancestor, V_aff)` pair, in the given (τ-sorted)
-/// order. The batch's new weights must already be applied.
+/// Run `Repair` for the `(ancestor, V_aff)` pairs `eng.aff_per_r[range]`,
+/// in their (τ-sorted) order. The update's new weight must already be
+/// applied.
 pub(crate) fn run_repairs(
     hier: &Hierarchy,
     labels: &mut ShardLabels<'_, '_>,
     g: &CsrGraph,
-    aff_per_r: &[(VertexId, Vec<VertexId>)],
+    range: Range<usize>,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    for (r, list) in aff_per_r {
+    let aff_per_r = std::mem::take(&mut eng.aff_per_r);
+    for (r, list) in &aff_per_r[range] {
         repair(hier, labels, g, *r, list, eng, stats);
     }
+    eng.aff_per_r = aff_per_r;
 }
 
 /// `Repair` of Algorithm 2 (lines 16–27) for one ancestor.

@@ -1,5 +1,5 @@
 //! Pareto Search maintenance — the update-centric algorithms, run by the
-//! batch driver (`crate::shard`) once per work unit an update reaches.
+//! batch driver (`crate::shard`) once per update in each unit it reaches.
 //!
 //! Instead of one search per affected ancestor, Pareto Search runs **two**
 //! searches per update (one from each endpoint of the updated edge) and
@@ -17,11 +17,11 @@
 //!   labels are bumped by `Δ` as upper bounds, and a per-index repair
 //!   Dijkstra finishes from the unaffected boundary.
 //!
-//! Implementation note (see DESIGN.md §2): Algorithm 4 bumps labels *during*
-//! its searches while later equality checks need pre-update values; we
-//! instead collect exact affected pairs from both searches first and apply
-//! all `+Δ` bumps after, which keeps the two searches' equality tests exact
-//! without snapshotting every label.
+//! Implementation note: Algorithm 4 bumps labels *during* its searches
+//! while later equality checks need pre-update values; we instead collect
+//! exact affected pairs from both searches first and apply all `+Δ` bumps
+//! after, which keeps the two searches' equality tests exact without
+//! snapshotting every label.
 //!
 //! Every search core runs on a `ShardLabels` view and takes an
 //! ancestor-index clamp `[lo, hi]`: the driver runs an update's searches in
@@ -37,6 +37,7 @@
 //! restricts reads *and* writes to the owning shard's entries.
 
 use std::cmp::Reverse;
+use std::ops::Range;
 
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 
@@ -118,18 +119,21 @@ pub(crate) fn search_and_repair_dec(
     }
 }
 
-/// Bump collected pairs by `delta` (upper bounds, Alg. 4 line 18) and fold
-/// them into the engine's per-vertex affected intervals (`aff_lo`/`aff_hi`
-/// must be freshly reset at the start of the batch — callers accumulate
-/// several updates' pairs into one interval set before [`repair_inc`]).
+/// Bump the collected pairs `eng.pairs[range]` by `delta` (upper bounds,
+/// Alg. 4 line 18) and make them the engine's per-vertex affected
+/// intervals, the input of [`repair_inc`].
 pub(crate) fn bump_pairs(
     labels: &mut ShardLabels<'_, '_>,
-    pairs: &[(VertexId, u32)],
+    range: Range<usize>,
     delta: Dist,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    for &(v, i) in pairs {
+    eng.aff_lo.reset();
+    eng.aff_hi.reset();
+    eng.aff_list.clear();
+    for j in range {
+        let (v, i) = eng.pairs[j];
         let cur = labels.get(v, i);
         if cur != INF {
             labels.set(v, i, cur.saturating_add(delta));
@@ -152,8 +156,8 @@ pub(crate) fn bump_pairs(
 
 /// One increase search (Algorithm 4's `Search`): walks the old
 /// shortest-path DAG through the updated edge, collecting affected pairs.
-/// Must run before any of the batch's weights are applied; the validity
-/// interval is intersected with `clamp` as in [`search_and_repair_dec`].
+/// Must run before the update's weight is applied; the validity interval
+/// is intersected with `clamp` as in [`search_and_repair_dec`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_inc(
     hier: &Hierarchy,
@@ -232,8 +236,8 @@ pub(crate) fn search_inc(
 
 /// Algorithm 5 — per-index repair over the affected intervals held in the
 /// engine (`aff_list`/`aff_lo`/`aff_hi`). Entirely index-local: a repair at
-/// index `i` reads and writes only index-`i` entries, so one pass repairs a
-/// whole unit's merged intervals.
+/// index `i` reads and writes only index-`i` entries, so one pass repairs
+/// every interval of the unit.
 pub(crate) fn repair_inc(
     hier: &Hierarchy,
     labels: &mut ShardLabels<'_, '_>,

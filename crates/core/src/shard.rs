@@ -1,40 +1,35 @@
 //! The batch repair driver.
 //!
 //! [`Stl::apply_batch`] is the one path by which labels are maintained. It
-//! normalises a mixed batch (last update per edge wins, no-ops dropped),
-//! splits it into a decrease and an increase phase, and repairs the labels
-//! with the selected family — Label Search (Algorithms 1–2,
-//! `label_search`) or Pareto Search (Algorithms 3–5, `pareto`) — grouped
-//! by owning stable tree.
+//! normalises a mixed batch (last update per edge wins, no-ops dropped,
+//! survivors kept in batch order) and then repairs the labels one update at
+//! a time with the selected family — Label Search (Algorithms 1–2,
+//! `label_search`) or Pareto Search (Algorithms 3–5, `pareto`). A batch is
+//! exactly its normalised updates applied one by one, in order.
 //!
 //! The stable tree hierarchy partitions the label space: a per-ancestor
-//! Label-Search phase for cut vertex `r` reads and writes **only** the
+//! Label-Search search for cut vertex `r` reads and writes **only** the
 //! entries `(v, τ(r))` with `v ∈ Desc(r)`. Two distinct cut vertices
 //! therefore have disjoint entry sets (different τ along a chain, disjoint
 //! descendants across branches — the argument behind
-//! [`Stl::build_with_hierarchy_parallel`]). This module groups those repairs
-//! by **owning stable tree** (the subtree-ownership map of
-//! [`Hierarchy::tree_of`]) into work units and runs the units inline, one
-//! after another, on the caller's thread and one [`UpdateEngine`]:
+//! [`Stl::build_with_hierarchy_parallel`]). So each update's repair runs,
+//! inline on the caller's thread and one [`UpdateEngine`], in the ≤ 2
+//! **work units** it reaches: the spine (cut vertices above
+//! [`SHARD_DEPTH`](crate::hierarchy::SHARD_DEPTH)), which every root path
+//! crosses, then its owning stable tree ([`Hierarchy::tree_of_edge`]).
+//! Other trees are never scanned (`UpdateStats::trees_skipped`), and a
+//! shard worker repairs only the units it owns. A decrease applies its
+//! weight, then searches each unit; an increase identifies each unit's
+//! affected entries on the old weight, applies the weight, then repairs
+//! each unit. All units write through one
+//! [`LabelsWriter`](crate::labelling::LabelsWriter) phase per batch, which
+//! resolves each arena chunk on first touch (`stl_graph::cow`), and their
+//! wall times land per shard in a [`ShardReport`].
 //!
-//! 1. the batch is normalised once and **pre-grouped by tree** — shards no
-//!    update maps to are skipped before any search starts (surfaced as
-//!    `UpdateStats::trees_skipped`), and the spine (cut vertices above
-//!    [`SHARD_DEPTH`](crate::hierarchy::SHARD_DEPTH)) forms its own work
-//!    unit, run first, since every root path crosses it;
-//! 2. weight application is phase-fenced: decreases land before their
-//!    searches, increases after the affected-set searches and before the
-//!    repairs, so every unit reads the graph its phase needs;
-//! 3. units repair their shards on [`ShardLabels`](crate::labelling::ShardLabels)
-//!    views over one [`LabelsWriter`](crate::labelling::LabelsWriter) phase,
-//!    which resolves each arena chunk on first touch (`stl_graph::cow`), so
-//!    a batch pays for the chunks it touches, not for the arena;
-//! 4. per-unit [`UpdateStats`] accumulate in unit order and the per-shard
-//!    wall times land in a [`ShardReport`] for the server stats.
-//!
-//! For Label Search a unit runs Algorithms 1–2's per-ancestor searches for
-//! the ancestors its shard owns. Disjointness is what makes the grouping,
-//! and a shard worker's owned-units-only repair, sound.
+//! A batch shares no work between its updates. The paper's batch forms
+//! (seed queues shared across a batch, Δ-bumps summed before one repair)
+//! saved 0.45 % of Pareto pops at 16k vertices and ran 1.14–1.17× slower
+//! than the same updates applied singly.
 //!
 //! There is no thread pool. Two threads against one on 16-edge scattered
 //! and hotspot batches, unpinned on two vCPUs, measured 0.93–1.07× at 16k
@@ -42,27 +37,24 @@
 //! slowest unit is nearly the whole batch, so a fan-out bought nothing and
 //! its thread spawns cost ~0.1 ms per single-edge batch.
 //!
-//! **Pareto Search** decomposes onto the same unit structure by clamping
-//! validity intervals instead of filtering ancestors. A Pareto search for
-//! update `{a, b}` writes `L_v[i]` only for `i ≤ min(τ(a), τ(b))`, and for
-//! every such `i` the written entries `(v, i)` satisfy `v ∈ Desc(r_i)`
-//! where `r_i` is the *common* `i`-th ancestor of both endpoints — so entry
+//! **Pareto Search** decomposes onto the same units by clamping validity
+//! intervals instead of filtering ancestors. A Pareto search for update
+//! `{a, b}` writes `L_v[i]` only for `i ≤ min(τ(a), τ(b))`, and for every
+//! such `i` the written entries `(v, i)` satisfy `v ∈ Desc(r_i)` where
+//! `r_i` is the *common* `i`-th ancestor of both endpoints — so entry
 //! ownership follows the anchor's root path. That path crosses the spine
 //! and then descends into exactly one subtree shard `s`, splitting the
 //! index range at `k = Hierarchy::shard_anc_start(s)`: indices `[0, k)` are
-//! spine-owned, `[k, τ]` belong to `s`. The Pareto driver therefore runs
-//! each update's two searches twice with complementary clamps — once in its
-//! subtree unit (`[k, ∞)`) and once in the spine unit (`[0, k)`, the
-//! residual every root path shares) — and since search, bump and repair are
-//! all **index-local**, the two passes read and write disjoint entry sets
-//! and the spine unit schedules like any other work unit. Increases keep
-//! the collect-then-bump ordering behind a phase fence: all identification
-//! searches run on the old weights and labels, the batch's weights land,
-//! then every unit applies its summed `+Δ` bumps before its per-index
-//! repair Dijkstras (a pair collected by several updates needs the summed
-//! upper bound — paths through two increased edges grow by both deltas).
-//! The effort counters measure this schedule: clamped searches re-explore
-//! some vertices in each unit an update reaches.
+//! spine-owned, `[k, τ]` belong to `s`. The driver therefore runs each
+//! update's two searches twice with complementary clamps — once in the
+//! spine unit (`[0, k)`) and once in its subtree unit (`[k, ∞)`) — and
+//! since search, bump and repair are all **index-local**, the two passes
+//! read and write disjoint entry sets. An increase keeps Algorithm 4's
+//! collect-then-bump order inside the update: both units collect their
+//! affected pairs on the old weight and labels, the weight lands, then each
+//! unit bumps its pairs by `Δ` and runs its per-index repair Dijkstras. The
+//! effort counters measure this schedule: clamped searches re-explore some
+//! vertices in each unit an update reaches.
 //!
 //! **The oracle.** Labels are canonical: `L(v)[τ(r)]` is the distance from
 //! `r` inside `G[Desc(r)]`, fixed by the graph and the weight-independent
@@ -71,7 +63,6 @@
 //! [`verify::check_matches_rebuild`](crate::verify::check_matches_rebuild)
 //! is the check the tests run after their batches.
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use stl_graph::hash::FxHashMap;
@@ -80,11 +71,11 @@ use stl_graph::{CsrGraph, EdgeUpdate, VertexId, Weight};
 use crate::engine::{EnginePool, UpdateEngine};
 use crate::hierarchy::{Hierarchy, SPINE_SHARD};
 use crate::label_search;
-use crate::labelling::Stl;
+use crate::labelling::{ShardLabels, Stl};
 use crate::pareto;
 use crate::types::{Maintenance, UpdateStats};
 
-/// Per-shard accounting of one grouped batch application.
+/// Per-shard accounting of one batch application.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Repair shards in the hierarchy (including the spine slot, whether or
@@ -92,7 +83,7 @@ pub struct ShardReport {
     pub shards_total: u32,
     /// Distinct shards that received work from this batch.
     pub shards_touched: u32,
-    /// `(shard id, nanoseconds)` summed over the batch's repair phases, in
+    /// `(shard id, nanoseconds)` summed over the batch's updates, in
     /// shard id order, touched shards only. The spread between entries is
     /// the load imbalance a hotspot batch inflicts.
     pub per_shard_ns: Vec<(u32, u64)>,
@@ -112,30 +103,20 @@ impl ShardReport {
     }
 }
 
-/// Entry-level write log of one grouped application: `(shard, writes)` in
+/// Entry-level write log of one batch application: `(shard, writes)` in
 /// shard id order. Property tests assert every entry is written by its
 /// owning shard; see [`Stl::apply_batch_sharded_logged`].
 pub type ShardWriteLog = Vec<(u32, Vec<(VertexId, u32)>)>;
-
-/// One work unit: a repair shard plus the updates whose ancestor sets
-/// reach into it. Subtree units own their (partitioned) update lists; the
-/// spine unit borrows the whole batch — it scans every update anyway, so
-/// cloning the batch for it would be pure overhead.
-struct ShardUnit<'b> {
-    shard: u32,
-    updates: Cow<'b, [EdgeUpdate]>,
-}
 
 /// A set of subtree shards a repair pass is responsible for — the
 /// ownership unit of process-sharded serving.
 ///
 /// A worker that applies a batch under a `ShardSet` still applies **every
-/// weight change** (the phase fences are untouched) but
-/// repairs only the spine unit plus the subtree units in the set. Because
-/// label entries are column-confined — the spine unit owns the ancestor
-/// prefix `[0, k)` of every vertex, a subtree unit the range `[k, τ]` of
-/// its own vertices — the entries a filtered pass repairs come out
-/// byte-identical to an unfiltered apply, while entries of unowned
+/// weight change** but repairs only the spine unit plus the subtree units
+/// in the set. Because label entries are column-confined — the spine unit
+/// owns the ancestor prefix `[0, k)` of every vertex, a subtree unit the
+/// range `[k, τ]` of its own vertices — the entries a filtered pass repairs
+/// come out byte-identical to an unfiltered apply, while entries of unowned
 /// subtrees simply go stale. The spine is never a member: it is replicated
 /// to (and repaired by) every worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -209,9 +190,10 @@ impl ShardSet {
 
 impl Stl {
     /// Apply a mixed batch of edge-weight updates with the given algorithm
-    /// family, keeping graph and labels consistent. The repair runs as one
-    /// work unit per owning stable tree, inline on the calling thread (see
-    /// the [module docs](crate::shard)); `UpdateStats::trees_touched` and
+    /// family, keeping graph and labels consistent. The batch is normalised
+    /// and each surviving update is repaired on its own, in the spine and
+    /// its owning stable tree, inline on the calling thread (see the
+    /// [module docs](crate::shard)); `UpdateStats::trees_touched` and
     /// `trees_skipped` count the units.
     ///
     /// Panics if an update references a non-existent edge (road-network
@@ -224,7 +206,7 @@ impl Stl {
         eng: &mut UpdateEngine,
     ) -> UpdateStats {
         eng.ensure_capacity(g.num_vertices());
-        self.apply_batch_grouped(g, updates, algo, eng, None, false).0
+        self.apply_loop(g, updates, algo, eng, None, false).0
     }
 
     /// [`Stl::apply_batch`] on `pool`'s engine, also returning the batch's
@@ -259,7 +241,7 @@ impl Stl {
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport) {
         let eng = pool.engine(g.num_vertices());
-        let (stats, report, _) = self.apply_batch_grouped(g, updates, algo, eng, owned, false);
+        let (stats, report, _) = self.apply_loop(g, updates, algo, eng, owned, false);
         (stats, report)
     }
 
@@ -275,10 +257,12 @@ impl Stl {
         pool: &mut EnginePool,
     ) -> (UpdateStats, ShardReport, ShardWriteLog) {
         let eng = pool.engine(g.num_vertices());
-        self.apply_batch_grouped(g, updates, algo, eng, None, true)
+        self.apply_loop(g, updates, algo, eng, None, true)
     }
 
-    fn apply_batch_grouped(
+    /// The batch driver: normalise, then repair each update in its units
+    /// over one label-writer phase.
+    fn apply_loop(
         &mut self,
         g: &mut CsrGraph,
         updates: &[EdgeUpdate],
@@ -287,49 +271,111 @@ impl Stl {
         owned: Option<&ShardSet>,
         log: bool,
     ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        match algo {
-            Maintenance::ParetoSearch => pareto_grouped(self, g, updates, eng, owned, log),
-            Maintenance::LabelSearch => label_search_grouped(self, g, updates, eng, owned, log),
+        const NORMALISED: &str = "normalised updates target existing edges";
+        let updates = normalise_batch(updates, false, |a, b| g.weight(a, b));
+        let Stl { ref hier, ref mut labels, .. } = *self;
+        let mut tally = Tally::new(hier, updates.len(), log);
+        let mut writer = labels.phase_writer();
+        let mut units = Vec::with_capacity(2);
+        for &u in &updates {
+            units.clear();
+            units.extend(units_of(hier, u, owned));
+            let w_old = g.weight(u.a, u.b).expect(NORMALISED);
+            if u.new_weight < w_old {
+                // A decrease: apply the weight, then search each unit.
+                g.apply_update(u).expect(NORMALISED);
+                for &shard in &units {
+                    tally.write_unit(shard, |stats, log| {
+                        let mut view = writer.shard_view(hier, shard, log);
+                        match algo {
+                            Maintenance::LabelSearch => {
+                                label_search::seed_decrease(hier, &view, u, eng);
+                                label_search::run_decrease_searches(hier, &mut view, g, eng, stats);
+                            }
+                            Maintenance::ParetoSearch => {
+                                pareto_decrease(hier, &mut view, g, u, eng, stats);
+                            }
+                        }
+                        view.into_log()
+                    });
+                }
+                continue;
+            }
+            // An increase: identify each unit's affected entries on the old
+            // weight, apply the weight, then repair each unit. The engine
+            // buffer holds the units' identifications back to back.
+            eng.aff_per_r.clear();
+            eng.pairs.clear();
+            let mut ends = [0; 2];
+            for (&shard, end) in units.iter().zip(&mut ends) {
+                *end = tally.unit(shard, |stats| {
+                    // Identification only reads labels; no write log to collect.
+                    let view = writer.shard_view(hier, shard, false);
+                    match algo {
+                        Maintenance::LabelSearch => {
+                            label_search::seed_increase(hier, &view, g, u, eng);
+                            label_search::collect_affected(hier, &view, g, eng, stats);
+                            eng.aff_per_r.len()
+                        }
+                        Maintenance::ParetoSearch => {
+                            pareto_identify(hier, &view, g, u, w_old, eng, stats)
+                        }
+                    }
+                });
+            }
+            g.apply_update(u).expect(NORMALISED);
+            let mut start = 0;
+            for (&shard, &end) in units.iter().zip(&ends) {
+                tally.write_unit(shard, |stats, log| {
+                    let mut view = writer.shard_view(hier, shard, log);
+                    match algo {
+                        Maintenance::LabelSearch => {
+                            label_search::run_repairs(hier, &mut view, g, start..end, eng, stats);
+                        }
+                        Maintenance::ParetoSearch => {
+                            let delta = u.new_weight - w_old;
+                            pareto::bump_pairs(&mut view, start..end, delta, eng, stats);
+                            pareto::repair_inc(hier, &mut view, g, eng, stats);
+                        }
+                    }
+                    view.into_log()
+                });
+                start = end;
+            }
         }
+        tally.finish()
     }
 }
 
-/// What one batch's units yield: the counters in unit order, each touched
+/// What one batch's units yield: the counters in update order, each touched
 /// shard's wall time, and (when logging) its label writes.
 struct Tally {
     stats: UpdateStats,
+    /// Shards a batch could touch: a spine slot that owns no cut vertices
+    /// is not skippable work.
+    reachable: u64,
     touched: Vec<bool>,
     shard_ns: Vec<u64>,
     logs: Option<FxHashMap<u32, Vec<(VertexId, u32)>>>,
 }
 
 impl Tally {
-    /// The batch-level counters of `updates` normalised updates grouped
-    /// into `dec_units` and `inc_units`.
-    fn new(
-        hier: &Hierarchy,
-        dec_units: &[ShardUnit<'_>],
-        inc_units: &[ShardUnit<'_>],
-        updates: usize,
-        log: bool,
-    ) -> Self {
+    /// The batch-level counters of `updates` normalised updates.
+    fn new(hier: &Hierarchy, updates: usize, log: bool) -> Self {
         let num_shards = hier.num_shards() as usize;
-        let mut stats = UpdateStats { updates: updates as u64, ..Default::default() };
-        let mut touched = vec![false; num_shards];
-        for unit in dec_units.iter().chain(inc_units) {
-            touched[unit.shard as usize] = true;
+        Self {
+            stats: UpdateStats { updates: updates as u64, ..Default::default() },
+            reachable: num_shards as u64 - u64::from(!hier.spine_has_cuts()),
+            touched: vec![false; num_shards],
+            shard_ns: vec![0; num_shards],
+            logs: log.then(FxHashMap::default),
         }
-        stats.trees_touched = touched.iter().filter(|&&t| t).count() as u64;
-        // A spine slot that owns no cut vertices is not skippable work.
-        let effective = num_shards as u64 - u64::from(!hier.spine_has_cuts());
-        stats.trees_skipped = effective - stats.trees_touched;
-        let logs = log.then(FxHashMap::default);
-        Self { stats, touched, shard_ns: vec![0; num_shards], logs }
     }
 
     /// Run one unit of `shard` on the batch counters, adding its wall time
     /// to the shard's.
     fn unit<R>(&mut self, shard: u32, f: impl FnOnce(&mut UpdateStats) -> R) -> R {
+        self.touched[shard as usize] = true;
         let t = Instant::now();
         let r = f(&mut self.stats);
         self.shard_ns[shard as usize] += t.elapsed().as_nanos() as u64;
@@ -352,14 +398,16 @@ impl Tally {
 
     /// The counters, the touched shards' timings as a [`ShardReport`], and
     /// the write log in shard order.
-    fn finish(self) -> (UpdateStats, ShardReport, ShardWriteLog) {
+    fn finish(mut self) -> (UpdateStats, ShardReport, ShardWriteLog) {
         let per_shard_ns: Vec<(u32, u64)> = (0..self.shard_ns.len())
             .filter(|&s| self.touched[s])
             .map(|s| (s as u32, self.shard_ns[s]))
             .collect();
+        self.stats.trees_touched = per_shard_ns.len() as u64;
+        self.stats.trees_skipped = self.reachable - self.stats.trees_touched;
         let report = ShardReport {
             shards_total: self.shard_ns.len() as u32,
-            shards_touched: self.stats.trees_touched as u32,
+            shards_touched: per_shard_ns.len() as u32,
             per_shard_ns,
         };
         let mut log: ShardWriteLog = self.logs.unwrap_or_default().into_iter().collect();
@@ -368,69 +416,17 @@ impl Tally {
     }
 }
 
-/// The Label-Search driver; see the module docs for the phase plan.
-fn label_search_grouped(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
+/// The work units update `u` reaches, in run order: the spine when it owns
+/// cut vertices (every root path crosses it), then the update's owning tree
+/// unless `owned` excludes it. No other tree is ever scanned.
+fn units_of(
+    hier: &Hierarchy,
+    u: EdgeUpdate,
     owned: Option<&ShardSet>,
-    log: bool,
-) -> (UpdateStats, ShardReport, ShardWriteLog) {
-    let (dec, inc) = split_batch(g, updates);
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-    let dec_units = group_by_tree(hier, &dec, owned);
-    let inc_units = group_by_tree(hier, &inc, owned);
-    let mut tally = Tally::new(hier, &dec_units, &inc_units, dec.len() + inc.len(), log);
-
-    // ---- decrease phase: weights first, then per-shard searches.
-    for &u in &dec {
-        let old = g.apply_update(u).expect("update must target an existing edge");
-        debug_assert!(u.new_weight <= old, "decrease batch got an increase");
-    }
-    let mut writer = labels.phase_writer();
-    for unit in &dec_units {
-        tally.write_unit(unit.shard, |stats, log| {
-            let mut view = writer.shard_view(hier, unit.shard, log);
-            label_search::seed_decrease(hier, &view, &unit.updates, eng);
-            label_search::run_decrease_searches(hier, &mut view, g, eng, stats);
-            view.into_log()
-        });
-    }
-
-    // ---- increase phase A: seeds + affected sets on the old weights.
-    let mut inc_work = Vec::with_capacity(inc_units.len());
-    for unit in &inc_units {
-        let aff = tally.unit(unit.shard, |stats| {
-            // Identification only reads labels; no write log to collect.
-            let view = writer.shard_view(hier, unit.shard, false);
-            label_search::seed_increase(hier, &view, g, &unit.updates, eng);
-            label_search::collect_affected(hier, &view, g, eng, stats);
-            std::mem::take(&mut eng.aff_per_r)
-        });
-        inc_work.push((unit.shard, aff));
-    }
-
-    // ---- fence: all searches saw old weights; apply the increases.
-    for &u in &inc {
-        g.apply_update(u).expect("validated above");
-    }
-
-    // ---- increase phase B: per-shard repairs on the new weights.
-    for (shard, mut aff) in inc_work {
-        tally.write_unit(shard, |stats, log| {
-            let mut view = writer.shard_view(hier, shard, log);
-            label_search::run_repairs(hier, &mut view, g, &aff, eng, stats);
-            view.into_log()
-        });
-        // Hand the drained list back to the engine, keeping the outer
-        // allocation for the next batch.
-        aff.clear();
-        if eng.aff_per_r.capacity() < aff.capacity() {
-            eng.aff_per_r = aff;
-        }
-    }
-    tally.finish()
+) -> impl Iterator<Item = u32> {
+    let tree = hier.tree_of_edge(u.a, u.b);
+    let tree = (tree != SPINE_SHARD && owned.is_none_or(|set| set.contains(tree))).then_some(tree);
+    hier.spine_has_cuts().then_some(SPINE_SHARD).into_iter().chain(tree)
 }
 
 /// The ancestor-index clamp of update `{a, b}` inside `shard`'s work unit,
@@ -451,166 +447,58 @@ fn pareto_clamp(hier: &Hierarchy, shard: u32, a: VertexId, b: VertexId) -> Optio
         }
         Some((0, k - 1))
     } else {
-        debug_assert_eq!(owner, shard, "update grouped into a foreign tree");
+        debug_assert_eq!(owner, shard, "update run in a foreign tree");
         Some((hier.shard_anc_start(shard), u32::MAX))
     }
 }
 
-/// The Pareto-Search driver; see the module docs for why interval clamping
-/// at the spine boundary yields disjoint per-unit entry sets and why the
-/// phase plan (weights fenced, collect → bump → repair) restores exact
-/// labels.
-fn pareto_grouped(
-    stl: &mut Stl,
-    g: &mut CsrGraph,
-    updates: &[EdgeUpdate],
-    eng: &mut UpdateEngine,
-    owned: Option<&ShardSet>,
-    log: bool,
-) -> (UpdateStats, ShardReport, ShardWriteLog) {
-    let (dec, inc) = split_batch(g, updates);
-    let Stl { ref hier, ref mut labels, .. } = *stl;
-    let dec_units = group_by_tree(hier, &dec, owned);
-    let inc_units = group_by_tree(hier, &inc, owned);
-    let mut tally = Tally::new(hier, &dec_units, &inc_units, dec.len() + inc.len(), log);
-
-    // ---- decrease phase: all weights first (fence), then per-unit clamped
-    // searches. With every decrease applied up front, candidate path
-    // lengths explored by any search are final-graph lengths, so the
-    // per-edge searches jointly restore exact labels regardless of order.
-    for &u in &dec {
-        let old = g.apply_update(u).expect("update must target an existing edge");
-        debug_assert!(u.new_weight <= old, "decrease batch got an increase");
-    }
-    let mut writer = labels.phase_writer();
-    for unit in &dec_units {
-        tally.write_unit(unit.shard, |stats, log| {
-            let mut view = writer.shard_view(hier, unit.shard, log);
-            for &u in unit.updates.iter() {
-                if let Some(clamp) = pareto_clamp(hier, unit.shard, u.a, u.b) {
-                    let w = u.new_weight;
-                    pareto::search_and_repair_dec(
-                        hier, &mut view, g, u.a, u.b, w, clamp, eng, stats,
-                    );
-                    pareto::search_and_repair_dec(
-                        hier, &mut view, g, u.b, u.a, w, clamp, eng, stats,
-                    );
-                }
-            }
-            view.into_log()
-        });
-    }
-
-    // ---- increase phase A: identification on the old weights and labels,
-    // collecting per unit the per-update `(Δ, deduplicated affected pairs)`
-    // lists in batch order. Nothing is written, so every unit's equality
-    // tests run against the pre-batch state, and the collected pair sets
-    // cover every entry that changes.
-    let mut inc_work = Vec::with_capacity(inc_units.len());
-    for unit in &inc_units {
-        let collected = tally.unit(unit.shard, |stats| {
-            // Identification only reads labels; no write log to collect.
-            let view = writer.shard_view(hier, unit.shard, false);
-            let mut collected = std::mem::take(&mut eng.inc_pairs);
-            for &u in unit.updates.iter() {
-                let Some(clamp) = pareto_clamp(hier, unit.shard, u.a, u.b) else {
-                    continue;
-                };
-                let w_old = g.weight(u.a, u.b).expect("update must target an existing edge");
-                debug_assert!(u.new_weight >= w_old, "increase batch got a decrease");
-                let delta = u.new_weight.saturating_sub(w_old);
-                if delta == 0 {
-                    continue;
-                }
-                eng.pairs.clear();
-                pareto::search_inc(hier, &view, g, u.a, u.b, w_old, clamp, eng, stats);
-                pareto::search_inc(hier, &view, g, u.b, u.a, w_old, clamp, eng, stats);
-                let spare = eng.take_pair_buf();
-                let mut pairs = std::mem::replace(&mut eng.pairs, spare);
-                pairs.sort_unstable();
-                pairs.dedup();
-                stats.affected += pairs.len() as u64;
-                collected.push((delta, pairs));
-            }
-            collected
-        });
-        inc_work.push((unit.shard, collected));
-    }
-
-    // ---- fence: all identification saw old weights; apply them.
-    for &u in &inc {
-        g.apply_update(u).expect("validated above");
-    }
-
-    // ---- increase phase B: per-unit bumps, then per-index repairs. All of
-    // a unit's `+Δ` bumps land before its repair Dijkstras start — a pair
-    // collected by several updates needs the *summed* upper bound.
-    for (shard, mut collected) in inc_work {
-        tally.write_unit(shard, |stats, log| {
-            let mut view = writer.shard_view(hier, shard, log);
-            eng.aff_lo.reset();
-            eng.aff_hi.reset();
-            eng.aff_list.clear();
-            for (delta, pairs) in &collected {
-                pareto::bump_pairs(&mut view, pairs, *delta, eng, stats);
-            }
-            pareto::repair_inc(hier, &mut view, g, eng, stats);
-            view.into_log()
-        });
-        // Hand the drained pair buffers back to the engine.
-        for (_, mut pairs) in collected.drain(..) {
-            pairs.clear();
-            eng.pair_pool.push(pairs);
-        }
-        if eng.inc_pairs.capacity() < collected.capacity() {
-            eng.inc_pairs = collected;
-        }
-    }
-    tally.finish()
-}
-
-/// Pre-group a normalised batch by owning stable tree. Each update lands in
-/// the unit of its anchor endpoint's subtree shard; the spine unit (listed
-/// first — it is usually the widest-ranging work) scans the whole batch but
-/// seeds only spine ancestors. Shards with no unit are never scanned. With
-/// `owned`, subtree units outside the set are dropped; the spine unit
-/// always stays.
-fn group_by_tree<'b>(
+/// Algorithm 3 for decrease `u` in `view`'s unit: both searches, clamped
+/// to the unit's index range.
+fn pareto_decrease(
     hier: &Hierarchy,
-    updates: &'b [EdgeUpdate],
-    owned: Option<&ShardSet>,
-) -> Vec<ShardUnit<'b>> {
-    if updates.is_empty() {
-        return Vec::new();
+    view: &mut ShardLabels<'_, '_>,
+    g: &CsrGraph,
+    u: EdgeUpdate,
+    eng: &mut UpdateEngine,
+    stats: &mut UpdateStats,
+) {
+    if let Some(clamp) = pareto_clamp(hier, view.shard(), u.a, u.b) {
+        let w = u.new_weight;
+        pareto::search_and_repair_dec(hier, view, g, u.a, u.b, w, clamp, eng, stats);
+        pareto::search_and_repair_dec(hier, view, g, u.b, u.a, w, clamp, eng, stats);
     }
-    let mut groups: FxHashMap<u32, Vec<EdgeUpdate>> = FxHashMap::default();
-    for &u in updates {
-        let s = hier.tree_of_edge(u.a, u.b);
-        if s != SPINE_SHARD && owned.is_none_or(|set| set.contains(s)) {
-            groups.entry(s).or_default().push(u);
-        }
-    }
-    let mut units: Vec<ShardUnit<'b>> = groups
-        .into_iter()
-        .map(|(shard, updates)| ShardUnit { shard, updates: Cow::Owned(updates) })
-        .collect();
-    units.sort_unstable_by_key(|u| u.shard);
-    if hier.spine_has_cuts() {
-        units.insert(0, ShardUnit { shard: SPINE_SHARD, updates: Cow::Borrowed(updates) });
-    }
-    units
 }
 
-/// Normalise an undirected batch against `g`'s current weights into its
-/// decrease and increase phases.
-fn split_batch(g: &CsrGraph, updates: &[EdgeUpdate]) -> (Vec<EdgeUpdate>, Vec<EdgeUpdate>) {
-    normalise_batch(updates, false, |a, b| g.weight(a, b))
+/// Algorithm 4's identification for increase `u` in `view`'s unit, on the
+/// old weight `w_old`: appends the unit's deduplicated affected pairs to
+/// `eng.pairs` and returns its new length.
+fn pareto_identify(
+    hier: &Hierarchy,
+    view: &ShardLabels<'_, '_>,
+    g: &CsrGraph,
+    u: EdgeUpdate,
+    w_old: Weight,
+    eng: &mut UpdateEngine,
+    stats: &mut UpdateStats,
+) -> usize {
+    let start = eng.pairs.len();
+    if let Some(clamp) = pareto_clamp(hier, view.shard(), u.a, u.b) {
+        pareto::search_inc(hier, view, g, u.a, u.b, w_old, clamp, eng, stats);
+        pareto::search_inc(hier, view, g, u.b, u.a, w_old, clamp, eng, stats);
+    }
+    // Units own disjoint index ranges, so an earlier unit's sorted prefix
+    // shares no pair with this tail: `dedup` folds only the tail's repeats.
+    eng.pairs[start..].sort_unstable();
+    eng.pairs.dedup();
+    stats.affected += (eng.pairs.len() - start) as u64;
+    eng.pairs.len()
 }
 
 /// Batch normalisation, shared with `DirectedStl::apply_batch`: the last
-/// update per edge wins, each survivor is classified against its current
-/// weight (`weight_of`) as a decrease or an increase, and no-ops are
-/// dropped.
+/// update per edge wins, and the survivors that change their edge's current
+/// weight (`weight_of`) are returned in the batch order of those last
+/// updates. Every edge is checked before the caller applies anything, so a
+/// batch naming a missing edge panics with nothing applied.
 ///
 /// `directed` selects the dedup key: ordered arcs `(a, b)` for directed
 /// graphs, unordered `{a, b}` (canonicalised `min ≤ max`) for undirected
@@ -622,15 +510,17 @@ pub(crate) fn normalise_batch(
     updates: &[EdgeUpdate],
     directed: bool,
     weight_of: impl Fn(VertexId, VertexId) -> Option<Weight>,
-) -> (Vec<EdgeUpdate>, Vec<EdgeUpdate>) {
-    let mut last: FxHashMap<(VertexId, VertexId), EdgeUpdate> = FxHashMap::default();
-    for &u in updates {
-        let key = if directed || u.a < u.b { (u.a, u.b) } else { (u.b, u.a) };
-        last.insert(key, u);
+) -> Vec<EdgeUpdate> {
+    let key = |u: &EdgeUpdate| if directed || u.a < u.b { (u.a, u.b) } else { (u.b, u.a) };
+    let mut last: FxHashMap<(VertexId, VertexId), usize> = FxHashMap::default();
+    for (i, u) in updates.iter().enumerate() {
+        last.insert(key(u), i);
     }
-    let mut dec = Vec::new();
-    let mut inc = Vec::new();
-    for (_, u) in last {
+    let mut out = Vec::with_capacity(last.len());
+    for (i, &u) in updates.iter().enumerate() {
+        if last[&key(&u)] != i {
+            continue;
+        }
         let cur = weight_of(u.a, u.b).unwrap_or_else(|| {
             panic!(
                 "update targets missing {} ({}, {})",
@@ -639,13 +529,11 @@ pub(crate) fn normalise_batch(
                 u.b
             )
         });
-        match u.new_weight.cmp(&cur) {
-            std::cmp::Ordering::Less => dec.push(u),
-            std::cmp::Ordering::Greater => inc.push(u),
-            std::cmp::Ordering::Equal => {}
+        if u.new_weight != cur {
+            out.push(u);
         }
     }
-    (dec, inc)
+    out
 }
 
 #[cfg(test)]
@@ -739,13 +627,51 @@ mod tests {
         verify::check_all(&stl, &g).unwrap();
     }
 
+    /// A batch is its normalised updates applied one at a time, in order:
+    /// the same graph, the same arena entry for entry, and effort counters
+    /// that are the singles' sums — the batch shares no work.
     #[test]
-    #[should_panic(expected = "missing edge")]
-    fn missing_edge_panics() {
+    fn batch_equals_its_updates_applied_singly() {
+        let g0 = grid(7);
+        let stl0 = Stl::build(&g0, &StlConfig { leaf_size: 2, ..Default::default() });
+        let effort =
+            |s: UpdateStats| [s.searches, s.pops, s.repair_pops, s.label_writes, s.affected];
+        for algo in [Maintenance::LabelSearch, Maintenance::ParetoSearch] {
+            let (mut g, mut stl) = (g0.clone(), stl0.clone());
+            let (mut g1, mut stl1) = (g0.clone(), stl0.clone());
+            let mut eng = UpdateEngine::new(g0.num_vertices());
+            for (round, batch) in mixed_batches(&g0, 12, 0x5EED).iter().enumerate() {
+                let batched = stl.apply_batch(&mut g, batch, algo, &mut eng);
+                let mut singles = UpdateStats::default();
+                for u in normalise_batch(batch, false, |a, b| g1.weight(a, b)) {
+                    singles += stl1.apply_batch(&mut g1, &[u], algo, &mut eng);
+                }
+                assert_eq!(batched.updates, singles.updates, "{algo:?} round={round}");
+                assert_eq!(effort(batched), effort(singles), "{algo:?} round={round}");
+                assert!(g.edges().eq(g1.edges()), "{algo:?} round={round}: graphs differ");
+                for v in 0..g0.num_vertices() as VertexId {
+                    let (want, got) = (stl1.labels().slice(v), stl.labels().slice(v));
+                    assert_eq!(got, want, "{algo:?} round={round}: label of {v}");
+                }
+            }
+        }
+    }
+
+    /// Every edge is checked before any weight changes: a batch naming a
+    /// missing edge panics with nothing applied, even after a valid update.
+    #[test]
+    fn missing_edge_panics_before_any_weight_changes() {
         let mut g = grid(4);
         let mut stl = Stl::build(&g, &StlConfig::default());
         let mut eng = UpdateEngine::new(g.num_vertices());
-        stl.apply_batch(&mut g, &[EdgeUpdate::new(0, 7, 3)], Maintenance::LabelSearch, &mut eng);
+        let (a, b, w) = g.edges().next().unwrap();
+        let batch = [EdgeUpdate::new(a, b, w + 5), EdgeUpdate::new(0, 7, 3)];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stl.apply_batch(&mut g, &batch, Maintenance::LabelSearch, &mut eng)
+        }))
+        .expect_err("a missing edge must panic");
+        assert!(err.downcast_ref::<String>().unwrap().contains("missing edge"));
+        assert_eq!(g.weight(a, b), Some(w), "no weight may change");
     }
 
     #[test]

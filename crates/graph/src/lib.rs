@@ -12,7 +12,7 @@
 //! * [`hash`] — a vendored Fx-style hasher for hot integer-keyed maps.
 //!
 //! Distances use saturating `u32` arithmetic with [`INF`] as the unreachable
-//! sentinel; see `DESIGN.md` §2 for the rationale.
+//! sentinel, so `INF + w` stays `INF` instead of wrapping to a short distance.
 
 pub mod builder;
 pub mod components;

@@ -12,9 +12,9 @@
 //!    to every edge — the reason incremental maintenance is impractical
 //!    (§3.2 "Discussion") and HC2L appears only in static columns.
 //!
-//! Implementation note (DESIGN.md §3): we realise the global-distance labels
-//! with **boundary-seeded** restricted Dijkstras instead of materialised
-//! shortcut graphs. For a cut vertex `r`, every path leaving `G[Desc(r)]`
+//! Implementation note: we realise the global-distance labels with
+//! **boundary-seeded** restricted Dijkstras instead of materialised shortcut
+//! graphs, so no shortcut-augmented subgraph is built per cut vertex. For a cut vertex `r`, every path leaving `G[Desc(r)]`
 //! first exits through an edge `(w, u)` with `w` a strict ancestor of `r`;
 //! seeding `u` with `d_G(r, w) + φ(w, u)` (the ancestor's label is already
 //! final) makes the restricted search compute exact global distances. This

@@ -2,8 +2,9 @@
 //!
 //! Maintenance algorithms run thousands of small searches per update batch.
 //! Clearing a `Vec<Dist>` of `|V|` entries per search would dominate the cost
-//! (see DESIGN.md §2), so scratch state is validity-stamped instead: bumping
-//! the epoch invalidates every slot at once.
+//! (a search settles a few hundred vertices, a clear touches all `|V|`), so
+//! scratch state is validity-stamped instead: bumping the epoch invalidates
+//! every slot at once.
 
 /// A fixed-size array whose entries logically reset to a default in O(1).
 #[derive(Debug, Clone)]

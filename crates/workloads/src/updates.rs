@@ -5,7 +5,7 @@
 //! measuring both directions. Figure 8 varies `factor` from 2 to 10.
 //!
 //! [`hotspot_batches`] additionally generates **tree-targeted** streams for
-//! the tree-grouped repair path: updates concentrated in the `k` stable
+//! the per-tree repair units: updates concentrated in the `k` stable
 //! trees owning the most edges (an incident, e.g. one closed bridge ramp —
 //! all work lands on few shards) versus uniformly scattered (city-wide rush
 //! hour — work spread over many). Both reuse

@@ -1,4 +1,4 @@
-//! Property tests for tree-grouped batch repair.
+//! Property tests for batch repair in stable-tree units.
 //!
 //! For random road networks and seeded mixed batches, for **both**
 //! maintenance families (Label Search by per-ancestor ownership, Pareto
