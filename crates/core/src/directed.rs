@@ -9,7 +9,7 @@
 //! * `down` — `L↓(v)[i] = d^{r_i}(r_i → v)` (from the ancestor).
 //!
 //! A query `s → t` scans `min_i L↑(s)[i] + L↓(t)[i]` over the comparable
-//! prefix; the 2-hop cover argument of Lemma 4.7 carries over verbatim
+//! prefix with the undirected index's block kernel; the 2-hop cover argument of Lemma 4.7 carries over verbatim
 //! because the minimum-τ vertex of any directed path is a common ancestor
 //! whose subgraph contains the path.
 
@@ -21,6 +21,7 @@ use stl_pathfinding::TimestampedArray;
 
 use crate::hierarchy::Hierarchy;
 use crate::labelling::{LabelArena, Labels};
+use crate::query::min_plus_blocks;
 use crate::types::StlConfig;
 
 /// STL index for a directed road network.
@@ -64,16 +65,8 @@ impl DirectedStl {
         if k == 0 {
             return INF;
         }
-        let ls = &self.up.slice(s)[..k];
-        let lt = &self.down.slice(t)[..k];
-        let mut best = INF;
-        for (a, b) in ls.iter().zip(lt) {
-            let c = a.saturating_add(*b);
-            if c < best {
-                best = c;
-            }
-        }
-        best
+        let (up, down) = (&self.up, &self.down);
+        min_plus_blocks(up.blocks(s), down.blocks(t), k, |i| up.escape(s, i), |i| down.escape(t, i))
     }
 
     /// The shared hierarchy.

@@ -5,30 +5,215 @@
 //! is the distance **within the subgraph `G[Desc(w)]`**, not in `G`. This
 //! restriction is what limits how many labels an edge update can touch.
 //!
-//! Storage is one 64-byte-aligned arena with per-vertex offsets, filled in
-//! place by the builder ([`LabelArena`]) and wrapped without a copy as
-//! vertex-aligned ~16 KiB chunk views: the entries a query compares are
+//! # Label blocks
+//!
+//! Every label is stored as 16-entry blocks aligned on the label index:
+//! block `b` of `L(v)` holds entries `16b .. 16b+16` as one [`LabelBlock`]
+//! `{ base: u32, off: [u16; 16] }` of 36 bytes.
+//!
+//! - `base` is the block's smallest finite entry (0 if it has none).
+//! - `off[j] = entry − base` when that is ≤ `0xFFFD`.
+//! - `0xFFFF` means `INF`. It also pads the lanes past `τ(v)`.
+//! - `0xFFFE` is an escape: the entry is above `base + 0xFFFD`, and its
+//!   exact value lives in the **escape table** of the chunk that holds the
+//!   block, keyed by the block's chunk-local index × 16 + lane.
+//!
+//! Consecutive entries of a label are distances to consecutive ancestors,
+//! which sit close together in the hierarchy, so a block's spread rarely
+//! needs more than 16 bits: a label costs 36 B per 16 entries instead of
+//! 64, and under 1 % of entries escape on a 65 536-vertex road network.
+//! The encoding is canonical — a function of the block's 16 entries alone
+//! ([`LabelBlock::encode`]). A write that moves the block minimum
+//! re-derives `base` and re-encodes the block, so a repaired block equals a
+//! rebuilt one byte for byte, and so do the escape tables.
+//!
+//! # Storage
+//!
+//! The blocks live in one 64-byte-aligned arena with per-vertex block
+//! offsets, filled in place by the builder and wrapped without a copy as
+//! vertex-aligned ~16 KiB chunk views: the blocks a query compares are
 //! consecutive in memory (§4's caching argument), and each chunk sits
 //! behind an `Arc` for copy-on-write epoch publishing (see
-//! `stl_graph::cow`). An index is therefore **born flat**, and stays flat
-//! until its first label write, which promotes the written chunk out of the
-//! arena and leaves the index chunked for good.
+//! `stl_graph::cow`). Each chunk's escape table sits behind its own `Arc`
+//! next to it and is copied on write with it. An index is therefore **born
+//! flat**, and stays flat until its first label write, which promotes the
+//! written chunk out of the arena and leaves the index chunked for good.
 //!
 //! Batch repair writes through a [`LabelsWriter`] phase, which resolves
 //! each chunk it touches once and hands every repair shard a
 //! [`ShardLabels`] view confined to the entries that shard owns.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, PhaseWriter, DEFAULT_CHUNK_ENTRIES};
+use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, PhaseWriter, Pod};
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 use stl_pathfinding::TimestampedArray;
 
 use crate::hierarchy::Hierarchy;
 use crate::types::StlConfig;
+
+/// Entries per label block — also the label indices one construction unit
+/// fills.
+pub const BLOCK: usize = 16;
+
+/// Offset of an `INF` entry, and of the padding lanes past `τ(v)`.
+pub(crate) const INF_OFF: u16 = 0xFFFF;
+
+/// Offset of an escaped entry, whose exact value is in the escape table.
+pub(crate) const ESC_OFF: u16 = 0xFFFE;
+
+/// Largest offset a lane stores inline.
+const MAX_OFF: Dist = 0xFFFD;
+
+/// Blocks per chunk: about 16 KiB, the chunk size measured best for
+/// copy-on-write publishing (see `stl_graph::cow::DEFAULT_CHUNK_ENTRIES`).
+const CHUNK_BLOCKS: u64 = (16 * 1024 / std::mem::size_of::<LabelBlock>()) as u64;
+
+/// Sixteen consecutive entries of one label: a `u32` base and sixteen
+/// `u16` offsets (see the module docs for the format).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct LabelBlock {
+    /// The block's smallest finite entry, or 0 if it has none.
+    pub base: u32,
+    /// `entry − base`, or `0xFFFF` (`INF`) or `0xFFFE` (escaped).
+    pub off: [u16; BLOCK],
+}
+
+// SAFETY: `repr(C)` with a `u32` followed by `u16`s is 36 bytes without
+// padding, every bit pattern is a valid value, and the alignment is 4.
+unsafe impl Pod for LabelBlock {}
+
+impl LabelBlock {
+    /// A block of sixteen `INF` entries.
+    pub(crate) const INF: Self = LabelBlock { base: 0, off: [INF_OFF; BLOCK] };
+
+    /// The canonical encoding of `entries`. A lane left at `0xFFFE` stands
+    /// for `entries[lane]`, which the caller keeps in an escape table.
+    pub fn encode(entries: &[Dist; BLOCK]) -> Self {
+        let min = entries.iter().fold(INF, |m, &d| m.min(d));
+        let base = if min == INF { 0 } else { min };
+        let off = entries.map(|d| match d.wrapping_sub(base) {
+            _ if d == INF => INF_OFF,
+            x if x <= MAX_OFF => x as u16,
+            _ => ESC_OFF,
+        });
+        LabelBlock { base, off }
+    }
+
+    /// Lane `j`'s entry; `escaped` supplies it when the lane is escaped.
+    #[inline(always)]
+    pub(crate) fn entry(&self, j: usize, escaped: impl FnOnce() -> Dist) -> Dist {
+        match self.off[j] {
+            INF_OFF => INF,
+            ESC_OFF => escaped(),
+            o => self.base + Dist::from(o),
+        }
+    }
+
+    /// All sixteen entries; `escaped(j)` supplies escaped lane `j`.
+    pub(crate) fn decode(&self, escaped: impl Fn(usize) -> Dist) -> [Dist; BLOCK] {
+        std::array::from_fn(|j| self.entry(j, || escaped(j)))
+    }
+
+    /// The escaped lanes as a bit mask.
+    fn escape_mask(&self) -> u16 {
+        (0..BLOCK).fold(0, |m, j| m | u16::from(self.off[j] == ESC_OFF) << j)
+    }
+
+    /// Overwrite lane `j` with `d`, keeping the block canonical: in place
+    /// when the base stays the block minimum and neither value escapes,
+    /// else by re-encoding all sixteen entries (`escaped(l)` supplies the
+    /// old value of escaped lane `l`). Returns the escape-table edit the
+    /// re-encoding needs, if the block held or now holds an escape.
+    fn write(&mut self, j: usize, d: Dist, escaped: impl Fn(usize) -> Dist) -> Option<EscapeEdit> {
+        let old = self.off[j];
+        let inline = match d {
+            INF => Some(INF_OFF),
+            _ if d >= self.base && d - self.base <= MAX_OFF => Some((d - self.base) as u16),
+            _ => None,
+        };
+        if let Some(o) = inline {
+            // A finite non-zero old offset proves another lane holds the
+            // base; otherwise look for one.
+            let keeps_min = o == 0
+                || (old != 0 && old < ESC_OFF)
+                || (0..BLOCK).any(|l| l != j && self.off[l] == 0);
+            if old != ESC_OFF && keeps_min {
+                self.off[j] = o;
+                return None;
+            }
+        }
+        let mut entries = self.decode(escaped);
+        entries[j] = d;
+        let old_mask = self.escape_mask();
+        *self = Self::encode(&entries);
+        let new_mask = self.escape_mask();
+        (old_mask | new_mask != 0).then_some(EscapeEdit { entries, old: old_mask, new: new_mask })
+    }
+}
+
+/// The escape-table change of one re-encoded block: the lanes escaped
+/// before and after, and the block's entries (the values of the new ones).
+struct EscapeEdit {
+    entries: [Dist; BLOCK],
+    old: u16,
+    new: u16,
+}
+
+impl EscapeEdit {
+    /// Each lane whose escape-table entry changes: `Some(value)` if the lane
+    /// is escaped now, `None` if its entry must go.
+    fn lanes(&self) -> impl Iterator<Item = (usize, Option<Dist>)> + '_ {
+        (0..BLOCK)
+            .filter(|l| (self.old | self.new) & 1 << l != 0)
+            .map(|l| (l, (self.new & 1 << l != 0).then_some(self.entries[l])))
+    }
+}
+
+/// One chunk's escape table: the exact values of its escaped entries as
+/// `(key, value)`, sorted by key = chunk-local block index × 16 + lane.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Escapes(Vec<(u32, Dist)>);
+
+impl Escapes {
+    /// The exact value behind escaped key `key`.
+    #[inline]
+    fn get(&self, key: u32) -> Dist {
+        match self.0.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => self.0[i].1,
+            Err(_) => panic!("escaped entry {key} has no escape-table value"),
+        }
+    }
+
+    /// Apply a re-encoded block's edit; its first key is `key0`.
+    fn apply(&mut self, key0: u32, edit: &EscapeEdit) {
+        for (lane, value) in edit.lanes() {
+            let key = key0 + lane as u32;
+            match (self.0.binary_search_by_key(&key, |e| e.0), value) {
+                (Ok(i), Some(d)) => self.0[i].1 = d,
+                (Ok(i), None) => {
+                    self.0.remove(i);
+                }
+                (Err(i), Some(d)) => self.0.insert(i, (key, d)),
+                (Err(_), None) => {}
+            }
+        }
+    }
+
+    /// Number of escaped entries.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The `(key, value)` pairs in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Dist)> + '_ {
+        self.0.iter().copied()
+    }
+}
 
 /// Per-vertex location of a label in the chunked arena. One aligned 16-byte
 /// load replaces the `chunk_of → chunk_starts → offsets` pointer chase on
@@ -40,141 +225,232 @@ use crate::types::StlConfig;
 struct VertexLoc {
     /// Chunk holding the vertex's whole label.
     chunk: u32,
-    /// Chunk-local index of entry `L(v)[0]`.
+    /// Chunk-local index of the label's first block.
     lo: u32,
-    /// Label length (`τ(v) + 1`).
+    /// Label length in entries (`τ(v) + 1`).
     len: u32,
-    /// Global index of entry `L(v)[0]` — the direct offset into a flat
-    /// arena, filling what used to be the record's padding. Saturated at
-    /// `u32::MAX` for arenas beyond 2³²−1 entries, which are therefore
-    /// never flat (see [`Labels::from_arena`]).
+    /// Global index of the label's first block — the direct offset into a
+    /// flat arena. Saturated at `u32::MAX` for arenas beyond 2³²−1 blocks,
+    /// which are therefore never flat (see [`Labels::from_arena`]).
     glo: u32,
 }
 
-/// A label arena being filled: `Σ (τ(v)+1)` entries, all `INF` until
-/// written, addressed as `L(v)[i]` by global offset in one 64-byte-aligned
-/// buffer. Every label builder (STL, its directed extension, the HC2L
-/// baseline) fills one of these; [`LabelArena::into_labels`] wraps the
-/// buffer in place as a born-flat [`Labels`].
+impl VertexLoc {
+    /// Number of blocks of the label.
+    #[inline(always)]
+    fn blocks(&self) -> usize {
+        (self.len as usize).div_ceil(BLOCK)
+    }
+}
+
+/// First block of each label of `lens` entries, then the block count.
+pub(crate) fn block_offsets(lens: &[u32]) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(lens.len() + 1);
+    let mut acc = 0u64;
+    for &len in lens {
+        offsets.push(acc);
+        acc += (len as u64).div_ceil(BLOCK as u64);
+    }
+    offsets.push(acc);
+    offsets
+}
+
+/// A label arena being filled: `⌈(τ(v)+1)/16⌉` all-`INF` blocks per vertex
+/// in one 64-byte-aligned buffer, addressed as `L(v)[i]`, plus the escaped
+/// entries by global key (block × 16 + lane). Every label builder (STL, its
+/// directed extension, the HC2L baseline) fills one of these;
+/// [`LabelArena::into_labels`] wraps the buffer in place as a born-flat
+/// [`Labels`].
 #[derive(Debug)]
 pub struct LabelArena {
-    offsets: Vec<u64>,
-    dists: AlignedBuf<Dist>,
+    /// Label length of each vertex, in entries.
+    pub(crate) lens: Vec<u32>,
+    /// First block of each vertex; `offsets[n]` is the block count.
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) blocks: AlignedBuf<LabelBlock>,
+    pub(crate) escapes: BTreeMap<u64, Dist>,
 }
 
 impl LabelArena {
     /// An all-`INF` arena sized for `hier`'s labels.
     pub fn new(hier: &Hierarchy) -> Self {
-        let n = hier.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        for v in 0..n as VertexId {
-            offsets.push(acc);
-            acc += hier.anc_count(v) as u64;
-        }
-        offsets.push(acc);
-        Self { dists: AlignedBuf::filled(acc as usize, INF), offsets }
+        let lens: Vec<u32> =
+            (0..hier.num_vertices() as VertexId).map(|v| hier.anc_count(v)).collect();
+        Self::with_lens(lens)
+    }
+
+    /// An all-`INF` arena for labels of `lens` entries.
+    pub(crate) fn with_lens(lens: Vec<u32>) -> Self {
+        let offsets = block_offsets(&lens);
+        let blocks = AlignedBuf::filled(offsets[lens.len()] as usize, LabelBlock::INF);
+        Self { lens, offsets, blocks, escapes: BTreeMap::new() }
     }
 
     /// `L(v)[i]`.
-    #[inline(always)]
+    #[inline]
     pub fn get(&self, v: VertexId, i: u32) -> Dist {
-        self.dists.as_slice()[(self.offsets[v as usize] + i as u64) as usize]
+        let (at, j) = self.at(v, i);
+        let key = at * BLOCK as u64 + j as u64;
+        self.blocks.as_slice()[at as usize].entry(j, || self.escapes[&key])
     }
 
     /// Overwrite `L(v)[i]`.
-    #[inline(always)]
+    #[inline]
     pub fn set(&mut self, v: VertexId, i: u32, d: Dist) {
-        self.dists.as_mut_slice()[(self.offsets[v as usize] + i as u64) as usize] = d;
+        let (at, j) = self.at(v, i);
+        let key0 = at * BLOCK as u64;
+        let escapes = &mut self.escapes;
+        let block = &mut self.blocks.as_mut_slice()[at as usize];
+        if let Some(edit) = block.write(j, d, |l| escapes[&(key0 + l as u64)]) {
+            for (lane, value) in edit.lanes() {
+                let key = key0 + lane as u64;
+                match value {
+                    Some(d) => escapes.insert(key, d),
+                    None => escapes.remove(&key),
+                };
+            }
+        }
+    }
+
+    /// Global block index and lane of `L(v)[i]`.
+    #[inline(always)]
+    fn at(&self, v: VertexId, i: u32) -> (u64, usize) {
+        debug_assert!(i < self.lens[v as usize], "label index {i} out of range for vertex {v}");
+        (self.offsets[v as usize] + (i as usize / BLOCK) as u64, i as usize % BLOCK)
     }
 
     /// The filled arena as the index's label storage, without a copy.
     pub fn into_labels(self) -> Labels {
-        Labels::from_arena(self.offsets, self.dists, DEFAULT_CHUNK_ENTRIES)
+        Labels::from_arena(self.lens, &self.offsets, self.blocks, self.escapes, CHUNK_BLOCKS)
     }
 }
 
-/// Label storage: `L(v)[i]` for `i ∈ 0..=τ(v)`.
+/// Label storage: `L(v)[i]` for `i ∈ 0..=τ(v)`, as [`LabelBlock`]s.
 ///
-/// The flat arena of the paper behind a vertex-aligned
-/// [`ChunkedStore`]: [`Labels::slice`] still returns one contiguous
-/// `&[Dist]` per vertex (boundaries never split a label), `clone` is
-/// `O(#chunks)` and shares every byte, and [`Labels::set`] copies a chunk at
-/// most once per publish window when a snapshot still shares it. This type
-/// only adds the per-vertex location layer on top of the store.
+/// The flat block arena behind a vertex-aligned [`ChunkedStore`]:
+/// [`Labels::blocks`] returns one contiguous `&[LabelBlock]` per vertex
+/// (boundaries never split a label), `clone` is `O(#chunks)` and shares
+/// every byte, and [`Labels::set`] copies a chunk at most once per publish
+/// window when a snapshot still shares it. This type adds the per-vertex
+/// location layer and the per-chunk escape tables on top of the store.
 #[derive(Debug, Clone)]
 pub struct Labels {
-    /// Global entry offsets, `offsets[v]..offsets[v+1]` = vertex `v`'s
-    /// label. Serialization and builders use these; hot reads go through
-    /// `locs`.
-    pub(crate) offsets: Arc<[u64]>,
     locs: Arc<[VertexLoc]>,
-    pub(crate) store: ChunkedStore<Dist>,
+    pub(crate) store: ChunkedStore<LabelBlock>,
+    /// One escape table per chunk, copied on write like the chunk.
+    escapes: Vec<Arc<Escapes>>,
+    /// Total label entries `Σ (τ(v)+1)`.
+    entries: u64,
 }
 
 impl Labels {
-    /// The one wrap point of a filled arena (`offsets[v]..offsets[v+1]` =
-    /// vertex `v`'s label): chunk views of `target` entries into `dists`,
-    /// flat unless the arena has more than `u32::MAX` entries — the
-    /// per-vertex direct offsets are 32-bit.
-    pub(crate) fn from_arena(offsets: Vec<u64>, dists: AlignedBuf<Dist>, target: u64) -> Self {
-        let flat = dists.len() as u64 <= u32::MAX as u64;
-        let store = ChunkedStore::from_arena(&offsets, dists, target, flat);
+    /// The one wrap point of a filled arena: label `v` has `lens[v]`
+    /// entries in blocks `offsets[v]..offsets[v+1]`, and `escapes` holds
+    /// every escaped entry by global key (block × 16 + lane) in key order.
+    /// Chunk views of about `target` blocks into `blocks`, flat unless the
+    /// arena has more than `u32::MAX` blocks — the per-vertex direct
+    /// offsets are 32-bit.
+    pub(crate) fn from_arena(
+        lens: Vec<u32>,
+        offsets: &[u64],
+        blocks: AlignedBuf<LabelBlock>,
+        escapes: impl IntoIterator<Item = (u64, Dist)>,
+        target: u64,
+    ) -> Self {
+        let flat = blocks.len() as u64 <= u32::MAX as u64;
+        let store = ChunkedStore::from_arena(offsets, blocks, target, flat);
         let (chunk_of, chunk_starts) = store.layout();
-        let locs: Vec<VertexLoc> = (0..offsets.len() - 1)
-            .map(|v| {
+        let locs: Vec<VertexLoc> = lens
+            .iter()
+            .enumerate()
+            .map(|(v, &len)| {
                 let c = chunk_of[v];
                 VertexLoc {
                     chunk: c,
                     lo: (offsets[v] - chunk_starts[c as usize]) as u32,
-                    len: (offsets[v + 1] - offsets[v]) as u32,
+                    len,
                     glo: offsets[v].min(u32::MAX as u64) as u32,
                 }
             })
             .collect();
-        Self { offsets: offsets.into(), locs: locs.into(), store }
+        let mut tables = vec![Escapes::default(); store.num_chunks()];
+        let mut c = 0;
+        for (key, value) in escapes {
+            let block = key / BLOCK as u64;
+            while chunk_starts[c + 1] <= block {
+                c += 1;
+            }
+            let local = (block - chunk_starts[c]) * BLOCK as u64 + key % BLOCK as u64;
+            tables[c].0.push((local as u32, value));
+        }
+        let empty = Arc::new(Escapes::default());
+        let escapes = tables
+            .into_iter()
+            .map(|t| if t.0.is_empty() { Arc::clone(&empty) } else { Arc::new(t) })
+            .collect();
+        let entries = lens.iter().map(|&l| l as u64).sum();
+        Self { locs: locs.into(), store, escapes, entries }
     }
 
     /// `L(v)[i] = d^{w_i}(v, w_i)` — distance to the `i`-th ancestor within
     /// its subgraph.
-    #[inline(always)]
+    #[inline]
     pub fn get(&self, v: VertexId, i: u32) -> Dist {
         let loc = self.locs[v as usize];
         debug_assert!(i < loc.len, "label index {i} out of range for vertex {v}");
-        self.store.chunk(loc.chunk as usize)[(loc.lo + i) as usize]
+        let block = &self.store.chunk(loc.chunk as usize)[(loc.lo + i / BLOCK as u32) as usize];
+        block.entry(i as usize % BLOCK, || self.escape(v, i as usize))
     }
 
-    /// Overwrite `L(v)[i]`, copying the chunk first if a published snapshot
-    /// still shares it (recorded in the dirty window).
-    #[inline(always)]
+    /// Overwrite `L(v)[i]`, copying the chunk (and its escape table, if the
+    /// write changes it) first if a published snapshot still shares it.
+    #[inline]
     pub fn set(&mut self, v: VertexId, i: u32, d: Dist) {
         let loc = self.locs[v as usize];
         debug_assert!(i < loc.len, "label index {i} out of range for vertex {v}");
-        self.store.set_in_chunk(loc.chunk as usize, (loc.lo + i) as usize, d);
+        let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
+        let block = self.store.get_mut_in_chunk(c, b as usize);
+        write_entry(block, &mut self.escapes[c], b, i as usize % BLOCK, d);
     }
 
-    /// The full label of `v` (entries `0..=τ(v)` in τ order), contiguous.
-    #[inline(always)]
-    pub fn slice(&self, v: VertexId) -> &[Dist] {
+    /// The exact value of escaped entry `L(v)[i]` — the rare fix-up of the
+    /// query kernel. Escape tables do not depend on the layout, so this
+    /// serves flat and chunked reads alike.
+    #[inline]
+    pub(crate) fn escape(&self, v: VertexId, i: usize) -> Dist {
         let loc = self.locs[v as usize];
-        &self.store.chunk(loc.chunk as usize)[loc.lo as usize..(loc.lo + loc.len) as usize]
+        self.escapes[loc.chunk as usize].get(loc.lo * BLOCK as u32 + i as u32)
     }
 
-    /// The flat arena, if the store is unwritten since it was built or
-    /// loaded. Pass the returned slice to [`Labels::slice_flat`] to
+    /// The blocks of `v`'s label, contiguous, through the chunk table.
+    #[inline(always)]
+    pub fn blocks(&self, v: VertexId) -> &[LabelBlock] {
+        let loc = self.locs[v as usize];
+        let lo = loc.lo as usize;
+        &self.store.chunk(loc.chunk as usize)[lo..lo + loc.blocks()]
+    }
+
+    /// The full label of `v`, decoded (entries `0..=τ(v)` in τ order).
+    #[doc(hidden)] // compat for benchmark/src/ladder.rs; tests also compare decoded labels with it — make it test-only with the next `[benchmark]` change
+    pub fn slice(&self, v: VertexId) -> Vec<Dist> {
+        (0..self.locs[v as usize].len).map(|i| self.get(v, i)).collect()
+    }
+
+    /// The flat block arena, if the store is unwritten since it was built
+    /// or loaded. Pass the returned slice to [`Labels::blocks_flat`] to
     /// read labels with one direct offset instead of the chunk-table load.
     #[inline(always)]
-    pub fn flat(&self) -> Option<&[Dist]> {
+    pub fn flat(&self) -> Option<&[LabelBlock]> {
         self.store.flat_slice()
     }
 
-    /// The full label of `v` read out of a flat `arena` previously obtained
-    /// from [`Labels::flat`] on this same `Labels` value — branch-free
-    /// direct-offset addressing for flat snapshots.
+    /// The blocks of `v`'s label read out of a flat `arena` previously
+    /// obtained from [`Labels::flat`] on this same `Labels` value —
+    /// branch-free direct-offset addressing for flat snapshots.
     #[inline(always)]
-    pub fn slice_flat<'a>(&self, arena: &'a [Dist], v: VertexId) -> &'a [Dist] {
+    pub fn blocks_flat<'a>(&self, arena: &'a [LabelBlock], v: VertexId) -> &'a [LabelBlock] {
         let loc = self.locs[v as usize];
-        &arena[loc.glo as usize..loc.glo as usize + loc.len as usize]
+        &arena[loc.glo as usize..loc.glo as usize + loc.blocks()]
     }
 
     /// Whether the arena is flat: unwritten since it was built or loaded.
@@ -191,14 +467,38 @@ impl Labels {
 
     /// Total number of label entries.
     pub fn num_entries(&self) -> u64 {
-        *self.offsets.last().expect("offsets never empty")
+        self.entries
     }
 
-    /// Approximate resident bytes (arena + chunk table + layout arrays).
+    /// Number of escaped entries, whose exact values live in the escape
+    /// tables.
+    pub fn num_escapes(&self) -> usize {
+        self.escapes.iter().map(|t| t.len()).sum()
+    }
+
+    /// Resident bytes: the blocks with their chunk table, the escape
+    /// tables (by length, so the figure repeats exactly) and the
+    /// per-vertex location arrays.
     pub fn memory_bytes(&self) -> usize {
         self.store.memory_bytes()
-            + self.offsets.len() * 8
+            + self.escapes.len() * std::mem::size_of::<Arc<Escapes>>()
+            + self.num_escapes() * std::mem::size_of::<(u32, Dist)>()
             + self.locs.len() * std::mem::size_of::<VertexLoc>()
+    }
+
+    /// Chunk `c`'s escape table.
+    pub(crate) fn chunk_escapes(&self, c: usize) -> &Escapes {
+        &self.escapes[c]
+    }
+
+    /// Every escaped entry as `(global key, value)` in key order, the key
+    /// being global block index × 16 + lane.
+    pub(crate) fn global_escapes(&self) -> impl Iterator<Item = (u64, Dist)> + '_ {
+        let starts = self.store.layout().1;
+        self.escapes.iter().enumerate().flat_map(move |(c, t)| {
+            let key0 = starts[c] * BLOCK as u64;
+            t.iter().map(move |(k, d)| (key0 + k as u64, d))
+        })
     }
 
     // ---- copy-on-write surface, delegated (see stl_graph::cow) ----
@@ -228,13 +528,15 @@ impl Labels {
         self.store.cow_stats()
     }
 
-    /// A physically independent copy (every chunk reallocated) — the cost
-    /// the pre-COW publish path paid; kept for baselines and benchmarks.
+    /// A physically independent copy (every chunk and escape table
+    /// reallocated) — the cost the pre-COW publish path paid; kept for
+    /// baselines and benchmarks.
     pub fn deep_clone(&self) -> Self {
         Self {
-            offsets: Arc::clone(&self.offsets),
             locs: Arc::clone(&self.locs),
             store: self.store.deep_clone(),
+            escapes: self.escapes.iter().map(|t| Arc::new((**t).clone())).collect(),
+            entries: self.entries,
         }
     }
 
@@ -243,7 +545,22 @@ impl Labels {
     /// behave exactly as for [`Labels::set`], but each chunk's payload is
     /// resolved once per phase instead of once per write.
     pub fn phase_writer(&mut self) -> LabelsWriter<'_> {
-        LabelsWriter { locs: &self.locs, inner: self.store.phase_writer() }
+        LabelsWriter {
+            locs: &self.locs,
+            escapes: &mut self.escapes,
+            inner: self.store.phase_writer(),
+        }
+    }
+}
+
+/// Write `d` into lane `j` of `block`, block `b` of its chunk, keeping the
+/// chunk's escape table `escapes` in step — copied first if a snapshot
+/// still shares it.
+#[inline]
+fn write_entry(block: &mut LabelBlock, escapes: &mut Arc<Escapes>, b: u32, j: usize, d: Dist) {
+    let key0 = b * BLOCK as u32;
+    if let Some(edit) = block.write(j, d, |l| escapes.get(key0 + l as u32)) {
+        Arc::make_mut(escapes).apply(key0, &edit);
     }
 }
 
@@ -254,7 +571,8 @@ impl Labels {
 #[derive(Debug)]
 pub struct LabelsWriter<'a> {
     locs: &'a [VertexLoc],
-    inner: PhaseWriter<'a, Dist>,
+    escapes: &'a mut [Arc<Escapes>],
+    inner: PhaseWriter<'a, LabelBlock>,
 }
 
 impl<'a> LabelsWriter<'a> {
@@ -283,7 +601,9 @@ impl<'a> LabelsWriter<'a> {
 /// entry sets are disjoint — which is what lets the batch driver run each
 /// shard's searches as one unit, and a shard worker repair only the units
 /// it owns. Every access is debug-asserted against
-/// [`Hierarchy::shard_of_entry`].
+/// [`Hierarchy::shard_of_entry`]. The ownership is of entries, not bytes:
+/// one [`LabelBlock`] can hold entries of several shards, and a write that
+/// re-encodes it rewrites their offsets, so views are used one at a time.
 #[derive(Debug)]
 pub struct ShardLabels<'w, 'a> {
     writer: &'w mut LabelsWriter<'a>,
@@ -315,7 +635,9 @@ impl ShardLabels<'_, '_> {
         );
         let loc = self.writer.locs[v as usize];
         debug_assert!(i < loc.len);
-        self.writer.inner.get_in_chunk(loc.chunk as usize, (loc.lo + i) as usize)
+        let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
+        let block = self.writer.inner.get_in_chunk(c, b as usize);
+        block.entry(i as usize % BLOCK, || self.writer.escapes[c].get(loc.lo * BLOCK as u32 + i))
     }
 
     /// Overwrite `L(v)[i]`, an entry this view's shard owns.
@@ -332,7 +654,9 @@ impl ShardLabels<'_, '_> {
         }
         let loc = self.writer.locs[v as usize];
         debug_assert!(i < loc.len);
-        self.writer.inner.set_in_chunk(loc.chunk as usize, (loc.lo + i) as usize, d)
+        let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
+        let block = self.writer.inner.get_mut_in_chunk(c, b as usize);
+        write_entry(block, &mut self.writer.escapes[c], b, i as usize % BLOCK, d);
     }
 }
 
@@ -389,65 +713,96 @@ impl Stl {
     /// `τ(n) > τ(r)` (edge endpoints are ⪯-comparable, Lemma 5.3, and
     /// `Anc(v)` is a chain).
     ///
-    /// Workers take **units** of ≤ 16 consecutive cut vertices
-    /// `r_0, …, r_{k−1}` of one tree node, whose label indices are
-    /// `τ(r_0), …, τ(r_0)+k−1`. A unit's searches write a per-worker
-    /// vertex-major tile (row `slot[v]`, column `j` for `r_j`), and the
-    /// unit ends with one contiguous copy of `min(k, τ(v)−τ(r_0)+1)`
-    /// entries per settled `v` into the arena — a cache line instead of `k`
-    /// scattered 4-byte writes.
+    /// Workers take **units** `(k, t)`: every cut vertex `r` with
+    /// `⌊τ(r)/16⌋ = k` whose root path passes through tree node `t`, the
+    /// node whose cut holds label index `16k`. A unit's searches stay
+    /// inside `G[Desc(t)]` and write a per-worker vertex-major tile (row
+    /// `slot[v]`, lane `τ(r) − 16k`), and the unit ends by encoding each
+    /// settled vertex's row as block `k` of its label, straight into the
+    /// arena. No `u32` copy of the labels is ever allocated; escaped entries
+    /// are collected per worker and merged once all units are done. Splitting
+    /// a block's cut vertices by `t` keeps a deep unit's tile as small as its
+    /// subtree.
     ///
     /// # Why unsynchronised arena writes are sound
-    /// Cut vertex `r` owns exactly the slots `(v, τ(r))`, `v ∈ Desc(r)`.
-    /// For two distinct cut vertices: if they are ⪯-comparable their τ
-    /// values differ (τ is injective along a chain); if incomparable their
-    /// descendant sets are disjoint. A unit's copy-back writes exactly the
-    /// union of its cut vertices' slots — a vertex settled by any of the
-    /// unit's searches lies in `Desc(r_0)`, hence in `Desc(r_j)` for every
-    /// `τ(r_j) ≤ τ(v)` — so the slot sets of distinct units are disjoint.
+    /// Unit `(k, t)` writes only block `k` of labels of vertices in
+    /// `Desc(t)`. Units of different blocks write different blocks. Two
+    /// units `(k, t)` and `(k, t')` write disjoint vertex sets: `t` and `t'`
+    /// both hold index `16k`, so neither is an ancestor of the other and
+    /// their descendant sets are disjoint. Within a unit, two cut vertices
+    /// that settle the same vertex `v` are both ancestors of `v`, hence
+    /// ⪯-comparable, so their τ values differ (τ is injective along a chain)
+    /// and they write different lanes of `v`'s row.
     pub fn build_with_hierarchy_parallel(g: &CsrGraph, hier: Hierarchy, threads: usize) -> Self {
         let n = g.num_vertices();
         assert_eq!(n, hier.num_vertices());
         let mut arena = LabelArena::new(&hier);
-        let units: Vec<&[VertexId]> = (0..hier.num_nodes() as u32)
-            .flat_map(|node| hier.cut(node).chunks(UNIT_CUTS))
+        let mut keyed: Vec<(usize, u32, VertexId)> = Vec::with_capacity(n);
+        for node in 0..hier.num_nodes() as u32 {
+            for &r in hier.cut(node) {
+                let k = hier.tau(r) as usize / BLOCK;
+                let mut t = node;
+                while hier.node_anc_offset[t as usize] as usize > k * BLOCK {
+                    t = hier.node_parent(t);
+                }
+                keyed.push((k, t, r));
+            }
+        }
+        keyed.sort_unstable();
+        let units: Vec<(usize, Vec<VertexId>)> = keyed
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|unit| (unit[0].0, unit.iter().map(|&(_, _, r)| r).collect()))
             .collect();
         /// The arena base, shared by the workers; see the soundness
         /// argument above.
-        struct ArenaBase(*mut Dist);
-        // SAFETY: workers write disjoint entries through the pointer (see
+        struct ArenaBase(*mut LabelBlock);
+        // SAFETY: workers write disjoint blocks through the pointer (see
         // `build_with_hierarchy_parallel`), and the arena outlives the scope.
         unsafe impl Sync for ArenaBase {}
-        let base = ArenaBase(arena.dists.as_mut_slice().as_mut_ptr());
+        let base = ArenaBase(arena.blocks.as_mut_slice().as_mut_ptr());
         let (base, offsets, hier_ref, next) = (&base, &arena.offsets, &hier, AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                scope.spawn(|| {
-                    let mut tile = UnitTile::new(n);
-                    while let Some(&unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        tile.search(g, hier_ref, unit);
-                        let t0 = hier_ref.tau(unit[0]);
-                        for (s, &v) in tile.settled.iter().enumerate() {
-                            let m = unit.len().min((hier_ref.tau(v) - t0) as usize + 1);
-                            let row = &tile.rows[s * UNIT_CUTS..s * UNIT_CUTS + m];
-                            let at = (offsets[v as usize] + t0 as u64) as usize;
-                            assert!(
-                                at + m <= offsets[v as usize + 1] as usize,
-                                "unit overruns L({v})"
-                            );
-                            // SAFETY: `at..at + m` lies in `v`'s label (just
-                            // checked; the offsets end at the arena's length)
-                            // and belongs to this unit alone (see above).
-                            unsafe {
-                                std::ptr::copy_nonoverlapping(row.as_ptr(), base.0.add(at), m)
-                            };
+        let escaped: Vec<Vec<(u64, Dist)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.max(1))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut tile = UnitTile::new(n);
+                        let mut escaped = Vec::new();
+                        while let Some(&(k, ref unit)) =
+                            units.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            tile.search(g, hier_ref, unit, k);
+                            for (s, &v) in tile.settled.iter().enumerate() {
+                                let row = tile.rows[s * BLOCK..(s + 1) * BLOCK].try_into().unwrap();
+                                let block = LabelBlock::encode(row);
+                                let at = offsets[v as usize] + k as u64;
+                                assert!(at < offsets[v as usize + 1], "unit {k} overruns L({v})");
+                                let mask = block.escape_mask();
+                                if mask != 0 {
+                                    escaped.extend(
+                                        (0..BLOCK)
+                                            .filter(|l| mask & 1 << l != 0)
+                                            .map(|l| (at * BLOCK as u64 + l as u64, row[l])),
+                                    );
+                                }
+                                // SAFETY: block `at` is block `k` of `v`'s
+                                // label (just checked; the offsets end at
+                                // the arena's length) and belongs to this
+                                // unit alone (see above).
+                                unsafe { base.0.add(at as usize).write(block) };
+                            }
+                            tile.clear();
                         }
-                        tile.clear();
-                    }
-                });
-            }
+                        escaped
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("label worker panicked")).collect()
         });
-        Stl { hier: Arc::new(hier), labels: arena.into_labels() }
+        let mut escaped: Vec<(u64, Dist)> = escaped.concat();
+        escaped.sort_unstable();
+        let labels =
+            Labels::from_arena(arena.lens, &arena.offsets, arena.blocks, escaped, CHUNK_BLOCKS);
+        Stl { hier: Arc::new(hier), labels }
     }
 
     /// The underlying stable tree hierarchy.
@@ -499,15 +854,11 @@ impl Stl {
     }
 }
 
-/// Cut vertices per construction unit: with `u32` entries, the copy-back of
-/// one settled vertex is one cache line (8 measured the same).
-const UNIT_CUTS: usize = 16;
-
 /// `UnitTile::slot` of a vertex no search of the current unit has settled.
 const NO_SLOT: u32 = u32::MAX;
 
 /// One construction worker's scratch: Dijkstra state plus the vertex-major
-/// tile a unit's searches write before the copy-back into the arena.
+/// tile a unit's searches write before each row is encoded into the arena.
 struct UnitTile {
     dist: TimestampedArray<Dist>,
     heap: BinaryHeap<Reverse<(Dist, VertexId)>>,
@@ -515,7 +866,7 @@ struct UnitTile {
     slot: Vec<u32>,
     /// Settled vertices in first-settle order: `settled[s]` owns row `s`.
     settled: Vec<VertexId>,
-    /// `UNIT_CUTS` entries per row; `INF` where the unit's search did not
+    /// [`BLOCK`] entries per row; `INF` where the unit's searches did not
     /// reach the vertex.
     rows: Vec<Dist>,
 }
@@ -531,11 +882,12 @@ impl UnitTile {
         }
     }
 
-    /// The τ-restricted Dijkstra of every cut vertex of `unit`, `unit[j]`
-    /// writing column `j`.
-    fn search(&mut self, g: &CsrGraph, hier: &Hierarchy, unit: &[VertexId]) {
-        for (j, &r) in unit.iter().enumerate() {
+    /// The τ-restricted Dijkstra of every cut vertex of a unit of block `k`, each
+    /// writing lane `τ(r) − 16k`.
+    fn search(&mut self, g: &CsrGraph, hier: &Hierarchy, unit: &[VertexId], k: usize) {
+        for &r in unit {
             let tr = hier.tau(r);
+            let lane = tr as usize - k * BLOCK;
             self.dist.reset();
             self.heap.clear();
             self.dist.set(r as usize, 0);
@@ -549,9 +901,9 @@ impl UnitTile {
                     s = self.settled.len() as u32;
                     self.slot[v as usize] = s;
                     self.settled.push(v);
-                    self.rows.extend([INF; UNIT_CUTS]);
+                    self.rows.extend([INF; BLOCK]);
                 }
-                self.rows[s as usize * UNIT_CUTS + j] = d;
+                self.rows[s as usize * BLOCK + lane] = d;
                 let (ts, ws) = g.neighbor_slices(v);
                 for (&nb, &w) in ts.iter().zip(ws) {
                     if w == INF || hier.tau(nb) <= tr {
@@ -567,7 +919,7 @@ impl UnitTile {
         }
     }
 
-    /// Forget the unit's rows (after its copy-back).
+    /// Forget the unit's rows (after they are encoded).
     fn clear(&mut self) {
         for &v in &self.settled {
             self.slot[v as usize] = NO_SLOT;
@@ -608,6 +960,22 @@ impl Stl {
     }
     pub fn deep_arena(&self) -> Option<&DeepArena> {
         None
+    }
+}
+
+#[cfg(test)]
+impl Labels {
+    /// Label lengths of every vertex, in entries.
+    fn lens(&self) -> impl Iterator<Item = u32> + '_ {
+        self.locs.iter().map(|l| l.len)
+    }
+
+    /// The same labels re-wrapped in chunks of `target` blocks.
+    pub(crate) fn rechunked(&self, target: u64) -> Labels {
+        let mut arena = LabelArena::with_lens(self.lens().collect());
+        let blocks: Vec<LabelBlock> = self.store.chunk_slices().flatten().copied().collect();
+        arena.blocks.as_mut_slice().copy_from_slice(&blocks);
+        Labels::from_arena(arena.lens, &arena.offsets, arena.blocks, self.global_escapes(), target)
     }
 }
 
@@ -666,9 +1034,10 @@ mod tests {
         let stl = Stl::build(&g, &StlConfig::default());
         let mut total = 0u64;
         for v in 0..16u32 {
-            let s = stl.labels().slice(v);
-            assert_eq!(s.len() as u32, stl.hierarchy().anc_count(v));
-            total += s.len() as u64;
+            let len = stl.labels().slice(v).len();
+            assert_eq!(len as u32, stl.hierarchy().anc_count(v));
+            assert_eq!(stl.labels().blocks(v).len(), len.div_ceil(BLOCK));
+            total += len as u64;
         }
         assert_eq!(total, stl.labels().num_entries());
         assert_eq!(total, stl.hierarchy().total_label_entries());
@@ -705,18 +1074,21 @@ mod tests {
 
     #[test]
     fn tile_boundaries_split_cuts_exactly() {
-        // A 48×48 grid's upper cuts are wider than one unit, so units split
-        // cuts and the last unit of a cut is partial: the labels must be
-        // exact, and every thread count must build the same arena.
-        let g = grid(48, 3);
+        // A 48×48 grid's upper cuts are wider than one block, so cuts
+        // straddle units and the last block of a cut is partial; heavy
+        // weights make escapes. The labels must be exact, and every thread
+        // count must build the same arena and escape tables.
+        let g = grid(48, 30_000);
         let hier = Hierarchy::build(&g, &StlConfig::default());
         let cuts: Vec<usize> = (0..hier.num_nodes() as u32).map(|x| hier.cut(x).len()).collect();
-        assert!(cuts.iter().any(|&c| c > UNIT_CUTS && c % UNIT_CUTS != 0), "cuts {cuts:?}");
+        assert!(cuts.iter().any(|&c| c > BLOCK && c % BLOCK != 0), "cuts {cuts:?}");
         let serial = Stl::build_with_hierarchy(&g, hier.clone());
+        assert!(serial.labels().num_escapes() > 0, "heavy weights must escape");
         crate::verify::check_labels_exact(&serial, &g).unwrap();
         for threads in [2usize, 3, 4] {
             let par = Stl::build_with_hierarchy_parallel(&g, hier.clone(), threads);
             assert_eq!(par.labels().flat(), serial.labels().flat(), "threads={threads}");
+            crate::verify::check_matches_rebuild(&par, &g).unwrap();
         }
     }
 
@@ -731,28 +1103,100 @@ mod tests {
             cases.push((format!("build_parallel({t})"), Stl::build_parallel(&g, &cfg, t)));
         }
         for (name, stl) in cases {
-            // The arena is every label in vertex order, back to back.
+            // The arena is every label's blocks in vertex order, back to back.
             let labels = stl.labels();
-            let concat: Vec<Dist> = (0..stl.num_vertices() as VertexId)
-                .flat_map(|v| labels.slice(v))
+            let concat: Vec<LabelBlock> = (0..stl.num_vertices() as VertexId)
+                .flat_map(|v| labels.blocks(v))
                 .copied()
                 .collect();
             assert!(stl.is_flat(), "{name}");
             assert_eq!(labels.flat(), Some(concat.as_slice()), "{name}");
+            assert_eq!(labels.flat().unwrap().as_ptr() as usize % 64, 0, "{name}: aligned arena");
             assert_eq!(stl.cow_stats(), CowStats::default(), "{name}");
             crate::verify::check_all(&stl, &g).unwrap();
         }
     }
 
     #[test]
+    fn encode_is_canonical() {
+        let mut e = [INF; BLOCK];
+        assert_eq!(LabelBlock::encode(&e), LabelBlock::INF);
+        e[3] = 70_000;
+        e[5] = 70_000 + MAX_OFF;
+        e[9] = 70_000 + MAX_OFF + 1;
+        e[15] = INF - 1;
+        let b = LabelBlock::encode(&e);
+        assert_eq!(b.base, 70_000);
+        assert_eq!((b.off[3], b.off[5], b.off[9], b.off[15]), (0, 0xFFFD, ESC_OFF, ESC_OFF));
+        assert_eq!(b.escape_mask(), 1 << 9 | 1 << 15);
+        assert_eq!(b.decode(|j| e[j]), e);
+    }
+
+    /// One block written through every encoding case — inline, re-based
+    /// down, at the inline limit, escaped, at `INF − 1`, `INF` — and back,
+    /// while a snapshot holds the old epoch.
+    #[test]
+    fn block_write_round_trip() {
+        let g = grid(12, 30_000);
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        // A vertex whose first block holds at least two finite entries, and
+        // a lane of it that is not the base.
+        let (v, j) = (0..stl.num_vertices() as VertexId)
+            .find_map(|v| {
+                let b = stl.labels().blocks(v)[0];
+                let finite = b.off.iter().filter(|&&o| o != INF_OFF).count();
+                let lane = (0..BLOCK).find(|&l| b.off[l] != INF_OFF && b.off[l] != 0);
+                (finite >= 2 && b.base >= 1).then_some(lane).flatten().map(|l| (v, l))
+            })
+            .expect("some block has a non-base finite lane");
+        let (i, c) = (j as u32, stl.labels().locs[v as usize].chunk as usize);
+        let snapshot = stl.clone();
+        let (old_block, old_escapes) =
+            (snapshot.labels().blocks(v)[0], snapshot.labels().chunk_escapes(c).clone());
+        let original = stl.labels().get(v, i);
+        let base = old_block.base;
+        for d in [0, base - 1, base + MAX_OFF, base + MAX_OFF + 1, INF - 1, INF, original] {
+            stl.labels.set(v, i, d);
+            let labels = stl.labels();
+            assert_eq!(labels.get(v, i), d, "set then get {d}");
+            let len = stl.hierarchy().anc_count(v).min(BLOCK as u32);
+            let entries: [Dist; BLOCK] =
+                std::array::from_fn(
+                    |l| if (l as u32) < len { labels.get(v, l as u32) } else { INF },
+                );
+            let block = labels.blocks(v)[0];
+            assert_eq!(block, LabelBlock::encode(&entries), "canonical after writing {d}");
+            let escaped: Vec<(u32, Dist)> = labels.chunk_escapes(c).iter().collect();
+            for l in 0..BLOCK {
+                let key = labels.locs[v as usize].lo * BLOCK as u32 + l as u32;
+                let in_table = escaped.iter().find(|e| e.0 == key).map(|e| e.1);
+                let want = (block.off[l] == ESC_OFF).then_some(entries[l]);
+                assert_eq!(in_table, want, "escape of lane {l} after writing {d}");
+            }
+            assert_eq!(snapshot.labels().blocks(v)[0], old_block, "snapshot block, {d}");
+            assert_eq!(*snapshot.labels().chunk_escapes(c), old_escapes, "snapshot escapes, {d}");
+            assert_eq!(snapshot.labels().get(v, i), original);
+        }
+        assert_eq!(stl.labels().blocks(v)[0], old_block, "restored block");
+        crate::verify::check_matches_rebuild(&stl, &g).unwrap();
+        // A stray escape changes no block and no decoded entry: only the
+        // exact escape-table comparison can see it.
+        let stray = stl.labels().locs[v as usize].lo * BLOCK as u32 + j as u32;
+        let table = Arc::make_mut(&mut stl.labels.escapes[c]);
+        let at = table.0.partition_point(|e| e.0 < stray);
+        table.0.insert(at, (stray, original));
+        assert_eq!(stl.labels().get(v, i), original);
+        let err = crate::verify::check_matches_rebuild(&stl, &g).unwrap_err();
+        assert!(err.contains("escape table"), "{err}");
+    }
+
+    #[test]
     fn chunked_clone_shares_untouched_chunks() {
-        // Tiny chunks make the sharing boundary precise: 16 vertices, 4
-        // entries per chunk target → several chunks.
+        // Tiny chunks make the sharing boundary precise: 16 vertices, 1
+        // block per chunk target → several chunks.
         let g = grid(4, 1);
         let built = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
-        let flat = built.labels().flat().expect("born flat");
-        let mut labels =
-            Labels::from_arena(built.labels().offsets.to_vec(), AlignedBuf::copy_of(flat), 4);
+        let mut labels = built.labels().rechunked(1);
         assert!(labels.num_chunks() >= 4, "want several chunks, got {}", labels.num_chunks());
         let snapshot = labels.clone();
         assert_eq!(labels.shared_chunks_with(&snapshot), labels.num_chunks());
@@ -800,12 +1244,14 @@ mod tests {
 
     #[test]
     fn slices_stay_contiguous_across_chunk_layout() {
-        // slice() must agree with get() entry-for-entry for every vertex —
-        // the vertex-aligned chunk invariant that keeps queries zero-cost.
+        // slice() must agree with get() entry-for-entry for every vertex,
+        // in the born layout and in one-block chunks.
         let g = grid(7, 3);
         let stl = Stl::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
+        let tiny = stl.labels().rechunked(1);
         for v in 0..49u32 {
             let s = stl.labels().slice(v);
+            assert_eq!(tiny.slice(v), s, "vertex {v}");
             for (i, &d) in s.iter().enumerate() {
                 assert_eq!(d, stl.labels().get(v, i as u32), "vertex {v} entry {i}");
             }

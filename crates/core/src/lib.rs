@@ -16,7 +16,8 @@
 //!   per owning stable tree, with provably disjoint write sets, so untouched
 //!   trees are skipped and a shard worker repairs only the trees it owns.
 //! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
-//!   min-plus kernel, over the chunked or the flat label layout.
+//!   min-plus kernel over 16-entry label blocks, in the chunked or the flat
+//!   layout.
 //! * [`directed`] — the §8 extension to directed road networks, maintained
 //!   by [`directed_dynamic`].
 //! * [`structural`] — §8 edge/vertex insertion & deletion.
@@ -53,8 +54,8 @@ pub mod verify;
 
 pub use engine::{EnginePool, UpdateEngine};
 pub use hierarchy::{Hierarchy, RawNode, SHARD_DEPTH, SPINE_SHARD};
-pub use labelling::{LabelArena, Labels, LabelsWriter, ShardLabels, Stl};
-pub use query::{min_plus, min_plus_scalar, QueryProfile};
+pub use labelling::{LabelArena, LabelBlock, Labels, LabelsWriter, ShardLabels, Stl};
+pub use query::{min_plus, QueryProfile};
 pub use shard::{ShardReport, ShardSet, ShardWriteLog};
 pub use stats::IndexStats;
 pub use types::{Maintenance, StlConfig, UpdateStats};

@@ -16,30 +16,45 @@
 //!    overlap the LCA arithmetic — a flat address is pure arithmetic, whereas
 //!    resolving a chunked slice *is* the pointer chase a hint would hide;
 //! 3. `K = common_anc_count(s, t)`; `K == 0` → `INF`;
-//! 4. [`min_plus`] over the two `K`-entry prefixes, read from the flat arena
-//!    ([`crate::Labels::flat`], the layout an index is built or loaded in)
-//!    or from the chunked copy-on-write store its first label write leaves
-//!    behind for good.
+//! 4. the block kernel over the first `⌈K/16⌉` [`LabelBlock`]s of both
+//!    labels, read from the flat arena ([`crate::Labels::flat`], the layout
+//!    an index is built or loaded in) or from the chunked copy-on-write
+//!    store its first label write leaves behind for good.
 //!
-//! [`min_plus`] runs 2 × 8 `u32` lanes per unrolled step with a horizontal
-//! min at the end — AVX2 intrinsics when the CPU has them (detected once,
-//! cached by `std`), an autovectorizable lane loop (`min_plus_portable`)
-//! otherwise. `INF` saturation is lane-wise: `INF == u32::MAX`, and
-//! `x + min(y, !x)` is an exact unsigned saturating add, so unreachable
-//! entries stay unreachable per lane.
+//! # The block kernel
 //!
-//! The plain scalar loop survives as [`min_plus_scalar`] /
-//! [`Stl::query_reference`] — the one oracle: every debug-build answer of
-//! every path in this module is asserted against it, and the `query` bench
-//! uses it as its chunked-scalar baseline.
+//! Labels are 16-entry blocks of one `u32` base and sixteen `u16` offsets
+//! (see [`crate::labelling`]). For each block pair the kernel adds the two
+//! offset vectors with `u16` saturation and takes the block minimum `m`:
+//!
+//! - If `m < 0xFFFE`, the candidate `base_s + base_t + m` is **exact**: a
+//!   lane with an escape (`0xFFFE`) or an `INF` (`0xFFFF`) on either side,
+//!   or whose finite offsets sum past `0xFFFD`, saturates to at least
+//!   `0xFFFE`, so it cannot be the minimum, and its true sum is at least
+//!   `base_s + base_t + 0xFFFE` — above the candidate. The candidate is
+//!   computed in `u64` and clamped to `INF`, because bases can approach
+//!   `INF − 1`.
+//! - Otherwise, if some lane is finite on both sides, the block is
+//!   recorded with its lower bound `base_s + base_t + 0xFFFE`. After the
+//!   scan, only the recorded blocks whose bound is below the running best
+//!   are recomputed exactly, lane by lane, with escaped entries read from
+//!   the escape table. On a 65 536-vertex road network that fix-up runs in
+//!   0.1–0.2 % of scanned blocks.
+//!
+//! Lanes past `K` in the last block are forced to `0xFFFF` on one side, so
+//! they never count. The AVX2 body (`adds_epu16` + `minpos_epu16`) runs
+//! when the CPU has it (detected once, cached by `std`); a portable lane
+//! loop serves other hosts. Both are tested against the scalar decode
+//! oracle [`Stl::query_reference`], which every debug-build answer of every
+//! path in this module is also asserted against, and which the `query`
+//! bench uses as its chunked-scalar baseline.
 
 use stl_graph::{Dist, VertexId, INF};
 
-use crate::labelling::Stl;
+use crate::labelling::{LabelBlock, Stl, BLOCK, ESC_OFF, INF_OFF};
 
-/// Width of the autovectorized min-plus accumulator: 8 × `u32` matches one
-/// 256-bit vector register and divides the 64-byte chunk alignment.
-const LANES: usize = 8;
+/// Blocks per kernel pass: one bit each in the pass's fix-up mask.
+const PASS: usize = 64;
 
 /// Targets per [`Stl::one_to_many`] tile: `256 × a few label lines` keeps a
 /// whole tile's working set comfortably inside L2 while the next tile's
@@ -58,7 +73,7 @@ const TILE_PREFETCH_AHEAD: usize = 4;
 /// A hint only: the instruction never faults and performs no architectural
 /// access, so any pointer — including one past the end of a slice — is fine
 /// to pass. Compiles to `PREFETCHT0` on x86_64 and to nothing elsewhere,
-/// mirroring the AVX2-vs-portable dispatch of [`min_plus`].
+/// mirroring the AVX2-vs-portable dispatch of the block kernel.
 #[inline(always)]
 fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -75,114 +90,195 @@ fn prefetch_read<T>(p: *const T) {
 /// [`prefetch_read`] over a whole label: one hint per 64-byte line, capped
 /// at 8 lines so a pathologically long label can't flood the load ports.
 #[inline(always)]
-fn prefetch_label(label: &[Dist]) {
-    const LINE: usize = 64 / std::mem::size_of::<Dist>();
+fn prefetch_label(label: &[LabelBlock]) {
     const MAX_LINES: usize = 8;
-    let lines = label.len().div_ceil(LINE).min(MAX_LINES);
+    let lines = std::mem::size_of_val(label).div_ceil(64).min(MAX_LINES);
     for l in 0..lines {
-        prefetch_read(label.as_ptr().wrapping_add(l * LINE));
+        prefetch_read(label.as_ptr().cast::<u8>().wrapping_add(l * 64));
     }
 }
 
-/// `min_i (a[i] ⊕ b[i])` with saturating `⊕`: AVX2 intrinsics when the CPU
-/// supports them (`is_x86_feature_detected!` caches the probe in an atomic,
-/// so the dispatch is a relaxed load), otherwise a lane-accumulator loop the
-/// compiler can autovectorize. Equivalent to [`min_plus_scalar`] on every
-/// input (both slices must have equal length).
+/// `min_i (a[i] ⊕ b[i])` with saturating `⊕` over two decoded prefixes.
+#[doc(hidden)] // compat; sole reader benchmark/src/ladder.rs; delete with the next `[benchmark]` change
 #[inline]
 pub fn min_plus(a: &[Dist], b: &[Dist]) -> Dist {
     debug_assert_eq!(a.len(), b.len(), "min-plus operands must pair up");
+    a.iter().zip(b).map(|(x, y)| x.saturating_add(*y)).min().unwrap_or(INF)
+}
+
+/// `min_{i < k} (A[i] ⊕ B[i])` with saturating `⊕` over the first `k`
+/// entries of two block-encoded labels; `ea(i)` and `eb(i)` supply escaped
+/// entry `i` of each side. The block kernel of the module docs: AVX2 when
+/// the CPU supports it, the portable lane loop otherwise.
+#[inline]
+pub(crate) fn min_plus_blocks(
+    a: &[LabelBlock],
+    b: &[LabelBlock],
+    k: usize,
+    ea: impl Fn(usize) -> Dist,
+    eb: impl Fn(usize) -> Dist,
+) -> Dist {
     #[cfg(target_arch = "x86_64")]
-    if a.len() >= LANES && std::is_x86_feature_detected!("avx2") {
+    if std::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just confirmed at runtime.
-        return unsafe { min_plus_avx2(a, b) };
+        return min_plus_passes(a, b, k, ea, eb, |a, b, k| unsafe { scan_avx2(a, b, k) });
     }
-    min_plus_portable(a, b)
+    min_plus_passes(a, b, k, ea, eb, scan_portable)
 }
 
-/// Portable lane-accumulator min-plus: fixed [`LANES`]-wide bodies over
-/// `&[Dist; LANES]` blocks (the shape LLVM's loop vectorizer likes), scalar
-/// tail.
-fn min_plus_portable(a: &[Dist], b: &[Dist]) -> Dist {
-    let mut acc = [INF; LANES];
-    let n = a.len() / LANES * LANES;
-    let mut i = 0;
-    while i < n {
-        let x: &[Dist; LANES] = a[i..i + LANES].try_into().unwrap();
-        let y: &[Dist; LANES] = b[i..i + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            let sum = x[l].saturating_add(y[l]);
-            acc[l] = if sum < acc[l] { sum } else { acc[l] };
+/// Run `scan` over passes of up to [`PASS`] blocks, fixing up each pass's
+/// recorded blocks against the running best.
+#[inline(always)]
+fn min_plus_passes(
+    a: &[LabelBlock],
+    b: &[LabelBlock],
+    k: usize,
+    ea: impl Fn(usize) -> Dist,
+    eb: impl Fn(usize) -> Dist,
+    scan: impl Fn(&[LabelBlock], &[LabelBlock], usize) -> (u64, u64),
+) -> Dist {
+    let (a, b) = (&a[..k.div_ceil(BLOCK)], &b[..k.div_ceil(BLOCK)]);
+    let mut best = u64::from(INF);
+    for p in (0..a.len()).step_by(PASS) {
+        let end = (p + PASS).min(a.len());
+        let kp = k - p * BLOCK;
+        let (m, pending) = scan(&a[p..end], &b[p..end], kp);
+        best = best.min(m);
+        if pending != 0 {
+            best = fix_up(
+                &a[p..end],
+                &b[p..end],
+                kp,
+                pending,
+                best,
+                |i| ea(p * BLOCK + i),
+                |i| eb(p * BLOCK + i),
+            );
         }
-        i += LANES;
     }
-    let mut best = INF;
-    for &v in &acc {
-        best = best.min(v);
-    }
-    for j in n..a.len() {
-        best = best.min(a[j].saturating_add(b[j]));
-    }
-    best
+    best.min(u64::from(INF)) as Dist
 }
 
-/// AVX2 min-plus: two independent 8-lane accumulators per unrolled step (a
-/// 16-entry body), then an 8-lane cleanup block and a scalar tail. The
-/// two-deep unroll keeps both load ports busy — one 16-entry iteration
-/// consumes one cache line's worth of each operand. The saturating add is
-/// `x + min(y, !x)` — if `y ≤ !x` the sum is exact, otherwise it clamps to
-/// `x + !x = u32::MAX = INF` — using only instructions AVX2 actually has
-/// (there is no native unsigned 32-bit saturating add).
+/// The candidate of a block pair whose offset minimum `m` is exact.
+#[inline(always)]
+fn candidate(x: &LabelBlock, y: &LabelBlock, m: u16) -> u64 {
+    u64::from(x.base) + u64::from(y.base) + u64::from(m)
+}
+
+/// Portable scan of one pass (`a.len() ≤ PASS` blocks covering the first
+/// `k` entries): the exact minimum over blocks whose offset minimum is
+/// below `0xFFFE`, and the mask of blocks left to [`fix_up`].
+fn scan_portable(a: &[LabelBlock], b: &[LabelBlock], k: usize) -> (u64, u64) {
+    let mut best = u64::MAX;
+    let mut pending = 0u64;
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let live = (k - i * BLOCK).min(BLOCK);
+        let mut m = INF_OFF;
+        for l in 0..BLOCK {
+            let p = if l < live { x.off[l] } else { INF_OFF };
+            m = m.min(p.saturating_add(y.off[l]));
+        }
+        if m < ESC_OFF {
+            best = best.min(candidate(x, y, m));
+        } else if (0..live).any(|l| x.off[l] != INF_OFF && y.off[l] != INF_OFF) {
+            pending |= 1 << i;
+        }
+    }
+    (best, pending)
+}
+
+/// `0` for the lanes of a partial last block inside the prefix, `0xFFFF`
+/// past it: lane `l` of the load at `16 − r` is `0` iff `l < r`.
+#[cfg(target_arch = "x86_64")]
+static TAIL_MASK: [u16; 2 * BLOCK] = {
+    let mut m = [0u16; 2 * BLOCK];
+    let mut l = BLOCK;
+    while l < 2 * BLOCK {
+        m[l] = INF_OFF;
+        l += 1;
+    }
+    m
+};
+
+/// AVX2 [`scan_portable`]: one 256-bit load per block and side, a
+/// saturating `u16` add, and `minpos` over the two halves' minimum.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn min_plus_avx2(a: &[Dist], b: &[Dist]) -> Dist {
+unsafe fn scan_avx2(a: &[LabelBlock], b: &[LabelBlock], k: usize) -> (u64, u64) {
     use std::arch::x86_64::*;
-    let ones = _mm256_set1_epi32(-1);
-    let mut acc0 = ones;
-    let mut acc1 = ones;
-    let n2 = a.len() / (2 * LANES) * (2 * LANES);
-    let mut i = 0;
-    while i < n2 {
-        let x0 = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-        let y0 = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-        let x1 = _mm256_loadu_si256(a.as_ptr().add(i + LANES) as *const __m256i);
-        let y1 = _mm256_loadu_si256(b.as_ptr().add(i + LANES) as *const __m256i);
-        let s0 = _mm256_add_epi32(x0, _mm256_min_epu32(y0, _mm256_xor_si256(x0, ones)));
-        let s1 = _mm256_add_epi32(x1, _mm256_min_epu32(y1, _mm256_xor_si256(x1, ones)));
-        acc0 = _mm256_min_epu32(acc0, s0);
-        acc1 = _mm256_min_epu32(acc1, s1);
-        i += 2 * LANES;
+    let ones = _mm256_set1_epi16(-1);
+    let full = k / BLOCK;
+    let mut best = u64::MAX;
+    let mut pending = 0u64;
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let mut xo = _mm256_loadu_si256(x.off.as_ptr().cast());
+        let yo = _mm256_loadu_si256(y.off.as_ptr().cast());
+        if i == full {
+            let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(BLOCK - k % BLOCK).cast());
+            xo = _mm256_or_si256(xo, mask);
+        }
+        let s = _mm256_adds_epu16(xo, yo);
+        let h = _mm_min_epu16(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
+        let m = _mm_cvtsi128_si32(_mm_minpos_epu16(h)) as u16;
+        if m < ESC_OFF {
+            best = best.min(candidate(x, y, m));
+        } else {
+            let inf = _mm256_or_si256(_mm256_cmpeq_epi16(xo, ones), _mm256_cmpeq_epi16(yo, ones));
+            if _mm256_movemask_epi8(inf) != -1 {
+                pending |= 1 << i;
+            }
+        }
     }
-    let n = a.len() / LANES * LANES;
-    if i < n {
-        let x = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-        let y = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-        let sum = _mm256_add_epi32(x, _mm256_min_epu32(y, _mm256_xor_si256(x, ones)));
-        acc0 = _mm256_min_epu32(acc0, sum);
-        i += LANES;
-    }
-    let acc = _mm256_min_epu32(acc0, acc1);
-    let m = _mm_min_epu32(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
-    let m = _mm_min_epu32(m, _mm_shuffle_epi32(m, 0b01_00_11_10));
-    let m = _mm_min_epu32(m, _mm_shuffle_epi32(m, 0b00_00_00_01));
-    let mut best = _mm_cvtsi128_si32(m) as u32;
-    for j in i..a.len() {
-        best = best.min(a[j].saturating_add(b[j]));
+    (best, pending)
+}
+
+/// Recompute exactly the `pending` blocks of one pass whose lower bound
+/// `base_a + base_b + 0xFFFE` is below `best`, lane by lane.
+#[cold]
+fn fix_up(
+    a: &[LabelBlock],
+    b: &[LabelBlock],
+    k: usize,
+    mut pending: u64,
+    mut best: u64,
+    ea: impl Fn(usize) -> Dist,
+    eb: impl Fn(usize) -> Dist,
+) -> u64 {
+    while pending != 0 {
+        let i = pending.trailing_zeros() as usize;
+        pending &= pending - 1;
+        let (x, y) = (&a[i], &b[i]);
+        if candidate(x, y, ESC_OFF) >= best {
+            continue;
+        }
+        for l in 0..(k - i * BLOCK).min(BLOCK) {
+            if x.off[l] == INF_OFF || y.off[l] == INF_OFF {
+                continue;
+            }
+            let at = i * BLOCK + l;
+            let d = x.entry(l, || ea(at)).saturating_add(y.entry(l, || eb(at)));
+            best = best.min(u64::from(d));
+        }
     }
     best
 }
 
-/// The straight scalar min-plus loop — the oracle the vectorized kernel is
-/// debug-asserted against, and the pre-optimization baseline of the `query`
-/// bench.
-#[inline]
-pub fn min_plus_scalar(a: &[Dist], b: &[Dist]) -> Dist {
-    debug_assert_eq!(a.len(), b.len(), "min-plus operands must pair up");
+/// The scalar decode oracle of the block kernel: each block pair decoded
+/// once into sixteen `u32` entries a side, then a scalar min-plus over the
+/// lanes below `k`.
+fn min_plus_blocks_scalar(
+    a: &[LabelBlock],
+    b: &[LabelBlock],
+    k: usize,
+    ea: impl Fn(usize) -> Dist,
+    eb: impl Fn(usize) -> Dist,
+) -> Dist {
     let mut best = INF;
-    for (x, y) in a.iter().zip(b) {
-        let c = x.saturating_add(*y);
-        if c < best {
-            best = c;
+    for (i, (x, y)) in a.iter().zip(b).take(k.div_ceil(BLOCK)).enumerate() {
+        let x = x.decode(|l| ea(i * BLOCK + l));
+        let y = y.decode(|l| eb(i * BLOCK + l));
+        for l in 0..(k - i * BLOCK).min(BLOCK) {
+            best = best.min(x[l].saturating_add(y[l]));
         }
     }
     best
@@ -208,10 +304,10 @@ pub struct QueryProfile {
 /// [`Stl::hoist_source`] instead of per target.
 struct SourceState<'a> {
     s: VertexId,
-    /// `s`'s full label slice.
-    ls: &'a [Dist],
-    /// The label arena, if the index is flat.
-    arena: Option<&'a [Dist]>,
+    /// `s`'s label blocks.
+    ls: &'a [LabelBlock],
+    /// The block arena, if the index is flat.
+    arena: Option<&'a [LabelBlock]>,
 }
 
 impl Stl {
@@ -227,26 +323,27 @@ impl Stl {
             // Issued before the common_anc_count bitstring arithmetic
             // resolves, so the label lines stream toward L1 while the LCA
             // is still being computed instead of stalling behind its result.
-            prefetch_read(self.labels.slice_flat(a, s).as_ptr());
-            prefetch_read(self.labels.slice_flat(a, t).as_ptr());
+            prefetch_read(self.labels.blocks_flat(a, s).as_ptr());
+            prefetch_read(self.labels.blocks_flat(a, t).as_ptr());
         }
         let k = self.hier.common_anc_count(s, t) as usize;
         if k == 0 {
             return INF;
         }
-        let d = min_plus(&self.label(arena, s)[..k], &self.label(arena, t)[..k]);
+        let src = SourceState { s, ls: self.label(arena, s), arena };
+        let d = self.query_hoisted_k(&src, t, k);
         debug_assert_eq!(d, self.query_reference(s, t), "query oracle ({s},{t})");
         d
     }
 
-    /// `v`'s full label: by direct offset out of `arena` (this index's
+    /// `v`'s label blocks: by direct offset out of `arena` (this index's
     /// [`crate::Labels::flat`]) when flat, through the chunk table
     /// otherwise.
     #[inline(always)]
-    fn label<'a>(&'a self, arena: Option<&'a [Dist]>, v: VertexId) -> &'a [Dist] {
+    fn label<'a>(&'a self, arena: Option<&'a [LabelBlock]>, v: VertexId) -> &'a [LabelBlock] {
         match arena {
-            Some(a) => self.labels.slice_flat(a, v),
-            None => self.labels.slice(v),
+            Some(a) => self.labels.blocks_flat(a, v),
+            None => self.labels.blocks(v),
         }
     }
 
@@ -264,18 +361,17 @@ impl Stl {
         self.query(s, t)
     }
 
-    /// Scalar, chunk-table reference query — the oracle every debug-build
-    /// answer is checked against, and the baseline the `query` bench
-    /// measures the fast path's speedup over.
+    /// Scalar reference query: chunk-table block resolution, then each
+    /// block pair decoded once and scanned lane by lane. The oracle every debug-build answer is
+    /// checked against, and the baseline the `query` bench measures the
+    /// fast path's speedup over.
     pub fn query_reference(&self, s: VertexId, t: VertexId) -> Dist {
         if s == t {
             return 0;
         }
         let k = self.hier.common_anc_count(s, t) as usize;
-        if k == 0 {
-            return INF;
-        }
-        min_plus_scalar(&self.labels.slice(s)[..k], &self.labels.slice(t)[..k])
+        let l = &self.labels;
+        min_plus_blocks_scalar(l.blocks(s), l.blocks(t), k, |i| l.escape(s, i), |i| l.escape(t, i))
     }
 
     /// Number of label-entry pairs a query between `s` and `t` scans.
@@ -363,7 +459,7 @@ impl Stl {
                     // between consecutive targets defeat the hardware
                     // streamer.
                     if let Some(a) = src.arena {
-                        prefetch_label(self.labels.slice_flat(a, (ne >> 32) as VertexId));
+                        prefetch_label(self.labels.blocks_flat(a, (ne >> 32) as VertexId));
                     }
                 }
                 let t = (e >> 32) as VertexId;
@@ -444,10 +540,11 @@ impl Stl {
     /// [`query_hoisted`](Self::query_hoisted) with the common-prefix width
     /// `k` already resolved by the caller (tiled scans hoist the shard-level
     /// LCA once per tile). Requires `k == common_anc_count(s, t)`, `k > 0`,
-    /// and `s != t`.
+    /// and `s != t`. The engine's one call of the block kernel.
     #[inline]
     fn query_hoisted_k(&self, src: &SourceState<'_>, t: VertexId, k: usize) -> Dist {
-        min_plus(&src.ls[..k], &self.label(src.arena, t)[..k])
+        let (s, l) = (src.s, &self.labels);
+        min_plus_blocks(src.ls, self.label(src.arena, t), k, |i| l.escape(s, i), |i| l.escape(t, i))
     }
 
     /// The `k` nearest of `pois` from `s` by network distance, ascending;
@@ -471,9 +568,12 @@ impl Stl {
 #[cfg(test)]
 mod tests {
     #[cfg(target_arch = "x86_64")]
-    use super::min_plus_avx2;
-    use super::{min_plus, min_plus_portable, min_plus_scalar, QueryProfile};
-    use crate::labelling::Stl;
+    use super::scan_avx2;
+    use super::{
+        min_plus, min_plus_blocks, min_plus_blocks_scalar, min_plus_passes, scan_portable,
+        QueryProfile,
+    };
+    use crate::labelling::{LabelBlock, Stl, BLOCK, ESC_OFF};
     use crate::types::{Maintenance, StlConfig};
     use crate::UpdateEngine;
     use stl_graph::builder::from_edges;
@@ -524,46 +624,110 @@ mod tests {
         }
     }
 
-    /// Every kernel, called directly — on an AVX2 host [`min_plus`] sends
-    /// every `len ≥ 8` input to `min_plus_avx2`, so the portable 8-lane
-    /// body (the only kernel elsewhere) would otherwise never run in CI.
+    /// A label of `len` entries from `f`, block-encoded, padded to whole
+    /// blocks with `INF`.
+    fn encode_label(len: usize, f: impl Fn(usize) -> Dist) -> (Vec<Dist>, Vec<LabelBlock>) {
+        let entries: Vec<Dist> = (0..len).map(f).collect();
+        let blocks = entries
+            .chunks(BLOCK)
+            .map(|c| {
+                let mut e = [INF; BLOCK];
+                e[..c.len()].copy_from_slice(c);
+                LabelBlock::encode(&e)
+            })
+            .collect();
+        (entries, blocks)
+    }
+
+    /// Every block kernel, called directly, against the scalar decode
+    /// oracle — on an AVX2 host [`min_plus_blocks`] always dispatches to
+    /// `scan_avx2`, so the portable body (the only kernel elsewhere) would
+    /// otherwise never run in CI. The patterns put `INF` lanes, escapes on
+    /// one or both sides, lane pairs whose `u16` sum saturates and bases
+    /// near `INF − 1` into every lane, and the labels run past `K`, so the
+    /// tail mask of a partial last block is exercised too.
     #[test]
     fn all_min_plus_kernels_agree() {
-        let patterns: [fn(usize) -> Dist; 4] = [
+        const LEN: usize = 72;
+        let patterns: [fn(usize) -> Dist; 6] = [
             |_| INF,
-            |i| INF - i as Dist,
+            |i| INF - 1 - (i % 5) as Dist,
             |i| match i % 7 {
                 0 => INF,
-                1 => INF - 3,
+                1 => 1_000_000 + i as Dist * 70_001,
                 x => x as Dist * 1000 + i as Dist,
             },
             |i| (i as Dist).wrapping_mul(2_654_435_761) >> 3,
+            |i| if i % BLOCK == 5 { 100 } else { 100 + 0xFFF0 - (i % BLOCK) as Dist },
+            |i| 3 * i as Dist,
         ];
-        for n in 0..=67usize {
-            for (pa, fa) in patterns.iter().enumerate() {
-                for (pb, fb) in patterns.iter().enumerate() {
-                    let a: Vec<Dist> = (0..n).map(fa).collect();
-                    // Reversed so saturating and exact lanes pair up in
-                    // every position of the 16-, 8- and 1-wide bodies.
-                    let b: Vec<Dist> = (0..n).rev().map(fb).collect();
-                    let want = min_plus_scalar(&a, &b);
-                    let ctx = format!("len={n} patterns=({pa},{pb})");
-                    assert_eq!(min_plus_portable(&a, &b), want, "portable {ctx}");
-                    assert_eq!(min_plus(&a, &b), want, "dispatch {ctx}");
-                    #[cfg(target_arch = "x86_64")]
-                    if std::is_x86_feature_detected!("avx2") {
-                        // SAFETY: AVX2 support was just confirmed at runtime.
-                        assert_eq!(unsafe { min_plus_avx2(&a, &b) }, want, "avx2 {ctx}");
+        fn scan_avx2_passes(
+            a: &[LabelBlock],
+            b: &[LabelBlock],
+            k: usize,
+            ea: impl Fn(usize) -> Dist,
+            eb: impl Fn(usize) -> Dist,
+        ) -> Option<Dist> {
+            #[cfg(target_arch = "x86_64")]
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just confirmed at runtime.
+                let scan = |a: &_, b: &_, k| unsafe { scan_avx2(a, b, k) };
+                return Some(min_plus_passes(a, b, k, ea, eb, scan));
+            }
+            let _ = (a, b, k, ea, eb);
+            None
+        }
+        let mut saw = [false; 3]; // escapes, saturated sums, fix-ups
+        for (pa, fa) in patterns.iter().enumerate() {
+            for (pb, fb) in patterns.iter().enumerate() {
+                let (ea, a) = encode_label(LEN, fa);
+                // Reversed so every lane pairs with every kind of lane.
+                let (eb, b) = encode_label(LEN, |i| fb(LEN - 1 - i));
+                let escaped = |blocks: &[LabelBlock], e: &[Dist], i: usize| {
+                    assert_eq!(blocks[i / BLOCK].off[i % BLOCK], ESC_OFF, "escape {i} looked up");
+                    e[i]
+                };
+                let xa = |i| escaped(&a, &ea, i);
+                let xb = |i| escaped(&b, &eb, i);
+                for k in 0..=67usize {
+                    let want = min_plus_blocks_scalar(&a, &b, k, xa, xb);
+                    let ctx = format!("k={k} patterns=({pa},{pb})");
+                    assert_eq!(want, min_plus(&ea[..k], &eb[..k]), "oracle {ctx}");
+                    assert_eq!(
+                        min_plus_passes(&a, &b, k, xa, xb, scan_portable),
+                        want,
+                        "portable {ctx}"
+                    );
+                    assert_eq!(min_plus_blocks(&a, &b, k, xa, xb), want, "dispatch {ctx}");
+                    if let Some(got) = scan_avx2_passes(&a, &b, k, xa, xb) {
+                        assert_eq!(got, want, "avx2 {ctx}");
                     }
-                    if pa < 2 && pb < 2 && n > 0 {
-                        // INF ⊕ anything and (INF − i) ⊕ (INF − j) with
-                        // i + j < INF both saturate: never a wrapped sum.
-                        assert_eq!(want, INF, "saturation stays unreachable, {ctx}");
-                    }
+                    let nb = k.div_ceil(BLOCK);
+                    let (_, pending) = scan_portable(&a[..nb], &b[..nb], k);
+                    saw[2] |= pending != 0;
                 }
+                saw[0] |= a.iter().chain(&b).any(|x| x.off.contains(&ESC_OFF));
+                saw[1] |= a.iter().zip(&b).any(|(x, y)| {
+                    (0..BLOCK).any(|l| {
+                        x.off[l] < ESC_OFF
+                            && y.off[l] < ESC_OFF
+                            && x.off[l].checked_add(y.off[l]).is_none()
+                    })
+                });
             }
         }
+        assert_eq!(saw, [true; 3], "escapes, saturated sums and fix-ups all exercised");
         assert_eq!(min_plus(&[], &[]), INF);
+        // A label longer than one pass of the kernel.
+        let (ea, a) = encode_label(1100, |i| (i as Dist * 40_009) % 200_003);
+        let (eb, b) = encode_label(1100, |i| (i as Dist * 7_919) % 90_001 + 1);
+        for k in [1024, 1025, 1100] {
+            let want = min_plus(&ea[..k], &eb[..k]);
+            let (xa, xb) = (|i: usize| ea[i], |i: usize| eb[i]);
+            assert_eq!(min_plus_blocks_scalar(&a, &b, k, xa, xb), want, "oracle k={k}");
+            assert_eq!(min_plus_passes(&a, &b, k, xa, xb, scan_portable), want, "portable k={k}");
+            assert_eq!(min_plus_blocks(&a, &b, k, xa, xb), want, "dispatch k={k}");
+        }
     }
 
     #[test]
@@ -658,10 +822,20 @@ mod tests {
     /// layout in force.
     #[test]
     fn every_answer_path_exact_in_every_layout_state() {
+        // Unit-scale weights keep every entry inline; heavy ones make the
+        // blocks escape, so the kernel's exact fix-up answers too.
+        for scale in [1u32, 30_000] {
+            every_answer_path_exact_at_scale(scale);
+        }
+    }
+
+    fn every_answer_path_exact_at_scale(scale: u32) {
         let side = 10u32;
-        let edges = grid_edges(side);
+        let edges: Vec<(u32, u32, u32)> =
+            grid_edges(side).into_iter().map(|(a, b, w)| (a, b, w * scale)).collect();
         let mut g = from_edges((side * side) as usize, edges.clone());
         let mut stl = Stl::build(&g, &StlConfig { leaf_size: 1, ..Default::default() });
+        assert_eq!(stl.labels().num_escapes() > 0, scale > 1, "scale {scale}");
         let mut eng = UpdateEngine::new(g.num_vertices());
         let n = g.num_vertices() as VertexId;
         let mut rng = XorShift(0x5eed_1234_5678_9abc);
@@ -672,13 +846,13 @@ mod tests {
                 let batch: Vec<EdgeUpdate> = (0..12)
                     .map(|_| {
                         let (a, b, _) = edges[rng.below(edges.len() as u64) as usize];
-                        EdgeUpdate::new(a, b, 1 + rng.below(12) as u32)
+                        EdgeUpdate::new(a, b, (1 + rng.below(12) as u32) * scale)
                     })
                     .collect();
                 stl.apply_batch(&mut g, &batch, Maintenance::ParetoSearch, &mut eng);
             }
             let flat = state == "built";
-            assert_eq!(stl.is_flat(), flat, "{state}");
+            assert_eq!(stl.is_flat(), flat, "{state} scale {scale}");
             let mut prof = QueryProfile::default();
             let mut out = Vec::new();
             for s in 0..n {

@@ -7,7 +7,7 @@ use crate::labelling::Stl;
 pub struct IndexStats {
     /// Total label entries `Σ_v (τ(v)+1)` ("# Label Entries" in Table 4).
     pub label_entries: u64,
-    /// Bytes held by the label arena and offsets.
+    /// Bytes held by the label blocks, escape tables and location arrays.
     pub label_bytes: usize,
     /// Bytes held by hierarchy metadata (bitstrings, cuts, offsets).
     pub hierarchy_bytes: usize,

@@ -82,12 +82,26 @@ pub fn check_labels_exact(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
 /// repaired them must land on what construction computes. Costs one build,
 /// so unlike [`check_labels_exact`] it can run after every batch of a long
 /// stream on a few hundred vertices.
+///
+/// The comparison is of the encoding itself: every label block and every
+/// chunk's escape table must equal the rebuild's exactly, since the block
+/// encoding is canonical too.
 pub fn check_matches_rebuild(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
     let fresh = Stl::build_with_hierarchy(g, stl.hierarchy().clone());
+    let (got, want) = (stl.labels(), fresh.labels());
     for v in 0..stl.num_vertices() as VertexId {
-        let (got, want) = (stl.labels().slice(v), fresh.labels().slice(v));
-        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
-            return Err(format!("L({v})[{i}] = {}, rebuild has {}", got[i], want[i]));
+        if got.blocks(v) == want.blocks(v) {
+            continue;
+        }
+        let (a, b) = (got.slice(v), want.slice(v));
+        return Err(match (0..a.len()).find(|&i| a[i] != b[i]) {
+            Some(i) => format!("L({v})[{i}] = {}, rebuild has {}", a[i], b[i]),
+            None => format!("L({v}) decodes like the rebuild but its blocks differ"),
+        });
+    }
+    for c in 0..got.num_chunks() {
+        if got.chunk_escapes(c) != want.chunk_escapes(c) {
+            return Err(format!("escape table of chunk {c} differs from the rebuild"));
         }
     }
     Ok(())

@@ -87,10 +87,10 @@ struct CacheLine([u8; 64]);
 
 /// A `[T]` allocation whose base address is 64-byte aligned.
 ///
-/// Backed by whole cache lines so a flat label arena starts (and every
-/// 16-entry `u32` group stays) on a cache-line boundary — the layout the
-/// vectorized min-plus kernel in `stl_core::query` wants. `Box<[T]>` gives
-/// no alignment beyond `align_of::<T>()`, hence this wrapper.
+/// Backed by whole cache lines so a flat label arena starts on a
+/// cache-line boundary, where the query kernel in `stl_core::query` begins
+/// its label scans. `Box<[T]>` gives no alignment beyond `align_of::<T>()`,
+/// hence this wrapper.
 pub struct AlignedBuf<T: Pod> {
     lines: Box<[CacheLine]>,
     len: usize,
@@ -446,12 +446,12 @@ impl<T: Pod> ChunkedStore<T> {
         self.chunks[c].as_slice()
     }
 
-    /// Overwrite entry `j` of chunk `c` (chunk-local coordinates), copying
-    /// the chunk first if a snapshot still shares it.
+    /// Entry `j` of chunk `c` (chunk-local coordinates) for writing,
+    /// copying the chunk first if a snapshot still shares it.
     #[inline]
-    pub fn set_in_chunk(&mut self, c: usize, j: usize, value: T) {
+    pub fn get_mut_in_chunk(&mut self, c: usize, j: usize) -> &mut T {
         self.flat = None;
-        cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j] = value;
+        &mut cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j]
     }
 
     /// Iterate all entries in global order.
@@ -546,7 +546,7 @@ impl<T: Pod> ChunkedStore<T> {
 }
 
 /// One repair phase's access to a [`ChunkedStore`]: the write path of
-/// [`ChunkedStore::set_in_chunk`] without its per-write chunk-table walk.
+/// [`ChunkedStore::get_mut_in_chunk`] without its per-write chunk-table walk.
 ///
 /// A repair phase reads and writes thousands of entries in a few dozen
 /// chunks, so each chunk's payload pointer is resolved **once**, on first
@@ -563,7 +563,7 @@ impl<T: Pod> ChunkedStore<T> {
 ///   view into a flat arena) is written in place, any other is promoted to
 ///   a private copy **once** and installed at once, with the copy recorded
 ///   in the store's [`DirtyTracker`] and the store un-flattened — exactly
-///   what serial [`ChunkedStore::set_in_chunk`] writes would have done.
+///   what serial [`ChunkedStore::get_mut_in_chunk`] writes would have done.
 ///
 /// Every cached pointer stays valid for the whole phase: the writer borrows
 /// the store exclusively, and the only change to a chunk's payload — its
@@ -582,24 +582,26 @@ pub struct PhaseWriter<'a, T: Pod> {
 impl<T: Pod> PhaseWriter<'_, T> {
     /// Entry `j` of chunk `c`.
     #[inline(always)]
-    pub fn get_in_chunk(&self, c: usize, j: usize) -> T {
+    pub fn get_in_chunk(&self, c: usize, j: usize) -> &T {
         let mut p = self.ptrs[c].get();
         if p.is_null() {
             p = self.resolve_read(c);
         }
         // SAFETY: a non-null entry is the live payload of chunk `c` (see the
-        // type docs), and nothing writes it while `&self` is held.
-        unsafe { (*p)[j] }
+        // type docs), and nothing writes it while the returned borrow of
+        // `&self` is held.
+        unsafe { &(*p)[j] }
     }
 
-    /// Overwrite entry `j` of chunk `c`, promoting the chunk first if a
+    /// Entry `j` of chunk `c` for writing, promoting the chunk first if a
     /// snapshot (or the flat arena) still shares it.
     #[inline(always)]
-    pub fn set_in_chunk(&mut self, c: usize, j: usize, value: T) {
+    pub fn get_mut_in_chunk(&mut self, c: usize, j: usize) -> &mut T {
         let p = if self.writable[c] { self.ptrs[c].get() } else { self.resolve_write(c) };
         // SAFETY: a writable entry is the payload of chunk `c` after
-        // `cow_chunk`, uniquely owned by the exclusively borrowed store.
-        unsafe { (*p)[j] = value }
+        // `cow_chunk`, uniquely owned by the exclusively borrowed store, and
+        // the returned borrow holds `&mut self` until it ends.
+        unsafe { &mut (*p)[j] }
     }
 
     /// Cache chunk `c`'s current payload for reads.
@@ -843,11 +845,11 @@ mod tests {
             let mut w = a.phase_writer();
             for c in 0..3 {
                 for j in 0..4 {
-                    assert_eq!(w.get_in_chunk(c, j), (c * 4 + j) as u32);
+                    assert_eq!(*w.get_in_chunk(c, j), (c * 4 + j) as u32);
                 }
-                w.set_in_chunk(c, 1, 100 + c as u32);
-                w.set_in_chunk(c, 2, 200 + c as u32); // same chunk: no second copy
-                let got: Vec<u32> = (0..4).map(|j| w.get_in_chunk(c, j)).collect();
+                *w.get_mut_in_chunk(c, 1) = 100 + c as u32;
+                *w.get_mut_in_chunk(c, 2) = 200 + c as u32; // same chunk: no second copy
+                let got: Vec<u32> = (0..4).map(|j| *w.get_in_chunk(c, j)).collect();
                 let base = (c * 4) as u32;
                 assert_eq!(got, [base, 100 + c as u32, 200 + c as u32, base + 3], "chunk {c}");
             }
@@ -867,7 +869,7 @@ mod tests {
         let snap = a.clone();
         {
             let w = a.phase_writer();
-            assert_eq!(w.get_in_chunk(1, 2), 6);
+            assert_eq!(*w.get_in_chunk(1, 2), 6);
         }
         assert!(a.is_flat());
         assert_eq!(a.cow_stats().chunks_copied, 0);
