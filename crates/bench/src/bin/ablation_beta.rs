@@ -5,7 +5,7 @@
 //! mean query time, mean per-update time (STL-P, mixed batch).
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin ablation_beta
+//! cargo run -p stl_bench --release --bin ablation_beta
 //! ```
 
 use stl_bench::{fmt_count, ms, parse_scale, time, us};

@@ -6,7 +6,7 @@
 //! the duplicate-traversal elimination is visible directly.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin ablation_search
+//! cargo run -p stl_bench --release --bin ablation_search
 //! ```
 
 use stl_bench::{batch_shape, parse_scale, Runner};

@@ -3,7 +3,7 @@
 //! three largest datasets.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin fig10 -- --scale default
+//! cargo run -p stl_bench --release --bin fig10 -- --scale default
 //! ```
 
 use stl_bench::{large_three, parse_scale, time, Runner};

@@ -5,7 +5,7 @@
 //! we print the series that regenerate them.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin fig8 -- --scale default
+//! cargo run -p stl_bench --release --bin fig8 -- --scale default
 //! ```
 
 use stl_bench::{batch_shape, ms, parse_scale, Runner};

@@ -2,7 +2,7 @@
 //! STL, HC2L and IncH2H on the three largest datasets.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin fig9 -- --scale default
+//! cargo run -p stl_bench --release --bin fig9 -- --scale default
 //! ```
 
 use stl_bench::{large_three, parse_scale, time, us};

@@ -1,7 +1,7 @@
 //! Table 2 — dataset summary: name, region, |V|, |E|, memory.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin table2 -- --scale default
+//! cargo run -p stl_bench --release --bin table2 -- --scale default
 //! ```
 
 use stl_bench::{fmt_bytes, parse_scale};

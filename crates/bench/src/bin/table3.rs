@@ -6,7 +6,7 @@
 //! columns). Averages are per update over all batches.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin table3 -- --scale default
+//! cargo run -p stl_bench --release --bin table3 -- --scale default
 //! ```
 
 use std::time::Duration;

@@ -1,8 +1,8 @@
-//! Table 4 — labelling sizes, construction times, label-entry counts and
-//! tree heights for STL, HC2L, IncH2H and DTDHL.
+//! Table 4 — labelling sizes, construction times (milliseconds), label-entry
+//! counts and tree heights for STL, HC2L, IncH2H and DTDHL.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin table4 -- --scale default
+//! cargo run -p stl_bench --release --bin table4 -- --scale default
 //! ```
 
 use stl_bench::{fmt_bytes, fmt_count, parse_scale, time};
@@ -15,15 +15,15 @@ fn main() {
     let (scale, _) = parse_scale();
     println!("Table 4: labelling size / construction time / entries / height (scale {scale:?})");
     println!(
-        "{:<6} | {:>9} {:>9} {:>9} {:>9} | {:>7} {:>7} {:>7} | {:>8} {:>8} | {:>6} {:>6}",
+        "{:<6} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>8} {:>8} | {:>6} {:>6}",
         "",
         "STL",
         "HC2L",
         "IncH2H",
         "DTDHL",
-        "STL[s]",
-        "HC2L[s]",
-        "H2H[s]",
+        "STL[ms]",
+        "HC2L[ms]",
+        "H2H[ms]",
         "STL#",
         "H2H#",
         "STLh",
@@ -42,15 +42,15 @@ fn main() {
         let inch2h_bytes = h2h.label_bytes() + h2h.aux_bytes();
         let dtdhl_bytes = h2h.label_bytes() + h2h.aux_bytes() / 3;
         println!(
-            "{:<6} | {:>9} {:>9} {:>9} {:>9} | {:>7.1} {:>7.1} {:>7.1} | {:>8} {:>8} | {:>6} {:>6}",
+            "{:<6} | {:>9} {:>9} {:>9} {:>9} | {:>9.1} {:>9.1} {:>9.1} | {:>8} {:>8} | {:>6} {:>6}",
             spec.name,
             fmt_bytes(s.total_bytes()),
             fmt_bytes(hc2l.memory_bytes()),
             fmt_bytes(inch2h_bytes),
             fmt_bytes(dtdhl_bytes),
-            t_stl.as_secs_f64(),
-            t_hc2l.as_secs_f64(),
-            t_h2h.as_secs_f64(),
+            t_stl.as_secs_f64() * 1e3,
+            t_hc2l.as_secs_f64() * 1e3,
+            t_h2h.as_secs_f64() * 1e3,
             fmt_count(s.label_entries),
             fmt_count(h2h.label_entries()),
             s.height,

@@ -2,7 +2,7 @@
 //! HC2L, IncH2H and DTDHL.
 //!
 //! ```sh
-//! cargo run -p stl-bench --release --bin table5 -- --scale default
+//! cargo run -p stl_bench --release --bin table5 -- --scale default
 //! ```
 
 use stl_bench::{parse_scale, query_count, time, us};

@@ -13,14 +13,10 @@
 //! because the minimum-τ vertex of any directed path is a common ancestor
 //! whose subgraph contains the path.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use stl_graph::{dist_add, DiGraph, Dist, VertexId, INF};
-use stl_pathfinding::TimestampedArray;
+use stl_graph::{DiGraph, Dist, VertexId, Weight, INF};
 
 use crate::hierarchy::Hierarchy;
-use crate::labelling::{LabelArena, Labels};
+use crate::labelling::{fill_labels, Arcs, Labels};
 use crate::query::min_plus_blocks;
 use crate::types::StlConfig;
 
@@ -39,21 +35,11 @@ impl DirectedStl {
     pub fn build(dg: &DiGraph, cfg: &StlConfig) -> Self {
         let structure = dg.undirected_structure();
         let hier = Hierarchy::build(&structure, cfg);
-        let n = dg.num_vertices();
-        let mut up = LabelArena::new(&hier);
-        let mut down = LabelArena::new(&hier);
-        let mut dist: TimestampedArray<Dist> = TimestampedArray::new(n, INF);
-        let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-        for node in 0..hier.num_nodes() as u32 {
-            for &r in hier.cut(node) {
-                let tr = hier.tau(r);
-                // Forward search (r → v) fills `down`.
-                restricted_search(dg, &hier, r, tr, true, &mut dist, &mut heap, &mut down);
-                // Backward search over in-arcs (v → r) fills `up`.
-                restricted_search(dg, &hier, r, tr, false, &mut dist, &mut heap, &mut up);
-            }
-        }
-        DirectedStl { hier, up: up.into_labels(), down: down.into_labels() }
+        // Out-arcs measure `r → v` and fill `down`; in-arcs measure
+        // `v → r` and fill `up`.
+        let (down, _) = fill_labels(&Oriented { dg, forward: true }, &hier, 1);
+        let (up, _) = fill_labels(&Oriented { dg, forward: false }, &hier, 1);
+        DirectedStl { hier, up, down }
     }
 
     /// Directed distance `d(s → t)`; `INF` when unreachable.
@@ -80,48 +66,24 @@ impl DirectedStl {
     }
 }
 
-/// τ-restricted Dijkstra on a `DiGraph`, forward or backward.
-#[allow(clippy::too_many_arguments)]
-fn restricted_search(
-    dg: &DiGraph,
-    hier: &Hierarchy,
-    r: VertexId,
-    tr: u32,
+/// One direction of a `DiGraph`'s arcs, for the label construction kernel.
+struct Oriented<'a> {
+    dg: &'a DiGraph,
+    /// Out-arcs if set, else in-arcs (reversed, as `(tail, weight)`).
     forward: bool,
-    dist: &mut TimestampedArray<Dist>,
-    heap: &mut BinaryHeap<Reverse<(Dist, VertexId)>>,
-    out: &mut LabelArena,
-) {
-    dist.reset();
-    heap.clear();
-    dist.set(r as usize, 0);
-    heap.push(Reverse((0, r)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist.get(v as usize) {
-            continue;
-        }
-        out.set(v, tr, d);
-        let relax = |n: VertexId,
-                     w: u32,
-                     dist: &mut TimestampedArray<Dist>,
-                     heap: &mut BinaryHeap<Reverse<(Dist, VertexId)>>| {
-            if w == INF || hier.tau(n) <= tr {
-                return;
-            }
-            let nd = dist_add(d, w);
-            if nd < dist.get(n as usize) {
-                dist.set(n as usize, nd);
-                heap.push(Reverse((nd, n)));
-            }
-        };
-        if forward {
-            for (n, w) in dg.out_neighbors(v) {
-                relax(n, w, dist, heap);
-            }
+}
+
+impl Arcs for Oriented<'_> {
+    fn num_vertices(&self) -> usize {
+        self.dg.num_vertices()
+    }
+
+    #[inline(always)]
+    fn for_each_arc(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        if self.forward {
+            self.dg.out_neighbors(v).for_each(|(n, w)| f(n, w));
         } else {
-            for (n, w) in dg.in_neighbors(v) {
-                relax(n, w, dist, heap);
-            }
+            self.dg.in_neighbors(v).for_each(|(n, w)| f(n, w));
         }
     }
 }
