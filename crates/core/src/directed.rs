@@ -34,7 +34,12 @@ impl DirectedStl {
     /// Build hierarchy (on the symmetrized structure) and both label sets.
     pub fn build(dg: &DiGraph, cfg: &StlConfig) -> Self {
         let structure = dg.undirected_structure();
-        let hier = Hierarchy::build(&structure, cfg);
+        Self::build_with_hierarchy(dg, Hierarchy::build(&structure, cfg))
+    }
+
+    /// Both label sets of `dg` over a given hierarchy of its symmetrized
+    /// structure.
+    pub(crate) fn build_with_hierarchy(dg: &DiGraph, hier: Hierarchy) -> Self {
         // Out-arcs measure `r → v` and fill `down`; in-arcs measure
         // `v → r` and fill `up`.
         let (down, _) = fill_labels(&Oriented { dg, forward: true }, &hier, 1);
@@ -66,11 +71,12 @@ impl DirectedStl {
     }
 }
 
-/// One direction of a `DiGraph`'s arcs, for the label construction kernel.
-struct Oriented<'a> {
-    dg: &'a DiGraph,
+/// One direction of a `DiGraph`'s arcs, for the label construction kernel
+/// and the Label Search repairs.
+pub(crate) struct Oriented<'a> {
+    pub(crate) dg: &'a DiGraph,
     /// Out-arcs if set, else in-arcs (reversed, as `(tail, weight)`).
-    forward: bool,
+    pub(crate) forward: bool,
 }
 
 impl Arcs for Oriented<'_> {

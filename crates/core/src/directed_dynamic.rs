@@ -3,47 +3,34 @@
 //! "Our Label Search and Pareto Search algorithms can maintain STL using two
 //! Dijkstra's searches, namely forward and backward search."
 //!
-//! For an arc update `a → b`:
-//! * **down labels** (`d(r_i → v)`) change along new/old paths
-//!   `r_i → … → a → b → … → v` — seeded from the `down` entries of `a`,
-//!   repaired by *forward* searches (relaxing out-arcs);
-//! * **up labels** (`d(v → r_i)`) change along `v → … → a → b → … → r_i` —
-//!   seeded from the `up` entries of `b`, repaired by *backward* searches
-//!   (relaxing in-arcs).
+//! For an arc update `a → b`, [`DirectedStl::apply_batch`] runs
+//! `label_search`'s seed and search functions — the ones the undirected
+//! driver runs — once per label family, each over one direction of the
+//! arcs:
+//! * **down labels** (`d(r_i → v)`) change along paths
+//!   `r_i → … → a → b → … → v`: seeded by the pair `(a, b)`, searched along
+//!   out-arcs;
+//! * **up labels** (`d(v → r_i)`) change along `v → … → a → b → … → r_i`:
+//!   seeded by the pair `(b, a)`, searched along in-arcs.
 //!
-//! Each direction is the directed analogue of Algorithms 1–2, with the same
-//! τ-restriction (`τ(n) > τ(r)` keeps the search inside `G[Desc(r_i)]`) and
-//! the same self-entry guard derived from the zero-weight-cycle analysis
-//! (see `pareto.rs`).
-//!
-//! [`DirectedStl::apply_batch`] is the mixed-batch driver: its
-//! normalisation key is the **ordered** arc `(a, b)`, so updates to the two
-//! directions of a road never collapse into one.
+//! A batch is normalised on the **ordered** arc `(a, b)`, so updates to the
+//! two directions of a road never collapse into one, and then repaired one
+//! update at a time in batch order, each family in the work units the
+//! update reaches (`crate::shard`). A batch is exactly its normalised
+//! updates applied one by one.
 
-use std::cmp::Reverse;
+use stl_graph::{DiGraph, EdgeUpdate};
 
-use stl_graph::{dist_add, DiGraph, EdgeUpdate, VertexId, Weight, INF};
-
-use crate::directed::DirectedStl;
+use crate::directed::{DirectedStl, Oriented};
 use crate::engine::UpdateEngine;
-use crate::hierarchy::Hierarchy;
-use crate::labelling::Labels;
-use crate::shard::normalise_batch;
+use crate::label_search;
+use crate::shard::{normalise_batch, units_of};
 use crate::types::UpdateStats;
-
-/// Which label family a directed search maintains.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    /// `down`: distances *from* ancestors; searches relax out-arcs.
-    Forward,
-    /// `up`: distances *to* ancestors; searches relax in-arcs.
-    Backward,
-}
 
 impl DirectedStl {
     /// Apply a mixed batch of **arc**-weight updates, keeping graph and both
-    /// label families consistent: the decreases, then the increases, one
-    /// arc at a time.
+    /// label families consistent: the batch is normalised and each
+    /// surviving update is repaired on its own, in batch order.
     ///
     /// Unlike the undirected driver, normalisation keys on the ordered pair
     /// `(a, b)`: a batch updating both `a → b` and `b → a` applies both, and
@@ -56,287 +43,66 @@ impl DirectedStl {
         updates: &[EdgeUpdate],
         eng: &mut UpdateEngine,
     ) -> UpdateStats {
-        let (dec, inc): (Vec<_>, Vec<_>) =
-            normalise_batch(updates, true, |a, b| dg.arc_weight(a, b))
-                .into_iter()
-                .partition(|u| Some(u.new_weight) < dg.arc_weight(u.a, u.b));
-        let mut stats = UpdateStats::default();
-        for u in dec {
-            stats += self.decrease_arc(dg, u.a, u.b, u.new_weight, eng);
-        }
-        for u in inc {
-            stats += self.increase_arc(dg, u.a, u.b, u.new_weight, eng);
-        }
-        stats
-    }
-
-    /// Decrease the weight of arc `a → b` and repair both label families.
-    pub fn decrease_arc(
-        &mut self,
-        dg: &mut DiGraph,
-        a: VertexId,
-        b: VertexId,
-        w_new: Weight,
-        eng: &mut UpdateEngine,
-    ) -> UpdateStats {
-        let mut stats = UpdateStats { updates: 1, ..Default::default() };
+        const NORMALISED: &str = "normalised updates target existing arcs";
         eng.ensure_capacity(dg.num_vertices());
-        let old = dg.set_arc_weight(a, b, w_new).expect("arc must exist");
-        debug_assert!(w_new <= old, "decrease got an increase");
-        // down: new paths r → a → b → v.
-        decrease_family(&self.hier, &mut self.down, dg, a, b, w_new, Dir::Forward, eng, &mut stats);
-        // up: new paths v → a → b → r (seeded at a, searched backwards).
-        decrease_family(&self.hier, &mut self.up, dg, b, a, w_new, Dir::Backward, eng, &mut stats);
+        let updates = normalise_batch(updates, true, |a, b| dg.arc_weight(a, b));
+        let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
+        let DirectedStl { ref hier, ref mut up, ref mut down } = *self;
+        // Family `f`: 0 is `down`, searched along out-arcs; 1 is `up`,
+        // searched along in-arcs.
+        let mut writers = [down.phase_writer(), up.phase_writer()];
+        let mut steps = Vec::with_capacity(4);
+        for &u in &updates {
+            steps.clear();
+            for f in 0..2 {
+                steps.extend(units_of(hier, u, None).map(|shard| (f, shard)));
+            }
+            let pairs = [[(u.a, u.b)], [(u.b, u.a)]];
+            let w_old = dg.arc_weight(u.a, u.b).expect(NORMALISED);
+            if u.new_weight < w_old {
+                // A decrease: apply the weight, then search each family's units.
+                dg.set_arc_weight(u.a, u.b, u.new_weight).expect(NORMALISED);
+                for &(f, shard) in &steps {
+                    let g = Oriented { dg, forward: f == 0 };
+                    let mut view = writers[f].shard_view(hier, shard, false);
+                    label_search::seed_decrease(hier, &view, &pairs[f], u.new_weight, eng);
+                    label_search::run_decrease_searches(hier, &mut view, &g, eng, &mut stats);
+                }
+                continue;
+            }
+            // An increase: identify every family's affected entries on the
+            // old weight, apply the weight, then repair them. The engine
+            // buffer holds the identifications back to back.
+            eng.aff_per_r.clear();
+            let mut ends = [0; 4];
+            for (&(f, shard), end) in steps.iter().zip(&mut ends) {
+                let g = Oriented { dg, forward: f == 0 };
+                let view = writers[f].shard_view(hier, shard, false);
+                label_search::seed_increase(hier, &view, &pairs[f], w_old, eng);
+                label_search::collect_affected(hier, &view, &g, eng, &mut stats);
+                *end = eng.aff_per_r.len();
+            }
+            dg.set_arc_weight(u.a, u.b, u.new_weight).expect(NORMALISED);
+            let mut start = 0;
+            for (&(f, shard), &end) in steps.iter().zip(&ends) {
+                let (g, rev) = (Oriented { dg, forward: f == 0 }, Oriented { dg, forward: f != 0 });
+                let mut view = writers[f].shard_view(hier, shard, false);
+                label_search::run_repairs(hier, &mut view, &g, &rev, start..end, eng, &mut stats);
+                start = end;
+            }
+        }
         stats
-    }
-
-    /// Increase the weight of arc `a → b` and repair both label families.
-    pub fn increase_arc(
-        &mut self,
-        dg: &mut DiGraph,
-        a: VertexId,
-        b: VertexId,
-        w_new: Weight,
-        eng: &mut UpdateEngine,
-    ) -> UpdateStats {
-        let mut stats = UpdateStats { updates: 1, ..Default::default() };
-        eng.ensure_capacity(dg.num_vertices());
-        let w_old = dg.arc_weight(a, b).expect("arc must exist");
-        debug_assert!(w_new >= w_old, "increase got a decrease");
-        if w_new == w_old {
-            return stats;
-        }
-        // Identify affected sets on the old graph for both families.
-        let aff_down = collect_affected(
-            &self.hier,
-            &self.down,
-            dg,
-            a,
-            b,
-            w_old,
-            Dir::Forward,
-            eng,
-            &mut stats,
-        );
-        let aff_up =
-            collect_affected(&self.hier, &self.up, dg, b, a, w_old, Dir::Backward, eng, &mut stats);
-        dg.set_arc_weight(a, b, w_new).expect("validated above");
-        for (r, list) in &aff_down {
-            repair_family(&self.hier, &mut self.down, dg, *r, list, Dir::Forward, eng, &mut stats);
-        }
-        for (r, list) in &aff_up {
-            repair_family(&self.hier, &mut self.up, dg, *r, list, Dir::Backward, eng, &mut stats);
-        }
-        stats
-    }
-}
-
-/// Arcs to relax from `v` for the given family during repair/decrease
-/// (downstream direction of the search).
-#[inline]
-fn arcs_of(
-    dg: &DiGraph,
-    v: VertexId,
-    dir: Dir,
-) -> Box<dyn Iterator<Item = (VertexId, Weight)> + '_> {
-    match dir {
-        Dir::Forward => Box::new(dg.out_neighbors(v)),
-        Dir::Backward => Box::new(dg.in_neighbors(v)),
-    }
-}
-
-/// Arcs *into* `v` for the family (used for boundary bounds).
-#[inline]
-fn rev_arcs_of(
-    dg: &DiGraph,
-    v: VertexId,
-    dir: Dir,
-) -> Box<dyn Iterator<Item = (VertexId, Weight)> + '_> {
-    match dir {
-        Dir::Forward => Box::new(dg.in_neighbors(v)),
-        Dir::Backward => Box::new(dg.out_neighbors(v)),
-    }
-}
-
-/// Directed Algorithm 1: seeds from `tail`'s labels, searched onward from
-/// `head` in the family direction, repairing immediately.
-#[allow(clippy::too_many_arguments)]
-fn decrease_family(
-    hier: &Hierarchy,
-    labels: &mut Labels,
-    dg: &DiGraph,
-    tail: VertexId,
-    head: VertexId,
-    w_new: Weight,
-    dir: Dir,
-    eng: &mut UpdateEngine,
-    stats: &mut UpdateStats,
-) {
-    // Seeds per common ancestor of the arc endpoints.
-    eng.seeds.clear();
-    let lower = if hier.tau(tail) <= hier.tau(head) { tail } else { head };
-    hier.for_each_ancestor_inclusive(lower, |r, tr| {
-        let lt = labels.get(tail, tr);
-        if lt == INF {
-            return;
-        }
-        let cand = dist_add(lt, w_new);
-        if cand < labels.get(head, tr) {
-            eng.seeds.entry(r).or_default().push((cand, head));
-        }
-    });
-    let seeds = std::mem::take(&mut eng.seeds);
-    for (&r, queue) in seeds.iter() {
-        stats.searches += 1;
-        let tr = hier.tau(r);
-        eng.heap.clear();
-        for &(d, v) in queue {
-            eng.heap.push(Reverse((d, v)));
-        }
-        while let Some(Reverse((d, v))) = eng.heap.pop() {
-            stats.pops += 1;
-            if d >= labels.get(v, tr) {
-                continue;
-            }
-            labels.set(v, tr, d);
-            stats.label_writes += 1;
-            for (n, w) in arcs_of(dg, v, dir) {
-                if w == INF || hier.tau(n) <= tr {
-                    continue;
-                }
-                let nd = dist_add(d, w);
-                if nd < labels.get(n, tr) {
-                    eng.heap.push(Reverse((nd, n)));
-                }
-            }
-        }
-    }
-    eng.seeds = seeds;
-}
-
-/// Directed Algorithm 2, search phase: affected vertices per ancestor along
-/// the old shortest-path DAG (equality test), on the old graph.
-#[allow(clippy::too_many_arguments)]
-fn collect_affected(
-    hier: &Hierarchy,
-    labels: &Labels,
-    dg: &DiGraph,
-    tail: VertexId,
-    head: VertexId,
-    w_old: Weight,
-    dir: Dir,
-    eng: &mut UpdateEngine,
-    stats: &mut UpdateStats,
-) -> Vec<(VertexId, Vec<VertexId>)> {
-    eng.seeds.clear();
-    let lower = if hier.tau(tail) <= hier.tau(head) { tail } else { head };
-    let t_head = hier.tau(head);
-    hier.for_each_ancestor_inclusive(lower, |r, tr| {
-        // Self-entry guard: the head's own entry (reachable via zero-weight
-        // cycles when head == r) is always 0 and never affected.
-        if tr == t_head {
-            return;
-        }
-        let lt = labels.get(tail, tr);
-        let lh = labels.get(head, tr);
-        if lt != INF && lh != INF && dist_add(lt, w_old) == lh {
-            eng.seeds.entry(r).or_default().push((lh, head));
-        }
-    });
-    let seeds = std::mem::take(&mut eng.seeds);
-    let mut out = Vec::with_capacity(seeds.len());
-    for (&r, queue) in seeds.iter() {
-        stats.searches += 1;
-        let tr = hier.tau(r);
-        eng.heap.clear();
-        eng.in_aff.reset();
-        for &(d, v) in queue {
-            eng.heap.push(Reverse((d, v)));
-        }
-        let mut list = Vec::new();
-        while let Some(Reverse((d, v))) = eng.heap.pop() {
-            stats.pops += 1;
-            if eng.in_aff.get(v as usize) {
-                continue;
-            }
-            eng.in_aff.set(v as usize, true);
-            list.push(v);
-            for (n, w) in arcs_of(dg, v, dir) {
-                if w == INF || hier.tau(n) <= tr || eng.in_aff.get(n as usize) {
-                    continue;
-                }
-                let ln = labels.get(n, tr);
-                if ln != INF && dist_add(d, w) == ln {
-                    eng.heap.push(Reverse((ln, n)));
-                }
-            }
-        }
-        stats.affected += list.len() as u64;
-        out.push((r, list));
-    }
-    eng.seeds = seeds;
-    out
-}
-
-/// Directed Algorithm 2, repair phase: boundary bounds then Dijkstra, in
-/// the family direction, on the new graph.
-#[allow(clippy::too_many_arguments)]
-fn repair_family(
-    hier: &Hierarchy,
-    labels: &mut Labels,
-    dg: &DiGraph,
-    r: VertexId,
-    v_aff: &[VertexId],
-    dir: Dir,
-    eng: &mut UpdateEngine,
-    stats: &mut UpdateStats,
-) {
-    let tr = hier.tau(r);
-    eng.in_aff.reset();
-    for &v in v_aff {
-        eng.in_aff.set(v as usize, true);
-        labels.set(v, tr, INF);
-    }
-    eng.heap.clear();
-    for &v in v_aff {
-        let mut bound = INF;
-        for (n, w) in rev_arcs_of(dg, v, dir) {
-            if w == INF || eng.in_aff.get(n as usize) {
-                continue;
-            }
-            let tn = hier.tau(n);
-            if tn > tr || n == r {
-                bound = bound.min(dist_add(labels.get(n, tr), w));
-            }
-        }
-        if bound != INF {
-            eng.heap.push(Reverse((bound, v)));
-        }
-    }
-    while let Some(Reverse((d, v))) = eng.heap.pop() {
-        stats.repair_pops += 1;
-        if d >= labels.get(v, tr) {
-            continue;
-        }
-        labels.set(v, tr, d);
-        stats.label_writes += 1;
-        for (n, w) in arcs_of(dg, v, dir) {
-            if w == INF || hier.tau(n) <= tr {
-                continue;
-            }
-            let nd = dist_add(d, w);
-            if nd < labels.get(n, tr) {
-                eng.heap.push(Reverse((nd, n)));
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use stl_graph::{VertexId, INF};
+
     use super::*;
     use crate::testutil::assert_directed_exact as assert_exact;
     use crate::types::StlConfig;
+    use crate::verify;
 
     fn directed_grid(side: u32) -> DiGraph {
         let idx = |x: u32, y: u32| y * side + x;
@@ -358,6 +124,18 @@ mod tests {
         DiGraph::from_arcs((side * side) as usize, arcs)
     }
 
+    /// Apply `batch`; both label families must equal a rebuild.
+    fn apply(
+        stl: &mut DirectedStl,
+        dg: &mut DiGraph,
+        batch: &[EdgeUpdate],
+        eng: &mut UpdateEngine,
+    ) -> UpdateStats {
+        let stats = stl.apply_batch(dg, batch, eng);
+        verify::check_directed_matches_rebuild(stl, dg).unwrap();
+        stats
+    }
+
     #[test]
     fn directed_decrease_exact() {
         let mut dg = directed_grid(6);
@@ -365,7 +143,7 @@ mod tests {
         let mut eng = UpdateEngine::new(dg.num_vertices());
         let (a, b) = (7u32, 8u32);
         let w = dg.arc_weight(a, b).unwrap();
-        stl.decrease_arc(&mut dg, a, b, (w / 2).max(1), &mut eng);
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(a, b, (w / 2).max(1))], &mut eng);
         assert_exact(&dg, &stl);
     }
 
@@ -376,7 +154,7 @@ mod tests {
         let mut eng = UpdateEngine::new(dg.num_vertices());
         let (a, b) = (14u32, 15u32);
         let w = dg.arc_weight(a, b).unwrap();
-        stl.increase_arc(&mut dg, a, b, w * 4, &mut eng);
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(a, b, w * 4)], &mut eng);
         assert_exact(&dg, &stl);
     }
 
@@ -386,13 +164,10 @@ mod tests {
         let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 2, ..Default::default() });
         let mut eng = UpdateEngine::new(dg.num_vertices());
         let (a, b) = (6u32, 7u32);
-        let w_fwd = dg.arc_weight(a, b).unwrap();
-        let before_rev = stl.query(b, a);
-        stl.increase_arc(&mut dg, a, b, w_fwd * 10, &mut eng);
+        let (w_fwd, w_rev) = (dg.arc_weight(a, b).unwrap(), dg.arc_weight(b, a).unwrap());
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(a, b, w_fwd * 10)], &mut eng);
+        assert_eq!(dg.arc_weight(b, a), Some(w_rev), "reverse arc untouched");
         assert_exact(&dg, &stl);
-        // The reverse arc b->a was not touched; its direct distance holds
-        // unless its old path used a->b (possible but rare on this grid).
-        let _ = before_rev;
     }
 
     #[test]
@@ -410,17 +185,8 @@ mod tests {
         };
         for round in 0..30 {
             let (a, b) = arcs[next(arcs.len() as u64) as usize];
-            let cur = dg.arc_weight(a, b).unwrap();
             let t = (next(30) + 1) as u32;
-            match t.cmp(&cur) {
-                std::cmp::Ordering::Less => {
-                    stl.decrease_arc(&mut dg, a, b, t, &mut eng);
-                }
-                std::cmp::Ordering::Greater => {
-                    stl.increase_arc(&mut dg, a, b, t, &mut eng);
-                }
-                std::cmp::Ordering::Equal => {}
-            }
+            apply(&mut stl, &mut dg, &[EdgeUpdate::new(a, b, t)], &mut eng);
             if round % 6 == 5 {
                 assert_exact(&dg, &stl);
             }
@@ -434,7 +200,7 @@ mod tests {
         let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 1, ..Default::default() });
         let mut eng = UpdateEngine::new(4);
         assert_eq!(stl.query(0, 3), 3);
-        stl.increase_arc(&mut dg, 1, 2, INF, &mut eng);
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(1, 2, INF)], &mut eng);
         assert_eq!(stl.query(0, 3), 10);
         assert_exact(&dg, &stl);
     }
@@ -462,7 +228,7 @@ mod tests {
         let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 2, ..Default::default() });
         let mut eng = UpdateEngine::new(dg.num_vertices());
         let batch = vec![EdgeUpdate::new(2, 3, 40), EdgeUpdate::new(3, 2, 1)];
-        let stats = stl.apply_batch(&mut dg, &batch, &mut eng);
+        let stats = apply(&mut stl, &mut dg, &batch, &mut eng);
         assert_eq!(dg.arc_weight(2, 3), Some(40), "forward arc must keep its own update");
         assert_eq!(dg.arc_weight(3, 2), Some(1), "reverse arc must keep its own update");
         assert_eq!(stats.updates, 2, "both orientations count as real updates");
@@ -479,29 +245,41 @@ mod tests {
             EdgeUpdate::new(4, 5, 100),
             EdgeUpdate::new(4, 5, 2), // same direction: supersedes the first
         ];
-        stl.apply_batch(&mut dg, &batch, &mut eng);
+        apply(&mut stl, &mut dg, &batch, &mut eng);
         assert_eq!(dg.arc_weight(4, 5), Some(2));
         assert_eq!(dg.arc_weight(5, 4), Some(w_rev), "reverse arc untouched");
         assert_exact(&dg, &stl);
     }
 
     #[test]
-    fn directed_mixed_batch_exact_after_split() {
+    fn directed_batch_equals_its_updates_applied_singly() {
         let mut dg = two_way_ring(10);
         let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 3, ..Default::default() });
+        let (mut dg1, mut stl1) = (dg.clone(), stl.clone());
         let mut eng = UpdateEngine::new(dg.num_vertices());
-        // Mixed increases and decreases over both orientations, plus a no-op.
-        let keep = dg.arc_weight(7, 6).unwrap();
+        // Mixed increases and decreases over both orientations of two roads,
+        // a superseded update and a no-op.
         let batch = vec![
             EdgeUpdate::new(0, 1, 50),
             EdgeUpdate::new(1, 0, 1),
-            EdgeUpdate::new(5, 0, 2),
+            EdgeUpdate::new(5, 0, 30),
+            EdgeUpdate::new(5, 0, 2), // supersedes the update above
             EdgeUpdate::new(0, 5, 60),
-            EdgeUpdate::new(7, 6, keep),
+            EdgeUpdate::new(7, 6, dg.arc_weight(7, 6).unwrap()),
         ];
-        let stats = stl.apply_batch(&mut dg, &batch, &mut eng);
-        assert_eq!(stats.updates, 4, "the no-op must be dropped");
+        let batched = apply(&mut stl, &mut dg, &batch, &mut eng);
+        assert_eq!(batched.updates, 4, "the superseded update and the no-op must be dropped");
         assert_exact(&dg, &stl);
+        let mut singly = UpdateStats::default();
+        for u in normalise_batch(&batch, true, |a, b| dg1.arc_weight(a, b)) {
+            singly += apply(&mut stl1, &mut dg1, &[u], &mut eng);
+        }
+        assert_eq!(batched, singly);
+        for v in 0..dg.num_vertices() as VertexId {
+            assert!(dg.out_neighbors(v).eq(dg1.out_neighbors(v)), "arcs out of {v} differ");
+        }
+        verify::labels_match(&stl.up, &stl1.up).unwrap();
+        verify::labels_match(&stl.down, &stl1.down).unwrap();
     }
 
     #[test]
@@ -520,9 +298,9 @@ mod tests {
             DiGraph::from_arcs(4, vec![(0, 1, 0), (1, 0, 0), (1, 2, 5), (2, 3, 0), (3, 1, 2)]);
         let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 1, ..Default::default() });
         let mut eng = UpdateEngine::new(4);
-        stl.increase_arc(&mut dg, 0, 1, 3, &mut eng);
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(0, 1, 3)], &mut eng);
         assert_exact(&dg, &stl);
-        stl.decrease_arc(&mut dg, 0, 1, 0, &mut eng);
+        apply(&mut stl, &mut dg, &[EdgeUpdate::new(0, 1, 0)], &mut eng);
         assert_exact(&dg, &stl);
     }
 }

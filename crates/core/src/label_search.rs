@@ -1,5 +1,10 @@
-//! Label Search maintenance — the ancestor-centric algorithms, run by the
-//! batch driver (`crate::shard`) once per update in each unit it reaches:
+//! Label Search maintenance — the ancestor-centric algorithms, run once per
+//! update in each work unit it reaches, for both engines: the batch driver
+//! (`crate::shard`) runs them for [`Stl`](crate::Stl) over the undirected
+//! [`CsrGraph`](stl_graph::CsrGraph), and `crate::directed_dynamic` runs them
+//! for each label family of a `DirectedStl` over one direction of its arcs.
+//! The searches relax arcs through the crate's [`Arcs`] trait, the one the
+//! construction kernel searches too.
 //!
 //! * decreases — Algorithm 1: per affected ancestor `r`, a pruned Dijkstra
 //!   restricted to `G[Desc(r)]` repairs labels immediately (new distances
@@ -8,6 +13,10 @@
 //!   `V_aff` along the old shortest-path DAG (Lemma 5.2 equality test), then
 //!   repair all labels in one pass from distance bounds computed at the
 //!   unaffected boundary (Definition 5.4, Lemma 5.5).
+//!
+//! The seed functions take the updated edge as the oriented pairs `(x, y)` a
+//! changed path can cross it by, `x` before `y`: both orientations of an
+//! undirected edge ([`edge_pairs`]), one per label family of a directed arc.
 //!
 //! Paper-fidelity note: Algorithm 2's `Repair` (line 19) restricts boundary
 //! neighbours to `τ(n) > τ(r)`; that would exclude the ancestor `r` itself
@@ -20,45 +29,68 @@
 //! unit by unit sound.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use stl_graph::{dist_add, CsrGraph, EdgeUpdate, VertexId, INF};
+use stl_graph::{dist_add, Dist, EdgeUpdate, VertexId, Weight, INF};
 
 use crate::engine::UpdateEngine;
 use crate::hierarchy::Hierarchy;
-use crate::labelling::ShardLabels;
+use crate::labelling::{Arcs, ShardLabels};
 use crate::types::UpdateStats;
 
-/// Seed decrease update `u`'s per-ancestor queues `Q_r` (Alg. 1 lines 2–7)
-/// for the ancestors `labels`' shard owns. The new weight must already be
-/// applied to the graph.
+/// The oriented pairs of undirected edge update `u`, the endpoint with the
+/// smaller label index first (`τ(a) < τ(b)`, cf. Algorithm 1 line 2;
+/// endpoints of an edge are always comparable by Lemma 5.3): a changed path
+/// crosses the edge from `a` to `b` or from `b` to `a`.
+pub(crate) fn edge_pairs(hier: &Hierarchy, u: EdgeUpdate) -> [(VertexId, VertexId); 2] {
+    let (a, b) = if hier.tau(u.a) < hier.tau(u.b) { (u.a, u.b) } else { (u.b, u.a) };
+    [(a, b), (b, a)]
+}
+
+/// The endpoint of the updated edge with the smaller label index: its
+/// inclusive ancestors are the common ancestors of both endpoints.
+fn lower(hier: &Hierarchy, pairs: &[(VertexId, VertexId)]) -> VertexId {
+    let (x, y) = pairs[0];
+    if hier.tau(x) < hier.tau(y) {
+        x
+    } else {
+        y
+    }
+}
+
+/// Seed the per-ancestor queues `Q_r` of a decrease to weight `w` (Alg. 1
+/// lines 2–7) for the ancestors `labels`' shard owns: per ancestor, the
+/// first pair `(x, y)` whose new path `L(x)[τ(r)] + w` beats `L(y)[τ(r)]`
+/// seeds `y`. The new weight must already be applied to the graph.
 pub(crate) fn seed_decrease(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
-    u: EdgeUpdate,
+    pairs: &[(VertexId, VertexId)],
+    w: Weight,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
-    let (a, b) = orient(hier, u.a, u.b);
-    let w = u.new_weight;
     let seeds = &mut eng.seeds;
-    hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
-        let la = labels.get(a, tr);
-        let lb = labels.get(b, tr);
-        if la != INF && dist_add(la, w) < lb {
-            seeds.entry(r).or_default().push((dist_add(la, w), b));
-        } else if lb != INF && dist_add(lb, w) < la {
-            seeds.entry(r).or_default().push((dist_add(lb, w), a));
+    hier.for_each_ancestor_in_shard(lower(hier, pairs), labels.shard(), |r, tr| {
+        let seed = pairs.iter().find_map(|&(x, y)| {
+            let lx = labels.get(x, tr);
+            let cand = dist_add(lx, w);
+            (lx != INF && cand < labels.get(y, tr)).then_some((cand, y))
+        });
+        if let Some(seed) = seed {
+            seeds.entry(r).or_default().push(seed);
         }
     });
 }
 
-/// One pruned Dijkstra per seeded ancestor (Alg. 1 lines 8–14), in τ order:
-/// hash-map order would make repair order and stats nondeterministic.
+/// One pruned Dijkstra along `g`'s arcs per seeded ancestor (Alg. 1 lines
+/// 8–14), in τ order: hash-map order would make repair order and stats
+/// nondeterministic.
 pub(crate) fn run_decrease_searches(
     hier: &Hierarchy,
     labels: &mut ShardLabels<'_, '_>,
-    g: &CsrGraph,
+    g: &impl Arcs,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
@@ -79,57 +111,73 @@ pub(crate) fn run_decrease_searches(
             }
             labels.set(v, tr, d);
             stats.label_writes += 1;
-            let (ts, ws) = g.neighbor_slices(v);
-            for (&n, &w) in ts.iter().zip(ws) {
-                if w == INF || hier.tau(n) <= tr {
-                    continue; // stay inside G[Desc(r)]
-                }
-                let nd = dist_add(d, w);
-                if nd < labels.get(n, tr) {
-                    eng.heap.push(Reverse((nd, n)));
-                }
-            }
+            relax(hier, labels, g, v, d, tr, &mut eng.heap);
         }
     }
 }
 
-/// Seed increase update `u`'s queues from **old** labels and the **old**
-/// weight (Alg. 2 lines 2–7) for the ancestors `labels`' shard owns. Must
-/// run before `u`'s weight is applied.
-pub(crate) fn seed_increase(
+/// Push every arc `v → n` of `g` inside `G[Desc(r)]` that improves on
+/// `L(n)[τ(r)]` when `v` settles at `d`.
+#[inline(always)]
+fn relax(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
-    g: &CsrGraph,
-    u: EdgeUpdate,
-    eng: &mut UpdateEngine,
+    g: &impl Arcs,
+    v: VertexId,
+    d: Dist,
+    tr: u32,
+    heap: &mut BinaryHeap<Reverse<(Dist, VertexId)>>,
 ) {
-    eng.seeds.clear();
-    let w_old = g.weight(u.a, u.b).expect("update must target an existing edge");
-    debug_assert!(u.new_weight >= w_old, "increase got a decrease");
-    let (a, b) = orient(hier, u.a, u.b);
-    let ta = hier.tau(a);
-    let seeds = &mut eng.seeds;
-    hier.for_each_ancestor_in_shard(a, labels.shard(), |r, tr| {
-        let la = labels.get(a, tr);
-        let lb = labels.get(b, tr);
-        if la != INF && lb != INF && dist_add(la, w_old) == lb {
-            seeds.entry(r).or_default().push((lb, b));
-        } else if tr < ta && lb != INF && la != INF && dist_add(lb, w_old) == la {
-            // `tr < ta` keeps the ancestor itself out of its own queue:
-            // for r == a (only reachable through a zero-weight edge
-            // closing a zero-length cycle) the self-entry is 0 forever.
-            seeds.entry(r).or_default().push((la, a));
+    g.for_each_arc(v, |n, w| {
+        if w == INF || hier.tau(n) <= tr {
+            return; // stay inside G[Desc(r)]
+        }
+        let nd = dist_add(d, w);
+        if nd < labels.get(n, tr) {
+            heap.push(Reverse((nd, n)));
         }
     });
 }
 
-/// Identify `V_aff` per seeded ancestor along the old shortest-path DAG
-/// (Alg. 2 lines 8–14), in τ order for run-to-run determinism, appending to
-/// `eng.aff_per_r`. Must run before the update's weight is applied.
+/// Seed the queues of an increase from **old** labels and the **old**
+/// weight `w_old` (Alg. 2 lines 2–7) for the ancestors `labels`' shard
+/// owns: per ancestor, the first pair `(x, y)` whose old path through the
+/// edge is tight, `L(x)[τ(r)] + w_old == L(y)[τ(r)]`, seeds `y`. Must run
+/// before the new weight is applied.
+pub(crate) fn seed_increase(
+    hier: &Hierarchy,
+    labels: &ShardLabels<'_, '_>,
+    pairs: &[(VertexId, VertexId)],
+    w_old: Weight,
+    eng: &mut UpdateEngine,
+) {
+    eng.seeds.clear();
+    let seeds = &mut eng.seeds;
+    hier.for_each_ancestor_in_shard(lower(hier, pairs), labels.shard(), |r, tr| {
+        let seed = pairs.iter().find_map(|&(x, y)| {
+            // `τ(y) != τ(r)` keeps the ancestor out of its own queue: for
+            // r == y (only reachable through a zero-weight edge closing a
+            // zero-length cycle) the self-entry is 0 forever.
+            if hier.tau(y) == tr {
+                return None;
+            }
+            let (lx, ly) = (labels.get(x, tr), labels.get(y, tr));
+            (lx != INF && ly != INF && dist_add(lx, w_old) == ly).then_some((ly, y))
+        });
+        if let Some(seed) = seed {
+            seeds.entry(r).or_default().push(seed);
+        }
+    });
+}
+
+/// Identify `V_aff` per seeded ancestor along the old shortest-path DAG of
+/// `g`'s arcs (Alg. 2 lines 8–14), in τ order for run-to-run determinism,
+/// appending to `eng.aff_per_r`. Must run before the update's weight is
+/// applied.
 pub(crate) fn collect_affected(
     hier: &Hierarchy,
     labels: &ShardLabels<'_, '_>,
-    g: &CsrGraph,
+    g: &impl Arcs,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
@@ -153,16 +201,15 @@ pub(crate) fn collect_affected(
             }
             eng.in_aff.set(v as usize, true);
             list.push(v);
-            let (ts, ws) = g.neighbor_slices(v);
-            for (&n, &w) in ts.iter().zip(ws) {
+            g.for_each_arc(v, |n, w| {
                 if w == INF || hier.tau(n) <= tr || eng.in_aff.get(n as usize) {
-                    continue;
+                    return;
                 }
                 let ln = labels.get(n, tr);
                 if ln != INF && dist_add(d, w) == ln {
                     eng.heap.push(Reverse((ln, n)));
                 }
-            }
+            });
         }
         stats.affected += list.len() as u64;
         eng.aff_per_r.push((r, list));
@@ -170,28 +217,32 @@ pub(crate) fn collect_affected(
 }
 
 /// Run `Repair` for the `(ancestor, V_aff)` pairs `eng.aff_per_r[range]`,
-/// in their (τ-sorted) order. The update's new weight must already be
-/// applied.
+/// in their (τ-sorted) order, searching along `g`'s arcs; `rev` holds the
+/// same arcs reversed (for an undirected graph, `g` itself). The update's
+/// new weight must already be applied.
 pub(crate) fn run_repairs(
     hier: &Hierarchy,
     labels: &mut ShardLabels<'_, '_>,
-    g: &CsrGraph,
+    g: &impl Arcs,
+    rev: &impl Arcs,
     range: Range<usize>,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
     let aff_per_r = std::mem::take(&mut eng.aff_per_r);
     for (r, list) in &aff_per_r[range] {
-        repair(hier, labels, g, *r, list, eng, stats);
+        repair(hier, labels, g, rev, *r, list, eng, stats);
     }
     eng.aff_per_r = aff_per_r;
 }
 
 /// `Repair` of Algorithm 2 (lines 16–27) for one ancestor.
+#[allow(clippy::too_many_arguments)]
 fn repair(
     hier: &Hierarchy,
     labels: &mut ShardLabels<'_, '_>,
-    g: &CsrGraph,
+    g: &impl Arcs,
+    rev: &impl Arcs,
     r: VertexId,
     v_aff: &[VertexId],
     eng: &mut UpdateEngine,
@@ -204,20 +255,19 @@ fn repair(
         labels.set(v, tr, INF);
     }
     eng.heap.clear();
-    // Distance bounds from the unaffected boundary (Definition 5.4). The
-    // neighbour filter must admit r itself (see module docs).
+    // Distance bounds from the unaffected boundary (Definition 5.4), over
+    // the arcs into each affected vertex. The neighbour filter must admit r
+    // itself (see module docs).
     for &v in v_aff {
         let mut bound = INF;
-        let (ts, ws) = g.neighbor_slices(v);
-        for (&n, &w) in ts.iter().zip(ws) {
+        rev.for_each_arc(v, |n, w| {
             if w == INF || eng.in_aff.get(n as usize) {
-                continue;
+                return;
             }
-            let tn = hier.tau(n);
-            if tn > tr || n == r {
+            if hier.tau(n) > tr || n == r {
                 bound = bound.min(dist_add(labels.get(n, tr), w));
             }
-        }
+        });
         if bound != INF {
             eng.heap.push(Reverse((bound, v)));
         }
@@ -230,28 +280,7 @@ fn repair(
         }
         labels.set(v, tr, d);
         stats.label_writes += 1;
-        let (ts, ws) = g.neighbor_slices(v);
-        for (&n, &w) in ts.iter().zip(ws) {
-            if w == INF || hier.tau(n) <= tr {
-                continue;
-            }
-            let nd = dist_add(d, w);
-            if nd < labels.get(n, tr) {
-                eng.heap.push(Reverse((nd, n)));
-            }
-        }
-    }
-}
-
-/// Orient an edge so the first endpoint has the smaller label index
-/// (`τ(a) < τ(b)`, cf. Algorithm 1 line 2; endpoints of an edge are always
-/// comparable by Lemma 5.3).
-#[inline]
-fn orient(hier: &Hierarchy, a: VertexId, b: VertexId) -> (VertexId, VertexId) {
-    if hier.tau(a) < hier.tau(b) {
-        (a, b)
-    } else {
-        (b, a)
+        relax(hier, labels, g, v, d, tr, &mut eng.heap);
     }
 }
 

@@ -329,9 +329,10 @@ impl LabelArena {
 /// The flat block arena behind a vertex-aligned [`ChunkedStore`]:
 /// [`Labels::blocks`] returns one contiguous `&[LabelBlock]` per vertex
 /// (boundaries never split a label), `clone` is `O(#chunks)` and shares
-/// every byte, and [`Labels::set`] copies a chunk at most once per publish
-/// window when a snapshot still shares it. This type adds the per-vertex
-/// location layer and the per-chunk escape tables on top of the store.
+/// every byte, and a write through [`Labels::phase_writer`] copies a chunk
+/// at most once per publish window when a snapshot still shares it. This
+/// type adds the per-vertex location layer and the per-chunk escape tables
+/// on top of the store.
 #[derive(Debug, Clone)]
 pub struct Labels {
     locs: Arc<[VertexLoc]>,
@@ -403,8 +404,9 @@ impl Labels {
 
     /// Overwrite `L(v)[i]`, copying the chunk (and its escape table, if the
     /// write changes it) first if a published snapshot still shares it.
-    #[inline]
-    pub fn set(&mut self, v: VertexId, i: u32, d: Dist) {
+    /// Tests only: repairs write through [`Labels::phase_writer`].
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, v: VertexId, i: u32, d: Dist) {
         let loc = self.locs[v as usize];
         debug_assert!(i < loc.len, "label index {i} out of range for vertex {v}");
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
@@ -540,9 +542,10 @@ impl Labels {
     }
 
     /// Open a repair phase over the arena, handed out per work unit as
-    /// [`ShardLabels`] views. Copy-on-write promotions and dirty accounting
-    /// behave exactly as for [`Labels::set`], but each chunk's payload is
-    /// resolved once per phase instead of once per write.
+    /// [`ShardLabels`] views, the one way labels are written outside tests.
+    /// A write copies its chunk (and the chunk's escape table, if the write
+    /// changes it) first if a published snapshot still shares it; each
+    /// chunk's payload is resolved once per phase.
     pub fn phase_writer(&mut self) -> LabelsWriter<'_> {
         LabelsWriter {
             locs: &self.locs,

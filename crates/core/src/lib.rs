@@ -9,17 +9,20 @@
 //! * [`labelling::Stl`] — the 2-hop labelling over it (Definition 4.6)
 //!   storing **subgraph** distances, with O(1)-LCA queries (Equation 3).
 //! * [`shard`] — the batch driver, [`Stl::apply_batch`]: a mixed batch is
-//!   normalised, split into decrease and increase phases, and repaired by
+//!   normalised and repaired one update at a time, in batch order, by
 //!   ancestor-centric Label Search (Algorithms 1–2) or by update-centric
 //!   Pareto Search, which combines all ancestors into two searches with
-//!   Pareto-active intervals (Algorithms 3–5) — grouped into one work unit
-//!   per owning stable tree, with provably disjoint write sets, so untouched
-//!   trees are skipped and a shard worker repairs only the trees it owns.
+//!   Pareto-active intervals (Algorithms 3–5) — each update in the spine
+//!   and its owning stable tree, work units with provably disjoint write
+//!   sets, so untouched trees are skipped and a shard worker repairs only
+//!   the trees it owns.
 //! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
 //!   min-plus kernel over 16-entry label blocks, in the chunked or the flat
 //!   layout.
-//! * [`directed`] — the §8 extension to directed road networks, maintained
-//!   by [`directed_dynamic`].
+//! * [`directed`] — the §8 extension to directed road networks, built by
+//!   the same construction kernel and maintained by [`directed_dynamic`]
+//!   with Label Search's own searches, run once per label family over one
+//!   direction of the arcs.
 //! * [`structural`] — §8 edge/vertex insertion & deletion.
 //! * [`verify`] — independent invariant checkers used by the test suite.
 //! * [`persist`] — compact binary serialization of a built index.

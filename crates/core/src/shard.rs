@@ -280,6 +280,7 @@ impl Stl {
         for &u in &updates {
             units.clear();
             units.extend(units_of(hier, u, owned));
+            let pairs = label_search::edge_pairs(hier, u);
             let w_old = g.weight(u.a, u.b).expect(NORMALISED);
             if u.new_weight < w_old {
                 // A decrease: apply the weight, then search each unit.
@@ -289,7 +290,8 @@ impl Stl {
                         let mut view = writer.shard_view(hier, shard, log);
                         match algo {
                             Maintenance::LabelSearch => {
-                                label_search::seed_decrease(hier, &view, u, eng);
+                                let w = u.new_weight;
+                                label_search::seed_decrease(hier, &view, &pairs, w, eng);
                                 label_search::run_decrease_searches(hier, &mut view, g, eng, stats);
                             }
                             Maintenance::ParetoSearch => {
@@ -313,7 +315,7 @@ impl Stl {
                     let view = writer.shard_view(hier, shard, false);
                     match algo {
                         Maintenance::LabelSearch => {
-                            label_search::seed_increase(hier, &view, g, u, eng);
+                            label_search::seed_increase(hier, &view, &pairs, w_old, eng);
                             label_search::collect_affected(hier, &view, g, eng, stats);
                             eng.aff_per_r.len()
                         }
@@ -330,7 +332,8 @@ impl Stl {
                     let mut view = writer.shard_view(hier, shard, log);
                     match algo {
                         Maintenance::LabelSearch => {
-                            label_search::run_repairs(hier, &mut view, g, start..end, eng, stats);
+                            let range = start..end;
+                            label_search::run_repairs(hier, &mut view, g, g, range, eng, stats);
                         }
                         Maintenance::ParetoSearch => {
                             let delta = u.new_weight - w_old;
@@ -419,7 +422,7 @@ impl Tally {
 /// The work units update `u` reaches, in run order: the spine when it owns
 /// cut vertices (every root path crosses it), then the update's owning tree
 /// unless `owned` excludes it. No other tree is ever scanned.
-fn units_of(
+pub(crate) fn units_of(
     hier: &Hierarchy,
     u: EdgeUpdate,
     owned: Option<&ShardSet>,

@@ -8,10 +8,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
+use stl_graph::{dist_add, CsrGraph, DiGraph, Dist, VertexId, INF};
 use stl_pathfinding::dijkstra;
 
-use crate::labelling::Stl;
+use crate::directed::DirectedStl;
+use crate::labelling::{Labels, Stl};
 
 /// Check structural invariants of the hierarchy against the graph:
 /// Lemma 5.3 (edge endpoints comparable) and cut coverage.
@@ -88,8 +89,22 @@ pub fn check_labels_exact(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
 /// encoding is canonical too.
 pub fn check_matches_rebuild(stl: &Stl, g: &CsrGraph) -> Result<(), String> {
     let fresh = Stl::build_with_hierarchy(g, stl.hierarchy().clone());
-    let (got, want) = (stl.labels(), fresh.labels());
-    for v in 0..stl.num_vertices() as VertexId {
+    labels_match(stl.labels(), fresh.labels())
+}
+
+/// [`check_matches_rebuild`] for a directed index: both label families,
+/// `up` and `down`, must equal a rebuild of each over the same hierarchy on
+/// `dg`, block for block and escape table for escape table.
+pub fn check_directed_matches_rebuild(stl: &DirectedStl, dg: &DiGraph) -> Result<(), String> {
+    let fresh = DirectedStl::build_with_hierarchy(dg, stl.hierarchy().clone());
+    labels_match(&stl.up, &fresh.up).map_err(|e| format!("up: {e}"))?;
+    labels_match(&stl.down, &fresh.down).map_err(|e| format!("down: {e}"))
+}
+
+/// Whether `got` encodes exactly the labels of `want`: every vertex's label
+/// blocks and every chunk's escape table.
+pub(crate) fn labels_match(got: &Labels, want: &Labels) -> Result<(), String> {
+    for v in 0..got.num_vertices() as VertexId {
         if got.blocks(v) == want.blocks(v) {
             continue;
         }
@@ -169,6 +184,19 @@ mod tests {
         stl.labels.set(victim, 0, 12345);
         assert!(check_labels_exact(&stl, &g).is_err());
         assert!(check_matches_rebuild(&stl, &g).is_err());
+    }
+
+    #[test]
+    fn corrupted_directed_label_detected() {
+        let dg = DiGraph::from_arcs(4, vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 9), (0, 3, 9)]);
+        let mut stl = DirectedStl::build(&dg, &StlConfig { leaf_size: 1, ..Default::default() });
+        check_directed_matches_rebuild(&stl, &dg).unwrap();
+        // Corrupt one non-self entry of the `up` family only.
+        let victim =
+            (0..4u32).find(|&v| stl.hierarchy().tau(v) > 0).expect("some vertex has an ancestor");
+        stl.up.set(victim, 0, 12345);
+        let err = check_directed_matches_rebuild(&stl, &dg).unwrap_err();
+        assert!(err.starts_with("up: "), "{err}");
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //!   from the paper's introduction.
 //! * [`bfs`] — unweighted BFS and pseudo-peripheral vertex search (used for
 //!   partitioning).
-//! * [`astar`] — A* with a Euclidean lower bound when coordinates exist.
 
-pub mod astar;
 pub mod bfs;
 pub mod bidirectional;
 pub mod dijkstra;

@@ -3,7 +3,8 @@
 //!
 //! Builds a directed city (one-way avenues, slower uphill directions),
 //! indexes it with [`DirectedStl`], and shows query asymmetry
-//! `d(s→t) ≠ d(t→s)` verified against a directed Dijkstra.
+//! `d(s→t) ≠ d(t→s)` verified against a directed Dijkstra — before and
+//! after a batch that slows one arc and speeds up another.
 //!
 //! ```sh
 //! cargo run --release --example directed_oneways
@@ -13,7 +14,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use stable_tree_labelling::core::directed::DirectedStl;
-use stable_tree_labelling::core::StlConfig;
+use stable_tree_labelling::core::{StlConfig, UpdateEngine};
 use stable_tree_labelling::graph::DiGraph;
 use stable_tree_labelling::prelude::*;
 
@@ -62,23 +63,40 @@ fn directed_dijkstra(dg: &DiGraph, s: VertexId, t: VertexId) -> Dist {
     INF
 }
 
+/// Query each pair both ways and check it against a directed Dijkstra.
+fn verify_pairs(stl: &DirectedStl, dg: &DiGraph, pairs: &[(VertexId, VertexId)]) {
+    for &(s, t) in pairs {
+        let fwd = stl.query(s, t);
+        let bwd = stl.query(t, s);
+        assert_eq!(fwd, directed_dijkstra(dg, s, t));
+        assert_eq!(bwd, directed_dijkstra(dg, t, s));
+        println!("d({s}→{t}) = {fwd},  d({t}→{s}) = {bwd}  (both verified)");
+    }
+}
+
 fn main() {
     let side = 48u32;
-    let dg = directed_city(side);
+    let mut dg = directed_city(side);
     println!("directed city: {} vertices, {} arcs", dg.num_vertices(), dg.num_arcs());
     let t0 = std::time::Instant::now();
-    let stl = DirectedStl::build(&dg, &StlConfig::default());
+    let mut stl = DirectedStl::build(&dg, &StlConfig::default());
     println!(
         "directed STL built in {:.2?} ({} entries over both directions)",
         t0.elapsed(),
         stl.num_entries()
     );
     let pairs = [(0u32, side * side - 1), (side - 1, side * (side - 1)), (17, 2000)];
-    for (s, t) in pairs {
-        let fwd = stl.query(s, t);
-        let bwd = stl.query(t, s);
-        assert_eq!(fwd, directed_dijkstra(&dg, s, t));
-        assert_eq!(bwd, directed_dijkstra(&dg, t, s));
-        println!("d({s}→{t}) = {fwd},  d({t}→{s}) = {bwd}  (both verified)");
-    }
+    verify_pairs(&stl, &dg, &pairs);
+
+    // Roadworks slow the eastbound arc out of the corner; the first
+    // northbound arc gets a green wave. Only these two directions change.
+    let (slow, fast) = ((0, 1), (0, side));
+    let batch = [
+        EdgeUpdate::new(slow.0, slow.1, 10 * dg.arc_weight(slow.0, slow.1).unwrap()),
+        EdgeUpdate::new(fast.0, fast.1, 1),
+    ];
+    let mut eng = UpdateEngine::new(dg.num_vertices());
+    let stats = stl.apply_batch(&mut dg, &batch, &mut eng);
+    println!("applied {} arc updates ({} label writes)", stats.updates, stats.label_writes);
+    verify_pairs(&stl, &dg, &pairs);
 }
