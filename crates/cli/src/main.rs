@@ -9,8 +9,7 @@
 //! stl serve   <graph.gr> [--readers N] [--ops N] [--update-fraction F]
 //!             [--batch-size K] [--seed S] [--algo pareto|label] [--threads T]
 //!             [--state-dir DIR]
-//!             [--fsync always|never|every:N] [--rejection-window N]
-//!             [--dedup-window N]
+//!             [--fsync always|never|every:N] [--dedup-window N]
 //! stl serve   <graph.gr> --listen ADDR [--net-readers N] [--max-conns C]
 //!             [--accept-queue Q] [--batch-latency-ms MS]
 //!             [--batch-max-updates K] [--max-queued-updates Q]
@@ -286,7 +285,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let mut seed = 0xD157u64;
     let mut algo = Maintenance::ParetoSearch;
     let mut threads = 1usize;
-    let mut rejection_window = ServerConfig::default().rejection_window;
     let mut dedup_window = ServerConfig::default().dedup_window;
     let mut state_dir: Option<String> = None;
     let mut fsync = FsyncPolicy::Always;
@@ -311,9 +309,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
                 num_workers = Some(it.next().ok_or("--num-workers needs a value")?.parse()?)
             }
             "--fsync" => fsync = FsyncPolicy::parse(it.next().ok_or("--fsync needs a value")?)?,
-            "--rejection-window" => {
-                rejection_window = it.next().ok_or("--rejection-window needs a value")?.parse()?
-            }
             "--dedup-window" => {
                 dedup_window = it.next().ok_or("--dedup-window needs a value")?.parse()?
             }
@@ -401,16 +396,7 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
         _ => return Err("--worker-index and --num-workers go together".into()),
     };
 
-    if rejection_window == 0 {
-        return Err("--rejection-window must be at least 1".into());
-    }
-    let server_cfg = ServerConfig {
-        algo,
-        rejection_window,
-        dedup_window,
-        owned_shards,
-        ..ServerConfig::default()
-    };
+    let server_cfg = ServerConfig { algo, dedup_window, owned_shards, ..ServerConfig::default() };
 
     sig::install();
     let start_server = |g: CsrGraph, stl: Stl| -> Result<StlServer, AnyErr> {

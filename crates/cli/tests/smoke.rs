@@ -166,7 +166,6 @@ fn serve_rejects_bad_flags() {
         vec!["serve", "x.gr", "--listen", "not-an-address", "--duration-secs", "1"],
         vec!["serve", "x.gr", "--fsync", "sometimes"],
         vec!["serve", "x.gr", "--fsync", "every:0"],
-        vec!["serve", "x.gr", "--rejection-window", "0"],
     ] {
         let out = stl(&bad);
         assert_eq!(out.status.code(), Some(1), "args: {bad:?}");

@@ -581,7 +581,8 @@ impl Hierarchy {
     }
 
     /// Vertices owned per shard (index = shard id; `[SPINE_SHARD]` counts
-    /// spine cut vertices). Scheduling and reporting only.
+    /// spine cut vertices).
+    #[cfg(test)]
     pub fn shard_vertex_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.num_shards as usize];
         for &nd in self.node_of.iter() {

@@ -410,7 +410,8 @@ impl Labels {
         let loc = self.locs[v as usize];
         debug_assert!(i < loc.len, "label index {i} out of range for vertex {v}");
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
-        let block = self.store.get_mut_in_chunk(c, b as usize);
+        let mut writer = self.store.phase_writer();
+        let block = writer.get_mut_in_chunk(c, b as usize);
         write_entry(block, &mut self.escapes[c], b, i as usize % BLOCK, d);
     }
 

@@ -52,11 +52,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of edges added so far (before de-duplication).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Build the CSR graph, de-duplicating parallel edges (minimum weight).
     pub fn build(mut self) -> CsrGraph {
         // De-duplicate: sort canonical pairs, keep min weight.

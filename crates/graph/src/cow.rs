@@ -446,14 +446,6 @@ impl<T: Pod> ChunkedStore<T> {
         self.chunks[c].as_slice()
     }
 
-    /// Entry `j` of chunk `c` (chunk-local coordinates) for writing,
-    /// copying the chunk first if a snapshot still shares it.
-    #[inline]
-    pub fn get_mut_in_chunk(&mut self, c: usize, j: usize) -> &mut T {
-        self.flat = None;
-        &mut cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j]
-    }
-
     /// Iterate all entries in global order.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.chunks.iter().flat_map(|c| c.as_slice().iter().copied())
@@ -545,8 +537,8 @@ impl<T: Pod> ChunkedStore<T> {
     }
 }
 
-/// One repair phase's access to a [`ChunkedStore`]: the write path of
-/// [`ChunkedStore::get_mut_in_chunk`] without its per-write chunk-table walk.
+/// One repair phase's access to a [`ChunkedStore`]: its write path, with
+/// each chunk's payload resolved once per phase instead of once per write.
 ///
 /// A repair phase reads and writes thousands of entries in a few dozen
 /// chunks, so each chunk's payload pointer is resolved **once**, on first
@@ -562,8 +554,7 @@ impl<T: Pod> ChunkedStore<T> {
 ///   through [`cow_chunk`]: a chunk no snapshot shares (and that is not a
 ///   view into a flat arena) is written in place, any other is promoted to
 ///   a private copy **once** and installed at once, with the copy recorded
-///   in the store's [`DirtyTracker`] and the store un-flattened — exactly
-///   what serial [`ChunkedStore::get_mut_in_chunk`] writes would have done.
+///   in the store's [`DirtyTracker`] and the store un-flattened.
 ///
 /// Every cached pointer stays valid for the whole phase: the writer borrows
 /// the store exclusively, and the only change to a chunk's payload — its

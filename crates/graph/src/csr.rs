@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crate::cow::{CowStats, WeightStore};
 use crate::error::GraphError;
-use crate::types::{Dist, EdgeUpdate, VertexId, Weight, INF};
+use crate::types::{EdgeUpdate, VertexId, Weight};
 
 /// Undirected weighted graph in CSR form.
 ///
@@ -163,19 +163,6 @@ impl CsrGraph {
         self.coords.as_deref()
     }
 
-    /// Sum of all finite weights reachable along a path upper bound:
-    /// a safe "longer than any shortest path" bound that is still `< INF`.
-    pub fn weight_sum_bound(&self) -> Dist {
-        let mut acc: u64 = 0;
-        for w in self.weights.iter() {
-            if w != INF {
-                acc += w as u64;
-            }
-        }
-        // Arcs double-count each edge; halve, then clamp below INF.
-        u64::min(acc / 2 + 1, (INF - 1) as u64) as Dist
-    }
-
     /// Approximate resident memory of the graph structure in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * 4
@@ -200,11 +187,6 @@ impl CsrGraph {
     /// Number of weight chunks.
     pub fn num_weight_chunks(&self) -> usize {
         self.weights.num_chunks()
-    }
-
-    /// Whether weight chunk `c` is physically shared with `other`.
-    pub fn shares_weight_chunk(&self, other: &CsrGraph, c: usize) -> bool {
-        self.weights.shares_chunk(&other.weights, c)
     }
 
     /// How many weight chunks are physically shared with `other`.
@@ -313,12 +295,6 @@ mod tests {
     fn memory_accounting_positive() {
         let g = triangle();
         assert!(g.memory_bytes() >= 6 * 4 + 6 * 4 + 4 * 4);
-    }
-
-    #[test]
-    fn weight_sum_bound_exceeds_any_path() {
-        let g = triangle();
-        assert!(g.weight_sum_bound() >= 10 + 20 + 40);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Adaptive update batching between request producers and the writer.
 //!
 //! The paper's batch experiments (§7) quantify the trade-off this module
-//! makes user-facing: larger batches amortise label repair (one search pass,
-//! one publish for many updates) at the cost of update visibility latency. The [`AdaptiveBatcher`] sits between any number of
-//! producers — the TCP transport's reader pool, or in-process callers — and
+//! makes user-facing: a merged batch amortises the per-batch costs — one
+//! WAL append and fsync, one publish — over many updates, at the cost of
+//! update visibility latency. Label repair is not amortised: a batch is
+//! repaired one update at a time (see `stl_core::shard`). The
+//! [`AdaptiveBatcher`] sits between any number of producers — the TCP
+//! transport's reader pool, or in-process callers — and
 //! [`StlServer::submit`]: it submits accumulated update requests as one
 //! writer batch and fans the resulting [`BatchOutcome`] back to every
 //! contributing request.
@@ -36,7 +39,7 @@
 //! ([`AdaptiveBatcher::submit_keyed`]). A keyed request that already applied
 //! is answered from the server's dedup window without re-applying, and a
 //! keyed request whose twin is still pending *joins* the pending request's
-//! outcome slot instead of enqueueing a duplicate — so a client that times
+//! [`Ticket`] instead of enqueueing a duplicate — so a client that times
 //! out and retries (or reconnects after a writer restart) can never
 //! double-apply its update.
 
@@ -48,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use stl_graph::{CsrGraph, EdgeUpdate};
 
-use crate::server::{validate_batch, BatchOutcome, StlServer};
+use crate::server::{validate_batch, BatchOutcome, StlServer, Ticket};
 
 /// Batching knobs (see the module docs for the trade-off they control).
 #[derive(Debug, Clone)]
@@ -101,50 +104,15 @@ pub struct BatcherStats {
     pub flushes_by_timer: u64,
 }
 
-#[derive(Debug, Default)]
-struct OutcomeSlot {
-    outcome: Mutex<Option<BatchOutcome>>,
-    ready: Condvar,
-}
-
-impl OutcomeSlot {
-    fn resolve(&self, outcome: BatchOutcome) {
-        *self.outcome.lock().unwrap() = Some(outcome);
-        self.ready.notify_all();
-    }
-}
-
-/// Handle to one enqueued update request; [`PendingUpdate::wait`] blocks
-/// until the request's merged batch has been applied (or the request was
-/// rejected/shed up front) and returns the outcome.
-#[derive(Debug)]
-pub struct PendingUpdate(Arc<OutcomeSlot>);
-
-impl PendingUpdate {
-    fn resolved(outcome: BatchOutcome) -> Self {
-        let slot = OutcomeSlot::default();
-        *slot.outcome.lock().unwrap() = Some(outcome);
-        Self(Arc::new(slot))
-    }
-
-    /// Block until the outcome is known. Idempotent — repeated calls return
-    /// the same outcome.
-    pub fn wait(&self) -> BatchOutcome {
-        let guard = self.0.outcome.lock().unwrap();
-        let guard = self.0.ready.wait_while(guard, |o| o.is_none()).unwrap();
-        guard.clone().expect("wait_while guarantees Some")
-    }
-}
-
 #[derive(Default)]
 struct FlushState {
     pending: Vec<EdgeUpdate>,
     /// One entry per enqueued request: its idempotency key (if any) and the
-    /// slot its outcome resolves into.
-    waiters: Vec<(Option<u64>, Arc<OutcomeSlot>)>,
+    /// ticket its outcome resolves into.
+    waiters: Vec<(Option<u64>, Ticket)>,
     /// Keys currently pending or in a submitted-but-unresolved batch; a
-    /// retry carrying one of these joins the existing slot.
-    in_flight: HashMap<u64, Arc<OutcomeSlot>>,
+    /// retry carrying one of these joins the existing ticket.
+    in_flight: HashMap<u64, Ticket>,
     /// When the pending set's first request arrived; `None` while no
     /// request is pending.
     opened_at: Option<Instant>,
@@ -244,11 +212,11 @@ impl AdaptiveBatcher {
 
     /// Enqueue one update request.
     ///
-    /// Returns immediately with a [`PendingUpdate`]; call
-    /// [`PendingUpdate::wait`] for the outcome. Invalid requests and
-    /// requests shed by admission control come back already resolved to
-    /// [`BatchOutcome::Rejected`] without touching the queue.
-    pub fn submit(&self, updates: Vec<EdgeUpdate>) -> PendingUpdate {
+    /// Returns immediately with a [`Ticket`]; call [`Ticket::wait`] for the
+    /// outcome. Invalid requests and requests shed by admission control come
+    /// back already resolved to [`BatchOutcome::Rejected`] without touching
+    /// the queue.
+    pub fn submit(&self, updates: Vec<EdgeUpdate>) -> Ticket {
         self.submit_keyed(None, updates)
     }
 
@@ -259,7 +227,7 @@ impl AdaptiveBatcher {
     ///   the request resolves immediately to the original
     ///   `Applied { seq }` — nothing is re-applied.
     /// * If a request with `key` is still **pending or in flight**, this
-    ///   request joins its outcome slot — both callers see the one outcome
+    ///   request joins its ticket — both callers see the one outcome
     ///   of the one enqueued copy.
     /// * Otherwise the request enqueues normally and its key travels with
     ///   the merged batch into the writer (and, on a durable server, into
@@ -267,33 +235,33 @@ impl AdaptiveBatcher {
     ///
     /// Keys are client-chosen `u64`s; callers must make them unique per
     /// logical update (a random 64-bit value per request is fine).
-    pub fn submit_keyed(&self, key: Option<u64>, updates: Vec<EdgeUpdate>) -> PendingUpdate {
+    pub fn submit_keyed(&self, key: Option<u64>, updates: Vec<EdgeUpdate>) -> Ticket {
         if let Err(reason) = validate_batch(&self.shared.graph, &updates) {
             self.shared.requests_rejected.fetch_add(1, Ordering::Relaxed);
             self.shared.server.note_rejected_batch();
-            return PendingUpdate::resolved(BatchOutcome::Rejected(reason));
+            return Ticket::resolved(BatchOutcome::Rejected(reason));
         }
         if let Some(k) = key {
             if let Some(seq) = self.shared.server.dedup_lookup(k) {
-                return PendingUpdate::resolved(BatchOutcome::Applied { seq });
+                return Ticket::resolved(BatchOutcome::Applied { seq });
             }
         }
         let mut st = self.shared.state.lock().unwrap();
         if st.stop {
-            return PendingUpdate::resolved(BatchOutcome::Rejected(
+            return Ticket::resolved(BatchOutcome::Rejected(
                 "batcher shut down before the request was accepted".into(),
             ));
         }
-        if let Some(slot) = key.and_then(|k| st.in_flight.get(&k).cloned()) {
+        if let Some(ticket) = key.and_then(|k| st.in_flight.get(&k).cloned()) {
             drop(st);
             self.shared.requests_joined.fetch_add(1, Ordering::Relaxed);
-            return PendingUpdate(slot);
+            return ticket;
         }
         if st.pending.len() + updates.len() > self.shared.cfg.max_queued {
             let queued = st.pending.len();
             drop(st);
             self.shared.requests_shed.fetch_add(1, Ordering::Relaxed);
-            return PendingUpdate::resolved(BatchOutcome::Rejected(format!(
+            return Ticket::resolved(BatchOutcome::Rejected(format!(
                 "overloaded: {queued} updates queued (admission limit {})",
                 self.shared.cfg.max_queued
             )));
@@ -303,14 +271,14 @@ impl AdaptiveBatcher {
             st.opened_idle = !st.busy;
         }
         st.pending.extend(updates);
-        let slot = Arc::new(OutcomeSlot::default());
+        let ticket = Ticket::pending();
         if let Some(k) = key {
-            st.in_flight.insert(k, Arc::clone(&slot));
+            st.in_flight.insert(k, ticket.clone());
         }
-        st.waiters.push((key, Arc::clone(&slot)));
+        st.waiters.push((key, ticket.clone()));
         drop(st);
         self.shared.kick.notify_all();
-        PendingUpdate(slot)
+        ticket
     }
 
     /// Point-in-time counters.
@@ -378,11 +346,9 @@ fn flusher_loop(shared: &BatcherShared) {
         drop(st);
         // Submit outside the lock: requests arriving while the writer
         // applies this batch open the next set behind a busy writer, and
-        // their wait is exactly where repair amortisation comes from under
-        // load.
+        // their wait is exactly where batching amortises under load.
         let keys: Vec<u64> = waiters.iter().filter_map(|(k, _)| *k).collect();
-        let ticket = shared.server.submit_with_keys(keys, batch);
-        let outcome = shared.server.wait_for(ticket);
+        let outcome = shared.server.submit_with_keys(keys, batch).wait();
         shared.batches_submitted.fetch_add(1, Ordering::Relaxed);
         shared.requests_coalesced.fetch_add(waiters.len() as u64, Ordering::Relaxed);
         let counter = match why {
@@ -395,7 +361,7 @@ fn flusher_loop(shared: &BatcherShared) {
             c.fetch_add(1, Ordering::Relaxed);
         }
         // Resolve, release the keys and go idle under one lock: a keyed
-        // retry either joins a resolved slot (PendingUpdate::wait is
+        // retry either joins a resolved ticket (Ticket::wait is
         // idempotent) or hits the server's dedup window, and a caller that
         // submits again right after its outcome finds the batcher idle.
         st = shared.state.lock().unwrap();
@@ -436,7 +402,7 @@ mod tests {
         let t0 = Instant::now();
         let set = |updates: usize, opened_idle: bool, stop: bool| FlushState {
             pending: vec![EdgeUpdate::new(0, 1, 1); updates],
-            waiters: vec![(None, Arc::default()); updates],
+            waiters: vec![(None, Ticket::pending()); updates],
             opened_at: Some(t0),
             opened_idle,
             stop,
@@ -496,7 +462,7 @@ mod tests {
         );
         // The first request finds the batcher idle; the others ride along
         // or wait behind it, depending on when the flusher grabs the set.
-        let pends: Vec<PendingUpdate> = vec![
+        let pends: Vec<Ticket> = vec![
             batcher.submit(vec![EdgeUpdate::new(0, 1, 5)]),
             batcher.submit(vec![EdgeUpdate::new(1, 2, 6)]),
             batcher.submit(vec![EdgeUpdate::new(2, 3, 7)]),
@@ -561,7 +527,7 @@ mod tests {
         );
         // Fill the queue behind a busy writer, then overflow it.
         hold_writer_busy(&batcher);
-        let fill: Vec<PendingUpdate> =
+        let fill: Vec<Ticket> =
             (0..3).map(|i| batcher.submit(vec![EdgeUpdate::new(0, 1, 10 + i)])).collect();
         let shed = batcher.submit(vec![EdgeUpdate::new(2, 3, 9)]);
         match shed.wait() {

@@ -70,11 +70,14 @@
 //! The apply path is **fallible**: every batch is validated against the
 //! graph's topology before `apply_batch_sharded` runs, and a batch naming a
 //! nonexistent edge (or an out-of-range vertex, a self-loop, or an `INF`
-//! weight) is **rejected, not fatal**. [`StlServer::wait_for`] returns a
-//! [`BatchOutcome`] — `Applied` or `Rejected(reason)` — the writer stays
-//! alive, rejected batches consume no generation, and
+//! weight) is **rejected, not fatal**. Every submitted batch gets its own
+//! [`Ticket`], resolved once to a [`BatchOutcome`] — `Applied { seq }` or
+//! `Rejected(reason)` — that [`Ticket::wait`] (or [`StlServer::wait_for`])
+//! returns however long after the fact it is read. The writer stays alive,
+//! rejected batches consume no generation, and
 //! [`ServerStats::batches_rejected`] counts them. `submit`/`wait_for` never
-//! panic, even if the writer thread is gone.
+//! panic, even if the writer thread is gone: a batch it can no longer
+//! process resolves `Rejected`.
 //!
 //! ## Surviving crashes
 //!
@@ -118,9 +121,8 @@
 //! router's replay-ring catch-up bring it back bit-identical.
 //!
 //! No dependencies beyond `std`: the swap slot is `RwLock<Arc<Snapshot>>`,
-//! the queue is `std::sync::mpsc`, and the publish barrier is a
-//! `Mutex<Progress>` + `Condvar` pair; the transport is `std::net` with a
-//! thread pool.
+//! the queue is `std::sync::mpsc`, and each ticket is a `Mutex` + `Condvar`
+//! slot; the transport is `std::net` with a thread pool.
 
 pub mod batcher;
 pub mod durable;
@@ -134,7 +136,7 @@ pub mod stats;
 pub mod transport;
 pub mod wal;
 
-pub use batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats, PendingUpdate};
+pub use batcher::{AdaptiveBatcher, BatcherConfig, BatcherStats};
 pub use durable::{
     DedupWindow, DurabilityConfig, RecoveryReport, CHECKPOINT_QUIET_EPOCHS, CHECKPOINT_QUIET_RATIO,
 };

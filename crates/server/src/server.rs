@@ -6,7 +6,6 @@
 //! one pointer swap. The epoch it replaces is dropped after the swap lock
 //! is released and the waiters are woken, so readers never wait on it.
 
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -39,7 +38,7 @@ fn write_ok<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// What happened to a submitted batch, per ticket (see [`StlServer::wait_for`]).
+/// What happened to a submitted batch (see [`Ticket::wait`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchOutcome {
     /// The batch validated, was applied, and its epoch is published: every
@@ -48,12 +47,7 @@ pub enum BatchOutcome {
         /// The batch's **sequence number**, equal to the generation its epoch
         /// published (and, on a durable server, to its WAL record's sequence
         /// number) — the handle a client stores to correlate snapshots,
-        /// checkpoints, and idempotent retries.
-        ///
-        /// `0` means the true sequence is no longer resolvable: the ticket
-        /// predates the retained rejection window *and* reasons have been
-        /// evicted, so the exact count of earlier rejections is unknown (see
-        /// [`StlServer::wait_for`]). Real sequence numbers start at 1.
+        /// checkpoints, and idempotent retries. Sequence numbers start at 1.
         seq: u64,
     },
     /// The batch failed validation and was dropped **before any mutation** —
@@ -129,18 +123,6 @@ pub struct ServerConfig {
     /// — delete with the next `[benchmark]` issue.
     #[doc(hidden)]
     pub compact_after_quiet_epochs: u32,
-    /// How many rejection reasons [`StlServer::wait_for`] can still resolve,
-    /// i.e. the depth of the bounded reason window (default 1024, minimum
-    /// 1). Rejections are an error path: retaining every reason forever
-    /// would let a misbehaving client grow server memory without bound, so
-    /// only the most recent window is kept and evictions are counted in
-    /// [`ServerStats::rejection_reasons_evicted`]. A ticket that predates
-    /// every retained reason *after* evictions have occurred resolves as
-    /// [`BatchOutcome::Applied`] with `seq == 0` — the "absent ⇒ Applied"
-    /// ambiguity is inherent to bounding the window; clients that wait
-    /// promptly (everything in this crate does) always see the exact
-    /// outcome.
-    pub rejection_window: usize,
     /// How many idempotency keys the server remembers (default 4096; `0`
     /// disables dedup). A keyed update whose key is still in the window is
     /// acknowledged with its original sequence number instead of being
@@ -163,62 +145,12 @@ pub struct ServerConfig {
     pub owned_shards: Option<ShardSet>,
 }
 
-impl ServerConfig {
-    /// [`ServerConfig::default`] with environment overrides:
-    ///
-    /// * `STL_REJECTION_WINDOW` (positive integer) —
-    ///   [`ServerConfig::rejection_window`].
-    /// * `STL_DEDUP_WINDOW` (integer, `0` disables) —
-    ///   [`ServerConfig::dedup_window`].
-    ///
-    /// A set-but-malformed variable is an **error**, not a silent default:
-    /// `STL_DEDUP_WINDOW=abc` falling back to the default without a word
-    /// would mean a typo quietly tests the wrong configuration. Callers
-    /// decide how loud to be — the test harnesses `expect` the result so a
-    /// bad setting fails the run.
-    /// (A value that is not valid unicode is read lossily, so it fails to
-    /// parse and errors too.)
-    pub fn from_env() -> Result<Self, String> {
-        Self::from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
-    }
-
-    /// [`ServerConfig::from_env`] over any variable source: `lookup(key)`
-    /// is the value of `key`, `None` if unset.
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let mut cfg = Self::default();
-        if let Some(w) = parsed_var::<usize>(&lookup, "STL_REJECTION_WINDOW")? {
-            if w == 0 {
-                return Err("STL_REJECTION_WINDOW must be at least 1".into());
-            }
-            cfg.rejection_window = w;
-        }
-        if let Some(d) = parsed_var::<usize>(&lookup, "STL_DEDUP_WINDOW")? {
-            cfg.dedup_window = d;
-        }
-        Ok(cfg)
-    }
-}
-
-/// Look up and parse a variable, distinguishing "absent" (fine, `None`)
-/// from "present but unparsable" (an error worth surfacing).
-fn parsed_var<T: std::str::FromStr>(
-    lookup: impl Fn(&str) -> Option<String>,
-    key: &str,
-) -> Result<Option<T>, String> {
-    let Some(raw) = lookup(key) else { return Ok(None) };
-    raw.trim()
-        .parse::<T>()
-        .map(Some)
-        .map_err(|_| format!("{key}={raw:?} is not a valid {}", std::any::type_name::<T>()))
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             algo: Maintenance::ParetoSearch,
             repair_threads: 1,
             compact_after_quiet_epochs: 0,
-            rejection_window: 1024,
             dedup_window: 4096,
             max_writer_restarts: 8,
             owned_shards: None,
@@ -226,108 +158,81 @@ impl Default for ServerConfig {
     }
 }
 
-/// Position of a submitted batch in the writer's processing sequence: the
-/// batch's [`BatchOutcome`] is available — and, if applied, its epoch is
-/// visible to readers — once the writer has processed the ticket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Ticket(pub u64);
+/// A submitted batch's outcome slot, resolved exactly once and read any
+/// number of times; clones share the slot. The server resolves it by the
+/// writer after the publish, by the supervisor after a writer death, or by
+/// the batch's drop guard if the queue is torn down. An
+/// [`crate::AdaptiveBatcher`] request's ticket takes the outcome of the
+/// merged batch it rode in, or is resolved at once if refused up front.
+#[derive(Debug, Clone)]
+pub struct Ticket(Arc<Slot>);
 
-/// A submitted batch travelling the queue to the writer. The ticket rides
-/// with the batch (instead of being recounted writer-side) so a writer
-/// restart mid-queue cannot shift later tickets.
+#[derive(Debug, Default)]
+struct Slot {
+    outcome: Mutex<Option<BatchOutcome>>,
+    ready: Condvar,
+}
+
+impl Ticket {
+    /// An unresolved ticket.
+    pub(crate) fn pending() -> Self {
+        Self(Arc::default())
+    }
+
+    /// A ticket already resolved to `outcome`.
+    pub(crate) fn resolved(outcome: BatchOutcome) -> Self {
+        let ticket = Self::pending();
+        ticket.resolve(outcome);
+        ticket
+    }
+
+    /// Resolve to `outcome` unless already resolved (first wins); returns
+    /// whether this call resolved it.
+    pub(crate) fn resolve(&self, outcome: BatchOutcome) -> bool {
+        let mut slot = lock_ok(&self.0.outcome);
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(outcome);
+        drop(slot);
+        self.0.ready.notify_all();
+        true
+    }
+
+    /// Block until the batch is resolved and report what happened to it.
+    /// Repeated calls, on this ticket or a clone, return the same outcome.
+    pub fn wait(&self) -> BatchOutcome {
+        let slot = lock_ok(&self.0.outcome);
+        let slot =
+            self.0.ready.wait_while(slot, |o| o.is_none()).unwrap_or_else(|e| e.into_inner());
+        slot.clone().expect("wait_while returns once resolved")
+    }
+}
+
+/// A submitted batch travelling the queue to the writer. A job dropped
+/// unresolved — still queued when the supervisor gives up, or sent after it
+/// exited — resolves its ticket `Rejected`, so no waiter hangs.
 struct Job {
-    ticket: u64,
+    ticket: Ticket,
     /// Idempotency keys of the client requests merged into this batch;
     /// recorded in the WAL and the dedup window at publish.
     keys: Vec<u64>,
     batch: Vec<EdgeUpdate>,
 }
 
-/// Writer progress guarded by the publish barrier. `processed` counts every
-/// ticket the writer finished (applied *or* rejected); `generation` is the
-/// latest published generation (it starts at the recovered base on a durable
-/// server), so the two diverge exactly by base + rejections.
-#[derive(Debug, Clone, Copy, Default)]
-struct Progress {
-    processed: u64,
-    generation: u64,
-    exited: bool,
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.ticket.resolve(BatchOutcome::Rejected(
+            "stl-writer thread terminated before the batch was processed".into(),
+        ));
+    }
 }
 
-/// Rejection reasons of the most recent `cap` rejected tickets, plus the
-/// running arithmetic [`StlServer::wait_for`] needs to map an *applied*
-/// ticket to its sequence number without retaining anything per applied
-/// ticket: each entry stores the cumulative count of rejections at-or-before
-/// its ticket, so `seq = base + ticket − rejections_before(ticket)` is exact
-/// for any ticket not older than the whole retained window.
-struct RejectionWindow {
-    /// `(ticket, cumulative rejections ≤ ticket, reason)`, ticket-ascending.
-    entries: VecDeque<(u64, u64, Arc<str>)>,
-    cap: usize,
-    /// Rejections ever pushed (monotone; the cum of the newest entry).
-    total: u64,
-    /// Entries dropped to respect `cap`.
-    evicted: u64,
-}
-
-/// What [`RejectionWindow::resolve`] can say about a processed ticket.
-enum Resolution {
-    /// The ticket was rejected with this reason.
-    Rejected(Arc<str>),
-    /// The ticket was applied; this many earlier tickets were rejected.
-    Applied { rejected_before: u64 },
-    /// The ticket predates the retained window and reasons have been
-    /// evicted: it was applied or rejected, but which — and with what
-    /// sequence — is no longer resolvable.
-    AgedOut,
-}
-
-impl RejectionWindow {
-    fn new(cap: usize) -> Self {
-        Self { entries: VecDeque::new(), cap: cap.max(1), total: 0, evicted: 0 }
-    }
-
-    fn contains(&self, ticket: u64) -> bool {
-        self.entries.iter().any(|(t, _, _)| *t == ticket)
-    }
-
-    /// Record a rejection. Idempotent per ticket (the supervisor and the
-    /// writer can race to reject the same in-flight ticket). Returns how
-    /// many old reasons were evicted to make room.
-    fn push(&mut self, ticket: u64, reason: Arc<str>) -> u64 {
-        if self.contains(ticket) {
-            return 0;
-        }
-        self.total += 1;
-        self.entries.push_back((ticket, self.total, reason));
-        let mut dropped = 0;
-        while self.entries.len() > self.cap {
-            self.entries.pop_front();
-            self.evicted += 1;
-            dropped += 1;
-        }
-        dropped
-    }
-
-    fn resolve(&self, ticket: u64) -> Resolution {
-        for (t, cum, reason) in self.entries.iter().rev() {
-            if *t == ticket {
-                return Resolution::Rejected(Arc::clone(reason));
-            }
-            if *t < ticket {
-                // `cum` counts rejections ≤ *t; everything in (*t, ticket)
-                // was applied, so it is also the count strictly before
-                // `ticket` — exact even when older entries were evicted,
-                // because cum is cumulative since server start.
-                return Resolution::Applied { rejected_before: *cum };
-            }
-        }
-        if self.evicted == 0 {
-            Resolution::Applied { rejected_before: 0 }
-        } else {
-            Resolution::AgedOut
-        }
-    }
+/// The writer queue and its newest ticket, under one lock: `drain` waits on
+/// the batch that is last in queue order.
+struct Queue {
+    sender: Sender<Job>,
+    last: Option<Ticket>,
 }
 
 /// The durability half of the shared state: where checkpoints live and the
@@ -337,14 +242,13 @@ struct DurableShared {
     wal: Mutex<WalWriter>,
 }
 
-/// The batch the writer is processing right now, tracked so the supervisor
-/// can resolve it if the writer dies mid-flight: roll it back (annulling its
-/// WAL record) and reject, or — if the epoch was already published — finish
-/// its bookkeeping.
+/// The batch the writer is processing right now. It lives here, never only
+/// on the writer's stack, so after a writer death the supervisor is its one
+/// resolver: roll it back (annulling its WAL record) and reject, or — if
+/// the epoch was already published — finish its bookkeeping.
 struct InFlight {
-    ticket: u64,
+    job: Job,
     seq: u64,
-    keys: Vec<u64>,
     /// Byte offset of this batch's WAL record, once appended; truncating the
     /// log back to it annuls the record on rollback.
     wal_start: Option<u64>,
@@ -355,17 +259,11 @@ struct Shared {
     /// swap; readers clone the `Arc` out under the read half.
     current: RwLock<Arc<Snapshot>>,
     stats: StatsCells,
-    progress: Mutex<Progress>,
-    published: Condvar,
-    rejections: Mutex<RejectionWindow>,
     /// Idempotency keys → the sequence that applied them.
     dedup: Mutex<DedupWindow>,
     in_flight: Mutex<Option<InFlight>>,
     /// `Some` on servers started with [`StlServer::start_durable`].
     durable: Option<DurableShared>,
-    /// Generation the server booted at (0, or the recovered generation) —
-    /// the offset in the ticket → sequence arithmetic of `wait_for`.
-    base_generation: u64,
 }
 
 /// Epoch-snapshot query service over an [`Stl`] index.
@@ -377,12 +275,8 @@ struct Shared {
 /// joined in [`StlServer::shutdown`] (or on drop).
 pub struct StlServer {
     shared: Arc<Shared>,
-    /// Queue handle plus the ticket counter, under one lock: assigning a
-    /// ticket and enqueueing its batch must be atomic together, or channel
-    /// order could diverge from ticket order under concurrent submitters
-    /// (and `wait_for` would then report a not-yet-applied batch as
-    /// published). `None` after shutdown.
-    tx: Mutex<Option<(Sender<Job>, u64)>>,
+    /// `None` after shutdown.
+    tx: Mutex<Option<Queue>>,
     supervisor: Option<JoinHandle<()>>,
 }
 
@@ -436,17 +330,9 @@ impl StlServer {
         let shared = Arc::new(Shared {
             current: RwLock::new(first),
             stats: StatsCells::default(),
-            progress: Mutex::new(Progress {
-                processed: 0,
-                generation: base_generation,
-                exited: false,
-            }),
-            published: Condvar::new(),
-            rejections: Mutex::new(RejectionWindow::new(cfg.rejection_window)),
             dedup: Mutex::new(dedup),
             in_flight: Mutex::new(None),
             durable,
-            base_generation,
         });
         shared.stats.batches_applied.store(base_generation, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel::<Job>();
@@ -455,18 +341,8 @@ impl StlServer {
         let supervisor = std::thread::Builder::new()
             .name("stl-supervisor".into())
             .spawn(move || {
-                // Flag service exit (clean drain, or the supervisor giving
-                // up on a crash-looping writer) so `wait_for` never blocks
-                // forever. Lives at supervisor scope: a writer death that
-                // will be followed by a respawn must NOT look like exit.
-                struct ExitFlag(Arc<Shared>);
-                impl Drop for ExitFlag {
-                    fn drop(&mut self) {
-                        lock_ok(&self.0.progress).exited = true;
-                        self.0.published.notify_all();
-                    }
-                }
-                let _flag = ExitFlag(Arc::clone(&sup_shared));
+                // Returning drops the queue's receiver, and with it every
+                // job still queued: their drop guards reject them.
                 let mut restarts = 0u32;
                 loop {
                     // The writer's working state is (re)derived from the
@@ -508,15 +384,16 @@ impl StlServer {
                 }
             })
             .expect("spawn stl-supervisor thread");
-        Self { shared, tx: Mutex::new(Some((tx, 0))), supervisor: Some(supervisor) }
+        let queue = Queue { sender: tx, last: None };
+        Self { shared, tx: Mutex::new(Some(queue)), supervisor: Some(supervisor) }
     }
 
     /// Enqueue a batch of edge-weight updates for the writer thread.
     ///
-    /// Returns immediately. The writer validates the batch against the graph
-    /// before applying it: a valid batch is applied and published (visible
-    /// to readers once [`StlServer::wait_for`] returns
-    /// [`BatchOutcome::Applied`] for the ticket), an invalid one is dropped
+    /// Returns the batch's [`Ticket`] immediately. The writer validates the
+    /// batch against the graph before applying it: a valid batch is applied
+    /// and published (visible to readers once [`Ticket::wait`] returns
+    /// [`BatchOutcome::Applied`]), an invalid one is dropped
     /// whole with [`BatchOutcome::Rejected`] — the writer stays alive and
     /// later submissions are unaffected. Panics only if called after
     /// [`StlServer::shutdown`] (unreachable through the owned API).
@@ -529,16 +406,16 @@ impl StlServer {
     /// the batch's WAL record and checkpoint, so [`StlServer::dedup_lookup`]
     /// keeps answering across restarts.
     pub fn submit_with_keys(&self, keys: Vec<u64>, batch: Vec<EdgeUpdate>) -> Ticket {
+        let ticket = Ticket::pending();
         let mut tx = lock_ok(&self.tx);
-        let (sender, count) = tx.as_mut().expect("server already shut down");
-        *count += 1;
-        let ticket = *count;
+        let queue = tx.as_mut().expect("server already shut down");
         // A failed send means the supervisor gave up (an internal bug or an
-        // exhausted restart budget — bad input is rejected, not fatal).
-        // Still hand out the ticket: wait_for reports the death as a
-        // Rejected outcome instead of panicking here.
-        let _ = sender.send(Job { ticket, keys, batch });
-        Ticket(ticket)
+        // exhausted restart budget — bad input is rejected, not fatal). The
+        // returned job's drop guard rejects the ticket instead of panicking
+        // here.
+        let _ = queue.sender.send(Job { ticket: ticket.clone(), keys, batch });
+        queue.last = Some(ticket.clone());
+        ticket
     }
 
     /// The sequence number that already applied idempotency key `key`, if it
@@ -553,45 +430,21 @@ impl StlServer {
         hit
     }
 
-    /// Block until the writer has processed the batch behind `ticket`, and
-    /// report what happened to it.
-    ///
-    /// Never panics: a batch that failed validation — or one in flight when
-    /// the writer died — is reported as [`BatchOutcome::Rejected`] with the
-    /// reason, and the server keeps answering queries either way. Rejection
-    /// reasons are retained for the most recent
-    /// [`ServerConfig::rejection_window`] rejections; a ticket that predates
-    /// the whole retained window after evictions resolves as
-    /// `Applied { seq: 0 }` (sequence unknown). Waiting promptly — as every
-    /// caller in this workspace does — always observes the exact outcome.
+    /// [`Ticket::wait`]: block until the batch behind `ticket` is resolved
+    /// and report what happened to it. Never panics: a batch that failed
+    /// validation — or one in flight when the writer died — is reported as
+    /// [`BatchOutcome::Rejected`] with the reason.
     pub fn wait_for(&self, ticket: Ticket) -> BatchOutcome {
-        let guard = lock_ok(&self.shared.progress);
-        let guard = self
-            .shared
-            .published
-            .wait_while(guard, |p| p.processed < ticket.0 && !p.exited)
-            .unwrap_or_else(|e| e.into_inner());
-        if guard.processed < ticket.0 {
-            return BatchOutcome::Rejected(format!(
-                "stl-writer thread terminated before ticket {} (processed {})",
-                ticket.0, guard.processed
-            ));
-        }
-        drop(guard);
-        match lock_ok(&self.shared.rejections).resolve(ticket.0) {
-            Resolution::Rejected(reason) => BatchOutcome::Rejected(reason.to_string()),
-            Resolution::Applied { rejected_before } => BatchOutcome::Applied {
-                seq: self.shared.base_generation + ticket.0 - rejected_before,
-            },
-            Resolution::AgedOut => BatchOutcome::Applied { seq: 0 },
-        }
+        ticket.wait()
     }
 
     /// Block until everything submitted so far has been processed (applied
     /// and published, or rejected).
     pub fn drain(&self) {
-        let count = lock_ok(&self.tx).as_ref().expect("server already shut down").1;
-        self.wait_for(Ticket(count));
+        let last = lock_ok(&self.tx).as_ref().expect("server already shut down").last.clone();
+        if let Some(ticket) = last {
+            ticket.wait();
+        }
     }
 
     /// Clone out the latest published epoch. O(1); never blocks the writer
@@ -618,7 +471,7 @@ impl StlServer {
     /// tickets consume no generation. On a durable server this starts at the
     /// recovered generation, not 0.
     pub fn generation(&self) -> u64 {
-        lock_ok(&self.shared.progress).generation
+        read_ok(&self.shared.current).generation()
     }
 
     /// Count a batch rejected before it reached the writer (the adaptive
@@ -659,20 +512,20 @@ impl Drop for StlServer {
     }
 }
 
-/// Reject `ticket` with `reason`: count it, retain the reason, advance
-/// progress, and clear the in-flight slot.
-fn reject(shared: &Shared, ticket: u64, reason: String) {
-    let stats = &shared.stats;
-    stats.batches_rejected.fetch_add(1, Ordering::Relaxed);
-    let evicted = lock_ok(&shared.rejections).push(ticket, reason.into());
-    if evicted > 0 {
-        stats.rejection_reasons_evicted.fetch_add(evicted, Ordering::Relaxed);
+/// Resolve the in-flight batch to `outcome` and clear the slot.
+fn settle(shared: &Shared, outcome: BatchOutcome) {
+    if let Some(inf) = lock_ok(&shared.in_flight).take() {
+        resolve(shared, &inf.job.ticket, outcome);
     }
-    let mut p = lock_ok(&shared.progress);
-    p.processed = p.processed.max(ticket);
-    drop(p);
-    shared.published.notify_all();
-    *lock_ok(&shared.in_flight) = None;
+}
+
+/// Resolve `ticket` to `outcome`; a rejection is counted only by the resolve
+/// that wins.
+fn resolve(shared: &Shared, ticket: &Ticket, outcome: BatchOutcome) {
+    let rejected = !outcome.is_applied();
+    if ticket.resolve(outcome) && rejected {
+        shared.stats.batches_rejected.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Supervisor-side cleanup after a writer death: decide what happened to the
@@ -680,22 +533,23 @@ fn reject(shared: &Shared, ticket: u64, reason: String) {
 ///
 /// The publish pointer swap is the commit point. If the dead writer got past
 /// it (`published ≥ seq`), the batch **landed** — finish its bookkeeping
-/// (dedup keys, applied counter) idempotently. If not, the batch is **rolled
-/// back**: its WAL record (appended before apply) is annulled by truncation
-/// so a crash right after the restart cannot replay a batch that was
-/// reported `Rejected`, and the ticket resolves `Rejected("writer
-/// restarted")`.
-fn resolve_orphan(shared: &Arc<Shared>) {
+/// (dedup keys, applied counter) idempotently and resolve it `Applied`. If
+/// not, the batch is **rolled back**: its WAL record (appended before apply)
+/// is annulled by truncation so a crash right after the restart cannot
+/// replay a batch that was reported `Rejected`, and the ticket resolves
+/// `Rejected("writer restarted")`.
+fn resolve_orphan(shared: &Shared) {
     let Some(inf) = lock_ok(&shared.in_flight).take() else { return };
     let published = read_ok(&shared.current).generation();
-    if published >= inf.seq {
-        if !inf.keys.is_empty() {
+    let outcome = if published >= inf.seq {
+        if !inf.job.keys.is_empty() {
             let mut dedup = lock_ok(&shared.dedup);
-            for k in &inf.keys {
+            for k in &inf.job.keys {
                 dedup.insert(*k, inf.seq);
             }
         }
         shared.stats.batches_applied.store(published, Ordering::Relaxed);
+        BatchOutcome::Applied { seq: inf.seq }
     } else {
         if let (Some(d), Some(start)) = (&shared.durable, inf.wal_start) {
             let mut wal = lock_ok(&d.wal);
@@ -703,20 +557,9 @@ fn resolve_orphan(shared: &Arc<Shared>) {
                 eprintln!("stl-server: failed to annul wal record {}: {e}", inf.seq);
             }
         }
-        let mut rejections = lock_ok(&shared.rejections);
-        if !rejections.contains(inf.ticket) {
-            shared.stats.batches_rejected.fetch_add(1, Ordering::Relaxed);
-            let evicted = rejections.push(inf.ticket, "writer restarted".into());
-            if evicted > 0 {
-                shared.stats.rejection_reasons_evicted.fetch_add(evicted, Ordering::Relaxed);
-            }
-        }
-    }
-    let mut p = lock_ok(&shared.progress);
-    p.processed = p.processed.max(inf.ticket);
-    p.generation = p.generation.max(published);
-    drop(p);
-    shared.published.notify_all();
+        BatchOutcome::Rejected("writer restarted".into())
+    };
+    resolve(shared, &inf.job.ticket, outcome);
 }
 
 /// Checkpoint the served world and reset the WAL. Failure is logged, not
@@ -766,28 +609,29 @@ fn writer_loop(
     // Held for the writer's whole life: exactly one writer drains the queue
     // at a time, and a respawned writer takes over atomically.
     let rx = lock_ok(rx);
-    while let Ok(Job { ticket, keys, batch }) = rx.recv() {
+    while let Ok(mut job) = rx.recv() {
         let stats = &shared.stats;
+        let batch = std::mem::take(&mut job.batch);
+        let keys = job.keys.clone();
         stats.updates_submitted.fetch_add(batch.len() as u64, Ordering::Relaxed);
         // The sequence this batch will publish as, fixed before any
         // fallible step so the supervisor can tell "landed" from "rolled
         // back" by comparing it with the published generation.
         let seq = generation + 1;
-        *lock_ok(&shared.in_flight) =
-            Some(InFlight { ticket, seq, keys: keys.clone(), wal_start: None });
+        *lock_ok(&shared.in_flight) = Some(InFlight { job, seq, wal_start: None });
         // The bugfix that makes remote serving survivable: a bad update
         // used to kill the writer (apply_batch's panic contract), turning
         // one malformed client batch into a total outage. Validate first;
         // reject without mutating — and without logging: the WAL holds only
         // accepted batches.
         if let Err(reason) = validate_batch(&graph, &batch) {
-            reject(shared, ticket, reason);
+            settle(shared, BatchOutcome::Rejected(reason));
             continue;
         }
         // Log before apply: once the record is (policy-permitting) synced,
         // a crash at any later point replays the batch instead of losing
-        // it. The acknowledgement (wait_for observing `processed`) happens
-        // only after publish, so under `fsync=always` no acknowledged batch
+        // it. The acknowledgement (resolving the ticket) happens only after
+        // publish, so under `fsync=always` no acknowledged batch
         // can be lost.
         if let Some(d) = &shared.durable {
             let mut wal = lock_ok(&d.wal);
@@ -810,7 +654,10 @@ fn writer_loop(
                             // as not accepted: annul the record and reject.
                             let _ = wal.truncate_to(start);
                             drop(wal);
-                            reject(shared, ticket, format!("wal fsync failed: {e}"));
+                            settle(
+                                shared,
+                                BatchOutcome::Rejected(format!("wal fsync failed: {e}")),
+                            );
                             continue;
                         }
                     }
@@ -821,7 +668,7 @@ fn writer_loop(
                     let len = wal.len();
                     let _ = wal.truncate_to(len);
                     drop(wal);
-                    reject(shared, ticket, format!("wal append failed: {e}"));
+                    settle(shared, BatchOutcome::Rejected(format!("wal append failed: {e}")));
                     continue;
                 }
             }
@@ -855,8 +702,8 @@ fn writer_loop(
         // Publish: O(touched) — the clone below copies only the Arc chunk
         // tables; every byte not written by this batch is shared with the
         // previous epoch. Every *valid* batch publishes — even one
-        // normalised away to a no-op — so applied tickets always resolve to
-        // a sequence number.
+        // normalised away to a no-op — so an applied ticket always carries
+        // the sequence it published.
         generation = seq;
         let t_pub = Instant::now();
         let snap = Arc::new(Snapshot::new(generation, graph.clone(), stl.clone()));
@@ -877,13 +724,8 @@ fn writer_loop(
                 dedup.insert(*k, seq);
             }
         }
-        let mut p = lock_ok(&shared.progress);
-        p.processed = p.processed.max(ticket);
-        p.generation = p.generation.max(generation);
-        drop(p);
-        shared.published.notify_all();
+        settle(shared, BatchOutcome::Applied { seq });
         drop(retired);
-        *lock_ok(&shared.in_flight) = None;
         if checkpoint_due {
             do_checkpoint(shared, &graph, &stl, generation);
         }
@@ -960,8 +802,9 @@ mod tests {
         let t1 = server.submit(vec![EdgeUpdate::new(1, 2, 40)]);
         let t2 = server.submit(vec![EdgeUpdate::new(1, 2, 4)]);
         let t3 = server.submit(vec![EdgeUpdate::new(0, 3, 2)]);
-        assert!((t1, t2, t3) < (t2, t3, Ticket(4)));
-        server.wait_for(t3);
+        assert_eq!(server.wait_for(t3), BatchOutcome::Applied { seq: 3 });
+        assert_eq!(server.wait_for(t1), BatchOutcome::Applied { seq: 1 });
+        assert_eq!(server.wait_for(t2), BatchOutcome::Applied { seq: 2 });
         let snap = server.snapshot();
         assert_eq!(snap.generation(), 3);
         assert_eq!(snap.query(0, 3), 2);
@@ -973,8 +816,7 @@ mod tests {
 
     #[test]
     fn applied_outcome_carries_the_publish_seq() {
-        // Sequence numbers are generations: rejections consume none, so the
-        // ticket → seq mapping shifts by exactly the rejections before it.
+        // Sequence numbers are generations: rejections consume none.
         let g = diamond();
         let server = start(&g);
         let t1 = server.submit(vec![EdgeUpdate::new(1, 2, 7)]); // valid -> seq 1
@@ -1145,26 +987,6 @@ mod tests {
         assert!(stats.trees_skipped_total > 0, "single-edge batches must skip most stable trees");
     }
 
-    /// [`ServerConfig::from_vars`] over a fixed set of variables — no
-    /// process-global environment involved, so tests cannot race.
-    fn config_from(vars: &[(&str, &str)]) -> Result<ServerConfig, String> {
-        ServerConfig::from_vars(|key| {
-            vars.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string())
-        })
-    }
-
-    #[test]
-    fn config_from_env_overrides_durability_windows() {
-        let cfg = config_from(&[("STL_REJECTION_WINDOW", "7"), ("STL_DEDUP_WINDOW", "0")]).unwrap();
-        assert_eq!(cfg.rejection_window, 7);
-        assert_eq!(cfg.dedup_window, 0, "0 must be accepted (disables dedup)");
-        let err = config_from(&[("STL_REJECTION_WINDOW", "0")]).unwrap_err();
-        assert!(err.contains("at least 1"), "zero-deep rejection window must error: {err}");
-        // Malformed values are errors, not silent defaults.
-        let err = config_from(&[("STL_DEDUP_WINDOW", "not a number")]).unwrap_err();
-        assert!(err.contains("STL_DEDUP_WINDOW"), "error must name the variable: {err}");
-    }
-
     #[test]
     fn rejected_batch_leaves_server_serving() {
         // The regression this PR exists for: a batch with a nonexistent edge
@@ -1210,17 +1032,17 @@ mod tests {
 
     #[test]
     fn rejections_interleave_with_applies() {
-        // Tickets and generations diverge by exactly the rejections, and
-        // every ticket reports its own outcome.
+        // Every ticket reports its own outcome; rejections consume no
+        // generation.
         let g = diamond();
         let server = start(&g);
         let t1 = server.submit(vec![EdgeUpdate::new(1, 2, 7)]); // valid
         let t2 = server.submit(vec![EdgeUpdate::new(1, 3, 7)]); // no such edge
         let t3 = server.submit(vec![EdgeUpdate::new(2, 3, 9)]); // valid
         assert_eq!(server.wait_for(t1), BatchOutcome::Applied { seq: 1 });
-        assert!(!server.wait_for(t2).is_applied());
+        assert!(!server.wait_for(t2.clone()).is_applied());
         assert_eq!(server.wait_for(t3), BatchOutcome::Applied { seq: 2 });
-        // Re-reading an outcome is stable (the window retains it).
+        // Re-reading an outcome is stable.
         assert!(!server.wait_for(t2).is_applied());
         assert_eq!(server.generation(), 2);
         let stats = server.shutdown();
@@ -1230,33 +1052,31 @@ mod tests {
     }
 
     #[test]
-    fn rejection_window_evicts_and_ages_out_to_ambiguous_applied() {
-        // With a 2-deep window, the third rejection evicts the first
-        // reason: the evicted ticket resolves to the documented ambiguous
-        // Applied { seq: 0 }, the eviction is counted, and retained tickets
-        // still resolve exactly.
+    fn every_ticket_keeps_its_own_outcome() {
+        // However many rejections follow it, a rejected batch reports its
+        // own reason, and the next valid batch takes sequence 1.
         let g = diamond();
-        let stl = Stl::build(&g, &StlConfig::default());
-        let server = StlServer::start(
-            g.clone(),
-            stl,
-            ServerConfig { rejection_window: 2, ..Default::default() },
-        );
+        let server = start(&g);
         let bad = || vec![EdgeUpdate::new(1, 3, 7)]; // no such edge
         let t1 = server.submit(bad());
-        let t2 = server.submit(bad());
-        let t3 = server.submit(bad());
-        let t4 = server.submit(vec![EdgeUpdate::new(0, 1, 9)]); // valid -> seq 1
-        server.wait_for(t4);
-        assert!(!server.wait_for(t2).is_applied());
-        assert!(!server.wait_for(t3).is_applied());
-        // t1's reason aged out: absent ⇒ Applied, with the unknown-seq marker.
-        assert_eq!(server.wait_for(t1), BatchOutcome::Applied { seq: 0 });
-        // t4 is after retained rejections, so its seq is exact.
-        assert_eq!(server.wait_for(t4), BatchOutcome::Applied { seq: 1 });
+        for _ in 0..1100 {
+            server.submit(bad());
+        }
+        let good = server.submit(vec![EdgeUpdate::new(0, 1, 9)]);
+        assert_eq!(server.wait_for(good.clone()), BatchOutcome::Applied { seq: 1 });
+        let first = server.wait_for(t1.clone());
+        match &first {
+            BatchOutcome::Rejected(reason) => {
+                assert!(reason.contains("no edge between 1 and 3"), "got: {reason}");
+            }
+            BatchOutcome::Applied { .. } => panic!("a rejected batch must stay rejected"),
+        }
+        // Waiting again on a clone returns the same outcome.
+        assert_eq!(server.wait_for(t1), first);
+        assert_eq!(server.wait_for(good), BatchOutcome::Applied { seq: 1 });
         let stats = server.shutdown();
-        assert_eq!(stats.rejection_reasons_evicted, 1);
-        assert_eq!(stats.batches_rejected, 3);
+        assert_eq!(stats.batches_rejected, 1101);
+        assert_eq!(stats.batches_applied, 1);
     }
 
     #[test]

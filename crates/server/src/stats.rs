@@ -42,8 +42,8 @@ pub struct ServerStats {
     pub repair_shard_ns_sum_last: u64,
     /// Stable trees that received repair work, summed over all batches.
     pub trees_touched_total: u64,
-    /// Stable trees skipped by batch pre-grouping before any search
-    /// started, summed over all batches.
+    /// Stable trees a batch's repair never scanned (each update reaches at
+    /// most the spine and its owning tree), summed over all batches.
     pub trees_skipped_total: u64,
     /// Always 0: epoch compaction is gone. Stays only because the frozen
     /// benchmark harness reads it — delete with the next `[benchmark]`
@@ -77,10 +77,6 @@ pub struct ServerStats {
     /// Idempotent-update lookups that hit the dedup window — each one a
     /// retry acknowledged without re-applying.
     pub dedup_hits: u64,
-    /// Rejection reasons evicted from the bounded window
-    /// ([`crate::ServerConfig::rejection_window`]); while this is 0, every
-    /// ticket resolves its exact outcome.
-    pub rejection_reasons_evicted: u64,
 }
 
 impl ServerStats {
@@ -105,8 +101,7 @@ impl std::fmt::Display for ServerStats {
              {} shards (slowest {:.1} us of {:.1} us total) | \
              trees touched/skipped {}/{} | \
              wal {} appended / {} fsyncs / {} replayed{} | \
-             {} checkpoints | {} writer restarts | {} dedup hits | \
-             {} reasons evicted",
+             {} checkpoints | {} writer restarts | {} dedup hits",
             self.batches_applied,
             self.queries_served,
             self.updates_submitted,
@@ -129,7 +124,6 @@ impl std::fmt::Display for ServerStats {
             self.checkpoints_written,
             self.writer_restarts,
             self.dedup_hits,
-            self.rejection_reasons_evicted,
         )
     }
 }
@@ -159,7 +153,6 @@ pub(crate) struct StatsCells {
     pub checkpoints_written: AtomicU64,
     pub writer_restarts: AtomicU64,
     pub dedup_hits: AtomicU64,
-    pub rejection_reasons_evicted: AtomicU64,
 }
 
 impl StatsCells {
@@ -188,7 +181,6 @@ impl StatsCells {
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             writer_restarts: self.writer_restarts.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            rejection_reasons_evicted: self.rejection_reasons_evicted.load(Ordering::Relaxed),
         }
     }
 }

@@ -700,23 +700,6 @@ impl NetClient {
         Ok(Self { conn, peer: endpoint.clone() })
     }
 
-    /// Connect under `policy`: up to [`RetryPolicy::max_attempts`] tries with
-    /// jittered exponential backoff between them. The error of the last
-    /// attempt is returned if every try fails.
-    pub fn connect_with(endpoint: &Endpoint, mut policy: RetryPolicy) -> io::Result<Self> {
-        let mut attempt = 0u32;
-        loop {
-            match Self::connect(endpoint) {
-                Ok(c) => return Ok(c),
-                Err(e) if attempt + 1 >= policy.max_attempts => return Err(e),
-                Err(_) => {
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
     /// Connect with retries until `timeout` elapses — for racing a server
     /// that is still binding (CI smoke tests, freshly spawned processes).
     /// Backoff follows a default [`RetryPolicy`] schedule re-armed until the

@@ -63,13 +63,8 @@ fn readers_never_observe_unpublished_state() {
         oracle.push(pool.iter().map(|&(s, t)| dijkstra::distance(&g, s, t)).collect());
     }
 
-    // The default (Pareto) writer, with any `STL_*` overrides from the
-    // environment (e.g. a dedup window sized for a local run).
-    let server = StlServer::start(
-        g0,
-        stl0,
-        ServerConfig::from_env().expect("env-driven server config must parse"),
-    );
+    // The default (Pareto) writer.
+    let server = StlServer::start(g0, stl0, ServerConfig::default());
     let stop = AtomicBool::new(false);
     let violations: Vec<String> = std::thread::scope(|scope| {
         let stop = &stop;

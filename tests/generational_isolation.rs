@@ -70,12 +70,8 @@ fn pinned_epochs_survive_later_batches_unchanged() {
         oracle.push(pool.iter().map(|&(s, t)| dijkstra::distance(&g, s, t)).collect());
     }
 
-    // The default writer, with any `STL_*` overrides from the environment.
-    let server = StlServer::start(
-        g0,
-        stl0,
-        ServerConfig::from_env().expect("env-driven server config must parse"),
-    );
+    // The default writer.
+    let server = StlServer::start(g0, stl0, ServerConfig::default());
     let stop = AtomicBool::new(false);
     let pinned: Vec<Arc<Snapshot>> = std::thread::scope(|scope| {
         let stop = &stop;
