@@ -15,7 +15,8 @@
 //! `cargo bench --bench repair -- --test` runs exactly these legs plus one
 //! pass of each bench body; CI's release stage invokes it that way and,
 //! with `BENCH_SUMMARY_PATH` set, collects per-bench medians, each stream's
-//! pop and label-write counters and the ratios into the `BENCH_*.json`
+//! pop and label-write counters, its searches per normalised update (2 for
+//! Pareto Search, one per endpoint) and the ratios into the `BENCH_*.json`
 //! perf trajectory.
 //!
 //! Registered on the workspace root (like `throughput` and `publish`), so
@@ -140,6 +141,10 @@ fn bench_repair(c: &mut Criterion) {
             summary::counter(
                 format!("{family}_{scenario}_label_writes"),
                 gate_stats.label_writes as f64,
+            );
+            summary::counter(
+                format!("{family}_{scenario}_searches"),
+                gate_stats.searches as f64 / gate_stats.updates as f64,
             );
             let ratio = batch_over_singles(&g0, &stl0, &batches, algo);
             println!("{family}/{scenario}: batch ÷ singles total time {ratio:.3}");

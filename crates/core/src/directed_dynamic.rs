@@ -15,8 +15,8 @@
 //!
 //! A batch is normalised on the **ordered** arc `(a, b)`, so updates to the
 //! two directions of a road never collapse into one, and then repaired one
-//! update at a time in batch order, each family in the work units the
-//! update reaches (`crate::shard`). A batch is exactly its normalised
+//! update at a time in batch order, each family in one pass over every
+//! ancestor of the arc's lower endpoint. A batch is exactly its normalised
 //! updates applied one by one.
 
 use stl_graph::{DiGraph, EdgeUpdate};
@@ -24,7 +24,7 @@ use stl_graph::{DiGraph, EdgeUpdate};
 use crate::directed::{DirectedStl, Oriented};
 use crate::engine::UpdateEngine;
 use crate::label_search;
-use crate::shard::{normalise_batch, units_of};
+use crate::shard::normalise_batch;
 use crate::types::UpdateStats;
 
 impl DirectedStl {
@@ -44,6 +44,8 @@ impl DirectedStl {
         eng: &mut UpdateEngine,
     ) -> UpdateStats {
         const NORMALISED: &str = "normalised updates target existing arcs";
+        // Every ancestor index is repaired: no directed deployment shards.
+        const ALL: u32 = u32::MAX;
         eng.ensure_capacity(dg.num_vertices());
         let updates = normalise_batch(updates, true, |a, b| dg.arc_weight(a, b));
         let mut stats = UpdateStats { updates: updates.len() as u64, ..Default::default() };
@@ -51,43 +53,36 @@ impl DirectedStl {
         // Family `f`: 0 is `down`, searched along out-arcs; 1 is `up`,
         // searched along in-arcs.
         let mut writers = [down.phase_writer(), up.phase_writer()];
-        let mut steps = Vec::with_capacity(4);
         for &u in &updates {
-            steps.clear();
-            for f in 0..2 {
-                steps.extend(units_of(hier, u, None).map(|shard| (f, shard)));
-            }
             let pairs = [[(u.a, u.b)], [(u.b, u.a)]];
             let w_old = dg.arc_weight(u.a, u.b).expect(NORMALISED);
             if u.new_weight < w_old {
-                // A decrease: apply the weight, then search each family's units.
+                // A decrease: apply the weight, then search each family.
                 dg.set_arc_weight(u.a, u.b, u.new_weight).expect(NORMALISED);
-                for &(f, shard) in &steps {
+                for (f, labels) in writers.iter_mut().enumerate() {
                     let g = Oriented { dg, forward: f == 0 };
-                    let mut view = writers[f].shard_view(hier, shard, false);
-                    label_search::seed_decrease(hier, &view, &pairs[f], u.new_weight, eng);
-                    label_search::run_decrease_searches(hier, &mut view, &g, eng, &mut stats);
+                    label_search::seed_decrease(hier, labels, &pairs[f], u.new_weight, ALL, eng);
+                    label_search::run_decrease_searches(hier, labels, &g, eng, &mut stats);
                 }
                 continue;
             }
-            // An increase: identify every family's affected entries on the
+            // An increase: identify both families' affected entries on the
             // old weight, apply the weight, then repair them. The engine
             // buffer holds the identifications back to back.
             eng.aff_per_r.clear();
-            let mut ends = [0; 4];
-            for (&(f, shard), end) in steps.iter().zip(&mut ends) {
+            let mut ends = [0; 2];
+            for (f, end) in ends.iter_mut().enumerate() {
                 let g = Oriented { dg, forward: f == 0 };
-                let view = writers[f].shard_view(hier, shard, false);
-                label_search::seed_increase(hier, &view, &pairs[f], w_old, eng);
-                label_search::collect_affected(hier, &view, &g, eng, &mut stats);
+                label_search::seed_increase(hier, &writers[f], &pairs[f], w_old, ALL, eng);
+                label_search::collect_affected(hier, &writers[f], &g, eng, &mut stats);
                 *end = eng.aff_per_r.len();
             }
             dg.set_arc_weight(u.a, u.b, u.new_weight).expect(NORMALISED);
             let mut start = 0;
-            for (&(f, shard), &end) in steps.iter().zip(&ends) {
+            for (f, labels) in writers.iter_mut().enumerate() {
                 let (g, rev) = (Oriented { dg, forward: f == 0 }, Oriented { dg, forward: f != 0 });
-                let mut view = writers[f].shard_view(hier, shard, false);
-                label_search::run_repairs(hier, &mut view, &g, &rev, start..end, eng, &mut stats);
+                let end = ends[f];
+                label_search::run_repairs(hier, labels, &g, &rev, start..end, eng, &mut stats);
                 start = end;
             }
         }

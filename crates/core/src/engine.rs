@@ -19,7 +19,7 @@ use stl_pathfinding::TimestampedArray;
 /// ties** — the tie-break that makes Pareto-optimal tuples surface before
 /// dominated ones (§5.2 "Proposed Algorithm").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParetoItem {
+pub(crate) struct ParetoItem {
     /// Path length from the search start (includes the updated edge).
     pub d: Dist,
     /// Highest candidate ancestor index (path-validity cap).

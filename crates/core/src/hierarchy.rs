@@ -25,17 +25,17 @@ use crate::types::StlConfig;
 
 const NO_NODE: u32 = u32::MAX;
 
-/// Tree depth at which the hierarchy is cut into **repair shards**: every
-/// subtree rooted at this depth (or a leaf above it) becomes one shard, and
-/// the nodes above form the shared *spine* (shard [`SPINE_SHARD`]). Depth 6
-/// yields up to 64 subtree shards — comfortably more than available
-/// hardware parallelism — while keeping the spine a tiny fraction of the
-/// cut vertices on balanced hierarchies.
-pub const SHARD_DEPTH: u32 = 6;
+/// Tree depth at which the hierarchy is cut into **stable trees** (repair
+/// shards): every subtree rooted at this depth (or a leaf above it) becomes
+/// one shard, and the nodes above form the shared *spine* (shard
+/// [`SPINE_SHARD`]). A shard is the unit a shard worker owns and the batch
+/// counters count (`UpdateStats::trees_touched`). Depth 6 yields up to 64
+/// subtree shards while keeping the spine a tiny fraction of the cut
+/// vertices on balanced hierarchies.
+pub(crate) const SHARD_DEPTH: u32 = 6;
 
-/// Shard id of the spine (cut vertices above [`SHARD_DEPTH`]). Spine
-/// ancestors are few but their searches range over whole subtrees; they are
-/// scheduled as their own work unit.
+/// Shard id of the spine (cut vertices above `SHARD_DEPTH`). Every root
+/// path crosses the spine, so every shard worker repairs its entries.
 pub const SPINE_SHARD: u32 = 0;
 
 /// An immutable stable tree hierarchy over a graph's vertices.
@@ -451,13 +451,17 @@ impl Hierarchy {
     /// as `(ancestor_vertex, τ(ancestor))`.
     #[inline]
     pub fn for_each_ancestor_inclusive(&self, v: VertexId, f: impl FnMut(VertexId, u32)) {
-        self.walk_ancestors(v, None, f)
+        self.for_each_ancestor_below(v, u32::MAX, f)
     }
 
-    /// The one ancestor walker behind both public enumerations — the shard
-    /// filter must never drift from the unfiltered walk: over all shards it
-    /// visits exactly the inclusive ancestor set, or repair misses ancestors.
-    fn walk_ancestors(&self, v: VertexId, shard: Option<u32>, mut f: impl FnMut(VertexId, u32)) {
+    /// [`Hierarchy::for_each_ancestor_inclusive`] cut to the ancestors with
+    /// `τ < limit`: the ones a repair bounded by `limit` seeds.
+    pub(crate) fn for_each_ancestor_below(
+        &self,
+        v: VertexId,
+        limit: u32,
+        mut f: impl FnMut(VertexId, u32),
+    ) {
         // Collect root path of ℓ(v).
         let mut path = [0u32; 128];
         let mut len = 0usize;
@@ -471,23 +475,11 @@ impl Hierarchy {
             }
             node = p;
         }
-        let tv = self.tau[v as usize];
-        for i in (0..len).rev() {
-            let nd = path[i];
-            if let Some(s) = shard {
-                if self.node_shard[nd as usize] != s {
-                    // Spine nodes form the path prefix and subtree-shard
-                    // nodes the suffix: the first non-spine node ends the
-                    // spine walk.
-                    if s == SPINE_SHARD {
-                        return;
-                    }
-                    continue;
-                }
-            }
+        let end = limit.min(self.tau[v as usize] + 1);
+        for &nd in path[..len].iter().rev() {
             let t0 = self.node_anc_offset[nd as usize];
             for (t, &r) in (t0..).zip(self.cut(nd)) {
-                if t > tv {
+                if t >= end {
                     return;
                 }
                 f(r, t);
@@ -505,8 +497,8 @@ impl Hierarchy {
     }
 
     /// Repair shard owning a tree node.
-    #[inline]
-    pub fn shard_of_node(&self, node: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn shard_of_node(&self, node: u32) -> u32 {
         self.node_shard[node as usize]
     }
 
@@ -526,10 +518,10 @@ impl Hierarchy {
         self.tree_of(anchor)
     }
 
-    /// Whether any spine node owns cut vertices — iff true, every batch has
-    /// a spine work unit (all root paths cross the spine).
+    /// Whether any spine node owns cut vertices — iff false, no vertex and
+    /// no edge is owned by the spine.
     #[inline]
-    pub fn spine_has_cuts(&self) -> bool {
+    pub(crate) fn spine_has_cuts(&self) -> bool {
         self.spine_has_cuts
     }
 
@@ -538,30 +530,17 @@ impl Hierarchy {
     /// exactly into the spine-owned prefix `[0, start)` and the shard-owned
     /// suffix `[start, τ(v)]` — shards are connected subtrees, so the spine
     /// nodes on `v`'s root path are precisely the path from the root to the
-    /// shard's root node. This is the boundary at which the Pareto drivers
-    /// clamp validity intervals. Returns 0 for [`SPINE_SHARD`].
+    /// shard's root node. A repair of an update whose tree a shard worker
+    /// does not own stops at this index. Returns 0 for [`SPINE_SHARD`].
     #[inline]
-    pub fn shard_anc_start(&self, shard: u32) -> u32 {
+    pub(crate) fn shard_anc_start(&self, shard: u32) -> u32 {
         self.shard_anc_start[shard as usize]
     }
 
-    /// Like [`Hierarchy::for_each_ancestor_inclusive`], but visits only the
-    /// ancestors owned by `shard`. Over all shards the visits partition the
-    /// inclusive ancestor set exactly.
-    #[inline]
-    pub fn for_each_ancestor_in_shard(
-        &self,
-        v: VertexId,
-        shard: u32,
-        f: impl FnMut(VertexId, u32),
-    ) {
-        self.walk_ancestors(v, Some(shard), f)
-    }
-
     /// Repair shard owning label entry `L(v)[i]` — the shard of the `i`-th
-    /// inclusive ancestor of `v`. Walks the root path (debug assertions and
-    /// property tests; not a hot path).
-    pub fn shard_of_entry(&self, v: VertexId, i: u32) -> u32 {
+    /// inclusive ancestor of `v`. Walks the root path.
+    #[cfg(test)]
+    pub(crate) fn shard_of_entry(&self, v: VertexId, i: u32) -> u32 {
         debug_assert!(i <= self.tau[v as usize], "entry {i} out of range for vertex {v}");
         let mut node = self.node_of[v as usize];
         loop {
@@ -808,21 +787,26 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_ancestor_visits() {
-        // Union over shards of for_each_ancestor_in_shard must equal the
-        // inclusive ancestor enumeration, per vertex, in τ order per shard.
+    fn ancestor_walk_below_a_limit_is_a_prefix() {
+        // The walk cut at `limit` visits exactly the inclusive ancestors
+        // with τ < limit, in τ order; at the vertex's own tree boundary
+        // those are its spine-owned ancestors.
         let g = grid(10);
         let h = Hierarchy::build(&g, &StlConfig { leaf_size: 2, ..Default::default() });
         assert!(h.num_shards() >= 2, "tree must split into several shards");
         for v in 0..h.num_vertices() as VertexId {
             let mut full = Vec::new();
             h.for_each_ancestor_inclusive(v, |r, t| full.push((r, t)));
-            let mut sharded = Vec::new();
-            for s in 0..h.num_shards() {
-                h.for_each_ancestor_in_shard(v, s, |r, t| sharded.push((r, t)));
+            let k = h.shard_anc_start(h.tree_of(v));
+            for limit in [0, 1, k, h.tau(v), u32::MAX] {
+                let mut cut = Vec::new();
+                h.for_each_ancestor_below(v, limit, |r, t| cut.push((r, t)));
+                let want: Vec<_> = full.iter().copied().filter(|&(_, t)| t < limit).collect();
+                assert_eq!(cut, want, "vertex {v} limit {limit}");
             }
-            sharded.sort_unstable_by_key(|&(_, t)| t);
-            assert_eq!(sharded, full, "vertex {v}");
+            h.for_each_ancestor_below(v, k, |r, _| {
+                assert_eq!(h.shard_of_node(h.node_of(r)), SPINE_SHARD, "vertex {v}");
+            });
         }
     }
 

@@ -1,8 +1,8 @@
 //! Label Search maintenance — the ancestor-centric algorithms, run once per
-//! update in each work unit it reaches, for both engines: the batch driver
-//! (`crate::shard`) runs them for [`Stl`](crate::Stl) over the undirected
-//! [`CsrGraph`](stl_graph::CsrGraph), and `crate::directed_dynamic` runs them
-//! for each label family of a `DirectedStl` over one direction of its arcs.
+//! update for both engines: the batch driver (`crate::shard`) runs them for
+//! [`Stl`](crate::Stl) over the undirected [`CsrGraph`](stl_graph::CsrGraph),
+//! and `crate::directed_dynamic` runs them for each label family of a
+//! `DirectedStl` over one direction of its arcs.
 //! The searches relax arcs through the crate's [`Arcs`] trait, the one the
 //! construction kernel searches too.
 //!
@@ -23,10 +23,10 @@
 //! and lose repairs for its direct neighbours, so we use `τ(n) ≥ τ(r)` —
 //! along an ancestor chain the only vertex with `τ(n) = τ(r)` is `r`.
 //!
-//! Every phase runs on a `ShardLabels` view and seeds only the ancestors
-//! its shard owns: a per-ancestor search reads and writes only entries
-//! `(v, τ(r))` with `v ∈ Desc(r)`, which is what makes running an update
-//! unit by unit sound.
+//! The seed functions take an exclusive ancestor-index `limit` and seed only
+//! the ancestors with `τ(r) < limit`: a per-ancestor search reads and writes
+//! only entries `(v, τ(r))` with `v ∈ Desc(r)`, so a bounded repair leaves
+//! every entry at or above the limit untouched (`u32::MAX` seeds them all).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,7 +36,7 @@ use stl_graph::{dist_add, Dist, EdgeUpdate, VertexId, Weight, INF};
 
 use crate::engine::UpdateEngine;
 use crate::hierarchy::Hierarchy;
-use crate::labelling::{Arcs, ShardLabels};
+use crate::labelling::{Arcs, LabelsWriter};
 use crate::types::UpdateStats;
 
 /// The oriented pairs of undirected edge update `u`, the endpoint with the
@@ -60,19 +60,20 @@ fn lower(hier: &Hierarchy, pairs: &[(VertexId, VertexId)]) -> VertexId {
 }
 
 /// Seed the per-ancestor queues `Q_r` of a decrease to weight `w` (Alg. 1
-/// lines 2–7) for the ancestors `labels`' shard owns: per ancestor, the
+/// lines 2–7) for the ancestors with `τ(r) < limit`: per ancestor, the
 /// first pair `(x, y)` whose new path `L(x)[τ(r)] + w` beats `L(y)[τ(r)]`
 /// seeds `y`. The new weight must already be applied to the graph.
 pub(crate) fn seed_decrease(
     hier: &Hierarchy,
-    labels: &ShardLabels<'_, '_>,
+    labels: &LabelsWriter<'_>,
     pairs: &[(VertexId, VertexId)],
     w: Weight,
+    limit: u32,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
     let seeds = &mut eng.seeds;
-    hier.for_each_ancestor_in_shard(lower(hier, pairs), labels.shard(), |r, tr| {
+    hier.for_each_ancestor_below(lower(hier, pairs), limit, |r, tr| {
         let seed = pairs.iter().find_map(|&(x, y)| {
             let lx = labels.get(x, tr);
             let cand = dist_add(lx, w);
@@ -89,7 +90,7 @@ pub(crate) fn seed_decrease(
 /// nondeterministic.
 pub(crate) fn run_decrease_searches(
     hier: &Hierarchy,
-    labels: &mut ShardLabels<'_, '_>,
+    labels: &mut LabelsWriter<'_>,
     g: &impl Arcs,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -121,7 +122,7 @@ pub(crate) fn run_decrease_searches(
 #[inline(always)]
 fn relax(
     hier: &Hierarchy,
-    labels: &ShardLabels<'_, '_>,
+    labels: &LabelsWriter<'_>,
     g: &impl Arcs,
     v: VertexId,
     d: Dist,
@@ -140,20 +141,21 @@ fn relax(
 }
 
 /// Seed the queues of an increase from **old** labels and the **old**
-/// weight `w_old` (Alg. 2 lines 2–7) for the ancestors `labels`' shard
-/// owns: per ancestor, the first pair `(x, y)` whose old path through the
-/// edge is tight, `L(x)[τ(r)] + w_old == L(y)[τ(r)]`, seeds `y`. Must run
-/// before the new weight is applied.
+/// weight `w_old` (Alg. 2 lines 2–7) for the ancestors with `τ(r) < limit`:
+/// per ancestor, the first pair `(x, y)` whose old path through the edge is
+/// tight, `L(x)[τ(r)] + w_old == L(y)[τ(r)]`, seeds `y`. Must run before
+/// the new weight is applied.
 pub(crate) fn seed_increase(
     hier: &Hierarchy,
-    labels: &ShardLabels<'_, '_>,
+    labels: &LabelsWriter<'_>,
     pairs: &[(VertexId, VertexId)],
     w_old: Weight,
+    limit: u32,
     eng: &mut UpdateEngine,
 ) {
     eng.seeds.clear();
     let seeds = &mut eng.seeds;
-    hier.for_each_ancestor_in_shard(lower(hier, pairs), labels.shard(), |r, tr| {
+    hier.for_each_ancestor_below(lower(hier, pairs), limit, |r, tr| {
         let seed = pairs.iter().find_map(|&(x, y)| {
             // `τ(y) != τ(r)` keeps the ancestor out of its own queue: for
             // r == y (only reachable through a zero-weight edge closing a
@@ -176,7 +178,7 @@ pub(crate) fn seed_increase(
 /// applied.
 pub(crate) fn collect_affected(
     hier: &Hierarchy,
-    labels: &ShardLabels<'_, '_>,
+    labels: &LabelsWriter<'_>,
     g: &impl Arcs,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -222,7 +224,7 @@ pub(crate) fn collect_affected(
 /// new weight must already be applied.
 pub(crate) fn run_repairs(
     hier: &Hierarchy,
-    labels: &mut ShardLabels<'_, '_>,
+    labels: &mut LabelsWriter<'_>,
     g: &impl Arcs,
     rev: &impl Arcs,
     range: Range<usize>,
@@ -240,7 +242,7 @@ pub(crate) fn run_repairs(
 #[allow(clippy::too_many_arguments)]
 fn repair(
     hier: &Hierarchy,
-    labels: &mut ShardLabels<'_, '_>,
+    labels: &mut LabelsWriter<'_>,
     g: &impl Arcs,
     rev: &impl Arcs,
     r: VertexId,

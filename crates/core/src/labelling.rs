@@ -39,9 +39,8 @@
 //! flat**, and stays flat until its first label write, which promotes the
 //! written chunk out of the arena and leaves the index chunked for good.
 //!
-//! Batch repair writes through a [`LabelsWriter`] phase, which resolves
-//! each chunk it touches once and hands every repair shard a
-//! [`ShardLabels`] view confined to the entries that shard owns.
+//! Batch repair writes through a `LabelsWriter` phase, which resolves each
+//! chunk it touches once.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -329,8 +328,8 @@ impl LabelArena {
 /// The flat block arena behind a vertex-aligned [`ChunkedStore`]:
 /// [`Labels::blocks`] returns one contiguous `&[LabelBlock]` per vertex
 /// (boundaries never split a label), `clone` is `O(#chunks)` and shares
-/// every byte, and a write through [`Labels::phase_writer`] copies a chunk
-/// at most once per publish window when a snapshot still shares it. This
+/// every byte, and a repair write copies a chunk at most once per publish
+/// window when a snapshot still shares it. This
 /// type adds the per-vertex location layer and the per-chunk escape tables
 /// on top of the store.
 #[derive(Debug, Clone)]
@@ -542,12 +541,11 @@ impl Labels {
         }
     }
 
-    /// Open a repair phase over the arena, handed out per work unit as
-    /// [`ShardLabels`] views, the one way labels are written outside tests.
-    /// A write copies its chunk (and the chunk's escape table, if the write
-    /// changes it) first if a published snapshot still shares it; each
-    /// chunk's payload is resolved once per phase.
-    pub fn phase_writer(&mut self) -> LabelsWriter<'_> {
+    /// Open a repair phase over the arena, the one way labels are written
+    /// outside tests. A write copies its chunk (and the chunk's escape
+    /// table, if the write changes it) first if a published snapshot still
+    /// shares it; each chunk's payload is resolved once per phase.
+    pub(crate) fn phase_writer(&mut self) -> LabelsWriter<'_> {
         LabelsWriter {
             locs: &self.locs,
             escapes: &mut self.escapes,
@@ -568,98 +566,35 @@ fn write_entry(block: &mut LabelBlock, escapes: &mut Arc<Escapes>, b: u32, j: us
 }
 
 /// One batch-repair phase over a label arena (from
-/// [`Labels::phase_writer`]). Hand each work unit a [`ShardLabels`] view via
-/// [`LabelsWriter::shard_view`]; copy-on-write promotions land in the arena
-/// as they happen.
+/// [`Labels::phase_writer`]): the repair searches read and write entries
+/// through it, and copy-on-write promotions land in the arena as they
+/// happen.
 #[derive(Debug)]
-pub struct LabelsWriter<'a> {
+pub(crate) struct LabelsWriter<'a> {
     locs: &'a [VertexLoc],
     escapes: &'a mut [Arc<Escapes>],
     inner: PhaseWriter<'a, LabelBlock>,
 }
 
-impl<'a> LabelsWriter<'a> {
-    /// A mutable view over the label region owned by `shard`.
-    ///
-    /// With `log = true` the view records every `(vertex, index)` it writes
-    /// — the instrumentation the shard-ownership property tests consume.
-    pub fn shard_view<'w>(
-        &'w mut self,
-        hier: &'w Hierarchy,
-        shard: u32,
-        log: bool,
-    ) -> ShardLabels<'w, 'a> {
-        ShardLabels { writer: self, hier, shard, log: log.then(Vec::new) }
-    }
-}
-
-/// Mutable view over the label entries owned by one repair shard.
-///
-/// A shard owns the entries `(v, τ(r))` for its cut vertices `r` and
-/// `v ∈ Desc(r)`. For two distinct cut vertices: if they are ⪯-comparable
-/// their τ values differ (τ is injective along a chain), so the entries
-/// differ in index; if incomparable, their descendant sets are disjoint, so
-/// the entries differ in vertex. Shards group whole subtrees (plus the
-/// spine, whose cuts are ⪯-below every subtree), hence any two shards'
-/// entry sets are disjoint — which is what lets the batch driver run each
-/// shard's searches as one unit, and a shard worker repair only the units
-/// it owns. Every access is debug-asserted against
-/// [`Hierarchy::shard_of_entry`]. The ownership is of entries, not bytes:
-/// one [`LabelBlock`] can hold entries of several shards, and a write that
-/// re-encodes it rewrites their offsets, so views are used one at a time.
-#[derive(Debug)]
-pub struct ShardLabels<'w, 'a> {
-    writer: &'w mut LabelsWriter<'a>,
-    hier: &'w Hierarchy,
-    shard: u32,
-    log: Option<Vec<(VertexId, u32)>>,
-}
-
-impl ShardLabels<'_, '_> {
-    /// The `(vertex, index)` write log, if logging was requested.
-    pub fn into_log(self) -> Vec<(VertexId, u32)> {
-        self.log.unwrap_or_default()
-    }
-
-    /// The repair shard whose entries this view is confined to.
-    #[inline]
-    pub(crate) fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// `L(v)[i]`, an entry this view's shard owns.
+impl LabelsWriter<'_> {
+    /// `L(v)[i]`.
     #[inline(always)]
     pub(crate) fn get(&self, v: VertexId, i: u32) -> Dist {
-        debug_assert_eq!(
-            self.hier.shard_of_entry(v, i),
-            self.shard,
-            "shard {} read entry ({v}, {i}) it does not own",
-            self.shard
-        );
-        let loc = self.writer.locs[v as usize];
+        let loc = self.locs[v as usize];
         debug_assert!(i < loc.len);
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
-        let block = self.writer.inner.get_in_chunk(c, b as usize);
-        block.entry(i as usize % BLOCK, || self.writer.escapes[c].get(loc.lo * BLOCK as u32 + i))
+        let block = self.inner.get_in_chunk(c, b as usize);
+        block.entry(i as usize % BLOCK, || self.escapes[c].get(loc.lo * BLOCK as u32 + i))
     }
 
-    /// Overwrite `L(v)[i]`, an entry this view's shard owns.
+    /// Overwrite `L(v)[i]`.
     #[inline(always)]
     pub(crate) fn set(&mut self, v: VertexId, i: u32, d: Dist) {
-        debug_assert_eq!(
-            self.hier.shard_of_entry(v, i),
-            self.shard,
-            "shard {} wrote entry ({v}, {i}) it does not own",
-            self.shard
-        );
-        if let Some(log) = &mut self.log {
-            log.push((v, i));
-        }
-        let loc = self.writer.locs[v as usize];
+        let loc = self.locs[v as usize];
         debug_assert!(i < loc.len);
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
-        let block = self.writer.inner.get_mut_in_chunk(c, b as usize);
-        write_entry(block, &mut self.writer.escapes[c], b, i as usize % BLOCK, d);
+        let block = self.inner.get_mut_in_chunk(c, b as usize);
+        write_entry(block, &mut self.escapes[c], b, i as usize % BLOCK, d);
     }
 }
 

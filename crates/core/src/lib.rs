@@ -12,10 +12,9 @@
 //!   normalised and repaired one update at a time, in batch order, by
 //!   ancestor-centric Label Search (Algorithms 1–2) or by update-centric
 //!   Pareto Search, which combines all ancestors into two searches with
-//!   Pareto-active intervals (Algorithms 3–5) — each update in the spine
-//!   and its owning stable tree, work units with provably disjoint write
-//!   sets, so untouched trees are skipped and a shard worker repairs only
-//!   the trees it owns.
+//!   Pareto-active intervals (Algorithms 3–5) — each update in one pass.
+//!   A shard worker's ownership is one ancestor-index bound: it repairs an
+//!   update in a tree it does not own only below that tree's first index.
 //! * [`query`] — Equation 3 as one body: LCA → two label prefixes → one
 //!   min-plus kernel over 16-entry label blocks, in the chunked or the flat
 //!   layout.
@@ -56,10 +55,10 @@ pub mod types;
 pub mod verify;
 
 pub use engine::{EnginePool, UpdateEngine};
-pub use hierarchy::{Hierarchy, RawNode, SHARD_DEPTH, SPINE_SHARD};
-pub use labelling::{LabelArena, LabelBlock, Labels, LabelsWriter, ShardLabels, Stl};
+pub use hierarchy::{Hierarchy, RawNode, SPINE_SHARD};
+pub use labelling::{LabelArena, LabelBlock, Labels, Stl};
 pub use query::{min_plus, QueryProfile};
-pub use shard::{ShardReport, ShardSet, ShardWriteLog};
+pub use shard::{ShardReport, ShardSet};
 pub use stats::IndexStats;
 pub use types::{Maintenance, StlConfig, UpdateStats};
 

@@ -1,5 +1,5 @@
 //! Pareto Search maintenance — the update-centric algorithms, run by the
-//! batch driver (`crate::shard`) once per update in each unit it reaches.
+//! batch driver (`crate::shard`) once per update.
 //!
 //! Instead of one search per affected ancestor, Pareto Search runs **two**
 //! searches per update (one from each endpoint of the updated edge) and
@@ -23,62 +23,60 @@
 //! after, which keeps the two searches' equality tests exact without
 //! snapshotting every label.
 //!
-//! Every search core runs on a `ShardLabels` view and takes an
-//! ancestor-index clamp `[lo, hi]`: the driver runs an update's searches in
-//! its subtree's unit and in the spine unit with complementary clamps. The
-//! clamp is sound because a Pareto search's writes at index `i` all target
-//! entries `(v, i)` with
-//! `v ∈ Desc(r_i)` for the *common* `i`-th ancestor `r_i` of the updated
-//! edge's endpoints (Definition 5.11: an item leaving `Desc(r_i)` has its
-//! `hi` clamped below `i` at the boundary vertex), and the index ranges
-//! `[0, shard_anc_start)` / `[shard_anc_start, τ]` of one root path are
-//! owned by the spine and exactly one subtree shard respectively. Search,
-//! bump and repair are all index-local, so restricting the interval
-//! restricts reads *and* writes to the owning shard's entries.
+//! Every search takes an exclusive ancestor-index `limit` and searches the
+//! validity intervals inside `[0, limit)` only. A bounded search writes
+//! nothing at or above the limit, and what it writes below is exact: search,
+//! bump and repair are all **index-local** — the entries at index `i` depend
+//! only on other index-`i` entries (Definition 5.11: an item leaving
+//! `Desc(r_i)` has its `hi` clamped below `i` at the boundary vertex). The
+//! driver passes `u32::MAX`, or a shard worker's tree boundary
+//! ([`Hierarchy::shard_anc_start`]) for an update in a tree it does not own.
 
 use std::cmp::Reverse;
-use std::ops::Range;
 
 use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 
 use crate::engine::{ParetoItem, UpdateEngine};
 use crate::hierarchy::Hierarchy;
-use crate::labelling::ShardLabels;
+use crate::labelling::LabelsWriter;
 use crate::types::UpdateStats;
+
+/// The highest ancestor index a search anchored at `r` from `start` covers
+/// below `limit`: `min(τ(r), τ(start), limit − 1)`, or `None` for an empty
+/// range.
+fn top_index(hier: &Hierarchy, r: VertexId, start: VertexId, limit: u32) -> Option<u32> {
+    let end = (hier.tau(r).min(hier.tau(start)) + 1).min(limit);
+    end.checked_sub(1)
+}
 
 /// One decrease search anchored at `r` starting at `start` (Algorithm 3's
 /// `Search-and-Repair`): explores paths `r → start → …` whose first edge is
-/// the updated edge with weight `phi`. The validity interval is intersected
-/// with `clamp` (see module docs); an empty intersection skips the search.
+/// the updated edge with weight `phi`. The validity interval is cut to
+/// `[0, limit)` (see module docs); an empty one skips the search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_and_repair_dec(
     hier: &Hierarchy,
-    labels: &mut ShardLabels<'_, '_>,
+    labels: &mut LabelsWriter<'_>,
     g: &CsrGraph,
     r: VertexId,
     start: VertexId,
     phi: Dist,
-    clamp: (u32, u32),
+    limit: u32,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    let amin = hier.tau(r).min(hier.tau(start)).min(clamp.1);
-    if clamp.0 > amin {
-        return; // no index of this search falls inside the clamp
-    }
+    let Some(amin) = top_index(hier, r, start, limit) else {
+        return;
+    };
     stats.searches += 1;
     // Snapshot the anchor's comparable label prefix: its entries cannot
     // change during this search (a positive-length cycle cannot shorten the
     // anchor's own distances), and a snapshot avoids re-indexing the arena.
-    // Below-clamp slots are never read; fill them so indexing stays direct.
     eng.snap.clear();
-    eng.snap.resize(clamp.0 as usize, INF);
-    for i in clamp.0..=amin {
-        eng.snap.push(labels.get(r, i));
-    }
+    eng.snap.extend((0..=amin).map(|i| labels.get(r, i)));
     eng.level.reset();
     eng.pheap.clear();
-    eng.pheap.push(ParetoItem { d: phi, hi: amin, lo: clamp.0, v: start });
+    eng.pheap.push(ParetoItem { d: phi, hi: amin, lo: 0, v: start });
     while let Some(item) = eng.pheap.pop() {
         stats.pops += 1;
         let v = item.v;
@@ -119,12 +117,11 @@ pub(crate) fn search_and_repair_dec(
     }
 }
 
-/// Bump the collected pairs `eng.pairs[range]` by `delta` (upper bounds,
-/// Alg. 4 line 18) and make them the engine's per-vertex affected
-/// intervals, the input of [`repair_inc`].
+/// Bump the collected pairs `eng.pairs` by `delta` (upper bounds, Alg. 4
+/// line 18) and make them the engine's per-vertex affected intervals, the
+/// input of [`repair_inc`].
 pub(crate) fn bump_pairs(
-    labels: &mut ShardLabels<'_, '_>,
-    range: Range<usize>,
+    labels: &mut LabelsWriter<'_>,
     delta: Dist,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -132,8 +129,7 @@ pub(crate) fn bump_pairs(
     eng.aff_lo.reset();
     eng.aff_hi.reset();
     eng.aff_list.clear();
-    for j in range {
-        let (v, i) = eng.pairs[j];
+    for &(v, i) in &eng.pairs {
         let cur = labels.get(v, i);
         if cur != INF {
             labels.set(v, i, cur.saturating_add(delta));
@@ -157,32 +153,28 @@ pub(crate) fn bump_pairs(
 /// One increase search (Algorithm 4's `Search`): walks the old
 /// shortest-path DAG through the updated edge, collecting affected pairs.
 /// Must run before the update's weight is applied; the validity interval
-/// is intersected with `clamp` as in [`search_and_repair_dec`].
+/// is cut to `[0, limit)` as in [`search_and_repair_dec`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_inc(
     hier: &Hierarchy,
-    labels: &ShardLabels<'_, '_>,
+    labels: &LabelsWriter<'_>,
     g: &CsrGraph,
     r: VertexId,
     start: VertexId,
     phi_old: Dist,
-    clamp: (u32, u32),
+    limit: u32,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    let amin = hier.tau(r).min(hier.tau(start)).min(clamp.1);
-    if clamp.0 > amin {
+    let Some(amin) = top_index(hier, r, start, limit) else {
         return;
-    }
+    };
     stats.searches += 1;
     eng.snap.clear();
-    eng.snap.resize(clamp.0 as usize, INF);
-    for i in clamp.0..=amin {
-        eng.snap.push(labels.get(r, i));
-    }
+    eng.snap.extend((0..=amin).map(|i| labels.get(r, i)));
     eng.level.reset();
     eng.pheap.clear();
-    eng.pheap.push(ParetoItem { d: phi_old, hi: amin, lo: clamp.0, v: start });
+    eng.pheap.push(ParetoItem { d: phi_old, hi: amin, lo: 0, v: start });
     while let Some(item) = eng.pheap.pop() {
         stats.pops += 1;
         let v = item.v;
@@ -237,10 +229,10 @@ pub(crate) fn search_inc(
 /// Algorithm 5 — per-index repair over the affected intervals held in the
 /// engine (`aff_list`/`aff_lo`/`aff_hi`). Entirely index-local: a repair at
 /// index `i` reads and writes only index-`i` entries, so one pass repairs
-/// every interval of the unit.
+/// every interval of the update.
 pub(crate) fn repair_inc(
     hier: &Hierarchy,
-    labels: &mut ShardLabels<'_, '_>,
+    labels: &mut LabelsWriter<'_>,
     g: &CsrGraph,
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
@@ -347,12 +339,7 @@ mod tests {
         let mut eng = UpdateEngine::new(g.num_vertices());
         let (a, b, w) = g.edges().nth(20).unwrap();
         let stats = apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, (w / 3).max(1))], &mut eng);
-        assert!(stats.trees_touched > 0);
-        assert_eq!(
-            stats.searches,
-            2 * stats.trees_touched,
-            "exactly two searches per update in every unit it reaches"
-        );
+        assert_eq!(stats.searches, 2, "exactly two searches per update, one per endpoint");
         verify::check_all(&stl, &g).unwrap();
     }
 

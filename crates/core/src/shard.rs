@@ -7,24 +7,14 @@
 //! `label_search`) or Pareto Search (Algorithms 3–5, `pareto`). A batch is
 //! exactly its normalised updates applied one by one, in order.
 //!
-//! The stable tree hierarchy partitions the label space: a per-ancestor
-//! Label-Search search for cut vertex `r` reads and writes **only** the
-//! entries `(v, τ(r))` with `v ∈ Desc(r)`. Two distinct cut vertices
-//! therefore have disjoint entry sets (different τ along a chain, disjoint
-//! descendants across branches — the argument behind
-//! [`Stl::build_with_hierarchy_parallel`]). So each update's repair runs,
-//! inline on the caller's thread and one [`UpdateEngine`], in the ≤ 2
-//! **work units** it reaches: the spine (cut vertices above
-//! [`SHARD_DEPTH`](crate::hierarchy::SHARD_DEPTH)), which every root path
-//! crosses, then its owning stable tree ([`Hierarchy::tree_of_edge`]).
-//! Other trees are never scanned (`UpdateStats::trees_skipped`), and a
-//! shard worker repairs only the units it owns. A decrease applies its
-//! weight, then searches each unit; an increase identifies each unit's
-//! affected entries on the old weight, applies the weight, then repairs
-//! each unit. All units write through one
-//! [`LabelsWriter`](crate::labelling::LabelsWriter) phase per batch, which
-//! resolves each arena chunk on first touch (`stl_graph::cow`), and their
-//! wall times land per shard in a [`ShardReport`].
+//! Each update is repaired in **one pass**, inline on the caller's thread
+//! and one [`UpdateEngine`]: Label Search runs one search per affected
+//! ancestor of the edge's lower endpoint, Pareto Search two searches, one
+//! from each endpoint. A decrease applies its weight, then searches; an
+//! increase identifies its affected entries on the old weight, applies the
+//! weight, then repairs them. All updates write through one `LabelsWriter`
+//! phase per batch, which resolves each arena chunk on first touch
+//! (`stl_graph::cow`).
 //!
 //! A batch shares no work between its updates. The paper's batch forms
 //! (seed queues shared across a batch, Δ-bumps summed before one repair)
@@ -34,27 +24,27 @@
 //! There is no thread pool. Two threads against one on 16-edge scattered
 //! and hotspot batches, unpinned on two vCPUs, measured 0.93–1.07× at 16k
 //! vertices and 0.99–1.05× at 64k (total apply time per stream): the
-//! slowest unit is nearly the whole batch, so a fan-out bought nothing and
+//! busiest tree is nearly the whole batch, so a fan-out bought nothing and
 //! its thread spawns cost ~0.1 ms per single-edge batch.
 //!
-//! **Pareto Search** decomposes onto the same units by clamping validity
-//! intervals instead of filtering ancestors. A Pareto search for update
-//! `{a, b}` writes `L_v[i]` only for `i ≤ min(τ(a), τ(b))`, and for every
-//! such `i` the written entries `(v, i)` satisfy `v ∈ Desc(r_i)` where
-//! `r_i` is the *common* `i`-th ancestor of both endpoints — so entry
-//! ownership follows the anchor's root path. That path crosses the spine
-//! and then descends into exactly one subtree shard `s`, splitting the
-//! index range at `k = Hierarchy::shard_anc_start(s)`: indices `[0, k)` are
-//! spine-owned, `[k, τ]` belong to `s`. The driver therefore runs each
-//! update's two searches twice with complementary clamps — once in the
-//! spine unit (`[0, k)`) and once in its subtree unit (`[k, ∞)`) — and
-//! since search, bump and repair are all **index-local**, the two passes
-//! read and write disjoint entry sets. An increase keeps Algorithm 4's
-//! collect-then-bump order inside the update: both units collect their
-//! affected pairs on the old weight and labels, the weight lands, then each
-//! unit bumps its pairs by `Δ` and runs its per-index repair Dijkstras. The
-//! effort counters measure this schedule: clamped searches re-explore some
-//! vertices in each unit an update reaches.
+//! **Ownership is one ancestor-index bound.** A Label Search search for
+//! ancestor `r` reads and writes only the entries `(v, τ(r))` with
+//! `v ∈ Desc(r)`, and a Pareto search writes index `i` only inside
+//! `Desc(r_i)` for the common `i`-th ancestor `r_i` of both endpoints. The
+//! root path of the edge's lower endpoint crosses the spine (the cut
+//! vertices above `SHARD_DEPTH`) and then descends into one stable tree, the
+//! update's owning tree ([`Hierarchy::tree_of_edge`]). That splits its
+//! ancestor indices at `k = shard_anc_start(tree)`: `[0, k)` index spine
+//! entries, `[k, τ]` the tree's own. Both families take an exclusive index
+//! `limit` and repair only entries below it. A shard worker that does not
+//! own an update's tree repairs it with `limit = k`: its spine entries come
+//! out byte-identical to an unfiltered apply, and the tree's go stale.
+//! Every other update runs with `limit = u32::MAX`.
+//!
+//! The tree counters (`UpdateStats::{trees_touched, trees_skipped}`) and
+//! the [`ShardReport`] count owning trees. A search reaches beyond its
+//! owning tree only from a spine ancestor, so the trees that own none of a
+//! batch's updates are mostly left alone by the searches' own locality.
 //!
 //! **The oracle.** Labels are canonical: `L(v)[τ(r)]` is the distance from
 //! `r` inside `G[Desc(r)]`, fixed by the graph and the weight-independent
@@ -71,54 +61,50 @@ use stl_graph::{CsrGraph, EdgeUpdate, VertexId, Weight};
 use crate::engine::{EnginePool, UpdateEngine};
 use crate::hierarchy::{Hierarchy, SPINE_SHARD};
 use crate::label_search;
-use crate::labelling::{ShardLabels, Stl};
+use crate::labelling::{LabelsWriter, Stl};
 use crate::pareto;
 use crate::types::{Maintenance, UpdateStats};
 
-/// Per-shard accounting of one batch application.
+/// Per-tree accounting of one batch application: each normalised update's
+/// wall time lands on its owning tree ([`Hierarchy::tree_of_edge`]).
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Repair shards in the hierarchy (including the spine slot, whether or
     /// not it owns cut vertices).
     pub shards_total: u32,
-    /// Distinct shards that received work from this batch.
+    /// Distinct owning trees of the batch's normalised updates.
     pub shards_touched: u32,
-    /// `(shard id, nanoseconds)` summed over the batch's updates, in
+    /// `(shard id, nanoseconds)` summed over the updates each tree owns, in
     /// shard id order, touched shards only. The spread between entries is
     /// the load imbalance a hotspot batch inflicts.
     pub per_shard_ns: Vec<(u32, u64)>,
 }
 
 impl ShardReport {
-    /// Wall time of the slowest shard — what a per-shard fan-out could at
+    /// Wall time of the busiest tree — what a per-tree fan-out could at
     /// best have cut the repair to.
     pub fn max_ns(&self) -> u64 {
         self.per_shard_ns.iter().map(|&(_, ns)| ns).max().unwrap_or(0)
     }
 
-    /// Total shard work — the repair's wall time, units running one after
-    /// another.
+    /// The repair's wall time: every update's, one after another.
     pub fn sum_ns(&self) -> u64 {
         self.per_shard_ns.iter().map(|&(_, ns)| ns).sum()
     }
 }
 
-/// Entry-level write log of one batch application: `(shard, writes)` in
-/// shard id order. Property tests assert every entry is written by its
-/// owning shard; see [`Stl::apply_batch_sharded_logged`].
-pub type ShardWriteLog = Vec<(u32, Vec<(VertexId, u32)>)>;
-
 /// A set of subtree shards a repair pass is responsible for — the
 /// ownership unit of process-sharded serving.
 ///
 /// A worker that applies a batch under a `ShardSet` still applies **every
-/// weight change** but repairs only the spine unit plus the subtree units
-/// in the set. Because label entries are column-confined — the spine unit
-/// owns the ancestor prefix `[0, k)` of every vertex, a subtree unit the
-/// range `[k, τ]` of its own vertices — the entries a filtered pass repairs
-/// come out byte-identical to an unfiltered apply, while entries of unowned
-/// subtrees simply go stale. The spine is never a member: it is replicated
-/// to (and repaired by) every worker.
+/// weight change**. It repairs an update in full when the set owns the
+/// update's tree, and otherwise only below the tree's first ancestor index
+/// (see the [module docs](crate::shard)). Because label entries are
+/// column-confined — the spine owns the ancestor prefix `[0, k)` of every
+/// vertex, a subtree the range `[k, τ]` of its own vertices — the entries a
+/// filtered pass repairs come out byte-identical to an unfiltered apply,
+/// while entries of unowned subtrees simply go stale. The spine is never a
+/// member: it is replicated to (and repaired by) every worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSet {
     bits: Vec<u64>,
@@ -191,10 +177,8 @@ impl ShardSet {
 impl Stl {
     /// Apply a mixed batch of edge-weight updates with the given algorithm
     /// family, keeping graph and labels consistent. The batch is normalised
-    /// and each surviving update is repaired on its own, in the spine and
-    /// its owning stable tree, inline on the calling thread (see the
-    /// [module docs](crate::shard)); `UpdateStats::trees_touched` and
-    /// `trees_skipped` count the units.
+    /// and each surviving update is repaired on its own, in one pass, inline
+    /// on the calling thread (see the [module docs](crate::shard)).
     ///
     /// Panics if an update references a non-existent edge (road-network
     /// structure is fixed; see `structural` for insertions/deletions).
@@ -206,11 +190,11 @@ impl Stl {
         eng: &mut UpdateEngine,
     ) -> UpdateStats {
         eng.ensure_capacity(g.num_vertices());
-        self.apply_loop(g, updates, algo, eng, None, false).0
+        self.apply_loop(g, updates, algo, eng, None).0
     }
 
     /// [`Stl::apply_batch`] on `pool`'s engine, also returning the batch's
-    /// per-shard timings.
+    /// per-tree timings.
     ///
     /// `_threads` is ignored. It stays only so the frozen benchmark harness
     /// keeps compiling — delete with the next `[benchmark]` issue.
@@ -226,12 +210,12 @@ impl Stl {
     }
 
     /// [`Stl::apply_batch_sharded`] restricted to an ownership set: every
-    /// weight change is applied (keeping the graph replica exact), but only
-    /// the spine unit and the subtree units in `owned` are repaired. Label
-    /// entries owned by the spine or by an owned subtree come out
-    /// byte-identical to an unfiltered apply; entries of unowned subtrees
-    /// are left stale — the caller (a shard worker) must never serve them.
-    /// `owned = None` repairs every unit.
+    /// weight change is applied (keeping the graph replica exact), but an
+    /// update whose tree `owned` excludes is repaired only below the tree's
+    /// first ancestor index. Label entries owned by the spine or by an owned
+    /// subtree come out byte-identical to an unfiltered apply; entries of
+    /// unowned subtrees are left stale — the caller (a shard worker) must
+    /// never serve them. `owned = None` repairs every update in full.
     pub fn apply_batch_sharded_owned(
         &mut self,
         g: &mut CsrGraph,
@@ -241,26 +225,10 @@ impl Stl {
         owned: Option<&ShardSet>,
     ) -> (UpdateStats, ShardReport) {
         let eng = pool.engine(g.num_vertices());
-        let (stats, report, _) = self.apply_loop(g, updates, algo, eng, owned, false);
-        (stats, report)
+        self.apply_loop(g, updates, algo, eng, owned)
     }
 
-    /// [`Stl::apply_batch_sharded`] with per-shard write instrumentation:
-    /// additionally returns every `(vertex, index)` label entry each shard
-    /// wrote. Costs one branch per label write plus the log allocations —
-    /// for tests and debugging, not the serving path.
-    pub fn apply_batch_sharded_logged(
-        &mut self,
-        g: &mut CsrGraph,
-        updates: &[EdgeUpdate],
-        algo: Maintenance,
-        pool: &mut EnginePool,
-    ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        let eng = pool.engine(g.num_vertices());
-        self.apply_loop(g, updates, algo, eng, None, true)
-    }
-
-    /// The batch driver: normalise, then repair each update in its units
+    /// The batch driver: normalise, then repair each update in one pass
     /// over one label-writer phase.
     fn apply_loop(
         &mut self,
@@ -269,232 +237,131 @@ impl Stl {
         algo: Maintenance,
         eng: &mut UpdateEngine,
         owned: Option<&ShardSet>,
-        log: bool,
-    ) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        const NORMALISED: &str = "normalised updates target existing edges";
+    ) -> (UpdateStats, ShardReport) {
         let updates = normalise_batch(updates, false, |a, b| g.weight(a, b));
         let Stl { ref hier, ref mut labels, .. } = *self;
-        let mut tally = Tally::new(hier, updates.len(), log);
-        let mut writer = labels.phase_writer();
-        let mut units = Vec::with_capacity(2);
+        let mut tally = Tally::new(hier, updates.len());
+        let mut labels = labels.phase_writer();
         for &u in &updates {
-            units.clear();
-            units.extend(units_of(hier, u, owned));
-            let pairs = label_search::edge_pairs(hier, u);
-            let w_old = g.weight(u.a, u.b).expect(NORMALISED);
-            if u.new_weight < w_old {
-                // A decrease: apply the weight, then search each unit.
-                g.apply_update(u).expect(NORMALISED);
-                for &shard in &units {
-                    tally.write_unit(shard, |stats, log| {
-                        let mut view = writer.shard_view(hier, shard, log);
-                        match algo {
-                            Maintenance::LabelSearch => {
-                                let w = u.new_weight;
-                                label_search::seed_decrease(hier, &view, &pairs, w, eng);
-                                label_search::run_decrease_searches(hier, &mut view, g, eng, stats);
-                            }
-                            Maintenance::ParetoSearch => {
-                                pareto_decrease(hier, &mut view, g, u, eng, stats);
-                            }
-                        }
-                        view.into_log()
-                    });
+            let tree = hier.tree_of_edge(u.a, u.b);
+            let limit = match owned {
+                Some(set) if tree != SPINE_SHARD && !set.contains(tree) => {
+                    hier.shard_anc_start(tree)
                 }
-                continue;
-            }
-            // An increase: identify each unit's affected entries on the old
-            // weight, apply the weight, then repair each unit. The engine
-            // buffer holds the units' identifications back to back.
-            eng.aff_per_r.clear();
-            eng.pairs.clear();
-            let mut ends = [0; 2];
-            for (&shard, end) in units.iter().zip(&mut ends) {
-                *end = tally.unit(shard, |stats| {
-                    // Identification only reads labels; no write log to collect.
-                    let view = writer.shard_view(hier, shard, false);
-                    match algo {
-                        Maintenance::LabelSearch => {
-                            label_search::seed_increase(hier, &view, &pairs, w_old, eng);
-                            label_search::collect_affected(hier, &view, g, eng, stats);
-                            eng.aff_per_r.len()
-                        }
-                        Maintenance::ParetoSearch => {
-                            pareto_identify(hier, &view, g, u, w_old, eng, stats)
-                        }
-                    }
-                });
-            }
-            g.apply_update(u).expect(NORMALISED);
-            let mut start = 0;
-            for (&shard, &end) in units.iter().zip(&ends) {
-                tally.write_unit(shard, |stats, log| {
-                    let mut view = writer.shard_view(hier, shard, log);
-                    match algo {
-                        Maintenance::LabelSearch => {
-                            let range = start..end;
-                            label_search::run_repairs(hier, &mut view, g, g, range, eng, stats);
-                        }
-                        Maintenance::ParetoSearch => {
-                            let delta = u.new_weight - w_old;
-                            pareto::bump_pairs(&mut view, start..end, delta, eng, stats);
-                            pareto::repair_inc(hier, &mut view, g, eng, stats);
-                        }
-                    }
-                    view.into_log()
-                });
-                start = end;
-            }
+                _ => u32::MAX,
+            };
+            tally.update(tree, |stats| repair(hier, &mut labels, g, u, algo, limit, eng, stats));
         }
         tally.finish()
     }
 }
 
-/// What one batch's units yield: the counters in update order, each touched
-/// shard's wall time, and (when logging) its label writes.
+/// Repair the labels below ancestor index `limit` for normalised update
+/// `u`, applying its weight to `g` on the way.
+#[allow(clippy::too_many_arguments)]
+fn repair(
+    hier: &Hierarchy,
+    labels: &mut LabelsWriter<'_>,
+    g: &mut CsrGraph,
+    u: EdgeUpdate,
+    algo: Maintenance,
+    limit: u32,
+    eng: &mut UpdateEngine,
+    stats: &mut UpdateStats,
+) {
+    const NORMALISED: &str = "normalised updates target existing edges";
+    let pairs = label_search::edge_pairs(hier, u);
+    let w_old = g.weight(u.a, u.b).expect(NORMALISED);
+    if u.new_weight < w_old {
+        // A decrease: apply the weight, then search.
+        g.apply_update(u).expect(NORMALISED);
+        let w = u.new_weight;
+        match algo {
+            Maintenance::LabelSearch => {
+                label_search::seed_decrease(hier, labels, &pairs, w, limit, eng);
+                label_search::run_decrease_searches(hier, labels, g, eng, stats);
+            }
+            Maintenance::ParetoSearch => {
+                pareto::search_and_repair_dec(hier, labels, g, u.a, u.b, w, limit, eng, stats);
+                pareto::search_and_repair_dec(hier, labels, g, u.b, u.a, w, limit, eng, stats);
+            }
+        }
+        return;
+    }
+    // An increase: identify the affected entries on the old weight, apply
+    // the weight, then repair them.
+    match algo {
+        Maintenance::LabelSearch => {
+            eng.aff_per_r.clear();
+            label_search::seed_increase(hier, labels, &pairs, w_old, limit, eng);
+            label_search::collect_affected(hier, labels, g, eng, stats);
+        }
+        Maintenance::ParetoSearch => {
+            eng.pairs.clear();
+            pareto::search_inc(hier, labels, g, u.a, u.b, w_old, limit, eng, stats);
+            pareto::search_inc(hier, labels, g, u.b, u.a, w_old, limit, eng, stats);
+            eng.pairs.sort_unstable();
+            eng.pairs.dedup();
+            stats.affected += eng.pairs.len() as u64;
+        }
+    }
+    g.apply_update(u).expect(NORMALISED);
+    match algo {
+        Maintenance::LabelSearch => {
+            let all = 0..eng.aff_per_r.len();
+            label_search::run_repairs(hier, labels, g, g, all, eng, stats);
+        }
+        Maintenance::ParetoSearch => {
+            pareto::bump_pairs(labels, u.new_weight - w_old, eng, stats);
+            pareto::repair_inc(hier, labels, g, eng, stats);
+        }
+    }
+}
+
+/// What one batch yields: the counters in update order and each owning
+/// tree's wall time.
 struct Tally {
     stats: UpdateStats,
-    /// Shards a batch could touch: a spine slot that owns no cut vertices
-    /// is not skippable work.
+    /// Trees an update can own: a spine slot that owns no cut vertices owns
+    /// no edge.
     reachable: u64,
-    touched: Vec<bool>,
-    shard_ns: Vec<u64>,
-    logs: Option<FxHashMap<u32, Vec<(VertexId, u32)>>>,
+    /// Per shard id, the summed wall time of the updates it owns; `None`
+    /// while it owns none.
+    tree_ns: Vec<Option<u64>>,
 }
 
 impl Tally {
     /// The batch-level counters of `updates` normalised updates.
-    fn new(hier: &Hierarchy, updates: usize, log: bool) -> Self {
+    fn new(hier: &Hierarchy, updates: usize) -> Self {
         let num_shards = hier.num_shards() as usize;
         Self {
             stats: UpdateStats { updates: updates as u64, ..Default::default() },
             reachable: num_shards as u64 - u64::from(!hier.spine_has_cuts()),
-            touched: vec![false; num_shards],
-            shard_ns: vec![0; num_shards],
-            logs: log.then(FxHashMap::default),
+            tree_ns: vec![None; num_shards],
         }
     }
 
-    /// Run one unit of `shard` on the batch counters, adding its wall time
-    /// to the shard's.
-    fn unit<R>(&mut self, shard: u32, f: impl FnOnce(&mut UpdateStats) -> R) -> R {
-        self.touched[shard as usize] = true;
+    /// Run the repair `f` of one update owned by `tree` on the batch
+    /// counters, adding its wall time to the tree's.
+    fn update(&mut self, tree: u32, f: impl FnOnce(&mut UpdateStats)) {
         let t = Instant::now();
-        let r = f(&mut self.stats);
-        self.shard_ns[shard as usize] += t.elapsed().as_nanos() as u64;
-        r
+        f(&mut self.stats);
+        *self.tree_ns[tree as usize].get_or_insert(0) += t.elapsed().as_nanos() as u64;
     }
 
-    /// [`Tally::unit`] for a unit that writes labels: `f` gets whether to
-    /// log its writes and returns the log, which is kept per shard.
-    fn write_unit(
-        &mut self,
-        shard: u32,
-        f: impl FnOnce(&mut UpdateStats, bool) -> Vec<(VertexId, u32)>,
-    ) {
-        let log = self.logs.is_some();
-        let writes = self.unit(shard, |stats| f(stats, log));
-        if let Some(logs) = &mut self.logs {
-            logs.entry(shard).or_default().extend(writes);
-        }
-    }
-
-    /// The counters, the touched shards' timings as a [`ShardReport`], and
-    /// the write log in shard order.
-    fn finish(mut self) -> (UpdateStats, ShardReport, ShardWriteLog) {
-        let per_shard_ns: Vec<(u32, u64)> = (0..self.shard_ns.len())
-            .filter(|&s| self.touched[s])
-            .map(|s| (s as u32, self.shard_ns[s]))
-            .collect();
+    /// The counters and the owning trees' timings as a [`ShardReport`].
+    fn finish(mut self) -> (UpdateStats, ShardReport) {
+        let per_shard_ns: Vec<(u32, u64)> =
+            (0..).zip(&self.tree_ns).filter_map(|(s, ns)| Some((s, (*ns)?))).collect();
         self.stats.trees_touched = per_shard_ns.len() as u64;
         self.stats.trees_skipped = self.reachable - self.stats.trees_touched;
         let report = ShardReport {
-            shards_total: self.shard_ns.len() as u32,
+            shards_total: self.tree_ns.len() as u32,
             shards_touched: per_shard_ns.len() as u32,
             per_shard_ns,
         };
-        let mut log: ShardWriteLog = self.logs.unwrap_or_default().into_iter().collect();
-        log.sort_unstable_by_key(|&(s, _)| s);
-        (self.stats, report, log)
+        (self.stats, report)
     }
-}
-
-/// The work units update `u` reaches, in run order: the spine when it owns
-/// cut vertices (every root path crosses it), then the update's owning tree
-/// unless `owned` excludes it. No other tree is ever scanned.
-pub(crate) fn units_of(
-    hier: &Hierarchy,
-    u: EdgeUpdate,
-    owned: Option<&ShardSet>,
-) -> impl Iterator<Item = u32> {
-    let tree = hier.tree_of_edge(u.a, u.b);
-    let tree = (tree != SPINE_SHARD && owned.is_none_or(|set| set.contains(tree))).then_some(tree);
-    hier.spine_has_cuts().then_some(SPINE_SHARD).into_iter().chain(tree)
-}
-
-/// The ancestor-index clamp of update `{a, b}` inside `shard`'s work unit,
-/// or `None` when the update owns no indices there. The upper bound is left
-/// open (`u32::MAX`) where the search's own `min(τ(a), τ(b))` cap is
-/// tighter; see the module docs for the spine/subtree split argument.
-fn pareto_clamp(hier: &Hierarchy, shard: u32, a: VertexId, b: VertexId) -> Option<(u32, u32)> {
-    let owner = hier.tree_of_edge(a, b);
-    if shard == SPINE_SHARD {
-        if owner == SPINE_SHARD {
-            // A spine-anchored edge: its whole validity interval runs over
-            // spine-owned ancestors.
-            return Some((0, u32::MAX));
-        }
-        let k = hier.shard_anc_start(owner);
-        if k == 0 {
-            return None; // no spine cuts above this subtree's root
-        }
-        Some((0, k - 1))
-    } else {
-        debug_assert_eq!(owner, shard, "update run in a foreign tree");
-        Some((hier.shard_anc_start(shard), u32::MAX))
-    }
-}
-
-/// Algorithm 3 for decrease `u` in `view`'s unit: both searches, clamped
-/// to the unit's index range.
-fn pareto_decrease(
-    hier: &Hierarchy,
-    view: &mut ShardLabels<'_, '_>,
-    g: &CsrGraph,
-    u: EdgeUpdate,
-    eng: &mut UpdateEngine,
-    stats: &mut UpdateStats,
-) {
-    if let Some(clamp) = pareto_clamp(hier, view.shard(), u.a, u.b) {
-        let w = u.new_weight;
-        pareto::search_and_repair_dec(hier, view, g, u.a, u.b, w, clamp, eng, stats);
-        pareto::search_and_repair_dec(hier, view, g, u.b, u.a, w, clamp, eng, stats);
-    }
-}
-
-/// Algorithm 4's identification for increase `u` in `view`'s unit, on the
-/// old weight `w_old`: appends the unit's deduplicated affected pairs to
-/// `eng.pairs` and returns its new length.
-fn pareto_identify(
-    hier: &Hierarchy,
-    view: &ShardLabels<'_, '_>,
-    g: &CsrGraph,
-    u: EdgeUpdate,
-    w_old: Weight,
-    eng: &mut UpdateEngine,
-    stats: &mut UpdateStats,
-) -> usize {
-    let start = eng.pairs.len();
-    if let Some(clamp) = pareto_clamp(hier, view.shard(), u.a, u.b) {
-        pareto::search_inc(hier, view, g, u.a, u.b, w_old, clamp, eng, stats);
-        pareto::search_inc(hier, view, g, u.b, u.a, w_old, clamp, eng, stats);
-    }
-    // Units own disjoint index ranges, so an earlier unit's sorted prefix
-    // shares no pair with this tail: `dedup` folds only the tail's repeats.
-    eng.pairs[start..].sort_unstable();
-    eng.pairs.dedup();
-    stats.affected += (eng.pairs.len() - start) as u64;
-    eng.pairs.len()
 }
 
 /// Batch normalisation, shared with `DirectedStl::apply_batch`: the last
@@ -689,7 +556,7 @@ mod tests {
             let hier = stl.hierarchy().clone();
             assert!(hier.num_shards() > 2, "grid must split into several trees");
             let stats = stl.apply_batch(&mut g, &[EdgeUpdate::new(a, b, w * 3)], algo, &mut eng);
-            assert!(stats.trees_touched <= 2, "{algo:?}: one update maps to spine + one tree");
+            assert_eq!(stats.trees_touched, 1, "{algo:?}: one update has one owning tree");
             assert!(stats.trees_skipped > 0, "{algo:?}: the other trees must be skipped");
             assert_eq!(
                 stats.trees_touched + stats.trees_skipped + u64::from(!hier.spine_has_cuts()),
@@ -699,74 +566,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_log_is_disjoint_and_owned() {
-        let g0 = grid(6);
-        let cfg = StlConfig { leaf_size: 2, ..Default::default() };
-        for (algo, seed) in [(Maintenance::LabelSearch, 77), (Maintenance::ParetoSearch, 78)] {
-            let mut g = g0.clone();
-            let mut stl = Stl::build(&g0, &cfg);
-            let mut pool = EnginePool::new();
-            let batch = &mixed_batches(&g0, 1, seed)[0];
-            let (_, _, log) = stl.apply_batch_sharded_logged(&mut g, batch, algo, &mut pool);
-            let mut seen: std::collections::HashMap<(VertexId, u32), u32> =
-                std::collections::HashMap::new();
-            let mut writes = 0usize;
-            for (shard, entries) in &log {
-                for &(v, i) in entries {
-                    writes += 1;
-                    assert_eq!(
-                        stl.hierarchy().shard_of_entry(v, i),
-                        *shard,
-                        "{algo:?}: shard {shard} wrote an entry it does not own"
-                    );
-                    if let Some(other) = seen.insert((v, i), *shard) {
-                        assert_eq!(
-                            other, *shard,
-                            "{algo:?}: entry ({v},{i}) written by two shards"
-                        );
-                    }
-                }
-            }
-            assert!(writes > 0, "{algo:?}: batch must have repaired something");
-            verify::check_all(&stl, &g).unwrap();
-        }
-    }
-
     /// The process-sharding contract: a replica that applies every weight
-    /// change but repairs only {spine + its owned subtrees} keeps every
-    /// spine-owned entry and every owned-subtree entry byte-identical to a
-    /// full apply, for both maintenance families.
+    /// change but repairs an unowned tree's updates only below the tree's
+    /// first ancestor index keeps every spine-owned entry and every
+    /// owned-subtree entry byte-identical to a full apply, for both
+    /// maintenance families. A worker that owns every tree is a full apply,
+    /// effort counters included.
     #[test]
     fn owned_filtered_apply_matches_full_on_owned_entries() {
         let g0 = grid(7);
         let cfg = StlConfig { leaf_size: 2, ..Default::default() };
+        let effort =
+            |s: UpdateStats| [s.searches, s.pops, s.repair_pops, s.label_writes, s.affected];
         for algo in [Maintenance::LabelSearch, Maintenance::ParetoSearch] {
             let full0 = Stl::build(&g0, &cfg);
-            let num_workers = 2usize;
-            let sets: Vec<ShardSet> = (0..num_workers)
-                .map(|k| ShardSet::for_worker(full0.hierarchy(), k, num_workers))
-                .collect();
+            let mut sets: Vec<ShardSet> =
+                (0..2).map(|k| ShardSet::for_worker(full0.hierarchy(), k, 2)).collect();
             assert!(sets.iter().all(|s| !s.is_empty()), "grid must split across both workers");
+            let sole = sets.len();
+            sets.push(ShardSet::for_worker(full0.hierarchy(), 0, 1));
             let mut g_full = g0.clone();
             let mut full = full0.clone();
-            let mut g_rep: Vec<CsrGraph> = (0..num_workers).map(|_| g0.clone()).collect();
-            let mut replicas: Vec<Stl> = (0..num_workers).map(|_| full0.clone()).collect();
+            let mut g_rep = vec![g0.clone(); sets.len()];
+            let mut replicas = vec![full0.clone(); sets.len()];
             let mut pool = EnginePool::new();
             for batch in &mixed_batches(&g0, 8, 0xACE ^ algo as u64) {
-                full.apply_batch_sharded_owned(&mut g_full, batch, algo, &mut pool, None);
-                for k in 0..num_workers {
-                    replicas[k].apply_batch_sharded_owned(
+                let (want, _) =
+                    full.apply_batch_sharded_owned(&mut g_full, batch, algo, &mut pool, None);
+                for (k, set) in sets.iter().enumerate() {
+                    let (got, _) = replicas[k].apply_batch_sharded_owned(
                         &mut g_rep[k],
                         batch,
                         algo,
                         &mut pool,
-                        Some(&sets[k]),
+                        Some(set),
                     );
+                    if k == sole {
+                        assert_eq!(effort(got), effort(want), "{algo:?}: sole worker's effort");
+                    }
                 }
             }
             let hier = full.hierarchy();
-            for k in 0..num_workers {
+            for (k, set) in sets.iter().enumerate() {
                 for (a, b, w) in g_full.edges() {
                     assert_eq!(g_rep[k].weight(a, b), Some(w), "graph replicas must stay exact");
                 }
@@ -776,10 +617,10 @@ mod tests {
                     assert_eq!(want.len(), got.len());
                     for i in 0..want.len() as u32 {
                         let owner = hier.shard_of_entry(v, i);
-                        if owner == SPINE_SHARD || sets[k].contains(owner) {
+                        if owner == SPINE_SHARD || set.contains(owner) {
                             assert_eq!(
                                 got[i as usize], want[i as usize],
-                                "algo {algo:?} worker {k}: owned entry ({v},{i}) diverged"
+                                "algo {algo:?} worker set {k}: owned entry ({v},{i}) diverged"
                             );
                         }
                     }

@@ -39,8 +39,8 @@ impl StlConfig {
 pub struct UpdateStats {
     /// Number of edge updates processed.
     pub updates: u64,
-    /// Number of per-ancestor (Label Search) or per-endpoint (Pareto
-    /// Search, in every work unit an update reaches) searches started.
+    /// Searches started: one per seeded ancestor (Label Search), or one per
+    /// endpoint of each update (Pareto Search).
     pub searches: u64,
     /// Priority-queue pops across all search phases.
     pub pops: u64,
@@ -50,11 +50,14 @@ pub struct UpdateStats {
     pub affected: u64,
     /// Priority-queue pops in repair phases.
     pub repair_pops: u64,
-    /// Stable trees (repair shards) that received work from the batch.
-    /// Filled by `Stl::apply_batch`; the directed driver leaves it 0.
+    /// Distinct owning trees ([`Hierarchy::tree_of_edge`]) of the batch's
+    /// normalised updates. Filled by `Stl::apply_batch`; the directed driver
+    /// leaves it 0.
+    ///
+    /// [`Hierarchy::tree_of_edge`]: crate::Hierarchy::tree_of_edge
     pub trees_touched: u64,
-    /// Stable trees the batch pre-grouping skipped before any search
-    /// started (the skip-untouched-trees saving of tree grouping).
+    /// Trees that own none of the batch's normalised updates: the stable
+    /// trees, plus the spine when it has cut vertices, less `trees_touched`.
     pub trees_skipped: u64,
 }
 

@@ -8,15 +8,11 @@ pub struct PartitionConfig {
     pub beta: f64,
     /// Maximum number of Fiduccia–Mattheyses refinement passes.
     pub fm_passes: usize,
-    /// Use the inertial (coordinate-sweep) bisection when coordinates exist.
-    pub use_inertial: bool,
-    /// Number of projection directions tried by the inertial bisection.
-    pub inertial_directions: usize,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        Self { beta: 0.2, fm_passes: 6, use_inertial: true, inertial_directions: 4 }
+        Self { beta: 0.2, fm_passes: 6 }
     }
 }
 

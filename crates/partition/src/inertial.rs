@@ -1,6 +1,6 @@
 //! Inertial (coordinate-sweep) bisection.
 //!
-//! Projects vertices onto a handful of directions, sweeps each projection for
+//! Projects vertices onto four directions, sweeps each projection for
 //! the balanced split with the smallest edge cut, and returns the best. Road
 //! networks are near-planar, so geometric sweeps find narrow cuts quickly —
 //! this mirrors the "Inertial Flow"-style cutters used by the HC2L line of
@@ -17,12 +17,11 @@ use crate::config::PartitionConfig;
 pub fn inertial_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
     let coords = g.coords().expect("inertial bisection requires coordinates");
     let n = g.num_vertices();
-    let dirs: &[(f32, f32)] =
-        &[(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (2.0, 1.0), (1.0, 2.0)];
+    let dirs = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)];
     let mut best: Option<(usize, Vec<u8>)> = None;
     let half = (n / 2).clamp(1, cfg.max_side(n));
     let mut keyed: Vec<(f32, u32)> = Vec::with_capacity(n);
-    for &(dx, dy) in dirs.iter().take(cfg.inertial_directions.max(1)) {
+    for (dx, dy) in dirs {
         keyed.clear();
         keyed.extend(coords.iter().enumerate().map(|(i, &(x, y))| (x * dx + y * dy, i as u32)));
         keyed.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));

@@ -35,8 +35,8 @@ pub fn find_separator(g: &CsrGraph, cfg: &PartitionConfig) -> Separator {
     assert!(n >= 2, "separator needs at least two vertices");
     // 1. Initial side assignment.
     let mut side = match g.coords() {
-        Some(_) if cfg.use_inertial => inertial::inertial_bisection(g, cfg),
-        _ => bisect::bfs_bisection(g, cfg),
+        Some(_) => inertial::inertial_bisection(g, cfg),
+        None => bisect::bfs_bisection(g, cfg),
     };
     // 2. Refine the edge cut.
     fm::refine(g, &mut side, cfg);

@@ -107,14 +107,16 @@
 //! piling up. Incoming updates flow through the [`batcher`] module's
 //! [`AdaptiveBatcher`], which sends a lone update to the writer at once and
 //! accumulates updates that arrive behind a busy writer until a latency or
-//! size budget trips — trading publish frequency against repair
-//! amortization, the knob the paper's batch experiments motivate.
+//! size budget trips. A merged batch amortises one WAL append and fsync and
+//! one snapshot publish over its updates; repair still runs one update at a
+//! time.
 //!
 //! ## Distributed serving
 //!
 //! The [`router`] module scales serving across **processes**: N shard
-//! workers, each a full `StlServer` that repairs only the spine plus its
-//! owned subtrees (`ServerConfig::owned_shards`), behind a [`Router`] front
+//! workers, each a full `StlServer` that repairs the spine entries of every
+//! update and the tree entries of its owned subtrees only
+//! (`ServerConfig::owned_shards`), behind a [`Router`] front
 //! that scatter-gathers queries by tree ownership and replicates every
 //! update to all workers in sequence-number lockstep. A dead worker costs
 //! fail-fast errors for its subtrees only; respawn + WAL recovery + the

@@ -5,12 +5,13 @@
 //!
 //! Every worker is a *full replica* running the ordinary serving stack
 //! ([`StlServer`](crate::StlServer) + WAL + transport) with one twist:
-//! [`crate::ServerConfig::owned_shards`] restricts label repair to the spine
-//! plus a closed set of subtree shards ([`ShardSet::for_worker`] —
-//! worker `k` of `n` owns subtree `s` iff `(s − 1) mod n == k`). Every
-//! update batch is **broadcast to all workers**; each applies every weight
-//! change (so graphs stay identical) but repairs only its owned label
-//! units. The resulting invariant, pinned by `stl_core::shard`'s tests:
+//! [`crate::ServerConfig::owned_shards`] names a closed set of subtree
+//! shards ([`ShardSet::for_worker`] — worker `k` of `n` owns subtree `s`
+//! iff `(s − 1) mod n == k`). Every update batch is **broadcast to all
+//! workers**; each applies every weight change (so graphs stay identical),
+//! repairs the updates its subtrees own in full, and repairs every other
+//! update only in its spine entries. The resulting invariant, pinned by
+//! `stl_core::shard`'s tests:
 //!
 //! * **spine label entries are exact on every replica** — any worker can
 //!   answer any query whose common-ancestor scan stays on the spine

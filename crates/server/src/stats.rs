@@ -30,20 +30,11 @@ pub struct ServerStats {
     pub publish_bytes_copied: u64,
     /// Chunks copied while applying the most recent epoch's batch.
     pub chunks_copied_last: u64,
-    /// Repair shards (stable trees + spine) that did work for the most
-    /// recent batch — both families report this: Label Search shards by
-    /// per-ancestor ownership, Pareto Search by clamped validity intervals.
-    pub repair_shards_last: u64,
-    /// Wall time of the slowest shard of the most recent batch, in
-    /// nanoseconds — how much of the repair one shard owns.
-    pub repair_shard_ns_max_last: u64,
-    /// Summed per-shard wall time of the most recent batch, in nanoseconds
-    /// — the repair's wall time, shards running one after another.
-    pub repair_shard_ns_sum_last: u64,
-    /// Stable trees that received repair work, summed over all batches.
+    /// Distinct owning trees of each batch's updates
+    /// (`UpdateStats::trees_touched`), summed over all batches.
     pub trees_touched_total: u64,
-    /// Stable trees a batch's repair never scanned (each update reaches at
-    /// most the spine and its owning tree), summed over all batches.
+    /// Trees owning none of a batch's updates
+    /// (`UpdateStats::trees_skipped`), summed over all batches.
     pub trees_skipped_total: u64,
     /// Always 0: epoch compaction is gone. Stays only because the frozen
     /// benchmark harness reads it — delete with the next `[benchmark]`
@@ -97,8 +88,7 @@ impl std::fmt::Display for ServerStats {
             f,
             "generation {} | {} queries | {} updates in {} batches ({} rejected) | \
              publish mean {:.1} us (last {:.1} us) | cow copied {:.1} KiB/epoch \
-             (last epoch {} chunks) | apply total {:.1} ms | last repair: \
-             {} shards (slowest {:.1} us of {:.1} us total) | \
+             (last epoch {} chunks) | apply total {:.1} ms | \
              trees touched/skipped {}/{} | \
              wal {} appended / {} fsyncs / {} replayed{} | \
              {} checkpoints | {} writer restarts | {} dedup hits",
@@ -112,9 +102,6 @@ impl std::fmt::Display for ServerStats {
             self.publish_bytes_mean() as f64 / 1024.0,
             self.chunks_copied_last,
             self.apply_ns_total as f64 / 1e6,
-            self.repair_shards_last,
-            self.repair_shard_ns_max_last as f64 / 1e3,
-            self.repair_shard_ns_sum_last as f64 / 1e3,
             self.trees_touched_total,
             self.trees_skipped_total,
             self.wal_records_appended,
@@ -140,9 +127,6 @@ pub(crate) struct StatsCells {
     pub apply_ns_total: AtomicU64,
     pub publish_bytes_copied: AtomicU64,
     pub chunks_copied_last: AtomicU64,
-    pub repair_shards_last: AtomicU64,
-    pub repair_shard_ns_max_last: AtomicU64,
-    pub repair_shard_ns_sum_last: AtomicU64,
     pub trees_touched_total: AtomicU64,
     pub trees_skipped_total: AtomicU64,
     pub wal_records_appended: AtomicU64,
@@ -167,9 +151,6 @@ impl StatsCells {
             apply_ns_total: self.apply_ns_total.load(Ordering::Relaxed),
             publish_bytes_copied: self.publish_bytes_copied.load(Ordering::Relaxed),
             chunks_copied_last: self.chunks_copied_last.load(Ordering::Relaxed),
-            repair_shards_last: self.repair_shards_last.load(Ordering::Relaxed),
-            repair_shard_ns_max_last: self.repair_shard_ns_max_last.load(Ordering::Relaxed),
-            repair_shard_ns_sum_last: self.repair_shard_ns_sum_last.load(Ordering::Relaxed),
             trees_touched_total: self.trees_touched_total.load(Ordering::Relaxed),
             trees_skipped_total: self.trees_skipped_total.load(Ordering::Relaxed),
             compactions_total: 0,

@@ -4,12 +4,12 @@
 //! weight to `factor × φ` and then **decreases** (restores) it to `φ`,
 //! measuring both directions. Figure 8 varies `factor` from 2 to 10.
 //!
-//! [`hotspot_batches`] additionally generates **tree-targeted** streams for
-//! the per-tree repair units: updates concentrated in the `k` stable
-//! trees owning the most edges (an incident, e.g. one closed bridge ramp —
-//! all work lands on few shards) versus uniformly scattered (city-wide rush
-//! hour — work spread over many). Both reuse
-//! the mixed-trace congestion ledger so decreases are real recoveries.
+//! [`hotspot_batches`] additionally generates **tree-targeted** streams,
+//! keyed by each edge's owning stable tree: updates concentrated in the `k`
+//! stable trees owning the most edges (an incident, e.g. one closed bridge
+//! ramp — all work lands on few shards) versus uniformly scattered
+//! (city-wide rush hour — work spread over many). Both reuse the
+//! mixed-trace congestion ledger so decreases are real recoveries.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

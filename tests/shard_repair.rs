@@ -1,16 +1,7 @@
-//! Property tests for batch repair in stable-tree units.
+//! Property tests for batch repair on random road networks.
 //!
-//! For random road networks and seeded mixed batches, for **both**
-//! maintenance families (Label Search by per-ancestor ownership, Pareto
-//! Search by the interval-clamped decomposition):
-//! * the set of label entries written by shard `i` never intersects shard
-//!   `j`'s (instrumented with the driver's entry-level write log, which
-//!   records every `ShardLabels::set` — strictly finer than the COW
-//!   `DirtyTracker` chunk sets, which legitimately overlap because one
-//!   ~16 KiB chunk interleaves entries of many shards);
-//! * every write lands in the region `Hierarchy::shard_of_entry` assigns to
-//!   the writing shard — the proof behind the router's `owned` filter,
-//!   which repairs only the units a worker owns;
+//! For seeded mixed batches, for **both** maintenance families, after every
+//! batch:
 //! * the maintained arena equals, entry for entry, a rebuild over the same
 //!   hierarchy on the updated graph (labels are canonical subgraph
 //!   distances, so a rebuild is the exact expected arena);
@@ -18,9 +9,7 @@
 //!
 //! Every assertion carries the stream seed for replay.
 
-use std::collections::HashMap;
-
-use stable_tree_labelling::core::{verify, EnginePool, Maintenance, Stl, StlConfig, UpdateEngine};
+use stable_tree_labelling::core::{verify, Maintenance, Stl, StlConfig, UpdateEngine};
 use stable_tree_labelling::pathfinding::dijkstra;
 use stable_tree_labelling::prelude::*;
 use stable_tree_labelling::workloads::mixed::{mixed_trace, MixedConfig, MixedOp};
@@ -37,42 +26,20 @@ fn batches_for(g: &CsrGraph, seed: u64, ops: usize) -> Vec<Vec<EdgeUpdate>> {
     .collect()
 }
 
-/// The write-log property test shared by both families.
-fn write_sets_are_disjoint_and_match_rebuild(algo: Maintenance) {
+/// The per-batch rebuild and oracle check shared by both families, on
+/// hierarchies split into several stable trees.
+fn batches_match_rebuild_and_oracle(algo: Maintenance) {
     for seed in [0x5AD, 42u64, 0xC0FFEE] {
         let g0 = generate(&RoadNetConfig::sized(260, seed));
         let cfg = StlConfig { leaf_size: 4, ..Default::default() };
         let mut stl = Stl::build(&g0, &cfg);
         assert!(stl.hierarchy().num_shards() > 2, "seed {seed}: want a real shard split");
         let mut g = g0.clone();
-        let mut pool = EnginePool::new();
+        let mut eng = UpdateEngine::new(g0.num_vertices());
         let pool_pairs = random_pairs(g0.num_vertices(), 12, seed ^ 0x77);
 
         for (round, batch) in batches_for(&g0, seed, 40).iter().enumerate() {
-            let (stats, report, log) =
-                stl.apply_batch_sharded_logged(&mut g, batch, algo, &mut pool);
-
-            // Disjointness: no entry appears under two shards, and each
-            // entry belongs to the shard that wrote it.
-            let mut owner: HashMap<(VertexId, u32), u32> = HashMap::new();
-            for (shard, entries) in &log {
-                for &(v, i) in entries {
-                    assert_eq!(
-                        stl.hierarchy().shard_of_entry(v, i),
-                        *shard,
-                        "seed {seed} {algo:?} round {round}: shard {shard} wrote foreign entry \
-                         ({v},{i})"
-                    );
-                    if let Some(prev) = owner.insert((v, i), *shard) {
-                        assert_eq!(
-                            prev, *shard,
-                            "seed {seed} {algo:?} round {round}: entry ({v},{i}) written by two \
-                             shards"
-                        );
-                    }
-                }
-            }
-            assert_eq!(report.shards_touched as u64, stats.trees_touched);
+            let stats = stl.apply_batch(&mut g, batch, algo, &mut eng);
             assert!(
                 stats.trees_touched > 0 || stats.updates == 0,
                 "seed {seed} {algo:?} round {round}: a batch with updates must touch a tree"
@@ -94,13 +61,13 @@ fn write_sets_are_disjoint_and_match_rebuild(algo: Maintenance) {
 }
 
 #[test]
-fn shard_write_sets_are_disjoint_and_labels_match_rebuild_and_oracle() {
-    write_sets_are_disjoint_and_match_rebuild(Maintenance::LabelSearch);
+fn label_search_batches_match_rebuild_and_oracle() {
+    batches_match_rebuild_and_oracle(Maintenance::LabelSearch);
 }
 
 #[test]
-fn pareto_shard_write_sets_are_disjoint_and_labels_match_rebuild_and_oracle() {
-    write_sets_are_disjoint_and_match_rebuild(Maintenance::ParetoSearch);
+fn pareto_batches_match_rebuild_and_oracle() {
+    batches_match_rebuild_and_oracle(Maintenance::ParetoSearch);
 }
 
 /// Long-stream rebuild twin shared by both families; release-gated.
