@@ -24,6 +24,11 @@
 //!             [--fsync always|never|every:N]
 //! ```
 //!
+//! `--threads T` (default 1) bounds the whole index build of `build` and
+//! `serve`: the hierarchy's level-parallel splits and the label
+//! construction both run on at most `T` threads. The index is the same at
+//! any `T`.
+//!
 //! `serve` builds an index in-process, starts the `stl_server`
 //! epoch-snapshot service (readers on immutable snapshots, one writer
 //! publishing per batch), replays a seeded mixed query/update trace through
@@ -194,8 +199,7 @@ fn cmd_build(args: &[String]) -> Result<(), AnyErr> {
     println!("graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
     let cfg = StlConfig::with_beta(beta);
     let t0 = Instant::now();
-    let stl =
-        if threads > 1 { Stl::build_parallel(&g, &cfg, threads) } else { Stl::build(&g, &cfg) };
+    let stl = Stl::build_parallel(&g, &cfg, threads);
     let build_time = t0.elapsed();
     let stats = IndexStats::of(&stl);
     println!(
@@ -375,8 +379,7 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     println!("graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
     let cfg = StlConfig::default();
     let t0 = Instant::now();
-    let stl =
-        if threads > 1 { Stl::build_parallel(&g, &cfg, threads) } else { Stl::build(&g, &cfg) };
+    let stl = Stl::build_parallel(&g, &cfg, threads);
     println!("index built in {:.2?}", t0.elapsed());
 
     let owned_shards = match (worker_index, num_workers) {

@@ -611,7 +611,8 @@ pub struct Stl {
 }
 
 impl Stl {
-    /// Build the index for `g` (hierarchy + labels).
+    /// Build the index for `g`: the hierarchy on every core
+    /// ([`Hierarchy::build`]), the labels on the calling thread.
     pub fn build(g: &CsrGraph, cfg: &StlConfig) -> Self {
         let hier = Hierarchy::build(g, cfg);
         Self::build_with_hierarchy(g, hier)
@@ -635,10 +636,12 @@ impl Stl {
         Self::build_with_hierarchy_parallel(g, hier, 1)
     }
 
-    /// Parallel label construction over `threads` worker threads (see
-    /// [`Stl::build_with_hierarchy_parallel`]).
+    /// Build the index on at most `threads` threads: both the hierarchy
+    /// (see [`Hierarchy::build`]) and the labels (see
+    /// [`Stl::build_with_hierarchy_parallel`]). The index does not depend on
+    /// `threads`.
     pub fn build_parallel(g: &CsrGraph, cfg: &StlConfig, threads: usize) -> Self {
-        let hier = Hierarchy::build(g, cfg);
+        let hier = Hierarchy::build_on(g, cfg, threads);
         Self::build_with_hierarchy_parallel(g, hier, threads)
     }
 

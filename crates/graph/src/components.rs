@@ -16,7 +16,7 @@ pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
         comp[s as usize] = k;
         stack.push(s);
         while let Some(v) = stack.pop() {
-            for (u, _) in g.neighbors(v) {
+            for &u in g.neighbor_ids(v) {
                 if comp[u as usize] == u32::MAX {
                     comp[u as usize] = k;
                     stack.push(u);

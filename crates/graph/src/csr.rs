@@ -81,6 +81,14 @@ impl CsrGraph {
         ts.iter().copied().zip(ws.iter().copied())
     }
 
+    /// Neighbour ids of `v`, sorted, without touching the weight store —
+    /// for weight-blind scans (partitioning, components).
+    #[inline(always)]
+    pub fn neighbor_ids(&self, v: VertexId) -> &[VertexId] {
+        let (lo, hi) = self.arc_range(v);
+        &self.targets[lo..hi]
+    }
+
     /// Raw neighbour slices of `v` for hot loops: `(targets, weights)`.
     #[inline(always)]
     pub fn neighbor_slices(&self, v: VertexId) -> (&[VertexId], &[Weight]) {

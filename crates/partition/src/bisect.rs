@@ -10,7 +10,7 @@ use stl_pathfinding::bfs;
 use crate::config::PartitionConfig;
 
 /// Assign each vertex a side (`0` / `1`); side 0 is a BFS-order prefix.
-pub fn bfs_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
+pub(crate) fn bfs_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
     let n = g.num_vertices();
     let (start, _) = bfs::pseudo_peripheral(g, 0);
     let order = bfs::bfs_order(g, start);
@@ -24,11 +24,11 @@ pub fn bfs_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
 }
 
 /// Count edges whose endpoints lie on different sides.
-pub fn cut_size(g: &CsrGraph, side: &[u8]) -> usize {
+pub(crate) fn cut_size(g: &CsrGraph, side: &[u8]) -> usize {
     let mut cut = 0usize;
     for v in 0..g.num_vertices() as VertexId {
         if side[v as usize] == 0 {
-            for (u, _) in g.neighbors(v) {
+            for &u in g.neighbor_ids(v) {
                 if side[u as usize] == 1 {
                     cut += 1;
                 }

@@ -23,7 +23,7 @@ impl PartitionConfig {
     }
 
     /// Largest admissible side size for an `n`-vertex (sub)graph.
-    pub fn max_side(&self, n: usize) -> usize {
+    pub(crate) fn max_side(&self, n: usize) -> usize {
         (((1.0 - self.beta) * n as f64).floor() as usize).max(1)
     }
 }

@@ -14,7 +14,7 @@ use crate::config::PartitionConfig;
 /// Side assignment from the best of several directional sweeps.
 ///
 /// Requires coordinates; callers guard on `g.coords().is_some()`.
-pub fn inertial_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
+pub(crate) fn inertial_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Vec<u8> {
     let coords = g.coords().expect("inertial bisection requires coordinates");
     let n = g.num_vertices();
     let dirs = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)];

@@ -6,20 +6,24 @@
 //! the cut primitive of Definition 4.1 in the paper (the recursive
 //! bi-partitioning of \[12\] *without* shortcut insertion, per Remark 1).
 //!
-//! Pipeline:
+//! Pipeline (the stages are private modules; [`find_separator`] is the
+//! crate's one entry point):
 //! 1. initial bisection — inertial sweep when coordinates exist
-//!    ([`inertial`]), else pseudo-peripheral BFS split ([`bisect`]);
-//! 2. [`fm`] — Fiduccia–Mattheyses passes minimising the edge cut under the
-//!    balance constraint;
-//! 3. [`separator`] — minimum vertex cover of the cut edges via
+//!    (`inertial`), else pseudo-peripheral BFS split (`bisect`);
+//! 2. `fm` — Fiduccia–Mattheyses passes minimising the edge cut under the
+//!    balance constraint. The move queue is one min-heap of vertex ids per
+//!    gain value (gains are bounded by the maximum degree): each move takes
+//!    the largest gain, ties going to the smallest vertex id, so the result
+//!    is a pure function of the graph and its vertex ids;
+//! 3. `separator` — minimum vertex cover of the cut edges via
 //!    Hopcroft–Karp + Kőnig, turning the edge cut into a (locally minimal)
 //!    vertex separator.
 
-pub mod bisect;
-pub mod config;
-pub mod fm;
-pub mod inertial;
-pub mod separator;
+mod bisect;
+mod config;
+mod fm;
+mod inertial;
+mod separator;
 
 pub use config::PartitionConfig;
 pub use separator::Separator;

@@ -23,7 +23,7 @@ pub struct Separator {
 }
 
 /// Derive a vertex separator from a two-sided assignment.
-pub fn cover_separator(g: &CsrGraph, side: &[u8]) -> Separator {
+pub(crate) fn cover_separator(g: &CsrGraph, side: &[u8]) -> Separator {
     // Collect cut edges and the distinct endpoints per side.
     let mut left_ids: Vec<VertexId> = Vec::new(); // side 0 endpoints
     let mut right_ids: Vec<VertexId> = Vec::new(); // side 1 endpoints
@@ -34,7 +34,7 @@ pub fn cover_separator(g: &CsrGraph, side: &[u8]) -> Separator {
         if side[v as usize] != 0 {
             continue;
         }
-        for (u, _) in g.neighbors(v) {
+        for &u in g.neighbor_ids(v) {
             if side[u as usize] == 1 {
                 let li = *left_index.entry(v).or_insert_with(|| {
                     left_ids.push(v);

@@ -6,9 +6,10 @@
 //! reference search is one plain Dijkstra per cut vertex restricted by the
 //! `precedes` predicate, on synthetic road networks with closed roads
 //! (`INF` arcs) and leaf sizes from 1 to 64, and require every thread count
-//! to build the same label arena.
+//! to build the same label arena. The 64k network's hierarchy shape is
+//! pinned too.
 
-use stable_tree_labelling::core::{verify, Stl, StlConfig};
+use stable_tree_labelling::core::{verify, Hierarchy, Stl, StlConfig};
 use stable_tree_labelling::workloads::roadnet::{generate, RoadNetConfig};
 
 /// `(vertices, closed-road probability, leaf size, seed)`.
@@ -46,4 +47,16 @@ fn labels_exact_at_16k_vertices() {
     let g = generate(&RoadNetConfig::sized(16_384, 0x0057_AB1E));
     let stl = Stl::build_parallel(&g, &StlConfig::default(), 2);
     verify::check_labels_exact(&stl, &g).unwrap();
+}
+
+/// The 64k `query_mem` network keeps the hierarchy shape it had before the
+/// level-parallel build and the gain-bucket FM: nodes, label entries,
+/// height and root cut. Release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn hierarchy_shape_pinned_at_64k_vertices() {
+    let g = generate(&RoadNetConfig::sized(65_536, 0x0057_AB1E));
+    let h = Hierarchy::build(&g, &StlConfig::default());
+    let shape = (h.num_nodes(), h.total_label_entries(), h.height(), h.root_cut_len());
+    assert_eq!(shape, (14_548, 43_176_513, 710, 228));
 }
