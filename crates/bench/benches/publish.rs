@@ -6,10 +6,15 @@
 //! the batch actually wrote. This bench measures both regimes end to end
 //! (apply + publish) for batch sizes 1 / 16 / 256 and reports bytes copied
 //! per generation; in `--test` mode it also asserts the headline claim —
-//! a 1-update batch copies at least 10× less than a full clone.
+//! a 1-update batch copies at least 10× less than a full clone. It records
+//! the median publish clone and retired-snapshot drop after a 1-update
+//! batch as the `publish_clone_us` / `publish_drop_us` summary counters
+//! (recorded, not gated: they are timings).
 //!
 //! Registered on the workspace root (like `throughput`), so
 //! `cargo bench --bench publish -- --test` works from the repo root.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, summary, BenchmarkId, Criterion};
 
@@ -56,7 +61,8 @@ fn bench_publish(c: &mut Criterion) {
 
         // COW: pin the previous epoch (the server's swap slot does exactly
         // this), apply the batch — promoting only the chunks it writes —
-        // then publish by cloning the Arc chunk tables.
+        // then publish by cloning the paged chunk tables and drop the
+        // retired epoch, timing both.
         let mut g = g0.clone();
         let mut stl = stl0.clone();
         let mut eng = UpdateEngine::new(g.num_vertices());
@@ -64,6 +70,7 @@ fn bench_publish(c: &mut Criterion) {
         let mut copied = CowStats::default();
         let mut gens = 0u64;
         let mut flip = false;
+        let (mut clone_us, mut drop_us) = (Vec::new(), Vec::new());
         group.bench_function(BenchmarkId::new("cow", bs), |b| {
             b.iter(|| {
                 let batch = if flip { &res } else { &inc };
@@ -71,10 +78,19 @@ fn bench_publish(c: &mut Criterion) {
                 stl.apply_batch(&mut g, batch, Maintenance::ParetoSearch, &mut eng);
                 copied += stl.take_cow_stats() + g.take_cow_stats();
                 gens += 1;
-                pinned = (g.clone(), stl.clone());
+                let t = Instant::now();
+                let retired = std::mem::replace(&mut pinned, (g.clone(), stl.clone()));
+                clone_us.push(t.elapsed().as_secs_f64() * 1e6);
+                let t = Instant::now();
+                drop(retired);
+                drop_us.push(t.elapsed().as_secs_f64() * 1e6);
                 std::hint::black_box(&pinned);
             })
         });
+        if bs == 1 {
+            summary::counter("publish_clone_us", median(&mut clone_us));
+            summary::counter("publish_drop_us", median(&mut drop_us));
+        }
         if let Some(per_gen) = copied.bytes_copied.checked_div(gens) {
             let saving = full_bytes as f64 / per_gen.max(1) as f64;
             summary::counter(format!("cow_bytes_per_gen_batch{bs}"), per_gen as f64);
@@ -99,6 +115,12 @@ fn bench_publish(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// Median of `xs` (0 if empty).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
 }
 
 criterion_group!(benches, bench_publish);

@@ -33,11 +33,13 @@
 //! offsets, filled in place by the builder and wrapped without a copy as
 //! vertex-aligned ~16 KiB chunk views: the blocks a query compares are
 //! consecutive in memory (§4's caching argument), and each chunk sits
-//! behind an `Arc` for copy-on-write epoch publishing (see
-//! `stl_graph::cow`). Each chunk's escape table sits behind its own `Arc`
-//! next to it and is copied on write with it. An index is therefore **born
-//! flat**, and stays flat until its first label write, which promotes the
-//! written chunk out of the arena and leaves the index chunked for good.
+//! behind an `Arc`, in pages of `stl_graph::cow::PAGE` chunks behind one
+//! `Arc` each, for copy-on-write epoch publishing (see `stl_graph::cow`).
+//! Each chunk's escape table sits behind its own `Arc` in a page table of
+//! the same shape, and is copied on write — with its page — only by a write
+//! that edits it. An index is therefore **born flat**, and stays flat until
+//! its first label write, which promotes the written chunk out of the arena
+//! and leaves the index chunked for good.
 //!
 //! Batch repair writes through a `LabelsWriter` phase, which resolves each
 //! chunk it touches once.
@@ -47,7 +49,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, PhaseWriter, Pod};
+use stl_graph::cow::{AlignedBuf, ChunkedStore, CowStats, Paged, PhaseWriter, Pod};
 use stl_graph::{CsrGraph, Dist, VertexId, Weight, INF};
 
 use crate::hierarchy::Hierarchy;
@@ -327,17 +329,19 @@ impl LabelArena {
 ///
 /// The flat block arena behind a vertex-aligned [`ChunkedStore`]:
 /// [`Labels::blocks`] returns one contiguous `&[LabelBlock]` per vertex
-/// (boundaries never split a label), `clone` is `O(#chunks)` and shares
-/// every byte, and a repair write copies a chunk at most once per publish
-/// window when a snapshot still shares it. This
+/// (boundaries never split a label), `clone` copies one pointer per page of
+/// [`PAGE`](stl_graph::cow::PAGE) chunks (and one per page of escape
+/// tables) and shares every byte, and a repair write copies a chunk at most
+/// once per publish window when a snapshot still shares it. This
 /// type adds the per-vertex location layer and the per-chunk escape tables
 /// on top of the store.
 #[derive(Debug, Clone)]
 pub struct Labels {
     locs: Arc<[VertexLoc]>,
     pub(crate) store: ChunkedStore<LabelBlock>,
-    /// One escape table per chunk, copied on write like the chunk.
-    escapes: Vec<Arc<Escapes>>,
+    /// One escape table per chunk, paged like the chunks, each table
+    /// copied on write like its chunk.
+    escapes: Paged<Arc<Escapes>>,
     /// Total label entries `Σ (τ(v)+1)`.
     entries: u64,
 }
@@ -411,7 +415,7 @@ impl Labels {
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
         let mut writer = self.store.phase_writer();
         let block = writer.get_mut_in_chunk(c, b as usize);
-        write_entry(block, &mut self.escapes[c], b, i as usize % BLOCK, d);
+        write_entry(block, &mut self.escapes, c, b, i as usize % BLOCK, d);
     }
 
     /// The exact value of escaped entry `L(v)[i]` — the rare fix-up of the
@@ -420,7 +424,7 @@ impl Labels {
     #[inline]
     pub(crate) fn escape(&self, v: VertexId, i: usize) -> Dist {
         let loc = self.locs[v as usize];
-        self.escapes[loc.chunk as usize].get(loc.lo * BLOCK as u32 + i as u32)
+        self.escapes.get(loc.chunk as usize).get(loc.lo * BLOCK as u32 + i as u32)
     }
 
     /// The blocks of `v`'s label, contiguous, through the chunk table.
@@ -478,18 +482,18 @@ impl Labels {
     }
 
     /// Resident bytes: the blocks with their chunk table, the escape
-    /// tables (by length, so the figure repeats exactly) and the
-    /// per-vertex location arrays.
+    /// tables with theirs (by length, so the figure repeats exactly) and
+    /// the per-vertex location arrays.
     pub fn memory_bytes(&self) -> usize {
         self.store.memory_bytes()
-            + self.escapes.len() * std::mem::size_of::<Arc<Escapes>>()
+            + self.escapes.memory_bytes()
             + self.num_escapes() * std::mem::size_of::<(u32, Dist)>()
             + self.locs.len() * std::mem::size_of::<VertexLoc>()
     }
 
     /// Chunk `c`'s escape table.
     pub(crate) fn chunk_escapes(&self, c: usize) -> &Escapes {
-        &self.escapes[c]
+        self.escapes.get(c)
     }
 
     /// Every escaped entry as `(global key, value)` in key order, the key
@@ -554,14 +558,21 @@ impl Labels {
     }
 }
 
-/// Write `d` into lane `j` of `block`, block `b` of its chunk, keeping the
-/// chunk's escape table `escapes` in step — copied first if a snapshot
-/// still shares it.
+/// Write `d` into lane `j` of `block`, block `b` of chunk `c`, keeping the
+/// chunk's escape table in `escapes` in step. Only a write that edits the
+/// table copies it — and its page — if a snapshot still shares them.
 #[inline]
-fn write_entry(block: &mut LabelBlock, escapes: &mut Arc<Escapes>, b: u32, j: usize, d: Dist) {
+fn write_entry(
+    block: &mut LabelBlock,
+    escapes: &mut Paged<Arc<Escapes>>,
+    c: usize,
+    b: u32,
+    j: usize,
+    d: Dist,
+) {
     let key0 = b * BLOCK as u32;
-    if let Some(edit) = block.write(j, d, |l| escapes.get(key0 + l as u32)) {
-        Arc::make_mut(escapes).apply(key0, &edit);
+    if let Some(edit) = block.write(j, d, |l| escapes.get(c).get(key0 + l as u32)) {
+        Arc::make_mut(escapes.make_mut(c)).apply(key0, &edit);
     }
 }
 
@@ -572,7 +583,7 @@ fn write_entry(block: &mut LabelBlock, escapes: &mut Arc<Escapes>, b: u32, j: us
 #[derive(Debug)]
 pub(crate) struct LabelsWriter<'a> {
     locs: &'a [VertexLoc],
-    escapes: &'a mut [Arc<Escapes>],
+    escapes: &'a mut Paged<Arc<Escapes>>,
     inner: PhaseWriter<'a, LabelBlock>,
 }
 
@@ -584,7 +595,7 @@ impl LabelsWriter<'_> {
         debug_assert!(i < loc.len);
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
         let block = self.inner.get_in_chunk(c, b as usize);
-        block.entry(i as usize % BLOCK, || self.escapes[c].get(loc.lo * BLOCK as u32 + i))
+        block.entry(i as usize % BLOCK, || self.escapes.get(c).get(loc.lo * BLOCK as u32 + i))
     }
 
     /// Overwrite `L(v)[i]`.
@@ -594,7 +605,7 @@ impl LabelsWriter<'_> {
         debug_assert!(i < loc.len);
         let (c, b) = (loc.chunk as usize, loc.lo + i / BLOCK as u32);
         let block = self.inner.get_mut_in_chunk(c, b as usize);
-        write_entry(block, &mut self.escapes[c], b, i as usize % BLOCK, d);
+        write_entry(block, self.escapes, c, b, i as usize % BLOCK, d);
     }
 }
 
@@ -603,7 +614,8 @@ impl LabelsWriter<'_> {
 /// The hierarchy is weight-independent ("structural stability", Remark 1)
 /// and therefore immutable for the index's whole lifetime; it is held in an
 /// `Arc` so cloning an index for a published epoch shares it outright.
-/// Combined with the chunked [`Labels`], `Stl::clone` is `O(#chunks)`.
+/// Combined with the chunked [`Labels`], `Stl::clone` is `O(#chunks / PAGE)`
+/// pointer copies (see [`Labels`]).
 #[derive(Debug, Clone)]
 pub struct Stl {
     pub(crate) hier: Arc<Hierarchy>,
@@ -1043,6 +1055,7 @@ impl Labels {
 mod tests {
     use super::*;
     use stl_graph::builder::from_edges;
+    use stl_graph::EdgeUpdate;
     use stl_pathfinding::dijkstra;
 
     fn grid(side: u32, w: u32) -> CsrGraph {
@@ -1269,7 +1282,7 @@ mod tests {
         // A stray escape changes no block and no decoded entry: only the
         // exact escape-table comparison can see it.
         let stray = stl.labels().locs[v as usize].lo * BLOCK as u32 + j as u32;
-        let table = Arc::make_mut(&mut stl.labels.escapes[c]);
+        let table = Arc::make_mut(stl.labels.escapes.make_mut(c));
         let at = table.0.partition_point(|e| e.0 < stray);
         table.0.insert(at, (stray, original));
         assert_eq!(stl.labels().get(v, i), original);
@@ -1327,6 +1340,56 @@ mod tests {
         assert_eq!(stl.take_cow_stats().chunks_copied, 1);
         stl.labels.set(v, 0, old);
         assert_eq!(stl.cow_stats(), CowStats::default(), "private chunk: written in place");
+    }
+
+    /// Repairs that edit the escape tables of two chunks in one escape page
+    /// while a snapshot holds the index: the snapshot keeps every table,
+    /// and the repaired ones equal a rebuild's.
+    #[test]
+    fn escape_edits_in_one_page_leave_the_snapshot_alone() {
+        // Streets of weight 1 one way and 70 000 the other put lanes more
+        // than 0xFFFD above their block's base.
+        let side = 24u32;
+        let idx = |x: u32, y: u32| y * side + x;
+        let mut edges = Vec::new();
+        for y in 0..side {
+            for x in 0..side {
+                if x + 1 < side {
+                    edges.push((idx(x, y), idx(x + 1, y), 1));
+                }
+                if y + 1 < side {
+                    edges.push((idx(x, y), idx(x, y + 1), 70_000));
+                }
+            }
+        }
+        let mut g = from_edges((side * side) as usize, edges);
+        let g0 = g.clone();
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        let nc = stl.num_chunks();
+        assert!((2..=stl_graph::cow::PAGE).contains(&nc), "want one page of chunks, got {nc}");
+        assert!(stl.labels().num_escapes() > 0);
+        let snapshot = stl.clone();
+        let tables =
+            |l: &Labels| -> Vec<Escapes> { (0..nc).map(|c| l.chunk_escapes(c).clone()).collect() };
+        let before = tables(snapshot.labels());
+        // Open a few north–south streets and close a few east–west ones.
+        let batch: Vec<EdgeUpdate> = (2..side)
+            .step_by(5)
+            .flat_map(|x| {
+                [
+                    EdgeUpdate::new(idx(x, x), idx(x, x - 1), 1),
+                    EdgeUpdate::new(idx(x, 1), idx(x - 1, 1), 70_000),
+                ]
+            })
+            .collect();
+        let mut eng = crate::UpdateEngine::new(g.num_vertices());
+        stl.apply_batch(&mut g, &batch, crate::Maintenance::ParetoSearch, &mut eng);
+        let after = tables(stl.labels());
+        let edited = (0..nc).filter(|&c| after[c] != before[c]).count();
+        assert!(edited >= 2, "the repairs must edit escapes in two chunks, edited {edited}");
+        assert_eq!(tables(snapshot.labels()), before, "snapshot escape tables");
+        crate::verify::check_matches_rebuild(&stl, &g).unwrap();
+        crate::verify::check_matches_rebuild(&snapshot, &g0).unwrap();
     }
 
     #[test]

@@ -457,10 +457,11 @@ impl Stl {
                     // The next target's whole label, not just its first
                     // line: labels are several cache lines and the id-gaps
                     // between consecutive targets defeat the hardware
-                    // streamer.
-                    if let Some(a) = src.arena {
-                        prefetch_label(self.labels.blocks_flat(a, (ne >> 32) as VertexId));
-                    }
+                    // streamer. Chunked snapshots too: resolving the label
+                    // through the page and chunk tables is a few cached
+                    // loads, and without the hint every target waits out
+                    // its label's misses.
+                    prefetch_label(self.label(src.arena, (ne >> 32) as VertexId));
                 }
                 let t = (e >> 32) as VertexId;
                 if t == prev_t {

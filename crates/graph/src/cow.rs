@@ -8,27 +8,31 @@
 //!
 //! * Mutable flat arrays (the label arena, the CSR weight array) are split
 //!   into **vertex-aligned chunks** of roughly [`DEFAULT_CHUNK_ENTRIES`]
-//!   entries (~16 KiB). Each chunk is a [`Chunk`]: an offset view into a
+//!   entries (~16 KiB). Each chunk is an offset view into a
 //!   reference-counted, 64-byte-aligned buffer ([`AlignedBuf`]). Chunk
 //!   boundaries never split one vertex's span, so a vertex's entries remain
 //!   one contiguous `&[T]` and hot read loops are untouched.
-//! * A *clone* of the store clones only the chunk table — `O(#chunks)`
-//!   pointer copies, no data movement. That clone **is** the published
-//!   snapshot.
-//! * A *write* goes through [`cow_chunk`]: if the chunk is shared with any
-//!   snapshot it is copied first (`O(chunk)`), otherwise it is written in
-//!   place. Per epoch, a chunk is copied at most once; untouched chunks stay
-//!   physically shared across every generation that doesn't write them.
-//! * A [`DirtyTracker`] embedded in each store records the copies, so the
-//!   write points the maintenance algorithms already funnel through
-//!   (`Labels::set`, `CsrGraph::apply_update`) account bytes-copied per
-//!   generation for free; the server drains it into its published counters.
+//! * The chunk table is **two-level** ([`Paged`]): chunks sit in fixed
+//!   pages of [`PAGE`] chunks, each page behind one `Arc`. A *clone* of the
+//!   store copies one pointer per page — `O(#chunks / PAGE)`, no data
+//!   movement. That clone **is** the published snapshot.
+//! * A *write* first copies the chunk's page if a snapshot still shares it
+//!   (`PAGE` refcount bumps; no payload moves), then promotes the chunk: if
+//!   the chunk is shared with any snapshot it is copied (`O(chunk)`),
+//!   otherwise it is written in place. Per epoch, a page and a chunk are
+//!   each copied at most once; untouched pages and chunks stay physically
+//!   shared across every generation that doesn't write them.
+//! * A dirty tracker embedded in each store records the chunk copies, so
+//!   the write points the maintenance algorithms already funnel through
+//!   (`Labels::phase_writer`, `CsrGraph::apply_update`) account
+//!   bytes-copied per generation for free; the server drains it into its
+//!   published counters.
 //! * A store is **born flat** when its builder fills one 64-byte-aligned
 //!   arena and wraps it with [`ChunkedStore::from_arena`]: every chunk is a
 //!   view into that arena at its canonical offset, with no copy. Because
 //!   chunks are offset views, flatness does not give up copy-on-write: the
 //!   first write to a flat store promotes only the touched chunk into a
-//!   private buffer, and publishing stays `O(#chunks)`. A flat store
+//!   private buffer, and publishing stays `O(#pages)`. A flat store
 //!   additionally exposes [`ChunkedStore::flat_slice`] so read paths can
 //!   skip the chunk-table indirection entirely (the direct-offset query
 //!   path in `stl_core`). The first write un-flattens the store for good:
@@ -40,11 +44,12 @@
 //!
 //! [`ChunkedStore`] is the generic store; the CSR weight array uses it as
 //! [`WeightStore`], and `stl_core`'s label arena wraps it behind its
-//! per-vertex offset table.
+//! per-vertex offset table, with its per-chunk escape tables in a
+//! [`Paged`] table of their own.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::ptr;
+use std::ptr::{self, NonNull};
 use std::sync::Arc;
 
 use crate::types::Weight;
@@ -53,9 +58,32 @@ use crate::types::Weight;
 /// Measured on the `publish` bench: a repair wave's affected vertices
 /// scatter across the arena, so bytes-copied per epoch is roughly
 /// `#touched regions × chunk size` — 16 KiB chunks copy ~4× less than
-/// 64 KiB ones for the same batch, while the per-publish chunk-table clone
-/// stays `O(#chunks)` pointer copies (tens of µs even at 10⁸ entries).
+/// 64 KiB ones for the same batch. Small chunks make a long chunk table:
+/// 6 383 label chunks at 65 536 vertices, whose one-level table took
+/// 151–229 µs to clone and 110–164 µs to drop per publish (p50 over 1 280
+/// single-edge batches, one pinned CPU of a 2-vCPU Xeon host). The
+/// [`Paged`] table's [`PAGE`]-chunk pages are what keeps that small.
 pub const DEFAULT_CHUNK_ENTRIES: u64 = 4 * 1024;
+
+/// Entries per page of a [`Paged`] table, a power of two. Measured with
+/// 1 280 single-edge batches and a snapshot held per batch, as a server
+/// publishes, on one pinned CPU of a 2-vCPU Xeon host (p50 µs, six runs at
+/// 65 536 vertices with 6 383 label chunks, three at 16 384 with 760):
+///
+/// | `PAGE` | clone, 64k | drop, 64k | apply + clone + drop, 16k |
+/// |---|---|---|---|
+/// | one-level table | 151–229 | 110–164 | 141–219 |
+/// | 8 | 16–26 | 18–25 | 110–127 |
+/// | 16 | 9–15 | 13–19 | 113–116 |
+/// | 64 | 3.5–6 | 8–14 | 108–149 |
+///
+/// The single-edge apply (233–386 µs at 64k in every variant) spread more
+/// than any page size moved it. What a larger page costs lands in the
+/// apply: a batch that promotes 160 chunks at 64k first copies their pages,
+/// up to 160 × `PAGE` handle clones, and the retired snapshot later drops
+/// as many. 16 keeps that under a few thousand refcount bumps a batch while
+/// the clone and drop stay under 20 µs each.
+pub const PAGE: usize = 16;
 
 /// Marker for element types the aligned arena may store.
 ///
@@ -156,42 +184,88 @@ impl<T: Pod> std::fmt::Debug for AlignedBuf<T> {
 }
 
 /// One chunk of a [`ChunkedStore`]: a `len`-entry view into a shared
-/// aligned buffer starting at entry `off`.
+/// aligned buffer.
 ///
-/// A copy-on-write promoted chunk owns its whole buffer (`off == 0`,
-/// `len == buf.len()`); in a store wrapped around an arena every unwritten
-/// chunk is a view into it at its canonical global offset. Either way
-/// `as_slice` is one bounds-checked index away, and clone is an `Arc` bump.
+/// A copy-on-write promoted chunk owns its whole buffer; in a store
+/// wrapped around an arena every unwritten chunk is a view into it at its
+/// canonical global offset. The view's first entry is cached next to the
+/// `Arc`, so a read goes from the chunk table straight to the payload
+/// instead of first loading the buffer's header: behind the two-level
+/// [`Paged`] table a chunked read then takes as many dependent loads as
+/// it did behind a one-level table that did load the header. Clone is an
+/// `Arc` bump.
 #[derive(Debug, Clone)]
-pub struct Chunk<T: Pod> {
+struct Chunk<T: Pod> {
     buf: Arc<AlignedBuf<T>>,
-    off: usize,
+    /// The view's first entry, inside `buf`. Taken from `buf` when the
+    /// chunk is made, and again from the exclusive borrow of every write
+    /// access ([`Chunk::payload_mut`]), so the pointer reads use is the one
+    /// derived from the buffer's latest mutable borrow.
+    head: NonNull<T>,
     len: usize,
 }
 
+// SAFETY: `head` points into `buf`, which the chunk owns a share of, and
+// `AlignedBuf<T>` is `Send + Sync` for every `T: Pod`. Through `&Chunk` the
+// pointer is only read, and the one write path (`payload_mut`) takes
+// `&mut Chunk` and proves with `Arc::get_mut` that no other chunk, on any
+// thread, shares the buffer.
+unsafe impl<T: Pod> Send for Chunk<T> {}
+// SAFETY: as for `Send`.
+unsafe impl<T: Pod> Sync for Chunk<T> {}
+
 impl<T: Pod> Chunk<T> {
+    /// A `len`-entry view of `buf` starting at entry `off`.
+    fn view(buf: Arc<AlignedBuf<T>>, off: usize, len: usize) -> Self {
+        let head = NonNull::from(&buf.as_slice()[off..off + len]).cast();
+        Chunk { buf, head, len }
+    }
+
     /// A chunk owning a private aligned copy of `src`.
     fn owned(src: &[T]) -> Self {
-        Chunk { buf: Arc::new(AlignedBuf::copy_of(src)), off: 0, len: src.len() }
+        Self::view(Arc::new(AlignedBuf::copy_of(src)), 0, src.len())
     }
 
     /// The chunk's entries.
     #[inline(always)]
-    pub fn as_slice(&self) -> &[T] {
-        &self.buf.as_slice()[self.off..self.off + self.len]
+    fn as_slice(&self) -> &[T] {
+        // SAFETY: `head..head + len` lies inside `buf`'s initialised entries
+        // (`view` sliced it there, `payload_mut` re-derives it from the
+        // whole buffer), `buf` keeps that allocation alive and never moves
+        // or resizes it, and nothing writes it while `&self` is held: a
+        // write needs `&mut self` and a buffer no other chunk shares.
+        unsafe { std::slice::from_raw_parts(self.head.as_ptr(), self.len) }
+    }
+
+    /// The payload of a chunk that owns its whole buffer, which nothing
+    /// else shares, for writing. `None` when another chunk or snapshot
+    /// still shares the buffer or the chunk is a view of part of it.
+    #[inline]
+    fn payload_mut(&mut self) -> Option<&mut [T]> {
+        if !self.is_whole() {
+            return None;
+        }
+        let whole = Arc::get_mut(&mut self.buf)?.as_mut_slice();
+        self.head = NonNull::from(&mut *whole).cast();
+        // SAFETY: `head` was just derived from the exclusive borrow of the
+        // whole buffer, `len` entries long (`is_whole`), and the returned
+        // borrow holds `&mut self` — hence the buffer's only owner — until
+        // it ends. Handing the write out through `head` keeps `head` the
+        // pointer later reads use.
+        Some(unsafe { std::slice::from_raw_parts_mut(self.head.as_ptr(), self.len) })
     }
 
     /// Whether this chunk owns its whole buffer (a promotion candidate for
-    /// in-place writes; views into a flat arena are never whole).
+    /// in-place writes; a view of part of an arena never is).
     #[inline]
     fn is_whole(&self) -> bool {
-        self.off == 0 && self.len == self.buf.len()
+        self.len == self.buf.len() && ptr::eq(self.head.as_ptr(), self.buf.as_slice().as_ptr())
     }
 
     /// Whether two chunks read the same physical payload.
     #[inline]
     fn same_payload(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf) && self.off == other.off
+        Arc::ptr_eq(&self.buf, &other.buf) && self.head == other.head
     }
 }
 
@@ -200,6 +274,80 @@ impl<T: Pod> std::ops::Deref for Chunk<T> {
     #[inline(always)]
     fn deref(&self) -> &[T] {
         self.as_slice()
+    }
+}
+
+/// A copy-on-write table of `X`: entry `i` sits in page `i / PAGE`, and
+/// each page of [`PAGE`] entries is one `Arc<[X]>`.
+///
+/// A clone copies one pointer per page. The first [`Paged::make_mut`] of
+/// an entry in a page another table still shares copies that page — `PAGE`
+/// clones of `X`, which for the `Arc`-backed entries stored here are
+/// refcount bumps — and a page is copied at most once until the next
+/// clone. A page is an `Arc<[X]>` rather than an `Arc<Vec<X>>`: its length
+/// sits in the table's fat pointer, so reading an entry is one dependent
+/// load deeper than a one-level table, not two.
+#[derive(Debug)]
+pub struct Paged<X> {
+    pages: Vec<Arc<[X]>>,
+}
+
+impl<X> Clone for Paged<X> {
+    /// One `Arc` bump per page; every entry stays shared.
+    fn clone(&self) -> Self {
+        Self { pages: self.pages.clone() }
+    }
+}
+
+impl<X> FromIterator<X> for Paged<X> {
+    fn from_iter<I: IntoIterator<Item = X>>(iter: I) -> Self {
+        let mut entries = iter.into_iter().peekable();
+        let mut pages = Vec::new();
+        while entries.peek().is_some() {
+            pages.push(entries.by_ref().take(PAGE).collect());
+        }
+        Self { pages }
+    }
+}
+
+impl<X> Paged<X> {
+    /// Entry `i`.
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> &X {
+        &self.pages[i / PAGE][i % PAGE]
+    }
+
+    /// Number of entries.
+    fn len(&self) -> usize {
+        self.pages.last().map_or(0, |p| (self.pages.len() - 1) * PAGE + p.len())
+    }
+
+    /// The entries in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &X> {
+        self.pages.iter().flat_map(|p| p.iter())
+    }
+
+    /// Resident bytes of the table itself: the entries, and per page its
+    /// pointer and the `Arc`'s two counters.
+    pub fn memory_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<X>()
+            + self.pages.len()
+                * (std::mem::size_of::<Arc<[X]>>() + 2 * std::mem::size_of::<usize>())
+    }
+
+    /// How many pages are physically shared with `other`.
+    #[cfg(test)]
+    fn shared_pages_with(&self, other: &Self) -> usize {
+        self.pages.iter().zip(&other.pages).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+}
+
+impl<X: Clone> Paged<X> {
+    /// Entry `i` for writing, copying its page first if another table
+    /// still shares it.
+    #[inline]
+    pub fn make_mut(&mut self, i: usize) -> &mut X {
+        &mut Arc::make_mut(&mut self.pages[i / PAGE])[i % PAGE]
     }
 }
 
@@ -230,7 +378,7 @@ impl std::ops::Add for CowStats {
 /// Chunk-granular dirty set: which chunks were COW-copied since the last
 /// [`DirtyTracker::take`], and how many bytes that moved.
 #[derive(Debug, Default)]
-pub struct DirtyTracker {
+struct DirtyTracker {
     bits: Vec<u64>,
     marked: Vec<u32>,
     bytes: u64,
@@ -238,7 +386,7 @@ pub struct DirtyTracker {
 
 impl DirtyTracker {
     /// Tracker for `num_chunks` chunks, all clean.
-    pub fn new(num_chunks: usize) -> Self {
+    fn new(num_chunks: usize) -> Self {
         Self { bits: vec![0; num_chunks.div_ceil(64)], marked: Vec::new(), bytes: 0 }
     }
 
@@ -246,7 +394,7 @@ impl DirtyTracker {
     /// drain window: re-marking an already-dirty chunk adds nothing (the
     /// second write hit the already-private copy).
     #[inline]
-    pub fn mark(&mut self, chunk: usize, bytes: usize) {
+    fn mark(&mut self, chunk: usize, bytes: usize) {
         let (w, b) = (chunk / 64, 1u64 << (chunk % 64));
         if self.bits[w] & b == 0 {
             self.bits[w] |= b;
@@ -256,19 +404,19 @@ impl DirtyTracker {
     }
 
     /// Whether `chunk` was copied in the current window.
-    #[inline]
-    pub fn is_dirty(&self, chunk: usize) -> bool {
+    #[cfg(test)]
+    fn is_dirty(&self, chunk: usize) -> bool {
         self.bits[chunk / 64] & (1 << (chunk % 64)) != 0
     }
 
     /// Counters for the current window without clearing it.
-    pub fn stats(&self) -> CowStats {
+    fn stats(&self) -> CowStats {
         CowStats { chunks_copied: self.marked.len() as u64, bytes_copied: self.bytes }
     }
 
     /// Drain the window: return its counters and reset to all-clean in
     /// `O(marked)`, not `O(#chunks)`.
-    pub fn take(&mut self) -> CowStats {
+    fn take(&mut self) -> CowStats {
         let out = self.stats();
         for &c in &self.marked {
             self.bits[c as usize / 64] &= !(1 << (c as usize % 64));
@@ -282,17 +430,21 @@ impl DirtyTracker {
 /// Make `chunk` uniquely owned (copying it if any snapshot still shares its
 /// buffer, or if it is a view into a flat arena) and return its mutable
 /// payload. Copies are recorded in `dirty` under index `c`.
+///
+/// `chunk` must come from [`Paged::make_mut`]: a chunk in a page that two
+/// stores share has a buffer count of 1 while both stores read it, so only
+/// a private page makes the count mean what this test takes it to mean.
 #[inline]
-pub fn cow_chunk<'a, T: Pod>(
+fn cow_chunk<'a, T: Pod>(
     chunk: &'a mut Chunk<T>,
     c: usize,
     dirty: &mut DirtyTracker,
 ) -> &'a mut [T] {
-    if !chunk.is_whole() || Arc::get_mut(&mut chunk.buf).is_none() {
+    if chunk.payload_mut().is_none() {
         dirty.mark(c, std::mem::size_of_val(chunk.as_slice()));
         *chunk = Chunk::owned(chunk.as_slice());
     }
-    Arc::get_mut(&mut chunk.buf).expect("chunk is uniquely owned after promotion").as_mut_slice()
+    chunk.payload_mut().expect("chunk is uniquely owned after promotion")
 }
 
 /// Partition `0..n` vertices into chunks of at most ~`target` entries each,
@@ -300,7 +452,7 @@ pub fn cow_chunk<'a, T: Pod>(
 /// `v`'s span in the flat array. Returns `(chunk_of_vertex, chunk_starts)`
 /// with `chunk_starts.len() == num_chunks + 1`; a vertex whose span alone
 /// exceeds `target` gets a private oversized chunk.
-pub fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u64>) {
+fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u64>) {
     assert!(target > 0, "chunk target must be positive");
     let n = offsets.len() - 1;
     let mut chunk_of = Vec::with_capacity(n);
@@ -319,8 +471,8 @@ pub fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u
     (chunk_of, starts)
 }
 
-/// A flat `[T]` array split into vertex-aligned copy-on-write [`Chunk`]s
-/// with per-window dirty accounting.
+/// A flat `[T]` array split into vertex-aligned copy-on-write chunks, held
+/// in a two-level [`Paged`] chunk table, with per-window dirty accounting.
 ///
 /// Addressing is by **global index** plus the **owning vertex** (the vertex
 /// whose span contains the index), which locates the chunk in O(1) without
@@ -330,7 +482,7 @@ pub fn partition_vertex_chunks(offsets: &[u64], target: u64) -> (Vec<u32>, Vec<u
 pub struct ChunkedStore<T: Pod> {
     chunk_of: Arc<[u32]>,
     chunk_starts: Arc<[u64]>,
-    chunks: Vec<Chunk<T>>,
+    chunks: Paged<Chunk<T>>,
     /// `Some` iff every chunk is a view into this one contiguous arena at
     /// its canonical offset (established by [`Self::from_arena`],
     /// invalidated for good by the first write).
@@ -339,8 +491,8 @@ pub struct ChunkedStore<T: Pod> {
 }
 
 impl<T: Pod> Clone for ChunkedStore<T> {
-    /// O(#chunks): shares every chunk with the original. The clone starts
-    /// with a clean dirty window of its own.
+    /// `O(#chunks / PAGE)`: shares every page, hence every chunk, with the
+    /// original. The clone starts with a clean dirty window of its own.
     fn clone(&self) -> Self {
         Self {
             chunk_of: Arc::clone(&self.chunk_of),
@@ -353,7 +505,7 @@ impl<T: Pod> Clone for ChunkedStore<T> {
 }
 
 impl<T: Pod> ChunkedStore<T> {
-    fn assemble(chunk_of: Vec<u32>, chunk_starts: Vec<u64>, chunks: Vec<Chunk<T>>) -> Self {
+    fn assemble(chunk_of: Vec<u32>, chunk_starts: Vec<u64>, chunks: Paged<Chunk<T>>) -> Self {
         let dirty = DirtyTracker::new(chunks.len());
         Self {
             chunk_of: chunk_of.into(),
@@ -365,7 +517,7 @@ impl<T: Pod> ChunkedStore<T> {
     }
 
     /// Chunk a flat array along the vertex spans `offsets[v]..offsets[v+1]`.
-    pub fn from_flat(offsets: &[u64], flat: &[T], target: u64) -> Self {
+    fn from_flat(offsets: &[u64], flat: &[T], target: u64) -> Self {
         assert_eq!(*offsets.last().expect("offsets never empty") as usize, flat.len());
         let (chunk_of, chunk_starts) = partition_vertex_chunks(offsets, target);
         let chunks = chunk_starts
@@ -388,11 +540,7 @@ impl<T: Pod> ChunkedStore<T> {
         let arena = Arc::new(arena);
         let chunks = chunk_starts
             .windows(2)
-            .map(|w| Chunk {
-                buf: Arc::clone(&arena),
-                off: w[0] as usize,
-                len: (w[1] - w[0]) as usize,
-            })
+            .map(|w| Chunk::view(Arc::clone(&arena), w[0] as usize, (w[1] - w[0]) as usize))
             .collect();
         let mut store = Self::assemble(chunk_of, chunk_starts, chunks);
         store.flat = flat.then_some(arena);
@@ -415,7 +563,7 @@ impl<T: Pod> ChunkedStore<T> {
     #[inline(always)]
     pub fn get(&self, owner: usize, idx: u64) -> T {
         let c = self.chunk_of[owner] as usize;
-        self.chunks[c][(idx - self.chunk_starts[c]) as usize]
+        self.chunks.get(c)[(idx - self.chunk_starts[c]) as usize]
     }
 
     /// Overwrite the entry at global index `idx` inside `owner`'s span,
@@ -425,7 +573,7 @@ impl<T: Pod> ChunkedStore<T> {
         let c = self.chunk_of[owner] as usize;
         let j = (idx - self.chunk_starts[c]) as usize;
         self.flat = None;
-        cow_chunk(&mut self.chunks[c], c, &mut self.dirty)[j] = value;
+        cow_chunk(self.chunks.make_mut(c), c, &mut self.dirty)[j] = value;
     }
 
     /// The contiguous entries `lo..hi`, which must lie inside `owner`'s
@@ -434,7 +582,7 @@ impl<T: Pod> ChunkedStore<T> {
     pub fn slice(&self, owner: usize, lo: u64, hi: u64) -> &[T] {
         let c = self.chunk_of[owner] as usize;
         let base = self.chunk_starts[c];
-        &self.chunks[c].as_slice()[(lo - base) as usize..(hi - base) as usize]
+        &self.chunks.get(c).as_slice()[(lo - base) as usize..(hi - base) as usize]
     }
 
     /// The payload of chunk `c` — for callers that resolved chunk-local
@@ -443,7 +591,7 @@ impl<T: Pod> ChunkedStore<T> {
     /// a single load on read hot paths).
     #[inline(always)]
     pub fn chunk(&self, c: usize) -> &[T] {
-        self.chunks[c].as_slice()
+        self.chunks.get(c).as_slice()
     }
 
     /// Iterate all entries in global order.
@@ -469,12 +617,12 @@ impl<T: Pod> ChunkedStore<T> {
 
     /// Whether chunk `c` is physically shared with `other` (same payload).
     pub fn shares_chunk(&self, other: &Self, c: usize) -> bool {
-        self.chunks[c].same_payload(&other.chunks[c])
+        self.chunks.get(c).same_payload(other.chunks.get(c))
     }
 
     /// How many chunks are physically shared with `other`.
     pub fn shared_chunks_with(&self, other: &Self) -> usize {
-        self.chunks.iter().zip(&other.chunks).filter(|(a, b)| a.same_payload(b)).count()
+        self.chunks.iter().zip(other.chunks.iter()).filter(|(a, b)| a.same_payload(b)).count()
     }
 
     /// Drain the copy-on-write counters accumulated since the last drain.
@@ -513,10 +661,11 @@ impl<T: Pod> ChunkedStore<T> {
         }
     }
 
-    /// Resident bytes of payload + chunk table + layout arrays.
+    /// Resident bytes of payload + chunk table (with its page pointers) +
+    /// layout arrays.
     pub fn memory_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<T>()
-            + self.chunks.len() * std::mem::size_of::<Chunk<T>>()
+            + self.chunks.memory_bytes()
             + self.chunk_of.len() * 4
             + self.chunk_starts.len() * 8
     }
@@ -550,15 +699,20 @@ impl<T: Pod> ChunkedStore<T> {
 ///
 /// * A null cache entry marks a chunk not yet read; its first read caches
 ///   the payload it currently shows (shared or private).
-/// * `writable[c]` marks a chunk resolved for writing. Its first write goes
-///   through [`cow_chunk`]: a chunk no snapshot shares (and that is not a
-///   view into a flat arena) is written in place, any other is promoted to
-///   a private copy **once** and installed at once, with the copy recorded
-///   in the store's [`DirtyTracker`] and the store un-flattened.
+/// * `writable[c]` marks a chunk resolved for writing. Its first write
+///   makes the chunk's page private (copying it if a snapshot shares it)
+///   and then goes through `cow_chunk`: a chunk no snapshot shares (and
+///   that is not a view into a flat arena) is written in place, any other
+///   is promoted to a private copy **once** and installed at once, with the
+///   copy recorded in the store's dirty tracker and the store un-flattened.
 ///
 /// Every cached pointer stays valid for the whole phase: the writer borrows
 /// the store exclusively, and the only change to a chunk's payload — its
-/// promotion — replaces that chunk's cache entry in the same step. Write
+/// promotion — replaces that chunk's cache entry in the same step. Copying
+/// a page does not move any payload: the copy clones the page's chunk
+/// handles, each an `Arc` of the same heap buffer, so a pointer cached for
+/// another chunk of that page (read or write) still points at that chunk's
+/// live payload, which the store now holds through the new page. Write
 /// pointers are derived from that exclusive borrow, never from a shared
 /// reference.
 #[derive(Debug)]
@@ -598,7 +752,7 @@ impl<T: Pod> PhaseWriter<'_, T> {
     /// Cache chunk `c`'s current payload for reads.
     #[cold]
     fn resolve_read(&self, c: usize) -> *mut [T] {
-        let p = ptr::from_ref(self.store.chunks[c].as_slice()).cast_mut();
+        let p = ptr::from_ref(self.store.chunks.get(c).as_slice()).cast_mut();
         self.ptrs[c].set(p);
         p
     }
@@ -608,7 +762,7 @@ impl<T: Pod> PhaseWriter<'_, T> {
     fn resolve_write(&mut self, c: usize) -> *mut [T] {
         let store = &mut *self.store;
         store.flat = None;
-        let p = ptr::from_mut(cow_chunk(&mut store.chunks[c], c, &mut store.dirty));
+        let p = ptr::from_mut(cow_chunk(store.chunks.make_mut(c), c, &mut store.dirty));
         self.ptrs[c].set(p);
         self.writable[c] = true;
         p
@@ -852,6 +1006,81 @@ mod tests {
         assert_eq!(a.get(4, 9), 102, "promotions are installed in the store");
         assert_eq!(snap.iter().collect::<Vec<_>>(), vals, "snapshot keeps the old values");
         assert_eq!(a.shared_chunks_with(&snap), 0);
+    }
+
+    #[test]
+    fn whole_arena_chunk_promotes_once_then_writes_in_place() {
+        // One chunk spanning the whole arena: a view that is also whole.
+        // The snapshot shares its buffer, so the first write promotes it;
+        // later writes land in place, and reads through the chunk's cached
+        // head see every one of them.
+        let vals: Vec<Weight> = (0..8).collect();
+        let mut a = ChunkedStore::from_arena(&OFFS, AlignedBuf::copy_of(&vals), 8, true);
+        assert_eq!(a.num_chunks(), 1);
+        let arena = a.chunk(0).as_ptr();
+        let snap = a.clone();
+        a.set(1, 2, 20);
+        let promoted = a.chunk(0).as_ptr();
+        assert_ne!(promoted, arena, "the shared arena chunk is promoted");
+        a.set(3, 7, 70);
+        *a.phase_writer().get_mut_in_chunk(0, 0) = 10;
+        assert_eq!(a.chunk(0).as_ptr(), promoted, "a private whole chunk is written in place");
+        assert_eq!(a.iter().collect::<Vec<_>>(), [10, 1, 20, 3, 4, 5, 6, 70]);
+        assert_eq!(a.take_cow_stats(), CowStats { chunks_copied: 1, bytes_copied: 32 });
+        assert_eq!(snap.chunk(0).as_ptr(), arena);
+        assert_eq!(snap.iter().collect::<Vec<_>>(), vals, "snapshot keeps the old values");
+    }
+
+    /// `n` 4-entry vertices, one chunk each, holding `0..4n`.
+    fn one_chunk_per_vertex(n: usize) -> (WeightStore, Vec<Weight>) {
+        let vals: Vec<Weight> = (0..4 * n as Weight).collect();
+        (ChunkedStore::from_flat(&offsets(&vec![4; n]), &vals, 4), vals)
+    }
+
+    #[test]
+    fn clone_then_one_write_shares_every_page_but_one() {
+        // Three full pages and one partial one.
+        let nc = 3 * PAGE + 1;
+        let (mut a, _) = one_chunk_per_vertex(nc);
+        assert_eq!((a.num_chunks(), a.chunks.len()), (nc, nc));
+        let b = a.clone();
+        assert_eq!(a.chunks.shared_pages_with(&b.chunks), 4);
+        assert_eq!(a.shared_chunks_with(&b), nc);
+        let c = PAGE + 3;
+        a.set(c, 4 * c as u64 + 1, 7);
+        assert_eq!(a.chunks.shared_pages_with(&b.chunks), 3, "only the written page copied");
+        assert_eq!(a.shared_chunks_with(&b), nc - 1, "only the written chunk copied");
+        assert!(!a.shares_chunk(&b, c) && a.shares_chunk(&b, c + 1));
+        assert_eq!((a.get(c, 4 * c as u64 + 1), b.get(c, 4 * c as u64 + 1)), (7, 4 * c as u32 + 1));
+        assert_eq!(a.take_cow_stats(), CowStats { chunks_copied: 1, bytes_copied: 16 });
+    }
+
+    #[test]
+    fn phase_writer_keeps_cached_reads_across_a_page_copy() {
+        // A snapshot holds the store; the phase reads chunk 3, then promotes
+        // chunks 1 and 2 of the same page, which copies the page under the
+        // pointer cached for chunk 3.
+        let (mut a, vals) = one_chunk_per_vertex(2 * PAGE);
+        let snap = a.clone();
+        {
+            let mut w = a.phase_writer();
+            let c3: Vec<Weight> = (0..4).map(|j| *w.get_in_chunk(3, j)).collect();
+            assert_eq!(c3, [12, 13, 14, 15]);
+            *w.get_mut_in_chunk(1, 0) = 101;
+            *w.get_mut_in_chunk(2, 3) = 203;
+            *w.get_mut_in_chunk(1, 2) = 102; // chunk 1 again: no second copy
+            let again: Vec<Weight> = (0..4).map(|j| *w.get_in_chunk(3, j)).collect();
+            assert_eq!(again, c3, "the read cached before the page copy still reads chunk 3");
+            assert_eq!((*w.get_in_chunk(1, 0), *w.get_in_chunk(2, 3)), (101, 203));
+        }
+        assert_eq!(snap.iter().collect::<Vec<_>>(), vals, "snapshot keeps every old byte");
+        let mut want = vals.clone();
+        (want[4], want[6], want[11]) = (101, 102, 203);
+        assert_eq!(a.iter().collect::<Vec<_>>(), want, "every write landed in the store");
+        assert_eq!(a.take_cow_stats(), CowStats { chunks_copied: 2, bytes_copied: 32 });
+        assert_eq!(a.chunks.shared_pages_with(&snap.chunks), 1, "page 0 copied once");
+        assert_eq!(a.shared_chunks_with(&snap), 2 * PAGE - 2);
+        assert!(a.shares_chunk(&snap, 3), "chunk 3 was only read: still shared");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //!
 //! Storage is snapshot-friendly: the immutable topology arrays are
 //! `Arc`-shared, and the weight array lives in a chunked copy-on-write
-//! [`WeightStore`]. `CsrGraph::clone` is therefore `O(#chunks)` — it shares
-//! every byte with the original until a weight write promotes the touched
-//! chunk — which is what lets the epoch-snapshot server publish a generation
-//! without deep-copying the graph (see [`crate::cow`]).
+//! [`WeightStore`]. `CsrGraph::clone` therefore copies one pointer per page
+//! of weight chunks — it shares every byte with the original until a weight
+//! write promotes the touched chunk — which is what lets the epoch-snapshot
+//! server publish a generation without deep-copying the graph (see
+//! [`crate::cow`]).
 
 use std::sync::Arc;
 

@@ -22,10 +22,11 @@
 //! Publishing is **O(touched)**, not O(world): the label arena and the CSR
 //! weight array are chunked copy-on-write stores (`stl_graph::cow`), and
 //! hierarchy + topology are immutable `Arc`s. The per-epoch clone copies
-//! only chunk tables; a chunk's bytes move exactly when the batch writes it
-//! while the previous snapshot still shares it. [`ServerStats`] exposes the
-//! resulting `publish_bytes_copied` / `chunks_copied_last` counters, and
-//! `benches/publish.rs` measures COW against the old full-clone publish.
+//! one pointer per page of each chunk table; a chunk's bytes move exactly
+//! when the batch writes it while the previous snapshot still shares it.
+//! [`ServerStats`] exposes the resulting `publish_bytes_copied` /
+//! `chunks_copied_last` counters, and `benches/publish.rs` measures COW
+//! against the old full-clone publish.
 //!
 //! ## The snapshot/epoch protocol and its consistency guarantee
 //!

@@ -696,11 +696,12 @@ fn writer_loop(
         let checkpoint_due = streak.as_mut().is_some_and(|s| {
             s.checkpoint_due(cow.chunks_copied, stl.num_chunks() + graph.num_weight_chunks())
         });
-        // Publish: O(touched) — the clone below copies only the Arc chunk
-        // tables; every byte not written by this batch is shared with the
-        // previous epoch. Every *valid* batch publishes — even one
-        // normalised away to a no-op — so an applied ticket always carries
-        // the sequence it published.
+        // Publish: O(touched) — the clone below copies one pointer per page
+        // of the label and weight chunk tables (and of the escape tables);
+        // every byte not written by this batch is shared with the previous
+        // epoch. Every *valid* batch publishes — even one normalised away to
+        // a no-op — so an applied ticket always carries the sequence it
+        // published.
         generation = seq;
         let t_pub = Instant::now();
         let snap = Arc::new(Snapshot::new(generation, graph.clone(), stl.clone()));
@@ -708,8 +709,9 @@ fn writer_loop(
         // back (WAL record annulled), so readers must never have seen it.
         failpoint::fire("publish");
         // The replaced epoch is dropped only after the guard is released and
-        // the waiters are woken: its drop walks every chunk `Arc`, and
-        // readers taking a snapshot must not wait for that.
+        // the waiters are woken: its drop walks every page `Arc` (and every
+        // chunk of the pages this batch copied), and readers taking a
+        // snapshot must not wait for that.
         let retired = std::mem::replace(&mut *write_ok(&shared.current), snap);
         let pub_ns = t_pub.elapsed().as_nanos() as u64;
         stats.publish_ns_total.fetch_add(pub_ns, Ordering::Relaxed);
