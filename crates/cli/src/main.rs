@@ -17,11 +17,6 @@
 //! stl bench-net <addr> <graph.gr> [--rate R] [--ops N] [--clients C]
 //!             [--update-fraction F] [--batch-size K] [--seed S]
 //!             [--many-fraction F] [--many-targets K]
-//! stl shard-worker <graph.gr> --listen ADDR --worker-index K --num-workers N
-//!             [+ the serve flags]
-//! stl route   <graph.gr> --listen ADDR [--workers N] [--dir DIR]
-//!             [--respawn-delay-ms MS] [--duration-secs S]
-//!             [--fsync always|never|every:N]
 //! ```
 //!
 //! `--threads T` (default 1) bounds the whole index build of `build` and
@@ -53,34 +48,21 @@
 //! debris. `SIGINT`/`SIGTERM` trigger a clean landing: drain, final
 //! checkpoint, closing stats.
 //!
-//! **Distributed serving.** `stl route` runs a process-per-shard
-//! deployment: it spawns `--workers` `stl shard-worker` child processes
-//! over unix-domain sockets — each a full replica that repairs only the
-//! spine plus its owned subtree shards, with its own WAL/state directory —
-//! and serves the ordinary wire protocol on `--listen`, scatter-gathering
-//! queries by stable-tree ownership and replicating updates to all workers
-//! in sequence lockstep. A SIGKILLed worker degrades service to fail-fast
-//! errors for its subtrees only; the supervisor respawns it, WAL recovery
-//! restores its pre-crash state, and the router's catch-up ring replays
-//! whatever it missed before routing to it again.
-//!
 //! Graphs are DIMACS 9th-challenge `.gr` files (1-based vertex ids on the
 //! command line, matching the format). Indexes are the compact binary
 //! format of `stl_core::persist`.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stl_core::{persist, IndexStats, Maintenance, ShardSet, Stl, StlConfig};
+use stl_core::{persist, IndexStats, Maintenance, Stl, StlConfig};
 use stl_graph::{io as gio, CsrGraph};
 use stl_server::{
-    replay_mixed, DurabilityConfig, Endpoint, FsyncPolicy, NetClient, NetConfig, NetServer, Router,
-    RouterConfig, RouterServer, ServerConfig, StlServer, CHECKPOINT_QUIET_EPOCHS,
-    CHECKPOINT_QUIET_RATIO,
+    replay_mixed, DurabilityConfig, Endpoint, FsyncPolicy, NetClient, NetConfig, NetServer,
+    ServerConfig, StlServer, CHECKPOINT_QUIET_EPOCHS, CHECKPOINT_QUIET_RATIO,
 };
 use stl_workloads::mixed::{mixed_trace, split_trace, MixedConfig, MixedOp};
 use stl_workloads::openloop::{open_loop_trace, percentile, Arrival, OpenLoopConfig};
@@ -94,17 +76,10 @@ fn main() -> ExitCode {
         Some("query") => cmd_query(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..], false),
-        // A shard worker is `serve` with a mandatory ownership slice: same
-        // machinery, same flags, run as a child of `stl route`.
-        Some("shard-worker") => cmd_serve(&args[1..], true),
-        Some("route") => cmd_route(&args[1..]),
+        Some("serve") => cmd_serve(&args[1..]),
         Some("bench-net") => cmd_bench_net(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: stl <info|build|query|bench|gen|serve|shard-worker|route|bench-net> \
-                 ... (see README)"
-            );
+            eprintln!("usage: stl <info|build|query|bench|gen|serve|bench-net> ... (see README)");
             return ExitCode::from(2);
         }
     };
@@ -278,10 +253,8 @@ fn cmd_bench(args: &[String]) -> Result<(), AnyErr> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
+fn cmd_serve(args: &[String]) -> Result<(), AnyErr> {
     let graph_path = args.first().ok_or("usage: stl serve <graph.gr> [flags] (see README)")?;
-    let mut worker_index: Option<usize> = None;
-    let mut num_workers: Option<usize> = None;
     let mut readers = 4usize;
     let mut ops = 50_000usize;
     let mut update_fraction = 0.002f64;
@@ -294,24 +267,12 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let mut fsync = FsyncPolicy::Always;
     let mut listen: Option<String> = None;
     let mut net = NetConfig::default();
-    if shard_worker {
-        // The only peer is the router, whose one persistent link per worker
-        // idles whenever the deployment does; closing it would get a healthy
-        // worker marked down.
-        net.idle_timeout_ms = 0;
-    }
     let mut duration_secs = 0u64;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--listen" => listen = it.next().cloned(),
             "--state-dir" => state_dir = it.next().cloned(),
-            "--worker-index" => {
-                worker_index = Some(it.next().ok_or("--worker-index needs a value")?.parse()?)
-            }
-            "--num-workers" => {
-                num_workers = Some(it.next().ok_or("--num-workers needs a value")?.parse()?)
-            }
             "--fsync" => fsync = FsyncPolicy::parse(it.next().ok_or("--fsync needs a value")?)?,
             "--dedup-window" => {
                 dedup_window = it.next().ok_or("--dedup-window needs a value")?.parse()?
@@ -372,9 +333,6 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     if net.reader_threads == 0 {
         return Err("--net-readers must be at least 1".into());
     }
-    if shard_worker && (worker_index.is_none() || num_workers.is_none() || listen.is_none()) {
-        return Err("stl shard-worker requires --listen, --worker-index and --num-workers".into());
-    }
     let g = load_graph(graph_path)?;
     println!("graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
     let cfg = StlConfig::default();
@@ -382,24 +340,7 @@ fn cmd_serve(args: &[String], shard_worker: bool) -> Result<(), AnyErr> {
     let stl = Stl::build_parallel(&g, &cfg, threads);
     println!("index built in {:.2?}", t0.elapsed());
 
-    let owned_shards = match (worker_index, num_workers) {
-        (Some(k), Some(n)) => {
-            if n == 0 || k >= n {
-                return Err("--worker-index must be < --num-workers (and workers >= 1)".into());
-            }
-            let owned = ShardSet::for_worker(stl.hierarchy(), k, n);
-            println!(
-                "shard worker {k}/{n}: repairing the spine + {} of {} subtree shards",
-                owned.len(),
-                stl.hierarchy().num_shards().saturating_sub(1),
-            );
-            Some(owned)
-        }
-        (None, None) => None,
-        _ => return Err("--worker-index and --num-workers go together".into()),
-    };
-
-    let server_cfg = ServerConfig { algo, dedup_window, owned_shards, ..ServerConfig::default() };
+    let server_cfg = ServerConfig { algo, dedup_window, ..ServerConfig::default() };
 
     sig::install();
     let start_server = |g: CsrGraph, stl: Stl| -> Result<StlServer, AnyErr> {
@@ -703,193 +644,6 @@ fn cmd_bench_net(args: &[String]) -> Result<(), AnyErr> {
                 stats.batcher_requests_shed,
             );
         }
-    }
-    Ok(())
-}
-
-/// Spawn shard worker `k` of `n` as a child process: `stl shard-worker` on
-/// a unix socket under `dir`, durable state in `dir/worker-<k>`, stdout to
-/// `dir/worker-<k>.log` (stderr inherited so crashes surface).
-fn spawn_shard_worker(
-    graph_path: &str,
-    dir: &Path,
-    k: usize,
-    n: usize,
-    fsync: FsyncPolicy,
-) -> Result<Child, AnyErr> {
-    let exe = std::env::current_exe()?;
-    let log = File::create(dir.join(format!("worker-{k}.log")))?;
-    let child = Command::new(exe)
-        .arg("shard-worker")
-        .arg(graph_path)
-        .arg("--listen")
-        .arg(format!("unix:{}", dir.join(format!("worker-{k}.sock")).display()))
-        .arg("--state-dir")
-        .arg(dir.join(format!("worker-{k}")))
-        .arg("--worker-index")
-        .arg(k.to_string())
-        .arg("--num-workers")
-        .arg(n.to_string())
-        .arg("--fsync")
-        .arg(fsync.to_string())
-        .stdout(Stdio::from(log))
-        .spawn()
-        .map_err(|e| format!("cannot spawn shard worker {k}: {e}"))?;
-    // The supervision and crash tests parse these exact lines.
-    println!("worker {k} pid {}", child.id());
-    Ok(child)
-}
-
-/// Ask a child to land cleanly (SIGTERM → drain, WAL sync, checkpoint),
-/// escalating to SIGKILL if it lingers.
-fn stop_child(child: &mut Child) {
-    let _ = Command::new("kill").arg("-TERM").arg(child.id().to_string()).status();
-    for _ in 0..100 {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) => std::thread::sleep(Duration::from_millis(100)),
-            Err(_) => break,
-        }
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
-fn cmd_route(args: &[String]) -> Result<(), AnyErr> {
-    let graph_path = args
-        .first()
-        .ok_or("usage: stl route <graph.gr> --listen ADDR [--workers N] [--dir DIR] ...")?
-        .clone();
-    let mut listen: Option<String> = None;
-    let mut workers = 2usize;
-    let mut dir: Option<PathBuf> = None;
-    let mut respawn_delay_ms = 200u64;
-    let mut duration_secs = 0u64;
-    let mut fsync = FsyncPolicy::Always;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = it.next().cloned(),
-            "--workers" => workers = it.next().ok_or("--workers needs a value")?.parse()?,
-            "--dir" => dir = Some(it.next().ok_or("--dir needs a value")?.into()),
-            "--respawn-delay-ms" => {
-                respawn_delay_ms = it.next().ok_or("--respawn-delay-ms needs a value")?.parse()?
-            }
-            "--duration-secs" => {
-                duration_secs = it.next().ok_or("--duration-secs needs a value")?.parse()?
-            }
-            "--fsync" => fsync = FsyncPolicy::parse(it.next().ok_or("--fsync needs a value")?)?,
-            other => return Err(format!("unknown flag '{other}'").into()),
-        }
-    }
-    let listen = listen.ok_or("stl route requires --listen ADDR")?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    let dir = dir
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("stl-route-{}", std::process::id())));
-    std::fs::create_dir_all(&dir)?;
-    let g = load_graph(&graph_path)?;
-    println!("graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
-    println!("deployment: {workers} shard worker(s) under {}", dir.display());
-
-    sig::install();
-    let mut children = Vec::with_capacity(workers);
-    for k in 0..workers {
-        children.push(spawn_shard_worker(&graph_path, &dir, k, workers, fsync)?);
-    }
-    let endpoints: Vec<Endpoint> =
-        (0..workers).map(|k| Endpoint::Unix(dir.join(format!("worker-{k}.sock")))).collect();
-    // Generous timeout: each worker builds its index before binding.
-    let router_cfg = RouterConfig { connect_timeout_ms: 300_000, ..RouterConfig::default() };
-    let router = Arc::new(
-        Router::connect(g, &endpoints, router_cfg)
-            .map_err(|e| format!("cannot attach to workers: {e}"))?,
-    );
-    let front = RouterServer::start(Arc::clone(&router), &listen)
-        .map_err(|e| format!("cannot listen on '{listen}': {e}"))?;
-    // The smoke tests and bench drivers wait for this exact line.
-    println!("listening on {}", front.local_addr());
-
-    let deadline = (duration_secs > 0).then(|| Instant::now() + Duration::from_secs(duration_secs));
-    let poll = Duration::from_millis(100);
-    // Re-dial pacing while a worker stays down (its socket refuses, or it
-    // cannot converge): doubles per failed round, reset once all are live.
-    let (mut backoff, mut redial_at) = (poll, Instant::now());
-    while !sig::requested() && deadline.is_none_or(|d| Instant::now() < d) {
-        // Sampled a poll interval ahead of the exit checks: a dying process
-        // closes its sockets a moment before it can be reaped, and must take
-        // the respawn path below, not the re-dial.
-        let redial = router.live_workers() < workers && Instant::now() >= redial_at;
-        std::thread::sleep(poll);
-        for (k, child) in children.iter_mut().enumerate() {
-            let exited = matches!(child.try_wait(), Ok(Some(_)));
-            if exited {
-                println!("worker {k} exited; respawning in {respawn_delay_ms} ms");
-                std::thread::sleep(Duration::from_millis(respawn_delay_ms));
-                *child = spawn_shard_worker(&graph_path, &dir, k, workers, fsync)?;
-            } else if !redial {
-                continue;
-            }
-            // After a respawn this blocks until the worker finishes WAL
-            // recovery and binds, then ring-replays it to the cluster
-            // generation. A worker marked down while its process runs only
-            // lost its link and is re-dialled; one that is live is a no-op.
-            let live_before = router.live_workers();
-            match router.reattach(k) {
-                Ok(()) if exited || router.live_workers() > live_before => {
-                    println!("worker {k} reattached at generation {}", router.generation())
-                }
-                Ok(()) => {}
-                Err(e) => println!("worker {k} reattach failed: {e}"),
-            }
-        }
-        if router.live_workers() == workers {
-            backoff = poll;
-        } else if redial {
-            redial_at = Instant::now() + backoff;
-            backoff = (backoff * 2).min(Duration::from_secs(5));
-        }
-    }
-    if sig::requested() {
-        println!("shutdown signal: stopping the front and landing the workers");
-    }
-
-    let stats = router.local_stats();
-    println!(
-        "router: generation {}, {} queries routed, {} updates routed, \
-         {} fail-fast errors, {} catch-up replays, {}/{} workers live",
-        router.generation(),
-        stats.queries_routed,
-        stats.updates_routed,
-        stats.failfast_errors,
-        stats.respawn_catchups,
-        router.live_workers(),
-        router.num_workers(),
-    );
-    if let Some(path) = std::env::var_os("BENCH_SUMMARY_PATH") {
-        let json = format!(
-            "{{\"route_smoke\": {{\"counters\": {{\
-             \"router_generation\": {}, \
-             \"router_queries_routed\": {}, \
-             \"router_updates_routed\": {}, \
-             \"router_failfast_errors\": {}, \
-             \"router_respawn_catchups\": {}, \
-             \"router_workers_total\": {}, \
-             \"router_workers_live\": {}}}}}}}",
-            router.generation(),
-            stats.queries_routed,
-            stats.updates_routed,
-            stats.failfast_errors,
-            stats.respawn_catchups,
-            router.num_workers(),
-            router.live_workers(),
-        );
-        std::fs::write(&path, json)?;
-    }
-    front.shutdown();
-    for child in &mut children {
-        stop_child(child);
     }
     Ok(())
 }

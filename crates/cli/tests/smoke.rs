@@ -172,8 +172,15 @@ fn serve_rejects_bad_flags() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("error:"), "args: {bad:?}");
     }
     // Knobs of machinery that is gone are unknown flags: repair runs inline
-    // on the writer, and nothing compacts (the checkpoint schedule is fixed).
-    for flag in ["--repair-threads", "--compact-quiet-epochs", "--compact-dirty-ratio"] {
+    // on the writer, nothing compacts (the checkpoint schedule is fixed), and
+    // no process serves a shard slice.
+    for flag in [
+        "--repair-threads",
+        "--compact-quiet-epochs",
+        "--compact-dirty-ratio",
+        "--worker-index",
+        "--num-workers",
+    ] {
         let out = stl(&["serve", "x.gr", flag, "1"]);
         assert_eq!(out.status.code(), Some(1), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -281,6 +288,10 @@ fn serve_listen_answers_over_tcp() {
 fn bad_usage_fails_cleanly() {
     let out = stl(&[]);
     assert_eq!(out.status.code(), Some(2));
+    // The process-per-shard subcommands are gone: unknown, like any typo.
+    for cmd in ["route", "shard-worker"] {
+        assert_eq!(stl(&[cmd, "x.gr"]).status.code(), Some(2), "{cmd}");
+    }
     let out = stl(&["query", "/nonexistent.gr", "/nonexistent.stl", "1", "2"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));

@@ -105,6 +105,7 @@ impl ShardReport {
 /// filtered pass repairs come out byte-identical to an unfiltered apply,
 /// while entries of unowned subtrees simply go stale. The spine is never a
 /// member: it is replicated to (and repaired by) every worker.
+#[doc(hidden)] // compat; sole reader benchmark/src/deploy.rs; delete with ROADMAP item 1(b)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSet {
     bits: Vec<u64>,

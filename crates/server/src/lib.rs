@@ -69,9 +69,9 @@
 //! ## Surviving bad input
 //!
 //! The apply path is **fallible**: every batch is validated against the
-//! graph's topology before `apply_batch_sharded` runs, and a batch naming a
-//! nonexistent edge (or an out-of-range vertex, a self-loop, or an `INF`
-//! weight) is **rejected, not fatal**. Every submitted batch gets its own
+//! graph's topology before `apply_batch_sharded_owned` runs, and a batch
+//! naming a nonexistent edge (or an out-of-range vertex, a self-loop, or an
+//! `INF` weight) is **rejected, not fatal**. Every submitted batch gets its own
 //! [`Ticket`], resolved once to a [`BatchOutcome`] — `Applied { seq }` or
 //! `Rejected(reason)` — that [`Ticket::wait`] (or [`StlServer::wait_for`])
 //! returns however long after the fact it is read. The writer stays alive,
@@ -114,14 +114,7 @@
 //!
 //! ## Distributed serving
 //!
-//! The [`router`] module scales serving across **processes**: N shard
-//! workers, each a full `StlServer` that repairs the spine entries of every
-//! update and the tree entries of its owned subtrees only
-//! (`ServerConfig::owned_shards`), behind a [`Router`] front
-//! that scatter-gathers queries by tree ownership and replicates every
-//! update to all workers in sequence-number lockstep. A dead worker costs
-//! fail-fast errors for its subtrees only; respawn + WAL recovery + the
-//! router's replay-ring catch-up bring it back bit-identical.
+//! The in-process shard router survives only as a benchmark-harness fixture.
 //!
 //! No dependencies beyond `std`: the swap slot is `RwLock<Arc<Snapshot>>`,
 //! the queue is `std::sync::mpsc`, and each ticket is a `Mutex` + `Condvar`
@@ -132,6 +125,7 @@ pub mod durable;
 mod frame;
 pub mod proto;
 pub mod replay;
+#[doc(hidden)] // compat; sole reader benchmark/src/deploy.rs; delete with ROADMAP item 1(b)
 pub mod router;
 pub mod server;
 pub mod snapshot;
@@ -145,6 +139,7 @@ pub use durable::{
 };
 pub use proto::{Endpoint, RemoteOutcome, RemoteStats, Request, Response};
 pub use replay::replay_mixed;
+#[doc(hidden)] // compat; sole reader benchmark/src/deploy.rs; delete with ROADMAP item 1(b)
 pub use router::{Router, RouterConfig, RouterServer, RouterStats};
 pub use server::{validate_batch, BatchOutcome, ServerConfig, StlServer, Ticket};
 pub use snapshot::Snapshot;

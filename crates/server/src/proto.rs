@@ -12,7 +12,7 @@
 //! payload = version: u8, opcode: u8, body (opcode-specific, all LE)
 //! ```
 //!
-//! The leading **protocol version byte** ([`PROTO_VERSION`]) lets a peer
+//! The leading **protocol version byte** (`PROTO_VERSION`) lets a peer
 //! reject a frame from an incompatible build with an explicit error instead
 //! of misparsing it. Requests:
 //!
@@ -64,40 +64,40 @@ use crate::server::BatchOutcome;
 /// Version byte leading every payload; bumped on any wire-incompatible
 /// change (v2 introduced the version byte itself, UDS endpoints, and
 /// `APPLY`).
-pub const PROTO_VERSION: u8 = 2;
+pub(crate) const PROTO_VERSION: u8 = 2;
 
 /// Upper bound on a frame's payload length; anything larger is malformed.
-pub const MAX_FRAME_BYTES: u32 = 16 << 20;
+pub(crate) const MAX_FRAME_BYTES: u32 = 16 << 20;
 
 /// Request opcode: distance query `s → t`.
-pub const OP_QUERY: u8 = 0x01;
+pub(crate) const OP_QUERY: u8 = 0x01;
 /// Request opcode: submit an update batch.
-pub const OP_UPDATE: u8 = 0x02;
+pub(crate) const OP_UPDATE: u8 = 0x02;
 /// Request opcode: server counters.
-pub const OP_STATS: u8 = 0x03;
+pub(crate) const OP_STATS: u8 = 0x03;
 /// Request opcode: one-to-many distances from a single source.
-pub const OP_ONE_TO_MANY: u8 = 0x04;
+pub(crate) const OP_ONE_TO_MANY: u8 = 0x04;
 /// Request opcode: submit an update batch under an idempotency key.
-pub const OP_UPDATE_KEYED: u8 = 0x05;
+pub(crate) const OP_UPDATE_KEYED: u8 = 0x05;
 /// Request opcode: router→worker replication — apply as generation `seq`.
-pub const OP_APPLY: u8 = 0x06;
+pub(crate) const OP_APPLY: u8 = 0x06;
 /// Response opcode: a single distance.
-pub const RESP_DIST: u8 = 0x81;
+pub(crate) const RESP_DIST: u8 = 0x81;
 /// Response opcode: batch outcome.
-pub const RESP_BATCH: u8 = 0x82;
+pub(crate) const RESP_BATCH: u8 = 0x82;
 /// Response opcode: counters.
-pub const RESP_STATS: u8 = 0x83;
+pub(crate) const RESP_STATS: u8 = 0x83;
 /// Response opcode: one-to-many distances.
-pub const RESP_MANY: u8 = 0x84;
+pub(crate) const RESP_MANY: u8 = 0x84;
 /// Response opcode: connection shed by admission control (then closed).
-pub const RESP_BUSY: u8 = 0xEB;
+pub(crate) const RESP_BUSY: u8 = 0xEB;
 /// Response opcode: request failed; body carries the reason.
-pub const RESP_ERROR: u8 = 0xEE;
+pub(crate) const RESP_ERROR: u8 = 0xEE;
 
 /// `BATCH` response code for an applied-and-published batch.
-pub const OUTCOME_APPLIED: u8 = 0;
+pub(crate) const OUTCOME_APPLIED: u8 = 0;
 /// `BATCH` response code for a rejected batch (validation or overload).
-pub const OUTCOME_REJECTED: u8 = 1;
+pub(crate) const OUTCOME_REJECTED: u8 = 1;
 
 /// A decoded request frame. See the [module docs](self) for the wire
 /// layout of each variant.

@@ -142,6 +142,8 @@ pub struct ServerConfig {
     /// only for the spine and the owned subtrees — on apply *and* on WAL
     /// replay during recovery, so a respawned worker comes back in exactly
     /// its serving state.
+    #[doc(hidden)]
+    // compat; sole reader benchmark/src/deploy.rs; delete with ROADMAP item 1(b)
     pub owned_shards: Option<ShardSet>,
 }
 

@@ -563,14 +563,10 @@ fn serve_connection(
 /// Map a writer outcome onto the wire representation.
 fn batch_response(outcome: &BatchOutcome, generation: u64) -> Response {
     match outcome {
-        BatchOutcome::Applied { seq } => Response::Batch {
-            applied: true,
-            // The batch's own sequence number (== the generation its epoch
-            // published); falls back to the server's current generation in
-            // the rare aged-out case where the exact seq is unknown.
-            generation: if *seq > 0 { *seq } else { generation },
-            reason: String::new(),
-        },
+        // The batch's own sequence number: the generation its epoch published.
+        BatchOutcome::Applied { seq } => {
+            Response::Batch { applied: true, generation: *seq, reason: String::new() }
+        }
         BatchOutcome::Rejected(reason) => {
             Response::Batch { applied: false, generation, reason: reason.clone() }
         }
