@@ -15,7 +15,9 @@
 //! `cargo bench --bench repair -- --test` runs exactly these legs plus one
 //! pass of each bench body; CI's release stage invokes it that way and,
 //! with `BENCH_SUMMARY_PATH` set, collects per-bench medians, each stream's
-//! pop and label-write counters, its searches per normalised update (2 for
+//! pop counters (`_pops`, search and repair pops summed, and
+//! `_repair_pops`, the repair phase alone — block scans for Pareto Search)
+//! and label-write counter, its searches per normalised update (2 for
 //! Pareto Search, one per endpoint) and the ratios into the `BENCH_*.json`
 //! perf trajectory.
 //!
@@ -137,6 +139,10 @@ fn bench_repair(c: &mut Criterion) {
             summary::counter(
                 format!("{family}_{scenario}_pops"),
                 (gate_stats.pops + gate_stats.repair_pops) as f64,
+            );
+            summary::counter(
+                format!("{family}_{scenario}_repair_pops"),
+                gate_stats.repair_pops as f64,
             );
             summary::counter(
                 format!("{family}_{scenario}_label_writes"),

@@ -72,8 +72,24 @@ pub struct UpdateEngine {
     pub(crate) pairs: Vec<(VertexId, u32)>,
     /// Anchor-label snapshot for the current Pareto search.
     pub(crate) snap: Vec<Dist>,
-    /// (dist, vertex, index) heap for the Pareto repair phase.
-    pub(crate) rheap: BinaryHeap<std::cmp::Reverse<(Dist, VertexId, u32)>>,
+    /// Entries of the vertex a Pareto search or repair is scanning.
+    pub(crate) row: Vec<Dist>,
+    /// Entries of one neighbour of the scanned vertex (Pareto repair).
+    pub(crate) nb_row: Vec<Dist>,
+    /// Best neighbour candidate per entry of an affected interval, while
+    /// the Pareto repair seeds it.
+    pub(crate) best: Vec<Dist>,
+    /// `(key, vertex, label block)` heap of the Pareto repair: one item
+    /// per queued block of an affected vertex.
+    pub(crate) bheap: BinaryHeap<std::cmp::Reverse<(Dist, VertexId, u32)>>,
+    /// Per affected vertex `v`, the index in `pending` of the first block
+    /// of `v`'s affected interval. Written for every vertex of `aff_list`
+    /// before the repair reads it.
+    pub(crate) slot: Vec<u32>,
+    /// Queue key of each affected block of one update (`INF` while it is
+    /// not queued): block `k` of `v` sits at
+    /// `slot[v] + k − ⌊aff_lo[v] / 16⌋`.
+    pub(crate) pending: Vec<Dist>,
     /// Scratch list of `(ancestor, affected vertices)` of one increase
     /// update, unit after unit.
     pub(crate) aff_per_r: Vec<(VertexId, Vec<VertexId>)>,
@@ -94,7 +110,12 @@ impl UpdateEngine {
             aff_list: Vec::new(),
             pairs: Vec::new(),
             snap: Vec::new(),
-            rheap: BinaryHeap::new(),
+            row: Vec::new(),
+            nb_row: Vec::new(),
+            best: Vec::new(),
+            bheap: BinaryHeap::new(),
+            slot: vec![0; n],
+            pending: Vec::new(),
             aff_per_r: Vec::new(),
         }
     }
@@ -106,6 +127,7 @@ impl UpdateEngine {
             self.level.resize(n);
             self.aff_lo.resize(n);
             self.aff_hi.resize(n);
+            self.slot.resize(n, 0);
         }
     }
 }
@@ -163,6 +185,9 @@ mod tests {
         e.ensure_capacity(16);
         assert!(e.in_aff.len() >= 16);
         assert!(e.level.len() >= 16);
+        assert!(e.aff_lo.len() >= 16);
+        assert!(e.aff_hi.len() >= 16);
+        assert!(e.slot.len() >= 16);
     }
 
     #[test]

@@ -598,6 +598,26 @@ impl LabelsWriter<'_> {
         block.entry(i as usize % BLOCK, || self.escapes.get(c).get(loc.lo * BLOCK as u32 + i))
     }
 
+    /// `L(v)[lo..=hi]` into `out`, which is cleared first: one location
+    /// load per call and one chunk lookup and decode per block.
+    #[inline]
+    pub(crate) fn read_range(&self, v: VertexId, lo: u32, hi: u32, out: &mut Vec<Dist>) {
+        let loc = self.locs[v as usize];
+        debug_assert!(lo <= hi && hi < loc.len);
+        out.clear();
+        let c = loc.chunk as usize;
+        let last = BLOCK as u32 - 1;
+        for k in lo / BLOCK as u32..=hi / BLOCK as u32 {
+            let first = k * BLOCK as u32;
+            let b = loc.lo + k;
+            let block = self.inner.get_in_chunk(c, b as usize);
+            let lanes = lo.max(first) - first..=hi.min(first + last) - first;
+            out.extend(lanes.map(|j| {
+                block.entry(j as usize, || self.escapes.get(c).get(b * BLOCK as u32 + j))
+            }));
+        }
+    }
+
     /// Overwrite `L(v)[i]`.
     #[inline(always)]
     pub(crate) fn set(&mut self, v: VertexId, i: u32, d: Dist) {

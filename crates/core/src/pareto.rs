@@ -14,8 +14,16 @@
 //!   the fly;
 //! * increases — Algorithms 4–5 (`search_inc`, `bump_pairs`, `repair_inc`):
 //!   equality tests on *old* labels identify exact affected `(v, i)` pairs,
-//!   labels are bumped by `Δ` as upper bounds, and a per-index repair
-//!   Dijkstra finishes from the unaffected boundary.
+//!   labels are bumped by `Δ` as upper bounds, and a repair finishes from
+//!   the unaffected boundary. The repair runs on label blocks rather than
+//!   entries: one queue item per `(v, k)`, block `k` of affected vertex
+//!   `v`, scanned 16 entries at a time — a label-correcting search whose
+//!   fixpoint is Algorithm 5's labels (see [`repair_inc`]).
+//!
+//! Every phase reads labels a range at a time
+//! ([`LabelsWriter::read_range`]): one location lookup per range and one
+//! chunk lookup and decode per 16-entry block, instead of one of each per
+//! entry.
 //!
 //! Implementation note: Algorithm 4 bumps labels *during* its searches
 //! while later equality checks need pre-update values; we instead collect
@@ -38,7 +46,7 @@ use stl_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 
 use crate::engine::{ParetoItem, UpdateEngine};
 use crate::hierarchy::Hierarchy;
-use crate::labelling::LabelsWriter;
+use crate::labelling::{LabelsWriter, BLOCK};
 use crate::types::UpdateStats;
 
 /// The highest ancestor index a search anchored at `r` from `start` covers
@@ -72,8 +80,7 @@ pub(crate) fn search_and_repair_dec(
     // Snapshot the anchor's comparable label prefix: its entries cannot
     // change during this search (a positive-length cycle cannot shorten the
     // anchor's own distances), and a snapshot avoids re-indexing the arena.
-    eng.snap.clear();
-    eng.snap.extend((0..=amin).map(|i| labels.get(r, i)));
+    labels.read_range(r, 0, amin, &mut eng.snap);
     eng.level.reset();
     eng.pheap.clear();
     eng.pheap.push(ParetoItem { d: phi, hi: amin, lo: 0, v: start });
@@ -89,13 +96,14 @@ pub(crate) fn search_and_repair_dec(
         // Update labels over the active interval; record the improved span.
         let mut new_lo = u32::MAX;
         let mut new_hi = 0u32;
-        for i in lo..=hi {
+        labels.read_range(v, lo, hi, &mut eng.row);
+        for (i, &lv) in (lo..=hi).zip(&eng.row) {
             let sr = eng.snap[i as usize];
             if sr == INF {
                 continue;
             }
             let cand = dist_add(item.d, sr);
-            if cand < labels.get(v, i) {
+            if cand < lv {
                 labels.set(v, i, cand);
                 stats.label_writes += 1;
                 if new_lo == u32::MAX {
@@ -170,8 +178,7 @@ pub(crate) fn search_inc(
         return;
     };
     stats.searches += 1;
-    eng.snap.clear();
-    eng.snap.extend((0..=amin).map(|i| labels.get(r, i)));
+    labels.read_range(r, 0, amin, &mut eng.snap);
     eng.level.reset();
     eng.pheap.clear();
     eng.pheap.push(ParetoItem { d: phi_old, hi: amin, lo: 0, v: start });
@@ -187,7 +194,8 @@ pub(crate) fn search_inc(
         let mut new_lo = u32::MAX;
         let mut new_hi = 0u32;
         let tv = hier.tau(v);
-        for i in lo..=hi {
+        labels.read_range(v, lo, hi, &mut eng.row);
+        for (i, &lv) in (lo..=hi).zip(&eng.row) {
             // A vertex's entry to *itself* is always 0 and can never be
             // affected: with zero-weight edges the search can otherwise
             // close a zero-length cycle back to the ancestor and satisfy
@@ -196,11 +204,7 @@ pub(crate) fn search_inc(
                 continue;
             }
             let sr = eng.snap[i as usize];
-            if sr == INF {
-                continue;
-            }
-            let lv = labels.get(v, i);
-            if lv == INF {
+            if sr == INF || lv == INF {
                 continue;
             }
             let cand = dist_add(item.d, sr);
@@ -226,10 +230,33 @@ pub(crate) fn search_inc(
     }
 }
 
-/// Algorithm 5 — per-index repair over the affected intervals held in the
-/// engine (`aff_list`/`aff_lo`/`aff_hi`). Entirely index-local: a repair at
-/// index `i` reads and writes only index-`i` entries, so one pass repairs
-/// every interval of the update.
+/// Algorithm 5 on label blocks: repair the affected intervals held in the
+/// engine (`aff_list`/`aff_lo`/`aff_hi`) with one label-correcting search
+/// whose items are `(v, k)`, block `k` of affected vertex `v` — the 16
+/// entries `16k .. 16k+16`, the blocks of the label layout.
+///
+/// * **Seeding** (Alg. 5 lines 2–6): each affected vertex takes, per entry
+///   of its interval, the minimum over every neighbour `n` of
+///   `L(n)[i] + w` for `i ≤ τ(n)` (`τ(n) = i` means `n` *is* the ancestor
+///   `r_i`, whose own entry is 0), writes the entries that improve, and
+///   queues each block that improved, keyed by its largest improved value.
+/// * **A scan** (lines 7–12): a popped block whose key is stale is
+///   skipped. Otherwise `v`'s block row (entries up to `τ(v)`) is read as
+///   it is now and relaxed into every affected neighbour's entries of the
+///   same block inside that neighbour's interval; a neighbour block that
+///   improves is queued again if its key drops.
+///
+/// The result is exact. Every value written is the length of a real path
+/// inside `G[Desc(r_i)]`, so entries only decrease and never undershoot;
+/// the entries outside the intervals are exact already (the searches
+/// collect the affected pairs exactly). A block is queued whenever one of
+/// its entries improves and is scanned with its row as it is at the pop,
+/// so when the heap drains every affected entry is at most each
+/// neighbour's entry plus the edge weight, and along a shortest path in
+/// `G[Desc(r_i)]` from `r_i` this bound reaches every affected entry: the
+/// fixpoint is the labels Algorithm 5 produces. Index-locality still
+/// holds — block `k` of `v` reads and writes only block `k` of its
+/// neighbours — so one pass repairs every interval of the update.
 pub(crate) fn repair_inc(
     hier: &Hierarchy,
     labels: &mut LabelsWriter<'_>,
@@ -237,58 +264,84 @@ pub(crate) fn repair_inc(
     eng: &mut UpdateEngine,
     stats: &mut UpdateStats,
 ) {
-    eng.rheap.clear();
-    // Seed from every affected vertex's neighbourhood (Alg. 5 lines 2–6).
-    // `i ≤ τ(n)` keeps lookups valid; `τ(n) = i` means n *is* the ancestor
-    // r_i (its own entry is 0), anchoring paths that end at the ancestor.
-    let aff_list = std::mem::take(&mut eng.aff_list);
-    for &v in &aff_list {
-        let lo = eng.aff_lo.get(v as usize);
-        let hi = eng.aff_hi.get(v as usize);
+    const B: u32 = BLOCK as u32;
+    let UpdateEngine { aff_lo, aff_hi, aff_list, row, nb_row, best, bheap, slot, pending, .. } =
+        eng;
+    pending.clear();
+    for &v in aff_list.iter() {
+        slot[v as usize] = pending.len() as u32;
+        let blocks = aff_hi.get(v as usize) / B - aff_lo.get(v as usize) / B + 1;
+        pending.resize(pending.len() + blocks as usize, INF);
+    }
+    bheap.clear();
+    for &v in aff_list.iter() {
+        let (lo, hi) = (aff_lo.get(v as usize), aff_hi.get(v as usize));
+        labels.read_range(v, lo, hi, row);
+        best.clone_from(row);
         let (ts, ws) = g.neighbor_slices(v);
         for (&n, &w) in ts.iter().zip(ws) {
-            if w == INF {
+            let cap = hi.min(hier.tau(n));
+            if w == INF || cap < lo {
                 continue;
             }
-            let cap = hi.min(hier.tau(n));
-            for i in lo..=cap {
-                // Range is inclusive and lo <= hi always; cap may underflow
-                // the range, making the loop empty — exactly what we want.
-                let ln = labels.get(n, i);
-                if ln == INF {
-                    continue;
+            labels.read_range(n, lo, cap, nb_row);
+            for (b, &x) in best.iter_mut().zip(nb_row.iter()) {
+                *b = (*b).min(dist_add(x, w));
+            }
+        }
+        for k in lo / B..=hi / B {
+            let mut key = None;
+            for i in lo.max(k * B)..=hi.min(k * B + B - 1) {
+                let j = (i - lo) as usize;
+                if best[j] < row[j] {
+                    labels.set(v, i, best[j]);
+                    stats.label_writes += 1;
+                    key = key.max(Some(best[j]));
                 }
-                let cand = dist_add(ln, w);
-                if cand < labels.get(v, i) {
-                    eng.rheap.push(Reverse((cand, v, i)));
-                }
+            }
+            if let Some(key) = key {
+                pending[(slot[v as usize] + k - lo / B) as usize] = key;
+                bheap.push(Reverse((key, v, k)));
             }
         }
     }
-    eng.aff_list = aff_list;
-    // Settle in increasing distance (Alg. 5 lines 7–12).
-    while let Some(Reverse((d, v, i))) = eng.rheap.pop() {
-        stats.repair_pops += 1;
-        if d >= labels.get(v, i) {
-            continue;
+    while let Some(Reverse((key, v, k))) = bheap.pop() {
+        let at = (slot[v as usize] + k - aff_lo.get(v as usize) / B) as usize;
+        if pending[at] != key {
+            continue; // stale: the block was queued again with a lower key
         }
-        labels.set(v, i, d);
-        stats.label_writes += 1;
+        pending[at] = INF;
+        stats.repair_pops += 1;
+        let first = k * B;
+        labels.read_range(v, first, (first + B - 1).min(hier.tau(v)), row);
+        let last = first + row.len() as u32 - 1;
         let (ts, ws) = g.neighbor_slices(v);
         for (&n, &w) in ts.iter().zip(ws) {
-            if w == INF {
-                continue;
-            }
             // Only affected entries can still be wrong (line 10).
-            if !eng.aff_lo.is_set(n as usize) {
+            if w == INF || !aff_lo.is_set(n as usize) {
                 continue;
             }
-            if i < eng.aff_lo.get(n as usize) || i > eng.aff_hi.get(n as usize) {
+            let (n_lo, n_hi) = (aff_lo.get(n as usize), aff_hi.get(n as usize));
+            let (a, z) = (n_lo.max(first), n_hi.min(last));
+            if a > z {
                 continue;
             }
-            let cand = dist_add(d, w);
-            if cand < labels.get(n, i) {
-                eng.rheap.push(Reverse((cand, n, i)));
+            labels.read_range(n, a, z, nb_row);
+            let mut key = None;
+            for (i, &cur) in (a..=z).zip(nb_row.iter()) {
+                let cand = dist_add(row[(i - first) as usize], w);
+                if cand < cur {
+                    labels.set(n, i, cand);
+                    stats.label_writes += 1;
+                    key = key.max(Some(cand));
+                }
+            }
+            if let Some(key) = key {
+                let at = (slot[n as usize] + k - n_lo / B) as usize;
+                if key < pending[at] {
+                    pending[at] = key;
+                    bheap.push(Reverse((key, n, k)));
+                }
             }
         }
     }
@@ -351,6 +404,18 @@ mod tests {
         let (a, b, w) = g.edges().nth(33).unwrap();
         apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 4)], &mut eng);
         verify::check_all(&stl, &g).unwrap();
+    }
+
+    /// An engine sized for 4 vertices grows to the 36-vertex grid and
+    /// repairs an increase exactly.
+    #[test]
+    fn undersized_engine_repairs_an_increase() {
+        let mut g = grid(6);
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        let mut eng = UpdateEngine::new(4);
+        let (a, b, w) = g.edges().nth(33).unwrap();
+        let stats = apply(&mut stl, &mut g, &[EdgeUpdate::new(a, b, w * 4)], &mut eng);
+        assert!(stats.repair_pops > 0, "the increase must need a repair");
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub struct UpdateStats {
     pub label_writes: u64,
     /// Affected (vertex, ancestor) pairs identified in increase searches.
     pub affected: u64,
-    /// Priority-queue pops in repair phases.
+    /// Repair-phase work: priority-queue pops of Label Search's repairs,
+    /// and label-block scans (non-stale pops of `(vertex, block)` items)
+    /// of Pareto Search's.
     pub repair_pops: u64,
     /// Distinct owning trees ([`Hierarchy::tree_of_edge`]) of the batch's
     /// normalised updates. Filled by `Stl::apply_batch`; the directed driver
