@@ -1310,6 +1310,30 @@ mod tests {
         assert!(err.contains("escape table"), "{err}");
     }
 
+    /// `LabelsWriter::read_range` decodes every sub-range of every label
+    /// as per-entry `get` does, across block boundaries and escaped lanes.
+    #[test]
+    fn read_range_matches_get() {
+        let g = grid(12, 30_000);
+        let mut stl = Stl::build(&g, &StlConfig::default());
+        let n = stl.num_vertices() as VertexId;
+        let labels = stl.labels();
+        assert!((0..n).any(|v| labels.locs[v as usize].len > 2 * BLOCK as u32), "multi-block");
+        assert!((0..labels.num_chunks()).any(|c| labels.chunk_escapes(c).iter().next().is_some()));
+        let writer = stl.labels.phase_writer();
+        let mut out = Vec::new();
+        for v in 0..n {
+            let len = writer.locs[v as usize].len;
+            for lo in 0..len {
+                for hi in lo..len {
+                    writer.read_range(v, lo, hi, &mut out);
+                    let want: Vec<Dist> = (lo..=hi).map(|i| writer.get(v, i)).collect();
+                    assert_eq!(out, want, "vertex {v}, entries {lo}..={hi}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn chunked_clone_shares_untouched_chunks() {
         // Tiny chunks make the sharing boundary precise: 16 vertices, 1
